@@ -74,6 +74,17 @@ class ModelParams:
                 raise InvalidParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not self.a > 0:
             raise InvalidParameterError(f"a must be > 0, got {self.a}")
+        # psi <= exp(theta), since the subtracted pulse term is never negative.
+        try:
+            math.exp(self.theta)
+            valid_theta = math.isfinite(self.theta)
+        except OverflowError:
+            valid_theta = False
+        if not valid_theta:
+            raise InvalidParameterError(
+                f"theta must be finite and small enough for exp(theta) to be "
+                f"finite, got {self.theta}"
+            )
 
 
 @dataclass(frozen=True)

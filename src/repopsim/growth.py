@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 from .core import (
     POST_GROWTH,
     RADIATION_PERIOD,
+    SIMPLEX_TOL,
     ModelParams,
     PopulationState,
     VelocityVector,
@@ -80,11 +81,17 @@ def integrate_growth(
     back onto the simplex proportionally only if its drift exceeds 1e-12;
     with renormalize off the raw endpoint is returned.
 
+    The loop is replicator_rhs unrolled over scalar locals: every stage
+    evaluates the field with the same float operations in the same order,
+    so the result equals a plain RK4 composed from replicator_rhs bit for
+    bit, and every stage point gets the simplex test of mean_velocity.
+
     Raises:
         InvalidParameterError: for a nonpositive duration or step, or a step
             exceeding the duration.
-        NumericInstabilityError: if any component leaves [0, 1] by more than
-            1e-9 during the integration, naming the offending step.
+        NumericInstabilityError: if a stage point leaves the simplex by more
+            than 1e-9, or any endpoint component leaves [0, 1] by more than
+            1e-9, naming the offending step.
     """
     if not duration > 0:
         raise InvalidParameterError(f"duration must be > 0, got {duration}")
@@ -92,38 +99,78 @@ def integrate_growth(
         raise InvalidParameterError(f"step must lie in (0, duration], got {step}")
     n = max(1, round(duration / step))
     h = duration / n
+    hh = 0.5 * h
+    h6 = h / 6.0
+    v0, v1, v2 = field.v.v0, field.v.v1, field.v.v2
+    q, p = field.q_mix, field.p_mix
+    cq, cp = 1.0 - q, 1.0 - p
+    lo, tol = -SIMPLEX_TOL, SIMPLEX_TOL
+    out_lo, out_hi = -_STABILITY_TOL, 1.0 + _STABILITY_TOL
+    x0, x1, x2 = x
     for i in range(n):
-        try:
-            k1 = replicator_rhs(field, x)
-            k2 = replicator_rhs(
-                field,
-                (x[0] + 0.5 * h * k1[0], x[1] + 0.5 * h * k1[1], x[2] + 0.5 * h * k1[2]),
-            )
-            k3 = replicator_rhs(
-                field,
-                (x[0] + 0.5 * h * k2[0], x[1] + 0.5 * h * k2[1], x[2] + 0.5 * h * k2[2]),
-            )
-            k4 = replicator_rhs(
-                field, (x[0] + h * k3[0], x[1] + h * k3[1], x[2] + h * k3[2])
-            )
-        except InvalidStateError as exc:
+        # Stage k1 at x. Each stage point is tested as mean_velocity tests
+        # it; `off < lo` is the lower half of |sum - 1| > tol.
+        off = x0 + x1 + x2 - 1.0
+        if x0 < lo or x1 < lo or x2 < lo or off > tol or off < lo:
+            raise _stage_error(i, n, h)
+        a0, a1, a2 = v0 * x0, v1 * x1, v2 * x2
+        phi = a0 + a1 + a2
+        dx0 = a0 * cq - x0 * phi
+        dx1 = a1 * cp + a0 * q - x1 * phi
+        dx2 = a2 + a1 * p - x2 * phi
+        s0, s1, s2 = dx0, dx1, dx2
+        y0, y1, y2 = x0 + hh * dx0, x1 + hh * dx1, x2 + hh * dx2
+        # Stage k2 at x + h/2 * k1.
+        off = y0 + y1 + y2 - 1.0
+        if y0 < lo or y1 < lo or y2 < lo or off > tol or off < lo:
+            raise _stage_error(i, n, h)
+        a0, a1, a2 = v0 * y0, v1 * y1, v2 * y2
+        phi = a0 + a1 + a2
+        dx0 = a0 * cq - y0 * phi
+        dx1 = a1 * cp + a0 * q - y1 * phi
+        dx2 = a2 + a1 * p - y2 * phi
+        s0, s1, s2 = s0 + 2.0 * dx0, s1 + 2.0 * dx1, s2 + 2.0 * dx2
+        y0, y1, y2 = x0 + hh * dx0, x1 + hh * dx1, x2 + hh * dx2
+        # Stage k3 at x + h/2 * k2.
+        off = y0 + y1 + y2 - 1.0
+        if y0 < lo or y1 < lo or y2 < lo or off > tol or off < lo:
+            raise _stage_error(i, n, h)
+        a0, a1, a2 = v0 * y0, v1 * y1, v2 * y2
+        phi = a0 + a1 + a2
+        dx0 = a0 * cq - y0 * phi
+        dx1 = a1 * cp + a0 * q - y1 * phi
+        dx2 = a2 + a1 * p - y2 * phi
+        s0, s1, s2 = s0 + 2.0 * dx0, s1 + 2.0 * dx1, s2 + 2.0 * dx2
+        y0, y1, y2 = x0 + h * dx0, x1 + h * dx1, x2 + h * dx2
+        # Stage k4 at x + h * k3.
+        off = y0 + y1 + y2 - 1.0
+        if y0 < lo or y1 < lo or y2 < lo or off > tol or off < lo:
+            raise _stage_error(i, n, h)
+        a0, a1, a2 = v0 * y0, v1 * y1, v2 * y2
+        phi = a0 + a1 + a2
+        dx0 = a0 * cq - y0 * phi
+        dx1 = a1 * cp + a0 * q - y1 * phi
+        dx2 = a2 + a1 * p - y2 * phi
+        # x + h/6 * (((k1 + 2 k2) + 2 k3) + k4), summed in that order.
+        x0, x1, x2 = x0 + h6 * (s0 + dx0), x1 + h6 * (s1 + dx1), x2 + h6 * (s2 + dx2)
+        if (
+            x0 < out_lo or x1 < out_lo or x2 < out_lo
+            or x0 > out_hi or x1 > out_hi or x2 > out_hi
+        ):
             raise NumericInstabilityError(
-                f"stage point left the simplex at step {i + 1} of {n} "
-                f"(t={(i + 1) * h:.4f})"
-            ) from exc
-        x = (
-            x[0] + h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-            x[1] + h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
-            x[2] + h / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
-        )
-        if min(x) < -_STABILITY_TOL or max(x) > 1.0 + _STABILITY_TOL:
-            raise NumericInstabilityError(
-                f"component left [0, 1] at step {i + 1} of {n} (t={(i + 1) * h:.4f}): {x}"
+                f"component left [0, 1] at step {i + 1} of {n} "
+                f"(t={(i + 1) * h:.4f}): {(x0, x1, x2)}"
             )
-    if renormalize and abs(x[0] + x[1] + x[2] - 1.0) > _RENORM_TOL:
-        total = x[0] + x[1] + x[2]
-        x = (x[0] / total, x[1] / total, x[2] / total)
-    return x
+    if renormalize and abs(x0 + x1 + x2 - 1.0) > _RENORM_TOL:
+        total = x0 + x1 + x2
+        return (x0 / total, x1 / total, x2 / total)
+    return (x0, x1, x2)
+
+
+def _stage_error(i: int, n: int, h: float) -> NumericInstabilityError:
+    return NumericInstabilityError(
+        f"stage point left the simplex at step {i + 1} of {n} (t={(i + 1) * h:.4f})"
+    )
 
 
 def apply_division(

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from importlib import resources
 
+import pytest
+
 from repopsim.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, cli_main
 from repopsim.io import TRAJECTORY_HEADER
 
@@ -56,6 +58,16 @@ class TestRun:
         out = tmp_path / "never.csv"
         assert cli_main(["run", "--config", config, "--out", str(out)]) == EXIT_VALIDATION
         assert "weeks" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("theta", [1000.0, float("nan")])
+    def test_unusable_theta_names_key(self, tmp_path, capsys, theta):
+        config = write_config_file(tmp_path, theta=theta)
+        out = tmp_path / "never.csv"
+        assert cli_main(["run", "--config", config, "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: theta must be finite")
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_missing_config_is_io_error(self, tmp_path):

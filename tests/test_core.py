@@ -84,6 +84,15 @@ class TestModelParams:
         with pytest.raises(InvalidParameterError):
             ModelParams(**overrides)
 
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf"), 710.0, 1000.0])
+    def test_rejects_unusable_theta(self, theta):
+        with pytest.raises(InvalidParameterError, match="theta"):
+            ModelParams(theta=theta)
+
+    def test_theta_up_to_exp_overflow_is_legal(self):
+        assert ModelParams(theta=709.0).theta == 709.0
+        assert ModelParams(theta=-1000.0).theta == -1000.0
+
     def test_transfer_rate_bounded_by_survival(self):
         with pytest.raises(InvalidParameterError, match="survival"):
             ModelParams(q_rad=0.7)

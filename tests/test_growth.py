@@ -34,6 +34,56 @@ def simplex_points(rng: random.Random, count: int):
     return random_simplex_points(rng, count)
 
 
+def rk4_from_rhs(field, x, duration, step, renormalize=True):
+    """Plain fixed-step RK4 composed from replicator_rhs.
+
+    The specification integrate_growth must match bit for bit: the same
+    step count, stage points, update order, checks and messages.
+    """
+    n = max(1, round(duration / step))
+    h = duration / n
+    for i in range(n):
+        try:
+            k1 = replicator_rhs(field, x)
+            k2 = replicator_rhs(
+                field,
+                (x[0] + 0.5 * h * k1[0], x[1] + 0.5 * h * k1[1], x[2] + 0.5 * h * k1[2]),
+            )
+            k3 = replicator_rhs(
+                field,
+                (x[0] + 0.5 * h * k2[0], x[1] + 0.5 * h * k2[1], x[2] + 0.5 * h * k2[2]),
+            )
+            k4 = replicator_rhs(
+                field, (x[0] + h * k3[0], x[1] + h * k3[1], x[2] + h * k3[2])
+            )
+        except InvalidStateError as exc:
+            raise NumericInstabilityError(
+                f"stage point left the simplex at step {i + 1} of {n} "
+                f"(t={(i + 1) * h:.4f})"
+            ) from exc
+        x = (
+            x[0] + h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+            x[1] + h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
+            x[2] + h / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
+        )
+        if min(x) < -1e-9 or max(x) > 1.0 + 1e-9:
+            raise NumericInstabilityError(
+                f"component left [0, 1] at step {i + 1} of {n} (t={(i + 1) * h:.4f}): {x}"
+            )
+    if renormalize and abs(x[0] + x[1] + x[2] - 1.0) > 1e-12:
+        total = x[0] + x[1] + x[2]
+        x = (x[0] / total, x[1] / total, x[2] / total)
+    return x
+
+
+def outcome(integrate, field, x, duration, step, renormalize=True):
+    """The returned triple, or the raised exception's type and message."""
+    try:
+        return integrate(field, x, duration, step, renormalize)
+    except NumericInstabilityError as exc:
+        return type(exc), str(exc)
+
+
 class TestReplicatorRhs:
     def test_fast_corner_is_fixed_point(self):
         field = ReplicatorField(PAPER_V, q_mix=0.3, p_mix=0.7)
@@ -133,6 +183,93 @@ class TestIntegrateGrowth:
         field = ReplicatorField(VelocityVector(0.0, 0.0, 20.0), 0.0, 0.0)
         with pytest.raises(NumericInstabilityError, match="step"):
             integrate_growth(field, (0.5, 0.49, 0.01), duration=3.0, step=1.0)
+
+
+    def test_infinite_velocity_fails_instead_of_returning_nan(self):
+        # inf * 0 puts NaN next to -inf in a stage point; each component is
+        # tested on its own, so the NaN cannot mask the -inf.
+        field = ReplicatorField(VelocityVector(0.01, 0.016, float("inf")), 0.0, 0.0)
+        with pytest.raises(NumericInstabilityError, match="stage point .* step 1 of 2"):
+            integrate_growth(field, (0.0, 0.5, 0.5), duration=1.0, step=0.5)
+
+
+class TestKernelMatchesSpec:
+    """integrate_growth equals RK4 composed from replicator_rhs, bit for bit."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        ab=st.tuples(
+            st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0)
+        ),
+        v0=st.floats(min_value=0.0, max_value=1.0),
+        v1=st.floats(min_value=0.0, max_value=2.0),
+        v2=st.floats(min_value=0.0, max_value=30.0),
+        q=st.floats(min_value=0.0, max_value=1.0),
+        p=st.floats(min_value=0.0, max_value=1.0),
+        duration=st.floats(min_value=0.01, max_value=3.0),
+        steps=st.integers(min_value=1, max_value=200),
+        renormalize=st.booleans(),
+    )
+    def test_equals_rk4_of_replicator_rhs(
+        self, ab, v0, v1, v2, q, p, duration, steps, renormalize
+    ):
+        lo, hi = sorted(ab)
+        x = (lo, hi - lo, 1.0 - hi)
+        field = ReplicatorField(VelocityVector(v0, v1, v2), q, p)
+        step = duration / steps
+        want = outcome(rk4_from_rhs, field, x, duration, step, renormalize)
+        got = outcome(integrate_growth, field, x, duration, step, renormalize)
+        assert got == want
+
+    def test_equals_rk4_of_replicator_rhs_on_seeded_fields(self):
+        # A one-ulp change in a single stage surfaces in about 1% of these.
+        rng = random.Random(2)
+        for _ in range(1000):
+            lo, hi = sorted((rng.random(), rng.random()))
+            x = (lo, hi - lo, 1.0 - hi)
+            v = VelocityVector(rng.uniform(0, 1), rng.uniform(0, 2), rng.uniform(0, 30))
+            field = ReplicatorField(v, rng.random(), rng.random())
+            duration = rng.uniform(0.01, 3.0)
+            step = duration / rng.randint(1, 20)
+            want = outcome(rk4_from_rhs, field, x, duration, step)
+            assert outcome(integrate_growth, field, x, duration, step) == want
+
+    def test_paper_day_equals_spec(self):
+        field = ReplicatorField(PAPER_V, 0.1, 0.1)
+        x = (0.6, 0.34, 0.06)
+        assert integrate_growth(field, x, 1.0, 0.01, False) == rk4_from_rhs(
+            field, x, 1.0, 0.01, False
+        )
+
+    def test_stage_point_message(self):
+        field = ReplicatorField(VelocityVector(0.0, 0.0, 25.0), 0.0, 0.0)
+        x = (0.5, 0.49, 0.01)
+        got = outcome(integrate_growth, field, x, 2.0, 0.25)
+        assert got == (
+            NumericInstabilityError,
+            "stage point left the simplex at step 2 of 8 (t=0.5000)",
+        )
+        assert got == outcome(rk4_from_rhs, field, x, 2.0, 0.25)
+
+    def test_endpoint_message(self):
+        field = ReplicatorField(VelocityVector(0.0, 0.0, 20.0), 0.0, 0.0)
+        x = (0.5, 0.49, 0.01)
+        got = outcome(integrate_growth, field, x, 3.0, 1.0)
+        assert got[0] is NumericInstabilityError
+        assert got[1].startswith("component left [0, 1] at step 1 of 3 (t=1.0000): (-0.30")
+        assert got == outcome(rk4_from_rhs, field, x, 3.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "x", [(0.5, 0.5, 0.5), (0.2, 0.2, 0.2), (-1e-8, 0.5, 0.5 + 1e-8), (0.5, 1.0, -0.5)]
+    )
+    def test_off_simplex_input_is_a_stage_one_failure(self, x):
+        field = ReplicatorField(PAPER_V, 0.0, 0.0)
+        got = outcome(integrate_growth, field, x, 1.0, 0.5)
+        assert got == (
+            NumericInstabilityError,
+            "stage point left the simplex at step 1 of 2 (t=0.5000)",
+        )
+        assert got == outcome(rk4_from_rhs, field, x, 1.0, 0.5)
 
 
 class TestApplyDivision:
