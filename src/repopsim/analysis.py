@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, replace as dc_replace
 
 from .core import ModelParams, PopulationState
-from .errors import AlignmentError, ConfigError, InvalidParameterError
+from .errors import AlignmentError, ConfigError, InvalidParameterError, SimulationError
 from .schedule import ScheduleSpec, Trajectory, simulate_course
 
 
@@ -195,8 +195,8 @@ def sweep(
 ) -> tuple[SweepEntry, ...]:
     """One independent simulation per parameter value, in input order.
 
-    An invalid key or an out-of-range value yields an error entry for that
-    value and the sweep continues.
+    An invalid key, an out-of-range value or a course the model rejects
+    yields an error entry for that value and the sweep continues.
     """
     entries = []
     for value in values:
@@ -208,7 +208,11 @@ def sweep(
         except InvalidParameterError as exc:
             entries.append(SweepEntry(value=value, error=str(exc)))
             continue
-        trajectory = simulate_course(swept, schedule, initial)
+        try:
+            trajectory = simulate_course(swept, schedule, initial)
+        except SimulationError as exc:
+            entries.append(SweepEntry(value=value, error=str(exc)))
+            continue
         final = trajectory.final()
         threshold_day = None
         if threshold is not None:

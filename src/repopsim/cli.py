@@ -14,7 +14,7 @@ from pathlib import Path
 from .analysis import compare_to_golden, diff_velocity, lq_closed_form, sweep
 from .config import load_config
 from .core import ModelParams, PopulationState, survival_fraction
-from .errors import NumericInstabilityError, SimulationError
+from .errors import ConfigError, NumericInstabilityError, SimulationError
 from .io import (
     load_reference_table,
     read_trajectory,
@@ -93,7 +93,11 @@ def _parse_sweep_values(param: str, text: str) -> tuple[float, ...]:
         token = token.strip()
         if not token:
             continue
-        values.append(int(token) if wants_int else float(token))
+        try:
+            values.append(int(token) if wants_int else float(token))
+        except ValueError:
+            kind = "an integer" if wants_int else "a number"
+            raise ConfigError(f"--values: {token!r} is not {kind}") from None
     return tuple(values)
 
 

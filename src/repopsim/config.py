@@ -9,6 +9,7 @@ optional output path.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 
 from .core import INITIAL, ModelParams, PopulationState, fractions_to_counts, snap_count
@@ -115,6 +116,8 @@ def parse_config(text: str) -> RunConfig:
         counts = _require_triple("initial_counts", raw["initial_counts"])
         if min(counts) < 0:
             raise ConfigError(f"initial_counts must be nonnegative, got {counts}")
+        if not math.isfinite(counts[0] + counts[1] + counts[2]):
+            raise ConfigError(f"initial_counts must have a finite total, got {counts}")
         if params.integer_rounding:
             counts = tuple(snap_count(c) for c in counts)
     elif has_split:
@@ -123,8 +126,10 @@ def parse_config(text: str) -> RunConfig:
         total = _require_number("initial_total", raw["initial_total"])
         if total < 0:
             raise ConfigError(f"initial_total must be >= 0, got {total}")
+        if not math.isfinite(total):
+            raise ConfigError(f"initial_total must be finite, got {total}")
         x = _require_triple("initial_fractions", raw["initial_fractions"])
-        if min(x) < 0:
+        if not (x[0] >= 0 and x[1] >= 0 and x[2] >= 0):
             raise ConfigError(f"initial_fractions must be nonnegative, got {x}")
         if abs(x[0] + x[1] + x[2] - 1.0) > 1e-9:
             raise ConfigError(f"initial_fractions must sum to 1 within 1e-9, got {x}")

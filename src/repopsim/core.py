@@ -74,6 +74,9 @@ class ModelParams:
                 raise InvalidParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not self.a > 0:
             raise InvalidParameterError(f"a must be > 0, got {self.a}")
+        for name in ("v0", "v1", "a"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParameterError(f"{name} must be finite, got {getattr(self, name)}")
         # psi <= exp(theta), since the subtracted pulse term is never negative.
         try:
             math.exp(self.theta)
@@ -84,6 +87,11 @@ class ModelParams:
             raise InvalidParameterError(
                 f"theta must be finite and small enough for exp(theta) to be "
                 f"finite, got {self.theta}"
+            )
+        if not math.isfinite(self.a * self.v1 * math.exp(self.theta)):
+            raise InvalidParameterError(
+                f"a * v1 * exp(theta), the largest fast-fraction velocity, must be "
+                f"finite, got a={self.a}, v1={self.v1}, theta={self.theta}"
             )
 
 
@@ -99,9 +107,10 @@ class PopulationState:
     pulses_delivered: int = 0  # radiation pulses applied so far
 
     def __post_init__(self) -> None:
-        for name in ("y0", "y1", "y2"):
-            if not getattr(self, name) >= 0:
-                raise InvalidStateError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not (self.y0 >= 0 and self.y1 >= 0 and self.y2 >= 0):
+            for name in ("y0", "y1", "y2"):
+                if not getattr(self, name) >= 0:
+                    raise InvalidStateError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.phase not in PHASES:
             raise InvalidStateError(f"phase must be one of {PHASES}, got {self.phase!r}")
         if self.pulses_delivered < 0:
@@ -128,9 +137,10 @@ class VelocityVector:
     v2: float  # fast-fraction velocity, damped by accumulated pulses (1/day)
 
     def __post_init__(self) -> None:
-        for name in ("v0", "v1", "v2"):
-            if not getattr(self, name) >= 0:
-                raise InvalidParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not (self.v0 >= 0 and self.v1 >= 0 and self.v2 >= 0):
+            for name in ("v0", "v1", "v2"):
+                if not getattr(self, name) >= 0:
+                    raise InvalidParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 def survival_fraction(params: ModelParams) -> float:

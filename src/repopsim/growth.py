@@ -9,7 +9,8 @@ factor 2^(v_i * dt).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 from .core import (
     POST_GROWTH,
@@ -18,7 +19,6 @@ from .core import (
     ModelParams,
     PopulationState,
     VelocityVector,
-    counts_to_fractions,
     fractions_to_counts,
     mean_velocity,
     snap_count,
@@ -183,15 +183,23 @@ def apply_division(
 
     Raises:
         InvalidParameterError: for a nonpositive duration.
+        NumericInstabilityError: if a divided count is too large for a float.
     """
     if not duration > 0:
         raise InvalidParameterError(f"duration must be > 0, got {duration}")
-    y0 = state.y0 * 2.0 ** (v.v0 * duration)
-    y1 = state.y1 * 2.0 ** (v.v1 * duration)
-    y2 = state.y2 * 2.0 ** (v.v2 * duration)
+    try:
+        y0 = state.y0 * 2.0 ** (v.v0 * duration)
+        y1 = state.y1 * 2.0 ** (v.v1 * duration)
+        y2 = state.y2 * 2.0 ** (v.v2 * duration)
+    except OverflowError:
+        y0 = y1 = y2 = math.inf
+    if y0 + y1 + y2 == math.inf:
+        raise NumericInstabilityError(
+            f"cell counts overflow dividing for {duration} days at velocities {(v.v0, v.v1, v.v2)}"
+        )
     if integer_rounding:
         y0, y1, y2 = snap_count(y0), snap_count(y1), snap_count(y2)
-    return replace(state, y0=y0, y1=y1, y2=y2, phase=POST_GROWTH)
+    return PopulationState(y0, y1, y2, state.day, POST_GROWTH, state.pulses_delivered)
 
 
 @dataclass(frozen=True)
@@ -221,7 +229,7 @@ def growth_day_detail(
         InvalidStateError: for an empty population.
     """
     total = state.total()
-    x = counts_to_fractions(state)
+    x = state.fractions()
     if x is None:
         raise InvalidStateError("cannot grow an empty population")
     v = velocities_of(params, pulses, period)
@@ -234,9 +242,9 @@ def growth_day_detail(
         x_end = (x_end[0] / s, x_end[1] / s, x_end[2] / s)
     phi = mean_velocity(x_end, v)
     mixed = fractions_to_counts(x_end, total, params.integer_rounding)
-    intermediate = replace(state, y0=mixed[0], y1=mixed[1], y2=mixed[2])
+    intermediate = PopulationState(*mixed, state.day, state.phase, state.pulses_delivered)
     divided = apply_division(intermediate, v, interval, params.integer_rounding)
-    return GrowthStep(state=divided, phi=phi, v2=v.v2, drift=drift, renormalized=renormalized)
+    return GrowthStep(divided, phi, v.v2, drift, renormalized)
 
 
 def growth_day(

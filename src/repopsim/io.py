@@ -34,34 +34,22 @@ def _format_real(value: float) -> str:
     return f"{value:.9f}"
 
 
-def _format_count(value: float, integer_rounding: bool) -> str:
-    if integer_rounding:
-        return str(int(value))
-    return _format_real(value)
-
-
 def write_trajectory(trajectory: Trajectory, destination: str | Path) -> None:
     """Write a trajectory as a comma-separated table, one record per line."""
-    lines = [TRAJECTORY_HEADER]
-    for rec in trajectory.records:
-        lines.append(
-            ",".join(
-                (
-                    str(rec.day),
-                    rec.phase,
-                    _format_count(rec.y0, trajectory.integer_rounding),
-                    _format_count(rec.y1, trajectory.integer_rounding),
-                    _format_count(rec.y2, trajectory.integer_rounding),
-                    _format_real(rec.x0),
-                    _format_real(rec.x1),
-                    _format_real(rec.x2),
-                    _format_real(rec.phi),
-                    _format_real(rec.v2),
-                    _format_count(rec.total, trajectory.integer_rounding),
-                )
-            )
-        )
-    Path(destination).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    records = trajectory.records
+    if trajectory.integer_rounding:
+        rows = [
+            f"{r.day},{r.phase},{int(r.y0)},{int(r.y1)},{int(r.y2)},{r.x0:.9f},{r.x1:.9f},"
+            f"{r.x2:.9f},{r.phi:.9f},{r.v2:.9f},{int(r.total)}\n"
+            for r in records
+        ]
+    else:
+        rows = [
+            f"{r.day},{r.phase},{r.y0:.9f},{r.y1:.9f},{r.y2:.9f},{r.x0:.9f},{r.x1:.9f},"
+            f"{r.x2:.9f},{r.phi:.9f},{r.v2:.9f},{r.total:.9f}\n"
+            for r in records
+        ]
+    Path(destination).write_text(TRAJECTORY_HEADER + "\n" + "".join(rows), encoding="utf-8")
 
 
 def read_trajectory(source: str | Path) -> Trajectory:
@@ -71,7 +59,7 @@ def read_trajectory(source: str | Path) -> Trajectory:
     diagnostics are not serialized and come back as zeros.
 
     Raises:
-        SchemaError: if the header differs from the trajectory schema.
+        SchemaError: for a wrong header or column count, or a cell that is not a number.
     """
     text = Path(source).read_text(encoding="utf-8")
     lines = text.splitlines()
@@ -80,27 +68,22 @@ def read_trajectory(source: str | Path) -> Trajectory:
         raise SchemaError(f"expected header {TRAJECTORY_HEADER!r}, got {got!r}")
     records = []
     integer_rounding = True
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], 2):
         cells = line.split(",")
         if len(cells) != 11:
             raise SchemaError(f"expected 11 columns, got {len(cells)}: {line!r}")
-        if any("." in cells[i] for i in (2, 3, 4, 10)):
+        day, phase, y0, y1, y2, x0, x1, x2, phi, v2, total = cells
+        if integer_rounding and ("." in y0 or "." in y1 or "." in y2 or "." in total):
             integer_rounding = False
-        records.append(
-            TrajectoryRecord(
-                day=int(cells[0]),
-                phase=cells[1],
-                y0=float(cells[2]),
-                y1=float(cells[3]),
-                y2=float(cells[4]),
-                x0=float(cells[5]),
-                x1=float(cells[6]),
-                x2=float(cells[7]),
-                phi=float(cells[8]),
-                v2=float(cells[9]),
-                total=float(cells[10]),
+        try:
+            records.append(
+                TrajectoryRecord(
+                    int(day), phase, float(y0), float(y1), float(y2), float(x0),
+                    float(x1), float(x2), float(phi), float(v2), float(total),
+                )
             )
-        )
+        except ValueError as exc:
+            raise SchemaError(f"line {number}: {exc}: {line!r}") from None
     return Trajectory(records=tuple(records), integer_rounding=integer_rounding)
 
 

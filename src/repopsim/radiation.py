@@ -8,7 +8,7 @@ operator sums to S, so each pulse multiplies the total count by exactly S.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import POST_RADIATION, ModelParams, PopulationState, snap_count, survival_fraction
 from .errors import InvalidParameterError
@@ -68,14 +68,7 @@ def apply_pulse(
     y2 = state.y1 * op.p + state.y2 * op.s
     if integer_rounding:
         y0, y1, y2 = snap_count(y0), snap_count(y1), snap_count(y2)
-    return replace(
-        state,
-        y0=y0,
-        y1=y1,
-        y2=y2,
-        phase=POST_RADIATION,
-        pulses_delivered=state.pulses_delivered + 1,
-    )
+    return PopulationState(y0, y1, y2, state.day, POST_RADIATION, state.pulses_delivered + 1)
 
 
 def pulse_power(

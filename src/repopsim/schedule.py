@@ -12,7 +12,7 @@ weekend_days records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import (
     INITIAL,
@@ -110,20 +110,12 @@ class Trajectory:
 def _make_record(
     day: int, phase: str, state: PopulationState, phi: float, v2: float
 ) -> TrajectoryRecord:
-    total = state.total()
-    x = state.fractions() or (0.0, 0.0, 0.0)
+    y0, y1, y2 = state.y0, state.y1, state.y2
+    total = y0 + y1 + y2
+    if total == 0:
+        return TrajectoryRecord(day, phase, y0, y1, y2, 0.0, 0.0, 0.0, phi, v2, total)
     return TrajectoryRecord(
-        day=day,
-        phase=phase,
-        y0=state.y0,
-        y1=state.y1,
-        y2=state.y2,
-        x0=x[0],
-        x1=x[1],
-        x2=x[2],
-        phi=phi,
-        v2=v2,
-        total=total,
+        day, phase, y0, y1, y2, y0 / total, y1 / total, y2 / total, phi, v2, total
     )
 
 
@@ -168,7 +160,9 @@ def simulate_course(
         if phase in schedule.log_phases:
             records.append(_make_record(day, phase, state, phi, v2))
 
-    state = replace(initial, day=1, phase=INITIAL)
+    # States inside the course are never returned, so their day field is not
+    # restamped: every record carries its own (day, phase).
+    state = initial
     emit(1, INITIAL, state, 0.0, v2_of(params, state.pulses_delivered, RADIATION_PERIOD))
     day = 1
     previous_phi = 0.0
@@ -179,10 +173,9 @@ def simulate_course(
         step = growth_day_detail(state, params, state.pulses_delivered, period)
         max_drift = max(max_drift, step.drift)
         renorms += int(step.renormalized)
-        new = replace(step.state, day=day)
-        emit(day, POST_GROWTH, new, step.phi, step.v2)
+        emit(day, POST_GROWTH, step.state, step.phi, step.v2)
         previous_phi = step.phi
-        return new
+        return step.state
 
     def gone(state: PopulationState) -> bool:
         nonlocal extinct, extinction_day
@@ -196,7 +189,7 @@ def simulate_course(
     for _ in range(schedule.weeks):
         for _ in range(schedule.pulses_per_week):
             if not first_weekday:
-                state = replace(apply_pulse(op, state, params.integer_rounding), day=day)
+                state = apply_pulse(op, state, params.integer_rounding)
                 emit(
                     day,
                     POST_RADIATION,

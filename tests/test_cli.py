@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import subprocess
 import sys
@@ -70,6 +71,32 @@ class TestRun:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            # a * v1 is inf: an empty compartment would divide as 0 * inf = NaN,
+            # and with every compartment non-empty the integrator would fail.
+            ({"a": 1e308, "v1": 100, "initial_counts": [0, 1000, 0]}, "a * v1 * exp(theta)"),
+            ({"a": 1e308, "v1": 100, "initial_counts": [10, 1000, 10]}, "a * v1 * exp(theta)"),
+            ({"initial_counts": [1e308, 1e308, 0]}, "initial_counts must have a finite total"),
+        ],
+    )
+    def test_overflowing_input_is_validation_error(self, tmp_path, capsys, overrides, message):
+        config = write_config_file(tmp_path, **overrides)
+        out = tmp_path / "never.csv"
+        assert cli_main(["run", "--config", config, "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_overflowing_division_is_numeric_error(self, tmp_path, capsys):
+        # A finite fast velocity whose daily factor 2^v2 overflows a float.
+        config = write_config_file(tmp_path, a=1e300, v1=100, initial_counts=[0, 1000, 0])
+        out = tmp_path / "never.csv"
+        assert cli_main(["run", "--config", config, "--out", str(out)]) == EXIT_NUMERIC
+        assert capsys.readouterr().err.startswith("error: cell counts overflow")
+
     def test_missing_config_is_io_error(self, tmp_path):
         code = cli_main(
             ["run", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "o.csv")]
@@ -103,6 +130,21 @@ class TestDiff:
         out = tmp_path / "diff.csv"
         assert cli_main(["diff", str(bad), str(bad), "--out", str(out)]) == EXIT_VALIDATION
         assert "header" in capsys.readouterr().err
+
+    def test_malformed_number_is_validation_error(self, tmp_path, capsys):
+        course = run_course(tmp_path)
+        lines = course.read_text(encoding="utf-8").splitlines()
+        cells = lines[2].split(",")
+        cells[10] = "abc"
+        lines[2] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "diff.csv"
+        assert cli_main(["diff", str(course), str(bad), "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: ")
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestSweep:
@@ -152,6 +194,34 @@ class TestSweep:
         summary = (out_dir / "sweep_summary.csv").read_text(encoding="utf-8")
         assert "q_rad" in summary
         assert "0.7" in capsys.readouterr().out
+
+    def test_rejected_course_is_reported_in_summary(self, tmp_path, capsys):
+        # An ode_step longer than the one-day growth interval fails inside the course.
+        config = write_config_file(tmp_path)
+        out_dir = tmp_path / "sweep"
+        argv = ["sweep", "--config", config, "--param", "ode_step", "--values", "0.5,2.0"]
+        assert cli_main([*argv, "--out-dir", str(out_dir)]) == EXIT_OK
+        assert (out_dir / "sweep_ode_step_0.5.csv").exists()
+        assert not (out_dir / "sweep_ode_step_2.0.csv").exists()
+        with open(out_dir / "sweep_summary.csv", encoding="utf-8", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["value"] for row in rows] == ["0.5", "2.0"]
+        assert rows[0]["error"] == "" and rows[0]["final_total"] != ""
+        assert rows[1]["error"] == "step must lie in (0, duration], got 2.0"
+        assert "value 2.0: step must lie" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "param, values, message",
+        [("a", "1,x", "'x' is not a number"), ("weeks", "1,1.5", "'1.5' is not an integer")],
+    )
+    def test_unparseable_value_names_token(self, tmp_path, capsys, param, values, message):
+        config = write_config_file(tmp_path)
+        out_dir = tmp_path / "sweep"
+        argv = ["sweep", "--config", config, "--param", param, "--values", values]
+        assert cli_main([*argv, "--out-dir", str(out_dir)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == f"error: --values: {message}\n"
+        assert not out_dir.exists()
 
     def test_integer_parameter_values(self, tmp_path):
         config = write_config_file(tmp_path)

@@ -90,6 +90,16 @@ class TestParseConfig:
             (minimal_config(integer_rounding="yes"), "integer_rounding"),
             (minimal_config(initial_counts=[1, 2]), "initial_counts"),
             (minimal_config(initial_counts=[-1, 2, 3]), "initial_counts"),
+            (minimal_config(initial_counts=[1e308, 1e308, 0]), "initial_counts must have a finite"),
+            ('{"initial_counts": [NaN, 2, 3]}', "initial_counts must have a finite"),
+            (
+                '{"initial_total": 1e309, "initial_fractions": [1, 0, 0]}',
+                "initial_total must be finite",
+            ),
+            (
+                '{"initial_total": 10, "initial_fractions": [NaN, 0.5, 0.5]}',
+                "initial_fractions must be nonnegative",
+            ),
             (minimal_config(initial_pulses=-1), "initial_pulses"),
             (minimal_config(output=7), "output"),
             (minimal_config(weeks=0), "weeks"),
@@ -196,6 +206,17 @@ class TestTrajectoryFiles:
         path = tmp_path / "bad.csv"
         path.write_text(TRAJECTORY_HEADER + "\n1,initial,1,2\n", encoding="utf-8")
         with pytest.raises(SchemaError, match="columns"):
+            read_trajectory(path)
+
+    @pytest.mark.parametrize("column", [0, 2, 5, 10])
+    def test_malformed_number_names_the_line(self, column, tmp_path):
+        good = "1,initial,600,340,60,0.600000000,0.340000000,0.060000000,0.0,0.08,1000"
+        cells = good.split(",")
+        cells[column] = "abc"
+        path = tmp_path / "bad.csv"
+        text = "\n".join([TRAJECTORY_HEADER, good, ",".join(cells)]) + "\n"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SchemaError, match="^line 3: .*'abc'"):
             read_trajectory(path)
 
 

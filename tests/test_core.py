@@ -89,6 +89,27 @@ class TestModelParams:
         with pytest.raises(InvalidParameterError, match="theta"):
             ModelParams(theta=theta)
 
+    @pytest.mark.parametrize("name", ["v0", "v1", "a"])
+    def test_rejects_infinite_velocity_inputs(self, name):
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be finite, got inf$"):
+            ModelParams(**{name: math.inf})
+
+    @pytest.mark.parametrize("name, bound", [("v0", ">= 0"), ("v1", ">= 0"), ("a", "> 0")])
+    def test_nan_velocity_inputs_keep_range_message(self, name, bound):
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be {bound}, got nan$"):
+            ModelParams(**{name: math.nan})
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"a": 1e308, "v1": 100.0}, {"a": 1e200, "v1": 1e200}, {"a": 1e306, "theta": 700.0}],
+    )
+    def test_rejects_overflowing_fast_velocity(self, overrides):
+        with pytest.raises(InvalidParameterError, match=r"^a \* v1 \* exp\(theta\)"):
+            ModelParams(**overrides)
+
+    def test_largest_finite_fast_velocity_is_legal(self):
+        assert ModelParams(a=1e300, v1=100.0).a == 1e300
+
     def test_theta_up_to_exp_overflow_is_legal(self):
         assert ModelParams(theta=709.0).theta == 709.0
         assert ModelParams(theta=-1000.0).theta == -1000.0
@@ -120,6 +141,14 @@ class TestPopulationState:
         with pytest.raises(InvalidStateError):
             PopulationState(-1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_count_message_names_the_component(self, index, bad):
+        counts = [1.0, 1.0, 1.0]
+        counts[index] = bad
+        with pytest.raises(InvalidStateError, match=f"^y{index} must be >= 0, got {bad}$"):
+            PopulationState(*counts)
+
     def test_rejects_unknown_phase(self):
         with pytest.raises(InvalidStateError):
             PopulationState(1.0, 1.0, 1.0, phase="midnight")
@@ -130,6 +159,14 @@ class TestPopulationState:
 
 
 class TestVelocities:
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_negative_velocity_message_names_the_component(self, index, bad):
+        v = [0.01, 0.016, 0.08]
+        v[index] = bad
+        with pytest.raises(InvalidParameterError, match=f"^v{index} must be >= 0, got {bad}$"):
+            VelocityVector(*v)
+
     def test_doubling_time_conversion(self):
         assert velocity_from_doubling_time(69.3147) == pytest.approx(0.01, rel=1e-6)
         assert velocity_from_doubling_time(43.3217) == pytest.approx(0.016, rel=1e-6)

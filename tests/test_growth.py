@@ -311,6 +311,20 @@ class TestApplyDivision:
         with pytest.raises(InvalidParameterError):
             apply_division(PopulationState(1.0, 1.0, 1.0), PAPER_V, 0.0)
 
+    @pytest.mark.parametrize("integer_rounding", [False, True])
+    @pytest.mark.parametrize(
+        "state, v",
+        [
+            # 2^v2 is beyond float range although the fast compartment is empty.
+            (PopulationState(0.0, 1000.0, 0.0), VelocityVector(0.01, 100.0, 1e302)),
+            # Every factor is finite but the counts overflow.
+            (PopulationState(1e300, 1e308, 0.0), VelocityVector(0.01, 5.0, 25.0)),
+        ],
+    )
+    def test_overflowing_counts_are_numeric_instability(self, state, v, integer_rounding):
+        with pytest.raises(NumericInstabilityError, match="cell counts overflow"):
+            apply_division(state, v, 1.0, integer_rounding)
+
 
 class TestGrowthDay:
     def test_degenerate_parameters_are_identity(self):
