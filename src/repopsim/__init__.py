@@ -26,7 +26,6 @@ from .core import (
     ModelParams,
     PopulationState,
     VelocityVector,
-    counts_to_fractions,
     fractions_to_counts,
     mean_velocity,
     psi,
@@ -49,7 +48,6 @@ from .growth import (
     GrowthStep,
     ReplicatorField,
     apply_division,
-    growth_day,
     growth_day_detail,
     integrate_growth,
     replicator_rhs,
@@ -62,12 +60,6 @@ from .io import (
     write_trajectory,
 )
 from .radiation import RadiationOperator, apply_pulse, build_radiation_operator, pulse_power
-from .schedule import (
-    ScheduleSpec,
-    Trajectory,
-    TrajectoryRecord,
-    phase_velocity,
-    simulate_course,
-)
+from .schedule import Trajectory, TrajectoryRecord, simulate_course
 
 __version__ = "0.1.0"

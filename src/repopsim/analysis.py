@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace as dc_replace
 
 from .core import ModelParams, PopulationState
 from .errors import AlignmentError, ConfigError, InvalidParameterError, SimulationError
-from .schedule import ScheduleSpec, Trajectory, simulate_course
+from .schedule import Trajectory, simulate_course
 
 
 @dataclass(frozen=True)
@@ -189,13 +189,13 @@ def sweep(
     params: ModelParams,
     key: str,
     values: tuple[float, ...],
-    schedule: ScheduleSpec,
     initial: PopulationState,
     threshold: float | None = None,
 ) -> tuple[SweepEntry, ...]:
     """One independent simulation per parameter value, in input order.
 
-    An invalid key, an out-of-range value or a course the model rejects
+    Any ModelParams field can be varied, the course shape included. An
+    invalid key, an out-of-range value or a course the model rejects
     yields an error entry for that value and the sweep continues.
     """
     entries = []
@@ -209,7 +209,7 @@ def sweep(
             entries.append(SweepEntry(value=value, error=str(exc)))
             continue
         try:
-            trajectory = simulate_course(swept, schedule, initial)
+            trajectory = simulate_course(swept, initial)
         except SimulationError as exc:
             entries.append(SweepEntry(value=value, error=str(exc)))
             continue

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation or check failure, 2 I/O failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -23,7 +24,7 @@ from .io import (
     write_trajectory,
 )
 from .radiation import apply_pulse, build_radiation_operator
-from .schedule import ScheduleSpec, simulate_course
+from .schedule import simulate_course
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -40,6 +41,7 @@ _REFERENCE_COUNT_TOLERANCE = 0.005  # early-course counts, days 1 through 5
 _REFERENCE_VELOCITY_TOLERANCE = 0.10  # final recorded velocity, day 48
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repopsim",
@@ -53,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     swp = commands.add_parser("sweep", help="simulate once per parameter value")
     swp.add_argument("--config", required=True, help="path to a JSON configuration")
-    swp.add_argument("--param", required=True, help="ModelParams field to vary")
+    swp.add_argument("--param", required=True, help="numeric ModelParams field to vary")
     swp.add_argument("--values", required=True, help="comma-separated values to try")
     swp.add_argument("--out-dir", required=True, help="directory for trajectories and summary")
     swp.add_argument(
@@ -78,7 +80,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if destination is None:
         print("error: no output destination; pass --out or set output", file=sys.stderr)
         return EXIT_VALIDATION
-    trajectory = simulate_course(config.params, config.schedule, config.initial)
+    trajectory = simulate_course(config.params, config.initial)
     write_trajectory(trajectory, destination)
     note = " (extinct)" if trajectory.extinct else ""
     print(f"wrote {len(trajectory.records)} records to {destination}{note}")
@@ -87,6 +89,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _parse_sweep_values(param: str, text: str) -> tuple[float, ...]:
     field_types = {f.name: f.type for f in fields(ModelParams)}
+    if field_types.get(param) in ("bool", bool):
+        raise ConfigError(f"--param {param} is true or false, not a number, and cannot be swept")
     wants_int = field_types.get(param) in ("int", int)
     values = []
     for token in text.split(","):
@@ -106,14 +110,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     values = _parse_sweep_values(args.param, args.values)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    entries = sweep(
-        config.params,
-        args.param,
-        values,
-        config.schedule,
-        config.initial,
-        threshold=args.threshold,
-    )
+    entries = sweep(config.params, args.param, values, config.initial, threshold=args.threshold)
     for entry in entries:
         if entry.trajectory is None:
             print(f"value {entry.value!r}: {entry.error}")
@@ -174,7 +171,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         )
     )
 
-    trajectory = simulate_course(params, config.schedule, config.initial)
+    trajectory = simulate_course(params, config.initial)
     results.append(
         _check_line(
             "simplex-drift",
@@ -184,11 +181,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     )
 
     reference = load_reference_table()
-    reference_run = simulate_course(
-        ModelParams(weeks=_REFERENCE_WEEKS),
-        ScheduleSpec(weeks=_REFERENCE_WEEKS),
-        _REFERENCE_INITIAL,
-    )
+    reference_run = simulate_course(ModelParams(weeks=_REFERENCE_WEEKS), _REFERENCE_INITIAL)
     early = compare_to_golden(
         reference_run,
         reference,

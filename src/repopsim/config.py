@@ -1,9 +1,9 @@
 """Run configuration: a flat JSON document mapping canonical keys to values.
 
-The canonical keys are the ModelParams field names plus pulses_per_week,
-the initial population (exactly one of initial_counts or initial_total with
-initial_fractions), the optional initial_pulses counter seed, and an
-optional output path.
+The canonical keys are the ModelParams field names (the course shape
+included), the initial population (exactly one of initial_counts or
+initial_total with initial_fractions), the optional initial_pulses counter
+seed, and an optional output path.
 """
 
 from __future__ import annotations
@@ -12,15 +12,13 @@ import json
 import math
 from dataclasses import dataclass, fields
 
-from .core import INITIAL, ModelParams, PopulationState, fractions_to_counts, snap_count
+from .core import ModelParams, PopulationState, fractions_to_counts, snap_count
 from .errors import ConfigError, InvalidParameterError
-from .schedule import ScheduleSpec
 
 _PARAM_KEYS = tuple(f.name for f in fields(ModelParams))
 _INT_KEYS = frozenset({"weeks", "weekend_days", "pulses_per_week", "initial_pulses"})
 _BOOL_KEYS = frozenset({"integer_rounding"})
 _KNOWN_KEYS = frozenset(_PARAM_KEYS) | {
-    "pulses_per_week",
     "initial_counts",
     "initial_total",
     "initial_fractions",
@@ -34,7 +32,6 @@ class RunConfig:
     """Everything one simulation run needs."""
 
     params: ModelParams
-    schedule: ScheduleSpec
     initial: PopulationState
     output: str | None = None
 
@@ -97,15 +94,6 @@ def parse_config(text: str) -> RunConfig:
     except InvalidParameterError as exc:
         raise ConfigError(str(exc)) from exc
 
-    try:
-        schedule = ScheduleSpec(
-            weeks=params.weeks,
-            pulses_per_week=_require_int("pulses_per_week", raw.get("pulses_per_week", 5)),
-            weekend_days=params.weekend_days,
-        )
-    except InvalidParameterError as exc:
-        raise ConfigError(str(exc)) from exc
-
     has_counts = "initial_counts" in raw
     has_split = "initial_total" in raw or "initial_fractions" in raw
     if has_counts and has_split:
@@ -151,10 +139,9 @@ def parse_config(text: str) -> RunConfig:
         y0=counts[0],
         y1=counts[1],
         y2=counts[2],
-        phase=INITIAL,
         pulses_delivered=initial_pulses,
     )
-    return RunConfig(params=params, schedule=schedule, initial=initial, output=output)
+    return RunConfig(params=params, initial=initial, output=output)
 
 
 def write_config(config: RunConfig) -> str:
@@ -162,7 +149,6 @@ def write_config(config: RunConfig) -> str:
     document: dict[str, object] = {
         key: getattr(config.params, key) for key in _PARAM_KEYS
     }
-    document["pulses_per_week"] = config.schedule.pulses_per_week
     document["initial_counts"] = [config.initial.y0, config.initial.y1, config.initial.y2]
     document["initial_pulses"] = config.initial.pulses_delivered
     if config.output is not None:

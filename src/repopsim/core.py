@@ -26,6 +26,9 @@ PERIODS = (RADIATION_PERIOD, WEEKEND)
 # Tolerance for membership on the probability simplex.
 SIMPLEX_TOL = 1e-9
 
+# Length of the growth interval closing each course day (days).
+GROWTH_INTERVAL = 1.0
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -46,18 +49,34 @@ class ModelParams:
     ode_step: float = 0.01  # fixed integration step (days)
     integer_rounding: bool = True  # snap counts to whole cells after each stage
     weekend_days: int = 2  # growth-only days closing each week
+    pulses_per_week: int = 5  # weekdays opening each week, one pulse each
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "dose"):
-            if not getattr(self, name) >= 0:
-                raise InvalidParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not value >= 0:
+                raise InvalidParameterError(f"{name} must be >= 0, got {value}")
+            if not math.isfinite(value):
+                raise InvalidParameterError(f"{name} must be finite, got {value}")
         if self.weeks < 1:
             raise InvalidParameterError(f"weeks must be >= 1, got {self.weeks}")
-        if not self.ode_step > 0:
-            raise InvalidParameterError(f"ode_step must be > 0, got {self.ode_step}")
+        if not 0 < self.ode_step <= GROWTH_INTERVAL:
+            raise InvalidParameterError(
+                f"ode_step must lie in (0, {GROWTH_INTERVAL:g}] (one growth day), "
+                f"got {self.ode_step}"
+            )
         if self.weekend_days < 0:
             raise InvalidParameterError(f"weekend_days must be >= 0, got {self.weekend_days}")
+        if self.pulses_per_week < 0:
+            raise InvalidParameterError(
+                f"pulses_per_week must be >= 0, got {self.pulses_per_week}"
+            )
         s = survival_fraction(self)
+        if not s > 0:
+            raise InvalidParameterError(
+                f"the survival fraction exp(-(alpha*dose + beta*dose^2)) must be > 0, "
+                f"got {s} for alpha={self.alpha}, beta={self.beta}, dose={self.dose}"
+            )
         for name in ("q_rad", "p_rad"):
             value = getattr(self, name)
             if not 0 <= value <= s:
@@ -102,8 +121,6 @@ class PopulationState:
     y0: float  # slow-fraction cell count
     y1: float  # middle-fraction cell count
     y2: float  # fast-fraction cell count
-    day: int = 0  # day index within the course (0 = not yet placed)
-    phase: str = INITIAL  # which stage of the day produced this state
     pulses_delivered: int = 0  # radiation pulses applied so far
 
     def __post_init__(self) -> None:
@@ -111,8 +128,6 @@ class PopulationState:
             for name in ("y0", "y1", "y2"):
                 if not getattr(self, name) >= 0:
                     raise InvalidStateError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.phase not in PHASES:
-            raise InvalidStateError(f"phase must be one of {PHASES}, got {self.phase!r}")
         if self.pulses_delivered < 0:
             raise InvalidStateError(f"pulses_delivered must be >= 0, got {self.pulses_delivered}")
 
@@ -219,11 +234,6 @@ def snap_count(value: float) -> float:
     if value <= 0:
         return 0.0
     return float(math.floor(value + 0.5))
-
-
-def counts_to_fractions(state: PopulationState) -> tuple[float, float, float] | None:
-    """Fractions of the three compartments, or None for an empty population."""
-    return state.fractions()
 
 
 def fractions_to_counts(

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .core import (
-    POST_GROWTH,
+    GROWTH_INTERVAL,
     RADIATION_PERIOD,
     SIMPLEX_TOL,
     ModelParams,
@@ -68,18 +68,11 @@ def replicator_rhs(field: ReplicatorField, x: Triple) -> Triple:
     )
 
 
-def integrate_growth(
-    field: ReplicatorField,
-    x: Triple,
-    duration: float,
-    step: float,
-    renormalize: bool = True,
-) -> Triple:
+def integrate_growth(field: ReplicatorField, x: Triple, duration: float, step: float) -> Triple:
     """Fraction triple after `duration` days of mixing under the field.
 
-    Classical fixed-step fourth-order integration. The endpoint is projected
-    back onto the simplex proportionally only if its drift exceeds 1e-12;
-    with renormalize off the raw endpoint is returned.
+    Classical fixed-step fourth-order integration. The raw endpoint is
+    returned; growth_day_detail projects it back onto the simplex.
 
     The loop is replicator_rhs unrolled over scalar locals: every stage
     evaluates the field with the same float operations in the same order,
@@ -161,9 +154,6 @@ def integrate_growth(
                 f"component left [0, 1] at step {i + 1} of {n} "
                 f"(t={(i + 1) * h:.4f}): {(x0, x1, x2)}"
             )
-    if renormalize and abs(x0 + x1 + x2 - 1.0) > _RENORM_TOL:
-        total = x0 + x1 + x2
-        return (x0 / total, x1 / total, x2 / total)
     return (x0, x1, x2)
 
 
@@ -199,7 +189,7 @@ def apply_division(
         )
     if integer_rounding:
         y0, y1, y2 = snap_count(y0), snap_count(y1), snap_count(y2)
-    return PopulationState(y0, y1, y2, state.day, POST_GROWTH, state.pulses_delivered)
+    return PopulationState(y0, y1, y2, state.pulses_delivered)
 
 
 @dataclass(frozen=True)
@@ -218,12 +208,13 @@ def growth_day_detail(
     params: ModelParams,
     pulses: int,
     period: str = RADIATION_PERIOD,
-    interval: float = 1.0,
 ) -> GrowthStep:
     """One growth interval with the recorded mean velocity and diagnostics.
 
     Stages: freeze the velocity vector from the pulse count and period, evolve
-    the fractions, rebuild counts from the evolved fractions, then divide.
+    the fractions, project an endpoint that drifted more than 1e-12 from the
+    simplex back onto it proportionally, rebuild counts from the fractions,
+    then divide.
 
     Raises:
         InvalidStateError: for an empty population.
@@ -234,7 +225,7 @@ def growth_day_detail(
         raise InvalidStateError("cannot grow an empty population")
     v = velocities_of(params, pulses, period)
     field = ReplicatorField(v, params.q_mix, params.p_mix)
-    x_end = integrate_growth(field, x, interval, params.ode_step, renormalize=False)
+    x_end = integrate_growth(field, x, GROWTH_INTERVAL, params.ode_step)
     drift = abs(x_end[0] + x_end[1] + x_end[2] - 1.0)
     renormalized = drift > _RENORM_TOL
     if renormalized:
@@ -242,17 +233,6 @@ def growth_day_detail(
         x_end = (x_end[0] / s, x_end[1] / s, x_end[2] / s)
     phi = mean_velocity(x_end, v)
     mixed = fractions_to_counts(x_end, total, params.integer_rounding)
-    intermediate = PopulationState(*mixed, state.day, state.phase, state.pulses_delivered)
-    divided = apply_division(intermediate, v, interval, params.integer_rounding)
+    intermediate = PopulationState(*mixed, state.pulses_delivered)
+    divided = apply_division(intermediate, v, GROWTH_INTERVAL, params.integer_rounding)
     return GrowthStep(divided, phi, v.v2, drift, renormalized)
-
-
-def growth_day(
-    state: PopulationState,
-    params: ModelParams,
-    pulses: int,
-    period: str = RADIATION_PERIOD,
-    interval: float = 1.0,
-) -> PopulationState:
-    """Population after one growth interval (mixing, count rebuild, division)."""
-    return growth_day_detail(state, params, pulses, period, interval).state

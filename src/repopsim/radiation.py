@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import POST_RADIATION, ModelParams, PopulationState, snap_count, survival_fraction
+from .core import ModelParams, PopulationState, snap_count, survival_fraction
 from .errors import InvalidParameterError
 
 Matrix = tuple[tuple[float, float, float], ...]
@@ -68,7 +68,7 @@ def apply_pulse(
     y2 = state.y1 * op.p + state.y2 * op.s
     if integer_rounding:
         y0, y1, y2 = snap_count(y0), snap_count(y1), snap_count(y2)
-    return PopulationState(y0, y1, y2, state.day, POST_RADIATION, state.pulses_delivered + 1)
+    return PopulationState(y0, y1, y2, state.pulses_delivered + 1)
 
 
 def pulse_power(

@@ -16,43 +16,17 @@ from dataclasses import dataclass
 
 from .core import (
     INITIAL,
-    PHASES,
     POST_GROWTH,
     POST_RADIATION,
     RADIATION_PERIOD,
     WEEKEND,
     ModelParams,
     PopulationState,
-    mean_velocity,
     v2_of,
-    velocities_of,
 )
-from .errors import InvalidParameterError, InvalidStateError
+from .errors import InvalidStateError
 from .growth import growth_day_detail
 from .radiation import apply_pulse, build_radiation_operator
-
-
-@dataclass(frozen=True)
-class ScheduleSpec:
-    """Weekly pattern and length of a treatment course."""
-
-    weeks: int  # number of treatment weeks
-    pulses_per_week: int = 5  # weekdays opening each week, one pulse each
-    weekend_days: int = 2  # growth-only days closing each week
-    log_phases: tuple[str, ...] = PHASES  # which record phases are kept
-
-    def __post_init__(self) -> None:
-        if self.weeks < 1:
-            raise InvalidParameterError(f"weeks must be >= 1, got {self.weeks}")
-        if self.pulses_per_week < 0:
-            raise InvalidParameterError(
-                f"pulses_per_week must be >= 0, got {self.pulses_per_week}"
-            )
-        if self.weekend_days < 0:
-            raise InvalidParameterError(f"weekend_days must be >= 0, got {self.weekend_days}")
-        unknown = set(self.log_phases) - set(PHASES)
-        if unknown:
-            raise InvalidParameterError(f"log_phases contains unknown phases: {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -119,30 +93,16 @@ def _make_record(
     )
 
 
-def phase_velocity(
-    state: PopulationState, params: ModelParams, period: str = RADIATION_PERIOD
-) -> float:
-    """Mean velocity of the state under the v2 in force at its pulse count.
-
-    Raises:
-        InvalidStateError: for an empty population.
-    """
-    x = state.fractions()
-    if x is None:
-        raise InvalidStateError("mean velocity of an empty population is undefined")
-    return mean_velocity(x, velocities_of(params, state.pulses_delivered, period))
-
-
-def simulate_course(
-    params: ModelParams, schedule: ScheduleSpec, initial: PopulationState
-) -> Trajectory:
+def simulate_course(params: ModelParams, initial: PopulationState) -> Trajectory:
     """Full deterministic course of weekly pulses and growth days.
 
-    Emits the initial record (velocity reported as zero by convention), then
-    per week: pulses_per_week weekdays of pulse-then-growth (the course's
-    first day skips its pulse, already folded into the initial state), then
-    weekend_days growth-only days. In integer mode a total below one cell
-    ends the course early and marks the trajectory extinct.
+    The course shape comes from params.weeks, params.pulses_per_week and
+    params.weekend_days. Emits the initial record (velocity reported as zero
+    by convention), then per week: pulses_per_week weekdays of
+    pulse-then-growth (the course's first day skips its pulse, already folded
+    into the initial state), then weekend_days growth-only days. In integer
+    mode a total below one cell ends the course early and marks the
+    trajectory extinct.
 
     Raises:
         InvalidStateError: if the initial population is empty.
@@ -150,20 +110,13 @@ def simulate_course(
     if not initial.total() > 0:
         raise InvalidStateError("initial population must have a positive total")
     op = build_radiation_operator(params)
-    records: list[TrajectoryRecord] = []
+    v2 = v2_of(params, initial.pulses_delivered, RADIATION_PERIOD)
+    records = [_make_record(1, INITIAL, initial, 0.0, v2)]
     max_drift = 0.0
     renorms = 0
     extinct = False
     extinction_day: int | None = None
-
-    def emit(day: int, phase: str, state: PopulationState, phi: float, v2: float) -> None:
-        if phase in schedule.log_phases:
-            records.append(_make_record(day, phase, state, phi, v2))
-
-    # States inside the course are never returned, so their day field is not
-    # restamped: every record carries its own (day, phase).
     state = initial
-    emit(1, INITIAL, state, 0.0, v2_of(params, state.pulses_delivered, RADIATION_PERIOD))
     day = 1
     previous_phi = 0.0
     first_weekday = True
@@ -173,7 +126,7 @@ def simulate_course(
         step = growth_day_detail(state, params, state.pulses_delivered, period)
         max_drift = max(max_drift, step.drift)
         renorms += int(step.renormalized)
-        emit(day, POST_GROWTH, step.state, step.phi, step.v2)
+        records.append(_make_record(day, POST_GROWTH, step.state, step.phi, step.v2))
         previous_phi = step.phi
         return step.state
 
@@ -186,17 +139,12 @@ def simulate_course(
         return False
 
     stop = False
-    for _ in range(schedule.weeks):
-        for _ in range(schedule.pulses_per_week):
+    for _ in range(params.weeks):
+        for _ in range(params.pulses_per_week):
             if not first_weekday:
                 state = apply_pulse(op, state, params.integer_rounding)
-                emit(
-                    day,
-                    POST_RADIATION,
-                    state,
-                    previous_phi,
-                    v2_of(params, state.pulses_delivered, RADIATION_PERIOD),
-                )
+                v2 = v2_of(params, state.pulses_delivered, RADIATION_PERIOD)
+                records.append(_make_record(day, POST_RADIATION, state, previous_phi, v2))
                 if gone(state):
                     stop = True
                     break
@@ -208,7 +156,7 @@ def simulate_course(
             day += 1
         if stop:
             break
-        for _ in range(schedule.weekend_days):
+        for _ in range(params.weekend_days):
             state = grown(state, WEEKEND)
             if gone(state):
                 stop = True

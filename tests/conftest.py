@@ -8,7 +8,6 @@ import pytest
 from repopsim import (
     ModelParams,
     PopulationState,
-    ScheduleSpec,
     load_reference_table,
     simulate_course,
 )
@@ -39,14 +38,14 @@ def golden():
 def course_zero():
     """Seven-week zero-coefficient course from the reference initial state."""
     params = ModelParams(weeks=REFERENCE_WEEKS)
-    return simulate_course(params, ScheduleSpec(weeks=REFERENCE_WEEKS), reference_initial())
+    return simulate_course(params, reference_initial())
 
 
 @pytest.fixture(scope="session")
 def course_mixing():
     """Seven-week course with transfer and mixing coefficients switched on."""
     params = ModelParams(weeks=REFERENCE_WEEKS, **MIXING_OVERRIDES)
-    return simulate_course(params, ScheduleSpec(weeks=REFERENCE_WEEKS), reference_initial())
+    return simulate_course(params, reference_initial())
 
 
 def euler_mix(

@@ -23,11 +23,9 @@ from repopsim import (
     PopulationState,
     RadiationOperator,
     ReplicatorField,
-    ScheduleSpec,
     apply_division,
     apply_pulse,
     build_radiation_operator,
-    counts_to_fractions,
     fractions_to_counts,
     integrate_growth,
     mean_velocity,
@@ -75,7 +73,7 @@ def test_criterion_02_each_pulse_scales_total_by_survival(y0, y1, y2, qf, pf):
 def test_criterion_03_simplex_preserved_over_six_week_course():
     params = ModelParams(weeks=6)
     assert params.ode_step == 0.01
-    trajectory = simulate_course(params, ScheduleSpec(weeks=6), reference_initial())
+    trajectory = simulate_course(params, reference_initial())
     assert trajectory.renormalizations == 0
     assert trajectory.max_simplex_drift <= 1e-9
     for rec in trajectory.records:
@@ -90,7 +88,7 @@ def test_criterion_05_early_course_reproduction_at_desk_scale():
     params = ModelParams(weeks=1)
     assert params.q_rad == 0.0 and params.p_rad == 0.0
     start = time.perf_counter()
-    trajectory = simulate_course(params, ScheduleSpec(weeks=1), reference_initial())
+    trajectory = simulate_course(params, reference_initial())
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
 
@@ -135,17 +133,15 @@ def test_criterion_08_one_week_equals_hand_composed_operators(course_zero):
     params = ModelParams(weeks=REFERENCE_WEEKS)
     op = build_radiation_operator(params)
     start = course_zero.record(5, "post_growth")
-    state = PopulationState(
-        start.y0, start.y1, start.y2, day=5, phase="post_growth", pulses_delivered=5
-    )
+    state = PopulationState(start.y0, start.y1, start.y2, pulses_delivered=5)
     previous_phi = start.phi
 
     def grow(state, period):
         total = state.total()
-        x = counts_to_fractions(state)
+        x = state.fractions()
         v = velocities_of(params, state.pulses_delivered, period)
         field = ReplicatorField(v, params.q_mix, params.p_mix)
-        x_end = integrate_growth(field, x, 1.0, params.ode_step, renormalize=False)
+        x_end = integrate_growth(field, x, 1.0, params.ode_step)
         if abs(x_end[0] + x_end[1] + x_end[2] - 1.0) > 1e-12:
             norm = x_end[0] + x_end[1] + x_end[2]
             x_end = (x_end[0] / norm, x_end[1] / norm, x_end[2] / norm)

@@ -12,7 +12,6 @@ from repopsim import (
     GoldenRow,
     ModelParams,
     PopulationState,
-    ScheduleSpec,
     Trajectory,
     TrajectoryRecord,
     build_radiation_operator,
@@ -137,17 +136,11 @@ class TestCompareToGolden:
 
 class TestSweep:
     def test_empty_values(self):
-        out = sweep(ModelParams(), "a", (), ScheduleSpec(weeks=1), reference_initial())
+        out = sweep(ModelParams(), "a", (), reference_initial())
         assert out == ()
 
     def test_growth_advantage_orders_final_velocity(self):
-        entries = sweep(
-            ModelParams(weeks=1),
-            "a",
-            (1.0, 5.0),
-            ScheduleSpec(weeks=1),
-            reference_initial(),
-        )
+        entries = sweep(ModelParams(weeks=1), "a", (1.0, 5.0), reference_initial())
         assert [e.value for e in entries] == [1.0, 5.0]
         assert all(e.error is None for e in entries)
         assert entries[0].final_phi < entries[1].final_phi
@@ -158,18 +151,15 @@ class TestSweep:
         # exactly by the damping offset factor.
         params = ModelParams(weeks=1, integer_rounding=False)
         initial = PopulationState(0.0, 0.0, 1e6)
-        entries = sweep(params, "theta", (0.0, 0.005), ScheduleSpec(weeks=1), initial)
+        entries = sweep(params, "theta", (0.0, 0.005), initial)
         ratio = entries[1].final_phi / entries[0].final_phi
         assert ratio == pytest.approx(math.exp(0.005), rel=1e-12)
 
     def test_threshold_day_reporting(self):
         params = ModelParams(weeks=1, integer_rounding=False)
         initial = PopulationState(0.0, 0.0, 1e6)
-        hit, missed = sweep(
-            params, "theta", (0.0, 0.005), ScheduleSpec(weeks=1), initial, threshold=0.05
-        ), sweep(
-            params, "theta", (0.0,), ScheduleSpec(weeks=1), initial, threshold=1.0
-        )
+        hit = sweep(params, "theta", (0.0, 0.005), initial, threshold=0.05)
+        missed = sweep(params, "theta", (0.0,), initial, threshold=1.0)
         assert all(e.threshold_day == 1 for e in hit)
         assert missed[0].threshold_day is None
 
@@ -178,7 +168,6 @@ class TestSweep:
             ModelParams(weeks=1),
             "q_rad",
             (0.0005, 0.7, 0.001),
-            ScheduleSpec(weeks=1),
             reference_initial(),
         )
         assert [e.value for e in entries] == [0.0005, 0.7, 0.001]
@@ -187,16 +176,13 @@ class TestSweep:
         assert entries[1].final_total is None
 
     def test_unknown_key_reported_per_value(self):
-        entries = sweep(
-            ModelParams(weeks=1), "banana", (1.0,), ScheduleSpec(weeks=1), reference_initial()
-        )
+        entries = sweep(ModelParams(weeks=1), "banana", (1.0,), reference_initial())
         assert entries[0].error == "unknown parameter: banana"
 
     def test_order_independence(self):
         params = ModelParams(weeks=1)
-        schedule = ScheduleSpec(weeks=1)
-        forward = sweep(params, "theta", (0.0, 0.005), schedule, reference_initial())
-        backward = sweep(params, "theta", (0.005, 0.0), schedule, reference_initial())
+        forward = sweep(params, "theta", (0.0, 0.005), reference_initial())
+        backward = sweep(params, "theta", (0.005, 0.0), reference_initial())
         by_value_f = {e.value: (e.final_total, e.final_phi) for e in forward}
         by_value_b = {e.value: (e.final_total, e.final_phi) for e in backward}
         assert by_value_f == by_value_b

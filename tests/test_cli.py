@@ -10,10 +10,12 @@ from importlib import resources
 
 import pytest
 
+from repopsim import cli
 from repopsim.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, cli_main
 from repopsim.io import TRAJECTORY_HEADER
 
 BASELINE_PATH = str(resources.files("repopsim").joinpath("data/baseline.json"))
+MIXING_PATH = str(resources.files("repopsim").joinpath("data/mixing.json"))
 
 
 def write_config_file(tmp_path, name="run.json", **overrides):
@@ -85,6 +87,27 @@ class TestRun:
         config = write_config_file(tmp_path, **overrides)
         out = tmp_path / "never.csv"
         assert cli_main(["run", "--config", config, "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fragment, message",
+        [
+            ('"dose": 1000', "the survival fraction exp(-(alpha*dose + beta*dose^2)) must be > 0"),
+            ('"dose": 1e400', "dose must be finite, got inf"),
+            ('"alpha": 1e400', "alpha must be finite, got inf"),
+            ('"alpha": 0, "beta": 0, "dose": 1e400', "dose must be finite, got inf"),
+        ],
+    )
+    def test_vanishing_survival_names_keys(self, tmp_path, capsys, fragment, message):
+        config = tmp_path / "run.json"
+        config.write_text(
+            '{"weeks": 1, "initial_counts": [600, 340, 60], ' + fragment + "}", encoding="utf-8"
+        )
+        out = tmp_path / "never.csv"
+        assert cli_main(["run", "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}")
         assert "Traceback" not in err
@@ -196,7 +219,8 @@ class TestSweep:
         assert "0.7" in capsys.readouterr().out
 
     def test_rejected_course_is_reported_in_summary(self, tmp_path, capsys):
-        # An ode_step longer than the one-day growth interval fails inside the course.
+        # An ode_step longer than the one-day growth interval is rejected for
+        # that value only.
         config = write_config_file(tmp_path)
         out_dir = tmp_path / "sweep"
         argv = ["sweep", "--config", config, "--param", "ode_step", "--values", "0.5,2.0"]
@@ -207,8 +231,50 @@ class TestSweep:
             rows = list(csv.DictReader(handle))
         assert [row["value"] for row in rows] == ["0.5", "2.0"]
         assert rows[0]["error"] == "" and rows[0]["final_total"] != ""
-        assert rows[1]["error"] == "step must lie in (0, duration], got 2.0"
-        assert "value 2.0: step must lie" in capsys.readouterr().out
+        assert rows[1]["error"] == "ode_step must lie in (0, 1] (one growth day), got 2.0"
+        assert "value 2.0: ode_step must lie" in capsys.readouterr().out
+
+    def test_course_failing_inside_simulation_is_reported_in_summary(self, tmp_path, capsys):
+        # v1 = 1e300 passes ModelParams, then the integrator leaves the simplex.
+        config = write_config_file(tmp_path)
+        out_dir = tmp_path / "sweep"
+        argv = ["sweep", "--config", config, "--param", "v1", "--values", "0.016,1e300"]
+        assert cli_main([*argv, "--out-dir", str(out_dir)]) == EXIT_OK
+        assert (out_dir / "sweep_v1_0.016.csv").exists()
+        assert not (out_dir / "sweep_v1_1e+300.csv").exists()
+        with open(out_dir / "sweep_summary.csv", encoding="utf-8", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["value"] for row in rows] == ["0.016", "1e+300"]
+        assert rows[0]["error"] == "" and rows[0]["final_total"] != ""
+        assert rows[1]["error"].startswith("stage point left the simplex")
+        assert "value 1e+300: stage point left the simplex" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "param, values, lengths",
+        [
+            ("weeks", "1,3", [12, 36]),
+            ("pulses_per_week", "5,3", [72, 48]),
+            ("weekend_days", "2,4", [72, 84]),
+        ],
+    )
+    def test_course_shape_is_swept(self, tmp_path, param, values, lengths):
+        out_dir = tmp_path / "sweep"
+        argv = ["sweep", "--config", MIXING_PATH, "--param", param, "--values", values]
+        assert cli_main([*argv, "--out-dir", str(out_dir)]) == EXIT_OK
+        files = [out_dir / f"sweep_{param}_{value}.csv" for value in values.split(",")]
+        assert [len(path.read_text().splitlines()) - 1 for path in files] == lengths
+        assert files[0].read_bytes() != files[1].read_bytes()
+        summary = (out_dir / "sweep_summary.csv").read_text(encoding="utf-8").splitlines()
+        first, second = (row.split(",", 1)[1] for row in summary[1:])
+        assert first != second
+
+    def test_boolean_parameter_is_not_swept(self, tmp_path, capsys):
+        out_dir = tmp_path / "sweep"
+        argv = ["sweep", "--config", MIXING_PATH, "--param", "integer_rounding"]
+        assert cli_main([*argv, "--values", "0,1", "--out-dir", str(out_dir)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: --param integer_rounding is true or false, not a number")
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "param, values, message",
@@ -268,6 +334,10 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert result.stdout.count("PASS") == 4
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_exit_code_vocabulary():

@@ -50,9 +50,7 @@ class TestParseConfig:
         assert (config.params.alpha, config.params.beta, config.params.dose) == (0.2, 0.02, 2.0)
         assert (config.params.v0, config.params.v1) == (0.01, 0.016)
         assert (config.params.a, config.params.theta) == (5.0, 0.005)
-        assert config.params.weeks == 6
-        assert config.schedule.weeks == 6
-        assert config.schedule.pulses_per_week == 5
+        assert (config.params.weeks, config.params.pulses_per_week) == (6, 5)
         assert (config.initial.y0, config.initial.y1, config.initial.y2) == (
             371270035.0,
             210386353.0,

@@ -14,7 +14,6 @@ from repopsim import (
     ModelParams,
     PopulationState,
     VelocityVector,
-    counts_to_fractions,
     fractions_to_counts,
     mean_velocity,
     psi,
@@ -37,7 +36,7 @@ class TestModelParams:
         assert (p.alpha, p.beta, p.dose) == (0.2, 0.02, 2.0)
         assert (p.v0, p.v1, p.a, p.theta) == (0.01, 0.016, 5.0, 0.005)
         assert (p.q_rad, p.p_rad, p.q_mix, p.p_mix) == (0.0, 0.0, 0.0, 0.0)
-        assert (p.weeks, p.ode_step, p.weekend_days) == (6, 0.01, 2)
+        assert (p.weeks, p.ode_step, p.weekend_days, p.pulses_per_week) == (6, 0.01, 2, 5)
         assert p.integer_rounding is True
 
     def test_survival_fraction_closed_form(self):
@@ -78,6 +77,7 @@ class TestModelParams:
             {"q_mix": -0.1},
             {"q_mix": 1.5},
             {"p_mix": 1.5},
+            {"ode_step": 1.5},
         ],
     )
     def test_rejects_out_of_range_values(self, overrides):
@@ -88,6 +88,18 @@ class TestModelParams:
     def test_rejects_unusable_theta(self, theta):
         with pytest.raises(InvalidParameterError, match="theta"):
             ModelParams(theta=theta)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"beta": math.inf}, "beta must be finite"),
+            # alpha * dose overflows to inf, so S = exp(-inf) = 0.
+            ({"alpha": 1e300, "dose": 1e10}, r"the survival fraction .* alpha=1e\+300"),
+        ],
+    )
+    def test_rejects_vanishing_survival(self, overrides, message):
+        with pytest.raises(InvalidParameterError, match=f"^{message}"):
+            ModelParams(**overrides)
 
     @pytest.mark.parametrize("name", ["v0", "v1", "a"])
     def test_rejects_infinite_velocity_inputs(self, name):
@@ -148,10 +160,6 @@ class TestPopulationState:
         counts[index] = bad
         with pytest.raises(InvalidStateError, match=f"^y{index} must be >= 0, got {bad}$"):
             PopulationState(*counts)
-
-    def test_rejects_unknown_phase(self):
-        with pytest.raises(InvalidStateError):
-            PopulationState(1.0, 1.0, 1.0, phase="midnight")
 
     def test_rejects_negative_pulse_count(self):
         with pytest.raises(InvalidStateError):
@@ -297,7 +305,7 @@ class TestRounding:
 
     def test_reference_counts_normalize_back(self):
         state = PopulationState(371270035.0, 210386353.0, 37127004.0)
-        x = counts_to_fractions(state)
+        x = state.fractions()
         assert x is not None
         assert x == pytest.approx((0.600, 0.340, 0.060), abs=1e-8)
 
@@ -326,14 +334,14 @@ class TestRounding:
         x = (a / norm, b / norm, c / norm)
         counts = fractions_to_counts(x, total, integer_rounding=False)
         state = PopulationState(*counts)
-        back = counts_to_fractions(state)
+        back = state.fractions()
         assert back is not None
         for got, want in zip(back, x):
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_fraction_sum_near_one(self):
         state = PopulationState(371270035.0, 210386353.0, 37127004.0)
-        x = counts_to_fractions(state)
+        x = state.fractions()
         assert x is not None
         assert abs(sum(x) - 1.0) <= 1e-12
 

@@ -4,10 +4,12 @@ The README promises that two runs of one config produce byte-identical
 files on any platform. These digests pin that output across code changes:
 a faster kernel, a refactor or a new formatter must leave them as they are.
 
-The shipped configs both run in integer mode at ode_step 0.01, so two more
-courses are pinned: the mixing config with real-valued counts (the nine-
-decimal count format) and a 52-week course at ode_step 0.5 (two RK4 steps
-a day, where pulses, rounding and records outweigh the integration).
+The shipped configs both run in integer mode at ode_step 0.01 with the
+default weekly shape, so three more courses are pinned: the mixing config
+with real-valued counts (the nine-decimal count format), a 52-week course
+at ode_step 0.5 (two RK4 steps a day, where pulses, rounding and records
+outweigh the integration), and the mixing config reshaped to three weeks
+of three pulse days and four growth-only days.
 """
 
 from __future__ import annotations
@@ -46,6 +48,11 @@ DERIVED_DIGESTS = {
         "baseline.json",
         COARSE_COURSE,
         "1f59424e2c36457e4a786490ca73b375b70ac82356e1eb6825f9ee2db9de2a5b",
+    ),
+    "short-weeks-long-weekends": (
+        "mixing.json",
+        {"weeks": 3, "pulses_per_week": 3, "weekend_days": 4},
+        "1de0a201a5984c6a2093ee321df5dfffde2029546576d728c76adb15ee5693ce",
     ),
 }
 

@@ -17,7 +17,6 @@ from repopsim import (
     ReplicatorField,
     VelocityVector,
     apply_division,
-    growth_day,
     growth_day_detail,
     integrate_growth,
     mean_velocity,
@@ -34,7 +33,7 @@ def simplex_points(rng: random.Random, count: int):
     return random_simplex_points(rng, count)
 
 
-def rk4_from_rhs(field, x, duration, step, renormalize=True):
+def rk4_from_rhs(field, x, duration, step):
     """Plain fixed-step RK4 composed from replicator_rhs.
 
     The specification integrate_growth must match bit for bit: the same
@@ -70,16 +69,13 @@ def rk4_from_rhs(field, x, duration, step, renormalize=True):
             raise NumericInstabilityError(
                 f"component left [0, 1] at step {i + 1} of {n} (t={(i + 1) * h:.4f}): {x}"
             )
-    if renormalize and abs(x[0] + x[1] + x[2] - 1.0) > 1e-12:
-        total = x[0] + x[1] + x[2]
-        x = (x[0] / total, x[1] / total, x[2] / total)
     return x
 
 
-def outcome(integrate, field, x, duration, step, renormalize=True):
+def outcome(integrate, field, x, duration, step):
     """The returned triple, or the raised exception's type and message."""
     try:
-        return integrate(field, x, duration, step, renormalize)
+        return integrate(field, x, duration, step)
     except NumericInstabilityError as exc:
         return type(exc), str(exc)
 
@@ -168,7 +164,7 @@ class TestIntegrateGrowth:
         field = ReplicatorField(PAPER_V, 0.1, 0.1)
         x = (0.6, 0.34, 0.06)
         for _ in range(10):
-            x = integrate_growth(field, x, duration=1.0, step=0.01, renormalize=False)
+            x = integrate_growth(field, x, duration=1.0, step=0.01)
         assert abs(sum(x) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize(
@@ -208,17 +204,14 @@ class TestKernelMatchesSpec:
         p=st.floats(min_value=0.0, max_value=1.0),
         duration=st.floats(min_value=0.01, max_value=3.0),
         steps=st.integers(min_value=1, max_value=200),
-        renormalize=st.booleans(),
     )
-    def test_equals_rk4_of_replicator_rhs(
-        self, ab, v0, v1, v2, q, p, duration, steps, renormalize
-    ):
+    def test_equals_rk4_of_replicator_rhs(self, ab, v0, v1, v2, q, p, duration, steps):
         lo, hi = sorted(ab)
         x = (lo, hi - lo, 1.0 - hi)
         field = ReplicatorField(VelocityVector(v0, v1, v2), q, p)
         step = duration / steps
-        want = outcome(rk4_from_rhs, field, x, duration, step, renormalize)
-        got = outcome(integrate_growth, field, x, duration, step, renormalize)
+        want = outcome(rk4_from_rhs, field, x, duration, step)
+        got = outcome(integrate_growth, field, x, duration, step)
         assert got == want
 
     def test_equals_rk4_of_replicator_rhs_on_seeded_fields(self):
@@ -237,9 +230,7 @@ class TestKernelMatchesSpec:
     def test_paper_day_equals_spec(self):
         field = ReplicatorField(PAPER_V, 0.1, 0.1)
         x = (0.6, 0.34, 0.06)
-        assert integrate_growth(field, x, 1.0, 0.01, False) == rk4_from_rhs(
-            field, x, 1.0, 0.01, False
-        )
+        assert integrate_growth(field, x, 1.0, 0.01) == rk4_from_rhs(field, x, 1.0, 0.01)
 
     def test_stage_point_message(self):
         field = ReplicatorField(VelocityVector(0.0, 0.0, 25.0), 0.0, 0.0)
@@ -277,7 +268,6 @@ class TestApplyDivision:
         state = PopulationState(100.0, 100.0, 100.0)
         out = apply_division(state, VelocityVector(0.0, 0.0, 0.0), 1.0)
         assert (out.y0, out.y1, out.y2) == (100.0, 100.0, 100.0)
-        assert out.phase == "post_growth"
 
     def test_doubling_factors(self):
         state = PopulationState(100.0, 100.0, 100.0)
@@ -330,12 +320,12 @@ class TestGrowthDay:
     def test_degenerate_parameters_are_identity(self):
         params = ModelParams(v0=0.0, v1=0.0, a=1.0, theta=0.0, integer_rounding=False)
         state = PopulationState(100.0, 50.0, 25.0)
-        out = growth_day(state, params, pulses=0)
+        out = growth_day_detail(state, params, pulses=0).state
         assert (out.y0, out.y1, out.y2) == pytest.approx((100.0, 50.0, 25.0), rel=1e-12)
 
     def test_first_reference_day_total(self, golden):
         params = ModelParams(weeks=7)
-        out = growth_day(reference_initial(), params, pulses=1)
+        out = growth_day_detail(reference_initial(), params, pulses=1).state
         row = next(r for r in golden if r.day == 1 and r.phase == "post_growth")
         target = row.y0 + row.y1 + row.y2
         assert target == 625950700.0
@@ -356,7 +346,7 @@ class TestGrowthDay:
         )
         assert v2_of(params, 0, "radiation") == pytest.approx(0.02, rel=1e-15)
         state = PopulationState(600.0, 340.0, 60.0)
-        out = growth_day(state, params, pulses=0)
+        out = growth_day_detail(state, params, pulses=0).state
         before = state.fractions()
         after = out.fractions()
         assert after == pytest.approx(before, abs=1e-9)
@@ -375,10 +365,31 @@ class TestGrowthDay:
         assert post is not None
         assert detail.phi == pytest.approx(mean_velocity(post, v), rel=0.02)
 
+    def test_drifted_endpoint_is_projected_onto_simplex(self, monkeypatch):
+        # Zero velocities make division the identity, so the counts are the
+        # projected fractions times the total.
+        raw = (0.6, 0.3, 0.1 + 1e-10)
+        monkeypatch.setattr(
+            "repopsim.growth.integrate_growth", lambda field, x, duration, step: raw
+        )
+        params = ModelParams(v0=0.0, v1=0.0, integer_rounding=False)
+        detail = growth_day_detail(PopulationState(600.0, 300.0, 100.0), params, pulses=0)
+        norm = raw[0] + raw[1] + raw[2]
+        assert detail.drift == abs(norm - 1.0)
+        assert 1e-12 < detail.drift < 2e-10
+        assert detail.renormalized
+        out = detail.state
+        assert (out.y0, out.y1, out.y2) == (
+            raw[0] / norm * 1000.0,
+            raw[1] / norm * 1000.0,
+            raw[2] / norm * 1000.0,
+        )
+        assert out.y2 != raw[2] * 1000.0
+
     def test_rejects_empty_population(self):
         params = ModelParams()
         with pytest.raises(InvalidStateError):
-            growth_day(PopulationState(0.0, 0.0, 0.0), params, pulses=0)
+            growth_day_detail(PopulationState(0.0, 0.0, 0.0), params, pulses=0)
 
     def test_weekend_period_uses_weekend_damping(self):
         params = ModelParams(q_mix=0.1, p_mix=0.1, integer_rounding=False)

@@ -11,35 +11,36 @@ from repopsim import (
     InvalidStateError,
     ModelParams,
     PopulationState,
-    ScheduleSpec,
-    phase_velocity,
+    mean_velocity,
     simulate_course,
     survival_fraction,
     v2_of,
+    velocities_of,
 )
 
 from .conftest import REFERENCE_WEEKS, reference_initial
 
 
 class TestScheduleSpec:
+    """The course shape (weeks, pulses_per_week, weekend_days) is checked by ModelParams."""
+
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"weeks": 0},
             {"weeks": 1, "pulses_per_week": -1},
             {"weeks": 1, "weekend_days": -1},
-            {"weeks": 1, "log_phases": ("initial", "midnight")},
         ],
     )
     def test_rejects_invalid_fields(self, kwargs):
         with pytest.raises(InvalidParameterError):
-            ScheduleSpec(**kwargs)
+            ModelParams(**kwargs)
 
 
 class TestSimulateCourse:
     def test_empty_schedule_emits_only_initial_record(self):
-        schedule = ScheduleSpec(weeks=1, pulses_per_week=0, weekend_days=0)
-        traj = simulate_course(ModelParams(), schedule, PopulationState(60.0, 30.0, 10.0))
+        params = ModelParams(weeks=1, pulses_per_week=0, weekend_days=0)
+        traj = simulate_course(params, PopulationState(60.0, 30.0, 10.0))
         assert len(traj.records) == 1
         rec = traj.records[0]
         assert (rec.day, rec.phase) == (1, "initial")
@@ -48,7 +49,7 @@ class TestSimulateCourse:
 
     def test_rejects_empty_initial_population(self):
         with pytest.raises(InvalidStateError):
-            simulate_course(ModelParams(), ScheduleSpec(weeks=1), PopulationState(0.0, 0.0, 0.0))
+            simulate_course(ModelParams(weeks=1), PopulationState(0.0, 0.0, 0.0))
 
     def test_early_course_matches_reference_rows(self, course_zero, golden):
         for row in golden:
@@ -85,7 +86,7 @@ class TestSimulateCourse:
         # trajectory records carry the running count through v2, so recompute
         # from a fresh short run instead.
         params = ModelParams(weeks=2)
-        traj = simulate_course(params, ScheduleSpec(weeks=2), reference_initial())
+        traj = simulate_course(params, reference_initial())
         assert len(traj.records) == 2 * (2 * 5 + 2)
         # 4 pulses fired in week 1 (the first is folded in) plus 5 in week 2,
         # on top of the one already counted in the initial state.
@@ -117,15 +118,15 @@ class TestSimulateCourse:
 
     def test_determinism(self):
         params = ModelParams(weeks=2, q_rad=0.0005, p_rad=0.0005, q_mix=0.1, p_mix=0.1)
-        first = simulate_course(params, ScheduleSpec(weeks=2), reference_initial())
-        second = simulate_course(params, ScheduleSpec(weeks=2), reference_initial())
+        first = simulate_course(params, reference_initial())
+        second = simulate_course(params, reference_initial())
         assert first.records == second.records
         assert first.max_simplex_drift == second.max_simplex_drift
 
     def test_pure_radiation_reduction(self):
         params = ModelParams(v0=0.0, v1=0.0, theta=0.0, integer_rounding=False, weeks=2)
         initial = PopulationState(6e8, 3e8, 1e8, pulses_delivered=1)
-        traj = simulate_course(params, ScheduleSpec(weeks=2), initial)
+        traj = simulate_course(params, initial)
         fired = 4 + 5
         s = survival_fraction(params)
         expected = 1e9 * s**fired
@@ -134,7 +135,7 @@ class TestSimulateCourse:
 
     def test_extinction_marks_and_truncates(self):
         params = ModelParams(dose=4.0, weeks=2)
-        traj = simulate_course(params, ScheduleSpec(weeks=2), PopulationState(1.0, 1.0, 1.0))
+        traj = simulate_course(params, PopulationState(1.0, 1.0, 1.0))
         assert traj.extinct
         assert traj.extinction_day is not None
         assert traj.final().total < 1.0
@@ -143,35 +144,53 @@ class TestSimulateCourse:
 
     def test_continuous_mode_never_goes_extinct(self):
         params = ModelParams(dose=4.0, weeks=2, integer_rounding=False)
-        traj = simulate_course(params, ScheduleSpec(weeks=2), PopulationState(1.0, 1.0, 1.0))
+        traj = simulate_course(params, PopulationState(1.0, 1.0, 1.0))
         assert not traj.extinct
         assert traj.final().total > 0.0
 
-    def test_log_phases_filter(self):
-        schedule = ScheduleSpec(weeks=1, log_phases=("post_growth",))
-        traj = simulate_course(ModelParams(weeks=1), schedule, reference_initial())
-        assert {r.phase for r in traj.records} == {"post_growth"}
-        assert len(traj.records) == 7
+    def test_course_shape_comes_from_params(self):
+        # Three pulse days, then four growth-only days; the first pulse of
+        # week one is folded into the initial state.
+        params = ModelParams(weeks=3, pulses_per_week=3, weekend_days=4)
+        traj = simulate_course(params, reference_initial())
+        by_day = {}
+        for rec in traj.records:
+            by_day.setdefault(rec.day, []).append(rec.phase)
+        assert by_day[1] == ["initial", "post_growth"]
+        for day in (2, 3, 8, 9, 10, 15, 16, 17):
+            assert by_day[day] == ["post_radiation", "post_growth"], day
+        for day in (4, 5, 6, 7, 11, 12, 13, 14, 18, 19, 20, 21):
+            assert by_day[day] == ["post_growth"], day
+        assert len(traj.records) == 3 * (2 * 3 + 4)
 
 
 class TestPhaseVelocity:
+    """Mean velocity of a state under the velocities in force at its pulse count."""
+
     def test_fast_corner_returns_frozen_velocity(self):
         params = ModelParams(q_mix=0.1, p_mix=0.1)
-        state = PopulationState(0.0, 0.0, 500.0, pulses_delivered=3)
-        assert phase_velocity(state, params) == v2_of(params, 3, "radiation")
-        assert phase_velocity(state, params, period="weekend") == v2_of(params, 3, "weekend")
+        x = PopulationState(0.0, 0.0, 500.0).fractions()
+        radiation = velocities_of(params, 3, "radiation")
+        weekend = velocities_of(params, 3, "weekend")
+        assert mean_velocity(x, radiation) == v2_of(params, 3, "radiation")
+        assert mean_velocity(x, weekend) == v2_of(params, 3, "weekend")
 
     def test_reference_day_one_velocity(self, course_zero):
         params = ModelParams(weeks=REFERENCE_WEEKS)
         rec = course_zero.record(1, "post_growth")
-        state = PopulationState(rec.y0, rec.y1, rec.y2, pulses_delivered=1)
-        assert abs(phase_velocity(state, params) - 0.016515136) / 0.016515136 <= 0.10
+        x = PopulationState(rec.y0, rec.y1, rec.y2).fractions()
+        phi = mean_velocity(x, velocities_of(params, 1, "radiation"))
+        assert abs(phi - 0.016515136) / 0.016515136 <= 0.10
 
     def test_uniform_velocities_collapse_to_common_value(self):
         params = ModelParams(v0=0.02, v1=0.02, a=1.0, theta=0.0)
-        state = PopulationState(10.0, 20.0, 30.0)
-        assert phase_velocity(state, params) == pytest.approx(0.02, rel=1e-12)
+        x = PopulationState(10.0, 20.0, 30.0).fractions()
+        phi = mean_velocity(x, velocities_of(params, 0, "radiation"))
+        assert phi == pytest.approx(0.02, rel=1e-12)
 
     def test_rejects_empty_population(self):
+        # An empty population has no fractions, and the all-zero triple is
+        # off the simplex, so no mean velocity can be formed for it.
+        assert PopulationState(0.0, 0.0, 0.0).fractions() is None
         with pytest.raises(InvalidStateError):
-            phase_velocity(PopulationState(0.0, 0.0, 0.0), ModelParams())
+            mean_velocity((0.0, 0.0, 0.0), velocities_of(ModelParams(), 0, "radiation"))
