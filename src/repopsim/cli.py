@@ -9,12 +9,11 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from .analysis import compare_to_golden, diff_velocity, lq_closed_form, sweep
 from .config import load_config
-from .core import ModelParams, PopulationState, survival_fraction
+from .core import BOOL_PARAMS, INT_PARAMS, ModelParams, PopulationState, survival_fraction
 from .errors import ConfigError, NumericInstabilityError, SimulationError
 from .io import (
     load_reference_table,
@@ -88,10 +87,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _parse_sweep_values(param: str, text: str) -> tuple[float, ...]:
-    field_types = {f.name: f.type for f in fields(ModelParams)}
-    if field_types.get(param) in ("bool", bool):
+    if param in BOOL_PARAMS:
         raise ConfigError(f"--param {param} is true or false, not a number, and cannot be swept")
-    wants_int = field_types.get(param) in ("int", int)
+    wants_int = param in INT_PARAMS
     values = []
     for token in text.split(","):
         token = token.strip()

@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 
-from .core import ModelParams, PopulationState, fractions_to_counts, snap_count
+from .core import BOOL_PARAMS, INT_PARAMS, ModelParams, PopulationState
+from .core import fractions_to_counts, snap_count
 from .errors import ConfigError, InvalidParameterError
 
 _PARAM_KEYS = tuple(f.name for f in fields(ModelParams))
-_INT_KEYS = frozenset({"weeks", "weekend_days", "pulses_per_week", "initial_pulses"})
-_BOOL_KEYS = frozenset({"integer_rounding"})
+# ModelParams checks the types of its integer and boolean fields itself.
+_TYPED_KEYS = frozenset(INT_PARAMS + BOOL_PARAMS)
 _KNOWN_KEYS = frozenset(_PARAM_KEYS) | {
     "initial_counts",
     "initial_total",
@@ -39,18 +41,16 @@ class RunConfig:
 def _require_number(key: str, value: object) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        digits = len(str(value))
+        raise ConfigError(f"{key} is too large, got an integer of {digits} digits") from None
 
 
 def _require_int(key: str, value: object) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _require_bool(key: str, value: object) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
     return value
 
 
@@ -71,7 +71,9 @@ def parse_config(text: str) -> RunConfig:
     """
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and an integer literal too long to
+        # convert; RecursionError, arrays or objects nested too deeply.
         raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"configuration must be a JSON object, got {type(raw).__name__}")
@@ -79,16 +81,11 @@ def parse_config(text: str) -> RunConfig:
         if key not in _KNOWN_KEYS:
             raise ConfigError(f"unknown key: {key}")
 
-    param_values = {}
-    for key in _PARAM_KEYS:
-        if key not in raw:
-            continue
-        if key in _BOOL_KEYS:
-            param_values[key] = _require_bool(key, raw[key])
-        elif key in _INT_KEYS:
-            param_values[key] = _require_int(key, raw[key])
-        else:
-            param_values[key] = _require_number(key, raw[key])
+    param_values = {
+        key: raw[key] if key in _TYPED_KEYS else _require_number(key, raw[key])
+        for key in _PARAM_KEYS
+        if key in raw
+    }
     try:
         params = ModelParams(**param_values)
     except InvalidParameterError as exc:
@@ -131,8 +128,13 @@ def parse_config(text: str) -> RunConfig:
     initial_pulses = _require_int("initial_pulses", raw.get("initial_pulses", 0))
     if initial_pulses < 0:
         raise ConfigError(f"initial_pulses must be >= 0, got {initial_pulses}")
+    # The damping factor multiplies the pulse count into a float.
+    if initial_pulses > sys.float_info.max:
+        raise ConfigError(
+            f"initial_pulses is too large, got an integer of {len(str(initial_pulses))} digits"
+        )
     output = raw.get("output")
-    if output is not None and not isinstance(output, str):
+    if output is not None and (not isinstance(output, str) or "\0" in output):
         raise ConfigError(f"output must be a string path, got {output!r}")
 
     initial = PopulationState(
@@ -157,6 +159,15 @@ def write_config(config: RunConfig) -> str:
 
 
 def load_config(path: str) -> RunConfig:
-    """Read and parse a configuration file."""
-    with open(path, encoding="utf-8") as handle:
-        return parse_config(handle.read())
+    """Read and parse a configuration file.
+
+    Raises:
+        ConfigError: for a file that is not UTF-8 text or a malformed document.
+        OSError: for a file that cannot be read.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: configuration is not UTF-8 text: {exc}") from None
+    return parse_config(text)

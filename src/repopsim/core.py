@@ -8,7 +8,7 @@ radiation pulses. Everything here is a pure function of immutable values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import InvalidParameterError, InvalidStateError
 
@@ -52,24 +52,27 @@ class ModelParams:
     pulses_per_week: int = 5  # weekdays opening each week, one pulse each
 
     def __post_init__(self) -> None:
+        for name in INT_PARAMS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+            least = 1 if name == "weeks" else 0  # a course lasts at least one week
+            if value < least:
+                raise InvalidParameterError(f"{name} must be >= {least}, got {value}")
+        for name in BOOL_PARAMS:
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise InvalidParameterError(f"{name} must be true or false, got {value!r}")
         for name in ("alpha", "beta", "dose"):
             value = getattr(self, name)
             if not value >= 0:
                 raise InvalidParameterError(f"{name} must be >= 0, got {value}")
             if not math.isfinite(value):
                 raise InvalidParameterError(f"{name} must be finite, got {value}")
-        if self.weeks < 1:
-            raise InvalidParameterError(f"weeks must be >= 1, got {self.weeks}")
         if not 0 < self.ode_step <= GROWTH_INTERVAL:
             raise InvalidParameterError(
                 f"ode_step must lie in (0, {GROWTH_INTERVAL:g}] (one growth day), "
                 f"got {self.ode_step}"
-            )
-        if self.weekend_days < 0:
-            raise InvalidParameterError(f"weekend_days must be >= 0, got {self.weekend_days}")
-        if self.pulses_per_week < 0:
-            raise InvalidParameterError(
-                f"pulses_per_week must be >= 0, got {self.pulses_per_week}"
             )
         s = survival_fraction(self)
         if not s > 0:
@@ -112,6 +115,11 @@ class ModelParams:
                 f"a * v1 * exp(theta), the largest fast-fraction velocity, must be "
                 f"finite, got a={self.a}, v1={self.v1}, theta={self.theta}"
             )
+
+
+# The ModelParams fields that hold an integer and a boolean, in field order.
+INT_PARAMS = tuple(f.name for f in fields(ModelParams) if f.type == "int")
+BOOL_PARAMS = tuple(f.name for f in fields(ModelParams) if f.type == "bool")
 
 
 @dataclass(frozen=True)

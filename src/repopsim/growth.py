@@ -206,15 +206,14 @@ class GrowthStep:
 def growth_day_detail(
     state: PopulationState,
     params: ModelParams,
-    pulses: int,
     period: str = RADIATION_PERIOD,
 ) -> GrowthStep:
     """One growth interval with the recorded mean velocity and diagnostics.
 
-    Stages: freeze the velocity vector from the pulse count and period, evolve
-    the fractions, project an endpoint that drifted more than 1e-12 from the
-    simplex back onto it proportionally, rebuild counts from the fractions,
-    then divide.
+    Stages: freeze the velocity vector from the state's pulse count and the
+    period, evolve the fractions, project an endpoint that drifted more than
+    1e-12 from the simplex back onto it proportionally, rebuild counts from
+    the fractions, then divide.
 
     Raises:
         InvalidStateError: for an empty population.
@@ -223,7 +222,7 @@ def growth_day_detail(
     x = state.fractions()
     if x is None:
         raise InvalidStateError("cannot grow an empty population")
-    v = velocities_of(params, pulses, period)
+    v = velocities_of(params, state.pulses_delivered, period)
     field = ReplicatorField(v, params.q_mix, params.p_mix)
     x_end = integrate_growth(field, x, GROWTH_INTERVAL, params.ode_step)
     drift = abs(x_end[0] + x_end[1] + x_end[2] - 1.0)

@@ -59,9 +59,13 @@ def read_trajectory(source: str | Path) -> Trajectory:
     diagnostics are not serialized and come back as zeros.
 
     Raises:
-        SchemaError: for a wrong header or column count, or a cell that is not a number.
+        SchemaError: for a file that is not UTF-8 text, a wrong header or
+            column count, or a cell that is not a number.
     """
-    text = Path(source).read_text(encoding="utf-8")
+    try:
+        text = Path(source).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{source}: not UTF-8 text: {exc}") from None
     lines = text.splitlines()
     if not lines or lines[0] != TRAJECTORY_HEADER:
         got = lines[0] if lines else "<empty file>"

@@ -5,9 +5,9 @@ weekend_days growth-only days. Each weekday starts with a radiation pulse
 and ends with a growth interval; the single exception is the first day of
 the course, whose pulse is considered already applied to the supplied
 initial state (the initial record mirrors that convention by reporting a
-zero velocity). Post-radiation records therefore appear under the day whose
-morning produced them, and each full week emits 2 * pulses_per_week +
-weekend_days records.
+zero velocity, and the v2 of day 1's period). Post-radiation records
+therefore appear under the day whose morning produced them, and each full
+week emits 2 * pulses_per_week + weekend_days records.
 """
 
 from __future__ import annotations
@@ -60,8 +60,12 @@ class Trajectory:
     integer_rounding: bool = True  # formatting hint: counts are whole cells
     max_simplex_drift: float = 0.0  # worst raw |sum(x) - 1| at any ODE endpoint
     renormalizations: int = 0  # how many growth intervals needed the guard
-    extinct: bool = False  # course ended early with the population gone
     extinction_day: int | None = None  # day the total first fell below one cell
+
+    @property
+    def extinct(self) -> bool:
+        """Whether the course ended early with the population gone."""
+        return self.extinction_day is not None
 
     def record(self, day: int, phase: str) -> TrajectoryRecord:
         """The unique record at (day, phase).
@@ -96,13 +100,10 @@ def _make_record(
 def simulate_course(params: ModelParams, initial: PopulationState) -> Trajectory:
     """Full deterministic course of weekly pulses and growth days.
 
-    The course shape comes from params.weeks, params.pulses_per_week and
-    params.weekend_days. Emits the initial record (velocity reported as zero
-    by convention), then per week: pulses_per_week weekdays of
-    pulse-then-growth (the course's first day skips its pulse, already folded
-    into the initial state), then weekend_days growth-only days. In integer
-    mode a total below one cell ends the course early and marks the
-    trajectory extinct.
+    Emits the initial record, then walks the params.weeks weeks of the
+    course shape (see the module docstring) day by day. In integer mode a
+    total below one cell after any record ends the course early and marks
+    the trajectory extinct.
 
     Raises:
         InvalidStateError: if the initial population is empty.
@@ -110,66 +111,38 @@ def simulate_course(params: ModelParams, initial: PopulationState) -> Trajectory
     if not initial.total() > 0:
         raise InvalidStateError("initial population must have a positive total")
     op = build_radiation_operator(params)
-    v2 = v2_of(params, initial.pulses_delivered, RADIATION_PERIOD)
+    rounding = params.integer_rounding
+    week = params.pulses_per_week + params.weekend_days
+    first_period = RADIATION_PERIOD if params.pulses_per_week else WEEKEND
+    v2 = v2_of(params, initial.pulses_delivered, first_period)
     records = [_make_record(1, INITIAL, initial, 0.0, v2)]
     max_drift = 0.0
     renorms = 0
-    extinct = False
     extinction_day: int | None = None
     state = initial
-    day = 1
-    previous_phi = 0.0
-    first_weekday = True
-
-    def grown(state: PopulationState, period: str) -> PopulationState:
-        nonlocal max_drift, renorms, previous_phi
-        step = growth_day_detail(state, params, state.pulses_delivered, period)
+    phi = 0.0
+    for day in range(1, params.weeks * week + 1):
+        treatment = (day - 1) % week < params.pulses_per_week
+        if treatment and day > 1:
+            state = apply_pulse(op, state, rounding)
+            v2 = v2_of(params, state.pulses_delivered, RADIATION_PERIOD)
+            records.append(_make_record(day, POST_RADIATION, state, phi, v2))
+            if rounding and state.total() < 1:
+                extinction_day = day
+                break
+        step = growth_day_detail(state, params, RADIATION_PERIOD if treatment else WEEKEND)
+        state, phi = step.state, step.phi
         max_drift = max(max_drift, step.drift)
-        renorms += int(step.renormalized)
-        records.append(_make_record(day, POST_GROWTH, step.state, step.phi, step.v2))
-        previous_phi = step.phi
-        return step.state
-
-    def gone(state: PopulationState) -> bool:
-        nonlocal extinct, extinction_day
-        if params.integer_rounding and state.total() < 1:
-            extinct = True
+        renorms += step.renormalized
+        records.append(_make_record(day, POST_GROWTH, state, phi, step.v2))
+        if rounding and state.total() < 1:
             extinction_day = day
-            return True
-        return False
-
-    stop = False
-    for _ in range(params.weeks):
-        for _ in range(params.pulses_per_week):
-            if not first_weekday:
-                state = apply_pulse(op, state, params.integer_rounding)
-                v2 = v2_of(params, state.pulses_delivered, RADIATION_PERIOD)
-                records.append(_make_record(day, POST_RADIATION, state, previous_phi, v2))
-                if gone(state):
-                    stop = True
-                    break
-            first_weekday = False
-            state = grown(state, RADIATION_PERIOD)
-            if gone(state):
-                stop = True
-                break
-            day += 1
-        if stop:
-            break
-        for _ in range(params.weekend_days):
-            state = grown(state, WEEKEND)
-            if gone(state):
-                stop = True
-                break
-            day += 1
-        if stop:
             break
 
     return Trajectory(
         records=tuple(records),
-        integer_rounding=params.integer_rounding,
+        integer_rounding=rounding,
         max_simplex_drift=max_drift,
         renormalizations=renorms,
-        extinct=extinct,
         extinction_day=extinction_day,
     )

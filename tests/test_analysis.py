@@ -175,6 +175,17 @@ class TestSweep:
         assert entries[1].error is not None and "q_rad" in entries[1].error
         assert entries[1].final_total is None
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("weeks", 1.5, "weeks must be an integer, got 1.5"),
+            ("integer_rounding", 0.0, "integer_rounding must be true or false, got 0.0"),
+        ],
+    )
+    def test_wrongly_typed_value_becomes_error_entry(self, key, value, message):
+        entries = sweep(ModelParams(weeks=1), key, (value,), reference_initial())
+        assert [(e.value, e.error, e.trajectory) for e in entries] == [(value, message, None)]
+
     def test_unknown_key_reported_per_value(self):
         entries = sweep(ModelParams(weeks=1), "banana", (1.0,), reference_initial())
         assert entries[0].error == "unknown parameter: banana"

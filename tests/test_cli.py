@@ -2,20 +2,33 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import importlib.util
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from dataclasses import fields
 from importlib import resources
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from repopsim import cli
+from repopsim import ModelParams, cli
 from repopsim.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, cli_main
 from repopsim.io import TRAJECTORY_HEADER
 
 BASELINE_PATH = str(resources.files("repopsim").joinpath("data/baseline.json"))
 MIXING_PATH = str(resources.files("repopsim").joinpath("data/mixing.json"))
+BENCH_LAYERS = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
+
+# File contents that json.loads or UTF-8 decoding cannot read.
+DEEP_JSON = "[" * 100000 + "]" * 100000
+NOT_UTF8 = b"\xff\xfe"
 
 
 def write_config_file(tmp_path, name="run.json", **overrides):
@@ -28,6 +41,10 @@ def write_config_file(tmp_path, name="run.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(document), encoding="utf-8")
     return str(path)
+
+
+def config_bytes(**overrides) -> bytes:
+    return json.dumps({"weeks": 1, "initial_counts": [6, 3, 1], **overrides}).encode()
 
 
 def run_course(tmp_path, name="course.csv", **overrides):
@@ -120,6 +137,30 @@ class TestRun:
         assert cli_main(["run", "--config", config, "--out", str(out)]) == EXIT_NUMERIC
         assert capsys.readouterr().err.startswith("error: cell counts overflow")
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (DEEP_JSON.encode(), "error: configuration is not valid JSON: maximum recursion"),
+            (NOT_UTF8, "error: {path}: configuration is not UTF-8 text"),
+            (config_bytes(alpha=10**400), "error: alpha is too large, got an integer of 401"),
+            (
+                config_bytes(initial_pulses=10**400),
+                "error: initial_pulses is too large, got an integer of 401",
+            ),
+            (config_bytes(output="a\0b"), "error: output must be a string path, got 'a\\x00b'"),
+        ],
+        ids=["deeply-nested", "not-utf8", "huge-number", "huge-pulse-count", "nul-in-output"],
+    )
+    def test_malformed_config_file_is_validation_error(self, tmp_path, capsys, content, message):
+        config = tmp_path / "bad.json"
+        config.write_bytes(content)
+        out = tmp_path / "never.csv"
+        assert cli_main(["run", "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(message.format(path=config))
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_config_is_io_error(self, tmp_path):
         code = cli_main(
             ["run", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "o.csv")]
@@ -153,6 +194,17 @@ class TestDiff:
         out = tmp_path / "diff.csv"
         assert cli_main(["diff", str(bad), str(bad), "--out", str(out)]) == EXIT_VALIDATION
         assert "header" in capsys.readouterr().err
+
+    def test_undecodable_input_is_validation_error(self, tmp_path, capsys):
+        course = run_course(tmp_path)
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(NOT_UTF8)
+        out = tmp_path / "diff.csv"
+        assert cli_main(["diff", str(course), str(bad), "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not UTF-8 text")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_malformed_number_is_validation_error(self, tmp_path, capsys):
         course = run_course(tmp_path)
@@ -342,3 +394,97 @@ def test_parser_is_built_once():
 
 def test_exit_code_vocabulary():
     assert (EXIT_OK, EXIT_VALIDATION, EXIT_IO, EXIT_NUMERIC) == (0, 1, 2, 3)
+
+
+def test_benchmark_tracer_sees_the_wrapped_layers(tmp_path):
+    # The benchmark times layers by wrapping module attributes the program
+    # calls through (bench/layers.py TARGETS). A course that stopped calling
+    # one of them through its module would leave that layer untimed.
+    spec = importlib.util.spec_from_file_location("bench_layers", BENCH_LAYERS)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        argv = ["run", "--config", BASELINE_PATH, "--out", str(tmp_path / "course.csv")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.cli_main(argv) == EXIT_OK
+    finally:
+        tracer.uninstall()
+    totals = tracer.totals()
+    # schedule.growth_day_detail records under the name of the function it wraps.
+    for name in ("growth.growth_day_detail", "radiation.apply_pulse", "growth.integrate_growth"):
+        assert totals.get(name, {"calls": 0})["calls"] > 0, name
+    assert cli.cli_main is cli_main
+
+
+# Fuzzing the CLI: every drawn config and sweep must end in a documented exit
+# code, never an exception. The course length is capped (weeks <= 2, at most 7
+# pulse and 7 weekend days a week, ode_step >= 0.1) only so that about 100
+# examples stay within a second or two of tier-1 time; a longer course runs
+# the same code.
+_MIXING = json.loads(Path(MIXING_PATH).read_text(encoding="utf-8"))
+_CONFIG_KEYS = sorted({*_MIXING, "initial_total", "initial_fractions", "output"})
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([10**400, -(10**400), 0, -1])
+    | st.floats()  # NaN and +-inf included; +-inf is written as the literal +-1e999
+    | st.text(max_size=6)
+)
+_JSON_VALUES = _JSON_SCALARS | st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner),
+    max_leaves=8,
+)
+_SWEEP_TOKENS = (
+    st.integers(-2, 3).map(str)
+    | st.floats().filter(lambda v: not 0 < v < 0.1).map(repr)
+    | st.sampled_from(["", " ", "x", "1e999", "-1e999", "nan", "true", "0x10", "1_0"])
+)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _short_course(config: dict) -> bool:
+    step = config.get("ode_step")
+    return not (
+        (_is_int(config.get("weeks")) and config["weeks"] > 2)
+        or any(_is_int(config.get(k)) and config[k] > 7 for k in ("pulses_per_week", "weekend_days"))
+        or (isinstance(step, (int, float)) and 0 < step < 0.1)
+    )
+
+
+def _exit_code(argv: list[str]) -> int:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    weeks=st.integers(1, 2),
+    ode_step=st.floats(0.1, 1.0),
+    changes=st.dictionaries(st.sampled_from([*_CONFIG_KEYS, "banana"]), _JSON_VALUES, max_size=2),
+    param=st.sampled_from([f.name for f in fields(ModelParams)] + ["initial_pulses", "x"]),
+    tokens=st.lists(_SWEEP_TOKENS, max_size=4),
+)
+def test_fuzzed_config_and_sweep_values_end_in_an_exit_code(weeks, ode_step, changes, param, tokens):
+    config = {**_MIXING, "weeks": weeks, "ode_step": ode_step, **changes}
+    assume(_short_course(config))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.json"
+        path.write_text(json.dumps(config).replace("Infinity", "1e999"), encoding="utf-8")
+        run = ["run", "--config", str(path), "--out", str(Path(tmp) / "course.csv")]
+        assert _exit_code(run) in {0, 1, 2, 3}
+        values = ",".join(tokens)
+        swp = ["sweep", "--config", str(path), "--param", param, f"--values={values}"]
+        assert _exit_code([*swp, "--out-dir", str(Path(tmp) / "sweep")]) in {0, 1, 2, 3}

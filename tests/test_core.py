@@ -84,6 +84,20 @@ class TestModelParams:
         with pytest.raises(InvalidParameterError):
             ModelParams(**overrides)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"weeks": 1.5}, "weeks must be an integer, got 1.5"),
+            ({"pulses_per_week": True}, "pulses_per_week must be an integer, got True"),
+            ({"weekend_days": "2"}, "weekend_days must be an integer, got '2'"),
+            ({"integer_rounding": 0.0}, "integer_rounding must be true or false, got 0.0"),
+        ],
+    )
+    def test_rejects_wrongly_typed_values(self, overrides, message):
+        with pytest.raises(InvalidParameterError) as info:
+            ModelParams(**overrides)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf"), 710.0, 1000.0])
     def test_rejects_unusable_theta(self, theta):
         with pytest.raises(InvalidParameterError, match="theta"):

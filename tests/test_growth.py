@@ -320,12 +320,12 @@ class TestGrowthDay:
     def test_degenerate_parameters_are_identity(self):
         params = ModelParams(v0=0.0, v1=0.0, a=1.0, theta=0.0, integer_rounding=False)
         state = PopulationState(100.0, 50.0, 25.0)
-        out = growth_day_detail(state, params, pulses=0).state
+        out = growth_day_detail(state, params).state
         assert (out.y0, out.y1, out.y2) == pytest.approx((100.0, 50.0, 25.0), rel=1e-12)
 
     def test_first_reference_day_total(self, golden):
         params = ModelParams(weeks=7)
-        out = growth_day_detail(reference_initial(), params, pulses=1).state
+        out = growth_day_detail(reference_initial(), params).state
         row = next(r for r in golden if r.day == 1 and r.phase == "post_growth")
         target = row.y0 + row.y1 + row.y2
         assert target == 625950700.0
@@ -335,7 +335,7 @@ class TestGrowthDay:
         # Over one day the total multiplies by roughly 2**phi; the gap is
         # only the spread between per-component doubling and the mean rate.
         start = reference_initial()
-        detail = growth_day_detail(start, ModelParams(weeks=7), pulses=1)
+        detail = growth_day_detail(start, ModelParams(weeks=7))
         ratio = detail.state.total() / start.total()
         assert ratio == pytest.approx(2.0**detail.phi, rel=1e-3)
         assert ratio == pytest.approx(625950700.0 / 618783392.0, rel=1e-3)
@@ -346,7 +346,7 @@ class TestGrowthDay:
         )
         assert v2_of(params, 0, "radiation") == pytest.approx(0.02, rel=1e-15)
         state = PopulationState(600.0, 340.0, 60.0)
-        out = growth_day_detail(state, params, pulses=0).state
+        out = growth_day_detail(state, params).state
         before = state.fractions()
         after = out.fractions()
         assert after == pytest.approx(before, abs=1e-9)
@@ -354,7 +354,7 @@ class TestGrowthDay:
 
     def test_detail_reports_frozen_velocity_and_phi(self):
         params = ModelParams(weeks=7, integer_rounding=False)
-        detail = growth_day_detail(reference_initial(), params, pulses=1)
+        detail = growth_day_detail(reference_initial(), params)
         assert detail.v2 == v2_of(params, 1, "radiation")
         assert detail.drift <= 1e-12
         assert not detail.renormalized
@@ -373,7 +373,7 @@ class TestGrowthDay:
             "repopsim.growth.integrate_growth", lambda field, x, duration, step: raw
         )
         params = ModelParams(v0=0.0, v1=0.0, integer_rounding=False)
-        detail = growth_day_detail(PopulationState(600.0, 300.0, 100.0), params, pulses=0)
+        detail = growth_day_detail(PopulationState(600.0, 300.0, 100.0), params)
         norm = raw[0] + raw[1] + raw[2]
         assert detail.drift == abs(norm - 1.0)
         assert 1e-12 < detail.drift < 2e-10
@@ -389,13 +389,13 @@ class TestGrowthDay:
     def test_rejects_empty_population(self):
         params = ModelParams()
         with pytest.raises(InvalidStateError):
-            growth_day_detail(PopulationState(0.0, 0.0, 0.0), params, pulses=0)
+            growth_day_detail(PopulationState(0.0, 0.0, 0.0), params)
 
     def test_weekend_period_uses_weekend_damping(self):
         params = ModelParams(q_mix=0.1, p_mix=0.1, integer_rounding=False)
-        state = PopulationState(600.0, 340.0, 60.0)
-        weekday = growth_day_detail(state, params, pulses=5, period="radiation")
-        weekend = growth_day_detail(state, params, pulses=5, period="weekend")
+        state = PopulationState(600.0, 340.0, 60.0, pulses_delivered=5)
+        weekday = growth_day_detail(state, params, period="radiation")
+        weekend = growth_day_detail(state, params, period="weekend")
         assert weekday.v2 == v2_of(params, 5, "radiation")
         assert weekend.v2 == v2_of(params, 5, "weekend")
         assert weekend.v2 != weekday.v2

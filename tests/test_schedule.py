@@ -142,6 +142,14 @@ class TestSimulateCourse:
         assert traj.final().day == traj.extinction_day
         assert len(traj.records) < 2 * (2 * 5 + 2)
 
+    def test_extinction_on_a_growth_row(self):
+        # 0.8 cells spread as 0.4 + 0.4 round to nothing during day 1's growth.
+        traj = simulate_course(ModelParams(weeks=1), PopulationState(0.4, 0.4, 0.0))
+        assert [(r.day, r.phase) for r in traj.records] == [(1, "initial"), (1, "post_growth")]
+        assert traj.extinct
+        assert traj.extinction_day == 1
+        assert traj.final().total == 0.0
+
     def test_continuous_mode_never_goes_extinct(self):
         params = ModelParams(dose=4.0, weeks=2, integer_rounding=False)
         traj = simulate_course(params, PopulationState(1.0, 1.0, 1.0))
@@ -162,6 +170,19 @@ class TestSimulateCourse:
         for day in (4, 5, 6, 7, 11, 12, 13, 14, 18, 19, 20, 21):
             assert by_day[day] == ["post_growth"], day
         assert len(traj.records) == 3 * (2 * 3 + 4)
+
+    def test_weekend_only_course(self):
+        params = ModelParams(
+            weeks=3, pulses_per_week=0, weekend_days=2, q_mix=0.1, p_mix=0.1
+        )
+        traj = simulate_course(params, PopulationState(600.0, 340.0, 60.0, pulses_delivered=2))
+        assert len(traj.records) == 7
+        assert [r.day for r in traj.records[1:]] == [1, 2, 3, 4, 5, 6]
+        assert all(r.phase != "post_radiation" for r in traj.records)
+        weekend = v2_of(params, 2, "weekend")
+        assert weekend != v2_of(params, 2, "radiation")
+        assert all(r.v2 == weekend for r in traj.records)
+        assert not traj.extinct
 
 
 class TestPhaseVelocity:
