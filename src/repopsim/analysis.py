@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace as dc_replace
 
-from .core import ModelParams, PopulationState
+from .core import PARAM_TABLE, ModelParams, PopulationState
 from .errors import AlignmentError, ConfigError, InvalidParameterError, SimulationError
 from .schedule import Trajectory, simulate_course
 
@@ -148,21 +148,16 @@ def compare_to_golden(
             skipped += 1
             continue
         matched += 1
-        actual_by_column = {
-            "y0": rec.y0,
-            "y1": rec.y1,
-            "y2": rec.y2,
-            "velocity": rec.phi,
-        }
         for column in columns:
             expected = getattr(row, column)
+            actual = rec.phi if column == "velocity" else getattr(rec, column)
             deviation = CellDeviation(
                 day=row.day,
                 phase=row.phase,
                 column=column,
                 expected=expected,
-                actual=actual_by_column[column],
-                relative=_relative(expected, actual_by_column[column]),
+                actual=actual,
+                relative=_relative(expected, actual),
             )
             if worst is None or deviation.relative > worst.relative:
                 worst = deviation
@@ -198,18 +193,12 @@ def sweep(
     invalid key, an out-of-range value or a course the model rejects
     yields an error entry for that value and the sweep continues.
     """
+    if key not in PARAM_TABLE:
+        return tuple(SweepEntry(value=value, error=f"unknown parameter: {key}") for value in values)
     entries = []
     for value in values:
         try:
-            swept = dc_replace(params, **{key: value})
-        except TypeError:
-            entries.append(SweepEntry(value=value, error=f"unknown parameter: {key}"))
-            continue
-        except InvalidParameterError as exc:
-            entries.append(SweepEntry(value=value, error=str(exc)))
-            continue
-        try:
-            trajectory = simulate_course(swept, initial)
+            trajectory = simulate_course(dc_replace(params, **{key: value}), initial)
         except SimulationError as exc:
             entries.append(SweepEntry(value=value, error=str(exc)))
             continue

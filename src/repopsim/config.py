@@ -11,16 +11,13 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
-from .core import BOOL_PARAMS, INT_PARAMS, ModelParams, PopulationState
+from .core import PARAM_TABLE, ModelParams, PopulationState
 from .core import fractions_to_counts, snap_count
 from .errors import ConfigError, InvalidParameterError
 
-_PARAM_KEYS = tuple(f.name for f in fields(ModelParams))
-# ModelParams checks the types of its integer and boolean fields itself.
-_TYPED_KEYS = frozenset(INT_PARAMS + BOOL_PARAMS)
-_KNOWN_KEYS = frozenset(_PARAM_KEYS) | {
+_KNOWN_KEYS = frozenset(PARAM_TABLE) | {
     "initial_counts",
     "initial_total",
     "initial_fractions",
@@ -46,12 +43,6 @@ def _require_number(key: str, value: object) -> float:
     except OverflowError:
         digits = len(str(value))
         raise ConfigError(f"{key} is too large, got an integer of {digits} digits") from None
-
-
-def _require_int(key: str, value: object) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
 
 
 def _require_triple(key: str, value: object) -> tuple[float, float, float]:
@@ -81,9 +72,10 @@ def parse_config(text: str) -> RunConfig:
         if key not in _KNOWN_KEYS:
             raise ConfigError(f"unknown key: {key}")
 
+    # Float keys become floats here, so a huge integer literal fails as too large.
     param_values = {
-        key: raw[key] if key in _TYPED_KEYS else _require_number(key, raw[key])
-        for key in _PARAM_KEYS
+        key: _require_number(key, raw[key]) if row.kind is float else raw[key]
+        for key, row in PARAM_TABLE.items()
         if key in raw
     }
     try:
@@ -125,7 +117,9 @@ def parse_config(text: str) -> RunConfig:
             "initial_total with initial_fractions"
         )
 
-    initial_pulses = _require_int("initial_pulses", raw.get("initial_pulses", 0))
+    initial_pulses = raw.get("initial_pulses", 0)
+    if isinstance(initial_pulses, bool) or not isinstance(initial_pulses, int):
+        raise ConfigError(f"initial_pulses must be an integer, got {initial_pulses!r}")
     if initial_pulses < 0:
         raise ConfigError(f"initial_pulses must be >= 0, got {initial_pulses}")
     # The damping factor multiplies the pulse count into a float.
@@ -137,20 +131,13 @@ def parse_config(text: str) -> RunConfig:
     if output is not None and (not isinstance(output, str) or "\0" in output):
         raise ConfigError(f"output must be a string path, got {output!r}")
 
-    initial = PopulationState(
-        y0=counts[0],
-        y1=counts[1],
-        y2=counts[2],
-        pulses_delivered=initial_pulses,
-    )
+    initial = PopulationState(*counts, pulses_delivered=initial_pulses)
     return RunConfig(params=params, initial=initial, output=output)
 
 
 def write_config(config: RunConfig) -> str:
     """Serialize a configuration to canonical JSON; inverse of parse_config."""
-    document: dict[str, object] = {
-        key: getattr(config.params, key) for key in _PARAM_KEYS
-    }
+    document: dict[str, object] = {key: getattr(config.params, key) for key in PARAM_TABLE}
     document["initial_counts"] = [config.initial.y0, config.initial.y1, config.initial.y2]
     document["initial_pulses"] = config.initial.pulses_delivered
     if config.output is not None:

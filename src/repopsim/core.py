@@ -8,7 +8,9 @@ radiation pulses. Everything here is a pure function of immutable values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+import sys
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidParameterError, InvalidStateError
 
@@ -26,13 +28,64 @@ PERIODS = (RADIATION_PERIOD, WEEKEND)
 # Tolerance for membership on the probability simplex.
 SIMPLEX_TOL = 1e-9
 
-# Length of the growth interval closing each course day (days).
+# Length of the growth interval closing each course day (days), and the shortest
+# integration step (days): at most 10**4 RK4 steps per growth day.
 GROWTH_INTERVAL = 1.0
+ODE_STEP_FLOOR = 1e-4
+
+
+class ParamRow(NamedTuple):
+    """The kind and range of one ModelParams field; a None bound leaves that side open."""
+
+    kind: type  # int, float or bool
+    low: float | None = None
+    high: float | None = None
+    strict: bool = False  # low itself lies outside the range
+
+    def check(self, name: str, value: object) -> None:
+        """Reject a value of the wrong kind, out of range or, for a float, not finite."""
+        kind, low, high, strict = self
+        # isinstance counts a bool as an int, so only a bool row may hold one.
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, kind)):
+            wanted = {bool: "true or false", int: "an integer", float: "a number"}[kind]
+            raise InvalidParameterError(f"{name} must be {wanted}, got {value!r}")
+        if low is None:
+            return
+        if high is not None and not low <= value <= high:
+            raise InvalidParameterError(f"{name} must lie in [{low:g}, {high:g}], got {value}")
+        if not (value > low if strict else value >= low):
+            sign = ">" if strict else ">="
+            raise InvalidParameterError(f"{name} must be {sign} {low:g}, got {value}")
+        if high is None and kind is float and not math.isfinite(value):  # [low, high] is finite
+            raise InvalidParameterError(f"{name} must be finite, got {value}")
+
+
+# Each ModelParams field's kind and range, in field order: the one place they live.
+PARAM_TABLE = {
+    "alpha": ParamRow(float, 0),
+    "beta": ParamRow(float, 0),
+    "dose": ParamRow(float, 0),
+    "q_rad": ParamRow(float),  # q_rad, p_rad, theta: bounded in ModelParams.__post_init__
+    "p_rad": ParamRow(float),
+    "q_mix": ParamRow(float, 0, 1),
+    "p_mix": ParamRow(float, 0, 1),
+    "v0": ParamRow(float, 0),  # v0 = v1 = 0 is legal: radiation with growth off
+    "v1": ParamRow(float, 0),
+    "a": ParamRow(float, 0, strict=True),
+    "theta": ParamRow(float),
+    "weeks": ParamRow(int, 1),  # a course lasts at least one week
+    "ode_step": ParamRow(float, ODE_STEP_FLOOR, GROWTH_INTERVAL),
+    "integer_rounding": ParamRow(bool),
+    "weekend_days": ParamRow(int, 0),
+    "pulses_per_week": ParamRow(int, 0),
+}
+INT_PARAMS = tuple(name for name, row in PARAM_TABLE.items() if row.kind is int)
+BOOL_PARAMS = tuple(name for name, row in PARAM_TABLE.items() if row.kind is bool)
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """All model constants for one simulation run."""
+    """All model constants for one simulation run; PARAM_TABLE gives each one's range."""
 
     alpha: float = 0.2  # linear survival coefficient (1/Gy)
     beta: float = 0.02  # quadratic survival coefficient (1/Gy^2)
@@ -52,28 +105,8 @@ class ModelParams:
     pulses_per_week: int = 5  # weekdays opening each week, one pulse each
 
     def __post_init__(self) -> None:
-        for name in INT_PARAMS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-            least = 1 if name == "weeks" else 0  # a course lasts at least one week
-            if value < least:
-                raise InvalidParameterError(f"{name} must be >= {least}, got {value}")
-        for name in BOOL_PARAMS:
-            value = getattr(self, name)
-            if not isinstance(value, bool):
-                raise InvalidParameterError(f"{name} must be true or false, got {value!r}")
-        for name in ("alpha", "beta", "dose"):
-            value = getattr(self, name)
-            if not value >= 0:
-                raise InvalidParameterError(f"{name} must be >= 0, got {value}")
-            if not math.isfinite(value):
-                raise InvalidParameterError(f"{name} must be finite, got {value}")
-        if not 0 < self.ode_step <= GROWTH_INTERVAL:
-            raise InvalidParameterError(
-                f"ode_step must lie in (0, {GROWTH_INTERVAL:g}] (one growth day), "
-                f"got {self.ode_step}"
-            )
+        for name, row in PARAM_TABLE.items():
+            row.check(name, getattr(self, name))
         s = survival_fraction(self)
         if not s > 0:
             raise InvalidParameterError(
@@ -86,26 +119,8 @@ class ModelParams:
                 raise InvalidParameterError(
                     f"{name} must lie in [0, {s:.6f}] (the survival fraction), got {value}"
                 )
-        for name in ("q_mix", "p_mix"):
-            value = getattr(self, name)
-            if not 0 <= value <= 1:
-                raise InvalidParameterError(f"{name} must lie in [0, 1], got {value}")
-        # Zero velocities are legal so radiation can be studied with growth off.
-        for name in ("v0", "v1"):
-            if not getattr(self, name) >= 0:
-                raise InvalidParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not self.a > 0:
-            raise InvalidParameterError(f"a must be > 0, got {self.a}")
-        for name in ("v0", "v1", "a"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidParameterError(f"{name} must be finite, got {getattr(self, name)}")
         # psi <= exp(theta), since the subtracted pulse term is never negative.
-        try:
-            math.exp(self.theta)
-            valid_theta = math.isfinite(self.theta)
-        except OverflowError:
-            valid_theta = False
-        if not valid_theta:
+        if not -math.inf < self.theta <= math.log(sys.float_info.max):
             raise InvalidParameterError(
                 f"theta must be finite and small enough for exp(theta) to be "
                 f"finite, got {self.theta}"
@@ -115,11 +130,6 @@ class ModelParams:
                 f"a * v1 * exp(theta), the largest fast-fraction velocity, must be "
                 f"finite, got a={self.a}, v1={self.v1}, theta={self.theta}"
             )
-
-
-# The ModelParams fields that hold an integer and a boolean, in field order.
-INT_PARAMS = tuple(f.name for f in fields(ModelParams) if f.type == "int")
-BOOL_PARAMS = tuple(f.name for f in fields(ModelParams) if f.type == "bool")
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .core import (
     GROWTH_INTERVAL,
+    PARAM_TABLE,
     RADIATION_PERIOD,
     SIMPLEX_TOL,
     ModelParams,
@@ -44,9 +45,7 @@ class ReplicatorField:
 
     def __post_init__(self) -> None:
         for name in ("q_mix", "p_mix"):
-            value = getattr(self, name)
-            if not 0 <= value <= 1:
-                raise InvalidParameterError(f"{name} must lie in [0, 1], got {value}")
+            PARAM_TABLE[name].check(name, getattr(self, name))
 
 
 def replicator_rhs(field: ReplicatorField, x: Triple) -> Triple:

@@ -34,6 +34,31 @@ def _format_real(value: float) -> str:
     return f"{value:.9f}"
 
 
+def _echo(text: str, limit: int = 60) -> str:
+    """text quoted for an error message; past limit characters, cut and its length stated."""
+    if len(text) <= limit:
+        return repr(text)
+    return f"{text[:limit]!r}... ({len(text)} characters)"
+
+
+def _read_text(source: str | Path) -> str:
+    try:
+        return Path(source).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{source}: not UTF-8 text: {exc}") from None
+
+
+def _cell_error(where: str, line: str, cells: list[str]) -> SchemaError:
+    """The error for a row on which int() of the day or float() of a later cell raised."""
+    parsers = (int, str) + (float,) * (len(cells) - 2)  # day, phase, then reals
+    for parse, cell in zip(parsers, cells):
+        try:
+            parse(cell)
+        except ValueError:
+            kind = "an integer" if parse is int else "a number"
+            return SchemaError(f"{where}: {_echo(cell)} is not {kind}: {_echo(line)}")
+
+
 def write_trajectory(trajectory: Trajectory, destination: str | Path) -> None:
     """Write a trajectory as a comma-separated table, one record per line."""
     records = trajectory.records
@@ -62,20 +87,16 @@ def read_trajectory(source: str | Path) -> Trajectory:
         SchemaError: for a file that is not UTF-8 text, a wrong header or
             column count, or a cell that is not a number.
     """
-    try:
-        text = Path(source).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{source}: not UTF-8 text: {exc}") from None
-    lines = text.splitlines()
+    lines = _read_text(source).splitlines()
     if not lines or lines[0] != TRAJECTORY_HEADER:
         got = lines[0] if lines else "<empty file>"
-        raise SchemaError(f"expected header {TRAJECTORY_HEADER!r}, got {got!r}")
+        raise SchemaError(f"expected header {TRAJECTORY_HEADER!r}, got {_echo(got)}")
     records = []
     integer_rounding = True
     for number, line in enumerate(lines[1:], 2):
         cells = line.split(",")
         if len(cells) != 11:
-            raise SchemaError(f"expected 11 columns, got {len(cells)}: {line!r}")
+            raise SchemaError(f"expected 11 columns, got {len(cells)}: {_echo(line)}")
         day, phase, y0, y1, y2, x0, x1, x2, phi, v2, total = cells
         if integer_rounding and ("." in y0 or "." in y1 or "." in y2 or "." in total):
             integer_rounding = False
@@ -86,8 +107,8 @@ def read_trajectory(source: str | Path) -> Trajectory:
                     float(x1), float(x2), float(phi), float(v2), float(total),
                 )
             )
-        except ValueError as exc:
-            raise SchemaError(f"line {number}: {exc}: {line!r}") from None
+        except ValueError:
+            raise _cell_error(f"line {number}", line, cells) from None
     return Trajectory(records=tuple(records), integer_rounding=integer_rounding)
 
 
@@ -124,24 +145,16 @@ def _parse_reference(text: str, origin: str) -> tuple[GoldenRow, ...]:
     lines = text.splitlines()
     if not lines or lines[0] != REFERENCE_HEADER:
         got = lines[0] if lines else "<empty file>"
-        raise SchemaError(
-            f"{origin}: expected header {REFERENCE_HEADER!r}, got {got!r}"
-        )
+        raise SchemaError(f"{origin}: expected header {REFERENCE_HEADER!r}, got {_echo(got)}")
     rows = []
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], 2):
         cells = line.split("|")
         if len(cells) != 6:
-            raise SchemaError(f"{origin}: expected 6 columns, got {len(cells)}: {line!r}")
-        rows.append(
-            GoldenRow(
-                day=int(cells[0]),
-                phase=cells[1],
-                y0=float(cells[2]),
-                y1=float(cells[3]),
-                y2=float(cells[4]),
-                velocity=float(cells[5]),
-            )
-        )
+            raise SchemaError(f"{origin}: expected 6 columns, got {len(cells)}: {_echo(line)}")
+        try:
+            rows.append(GoldenRow(int(cells[0]), cells[1], *map(float, cells[2:])))
+        except ValueError:
+            raise _cell_error(f"{origin}: line {number}", line, cells) from None
     return tuple(rows)
 
 
@@ -151,8 +164,8 @@ def load_reference_table(source: str | Path | None = None) -> tuple[GoldenRow, .
     The bundled table is checksummed on load.
 
     Raises:
-        SchemaError: on a header or column mismatch, or if the bundled table
-            fails its checksum.
+        SchemaError: for a file that is not UTF-8 text, a wrong header or column
+            count, a cell that is not a number, or a bundled table's bad checksum.
     """
     if source is None:
         data = (resources.files(__package__) / "data" / _REFERENCE_RESOURCE).read_bytes()
@@ -162,4 +175,4 @@ def load_reference_table(source: str | Path | None = None) -> tuple[GoldenRow, .
                 f"bundled reference table checksum mismatch: {digest} != {REFERENCE_SHA256}"
             )
         return _parse_reference(data.decode("utf-8"), _REFERENCE_RESOURCE)
-    return _parse_reference(Path(source).read_text(encoding="utf-8"), str(source))
+    return _parse_reference(_read_text(source), str(source))

@@ -7,6 +7,7 @@ import csv
 import importlib.util
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from repopsim import ModelParams, cli
 from repopsim.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, cli_main
+from repopsim.core import ODE_STEP_FLOOR
 from repopsim.io import TRAJECTORY_HEADER
 
 BASELINE_PATH = str(resources.files("repopsim").joinpath("data/baseline.json"))
@@ -129,6 +131,18 @@ class TestRun:
         assert err.startswith(f"error: {message}")
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_ode_step_below_the_floor_exits_at_once(self, tmp_path):
+        # Unguarded, this course would take about 10**300 RK4 steps a day.
+        config = tmp_path / "tiny.json"
+        config.write_bytes(config_bytes(ode_step=1e-300))
+        argv = ["run", "--config", str(config), "--out", str(tmp_path / "never.csv")]
+        result = subprocess.run(
+            [sys.executable, "-m", "repopsim", *argv], capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == EXIT_VALIDATION
+        assert result.stderr == "error: ode_step must lie in [0.0001, 1], got 1e-300\n"
+        assert not (tmp_path / "never.csv").exists()
 
     def test_overflowing_division_is_numeric_error(self, tmp_path, capsys):
         # A finite fast velocity whose daily factor 2^v2 overflows a float.
@@ -283,7 +297,7 @@ class TestSweep:
             rows = list(csv.DictReader(handle))
         assert [row["value"] for row in rows] == ["0.5", "2.0"]
         assert rows[0]["error"] == "" and rows[0]["final_total"] != ""
-        assert rows[1]["error"] == "ode_step must lie in (0, 1] (one growth day), got 2.0"
+        assert rows[1]["error"] == "ode_step must lie in [0.0001, 1], got 2.0"
         assert "value 2.0: ode_step must lie" in capsys.readouterr().out
 
     def test_course_failing_inside_simulation_is_reported_in_summary(self, tmp_path, capsys):
@@ -420,9 +434,10 @@ def test_benchmark_tracer_sees_the_wrapped_layers(tmp_path):
 
 # Fuzzing the CLI: every drawn config and sweep must end in a documented exit
 # code, never an exception. The course length is capped (weeks <= 2, at most 7
-# pulse and 7 weekend days a week, ode_step >= 0.1) only so that about 100
-# examples stay within a second or two of tier-1 time; a longer course runs
-# the same code.
+# pulse and 7 weekend days a week, no ode_step from the floor up to 0.1) only so
+# that about 100 examples stay within a second or two of tier-1 time; a longer
+# course runs the same code. A step below the floor is drawn: it is rejected
+# before any course runs.
 _MIXING = json.loads(Path(MIXING_PATH).read_text(encoding="utf-8"))
 _CONFIG_KEYS = sorted({*_MIXING, "initial_total", "initial_fractions", "output"})
 _JSON_SCALARS = (
@@ -438,10 +453,15 @@ _JSON_VALUES = _JSON_SCALARS | st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner),
     max_leaves=8,
 )
+# About one step in eight lies below the floor, so its config is rejected at once.
+_ODE_STEPS = st.integers(0, 7).flatmap(
+    lambda k: st.floats(0.0, ODE_STEP_FLOOR, exclude_max=True) if k == 0 else st.floats(0.1, 1.0)
+)
 _SWEEP_TOKENS = (
     st.integers(-2, 3).map(str)
-    | st.floats().filter(lambda v: not 0 < v < 0.1).map(repr)
+    | st.floats().filter(lambda v: not ODE_STEP_FLOOR <= v < 0.1).map(repr)
     | st.sampled_from(["", " ", "x", "1e999", "-1e999", "nan", "true", "0x10", "1_0"])
+    | st.sampled_from([math.nextafter(ODE_STEP_FLOOR, 0.0), 1e-300]).map(repr)
 )
 
 
@@ -454,7 +474,7 @@ def _short_course(config: dict) -> bool:
     return not (
         (_is_int(config.get("weeks")) and config["weeks"] > 2)
         or any(_is_int(config.get(k)) and config[k] > 7 for k in ("pulses_per_week", "weekend_days"))
-        or (isinstance(step, (int, float)) and 0 < step < 0.1)
+        or (isinstance(step, (int, float)) and ODE_STEP_FLOOR <= step < 0.1)
     )
 
 
@@ -472,7 +492,7 @@ def _exit_code(argv: list[str]) -> int:
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     weeks=st.integers(1, 2),
-    ode_step=st.floats(0.1, 1.0),
+    ode_step=_ODE_STEPS,
     changes=st.dictionaries(st.sampled_from([*_CONFIG_KEYS, "banana"]), _JSON_VALUES, max_size=2),
     param=st.sampled_from([f.name for f in fields(ModelParams)] + ["initial_pulses", "x"]),
     tokens=st.lists(_SWEEP_TOKENS, max_size=4),

@@ -277,3 +277,71 @@ class TestReferenceTable:
         path.write_text(REFERENCE_HEADER + "\n1|initial|1\n", encoding="utf-8")
         with pytest.raises(SchemaError, match="columns"):
             load_reference_table(str(path))
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"\xff\xfe", "{path}: not UTF-8 text: "),
+            (
+                REFERENCE_HEADER + "\n1|initial|abc|2|3|0.0\n",
+                "{path}: line 2: 'abc' is not a number: '1|initial|abc|2|3|0.0'",
+            ),
+            (
+                REFERENCE_HEADER + "\n1.5|initial|1|2|3|0.0\n",
+                "{path}: line 2: '1.5' is not an integer: '1.5|initial|1|2|3|0.0'",
+            ),
+        ],
+        ids=["not-utf8", "not-a-number", "day-not-an-integer"],
+    )
+    def test_unreadable_file_names_file_and_line(self, tmp_path, content, message):
+        path = tmp_path / "table.psv"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content, encoding="utf-8")
+        with pytest.raises(SchemaError) as info:
+            load_reference_table(str(path))
+        assert str(info.value).startswith(message.format(path=path))
+
+
+# A single line or cell of 200,000 characters, as in a file that is not a table at all.
+LONG = "9" * 200_000
+_GOOD_ROW = "1,initial,600,340,60,0.600000000,0.340000000,0.060000000,0.0,0.08,1000"
+
+
+@pytest.mark.parametrize(
+    "read, text, lengths",
+    [
+        (read_trajectory, LONG, [200_000]),
+        (read_trajectory, TRAJECTORY_HEADER + "\n" + LONG, [200_000]),
+        (
+            read_trajectory,
+            TRAJECTORY_HEADER + "\n" + _GOOD_ROW.replace("600", "x" + LONG, 1),
+            [200_001, len(_GOOD_ROW) - 3 + 200_001],
+        ),
+        (load_reference_table, LONG, [200_000]),
+        (load_reference_table, REFERENCE_HEADER + "\n" + LONG, [200_000]),
+        (
+            load_reference_table,
+            REFERENCE_HEADER + "\n1|initial|x" + LONG + "|2|3|0.0",
+            [200_001, 200_019],
+        ),
+    ],
+    ids=[
+        "trajectory-header",
+        "trajectory-columns",
+        "trajectory-cell",
+        "reference-header",
+        "reference-columns",
+        "reference-cell",
+    ],
+)
+def test_error_message_cuts_a_long_line_and_states_its_length(tmp_path, read, text, lengths):
+    path = tmp_path / "long.txt"
+    path.write_text(text + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError) as info:
+        read(str(path))
+    message = str(info.value)
+    assert len(message) < 300
+    for length in lengths:
+        assert f"... ({length} characters)" in message

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -23,11 +24,40 @@ from repopsim import (
     velocities_of,
     velocity_from_doubling_time,
 )
-from repopsim.core import PERIODS, PHASES, RADIATION_PERIOD, WEEKEND
+from repopsim.core import (
+    ODE_STEP_FLOOR,
+    PARAM_TABLE,
+    PERIODS,
+    PHASES,
+    RADIATION_PERIOD,
+    WEEKEND,
+)
 
 from .conftest import MIXING_OVERRIDES
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+def _past(kind, bound, direction):
+    """The nearest value of kind beyond bound, upward for direction 1, downward for -1."""
+    return bound + direction if kind is int else math.nextafter(bound, direction * math.inf)
+
+
+def _bound_cases():
+    """(key, a value on the bound's inside, the nearest value outside) per finite bound."""
+    cases = []
+    for name, row in PARAM_TABLE.items():
+        if row.low is not None:
+            low = row.kind(row.low)
+            if row.strict:
+                inside, outside = _past(row.kind, low, 1), low
+            else:
+                inside, outside = low, _past(row.kind, low, -1)
+            cases.append(pytest.param(name, inside, outside, id=f"{name}-low"))
+        if row.high is not None:
+            high = row.kind(row.high)
+            cases.append(pytest.param(name, high, _past(row.kind, high, 1), id=f"{name}-high"))
+    return cases
 
 
 class TestModelParams:
@@ -91,12 +121,31 @@ class TestModelParams:
             ({"pulses_per_week": True}, "pulses_per_week must be an integer, got True"),
             ({"weekend_days": "2"}, "weekend_days must be an integer, got '2'"),
             ({"integer_rounding": 0.0}, "integer_rounding must be true or false, got 0.0"),
+            ({"dose": "2"}, "dose must be a number, got '2'"),
+            ({"alpha": True}, "alpha must be a number, got True"),
+            ({"theta": None}, "theta must be a number, got None"),
         ],
     )
     def test_rejects_wrongly_typed_values(self, overrides, message):
         with pytest.raises(InvalidParameterError) as info:
             ModelParams(**overrides)
         assert str(info.value) == message
+
+    def test_table_has_one_row_per_field_in_order(self):
+        assert list(PARAM_TABLE) == [f.name for f in fields(ModelParams)]
+
+    @pytest.mark.parametrize("name, inside, outside", _bound_cases())
+    def test_each_finite_bound_is_sharp(self, name, inside, outside):
+        assert getattr(ModelParams(**{name: inside}), name) == inside
+        with pytest.raises(InvalidParameterError, match=f"^{name} must "):
+            ModelParams(**{name: outside})
+
+    def test_ode_step_floor(self):
+        assert ModelParams(ode_step=ODE_STEP_FLOOR).ode_step == 1e-4
+        below = math.nextafter(ODE_STEP_FLOOR, 0.0)
+        with pytest.raises(InvalidParameterError) as info:
+            ModelParams(ode_step=below)
+        assert str(info.value) == f"ode_step must lie in [0.0001, 1], got {below}"
 
     @pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf"), 710.0, 1000.0])
     def test_rejects_unusable_theta(self, theta):
