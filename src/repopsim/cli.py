@@ -13,8 +13,8 @@ from pathlib import Path
 
 from .analysis import compare_to_golden, diff_velocity, lq_closed_form, sweep
 from .config import load_config
-from .core import BOOL_PARAMS, INT_PARAMS, ModelParams, PopulationState, survival_fraction
-from .errors import ConfigError, NumericInstabilityError, SimulationError
+from .core import PARAM_TABLE, ModelParams, PopulationState, survival_fraction
+from .errors import ConfigError, NumericInstabilityError, SimulationError, quote
 from .io import (
     load_reference_table,
     read_trajectory,
@@ -87,19 +87,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _parse_sweep_values(param: str, text: str) -> tuple[float, ...]:
-    if param in BOOL_PARAMS:
+    # An unknown key parses as a number; sweep then reports it for each value.
+    kind = PARAM_TABLE[param].kind if param in PARAM_TABLE else float
+    if kind is bool:
         raise ConfigError(f"--param {param} is true or false, not a number, and cannot be swept")
-    wants_int = param in INT_PARAMS
     values = []
     for token in text.split(","):
         token = token.strip()
         if not token:
             continue
         try:
-            values.append(int(token) if wants_int else float(token))
+            values.append(kind(token))
         except ValueError:
-            kind = "an integer" if wants_int else "a number"
-            raise ConfigError(f"--values: {token!r} is not {kind}") from None
+            wanted = "an integer" if kind is int else "a number"
+            raise ConfigError(f"--values: {quote(token)} is not {wanted}") from None
     return tuple(values)
 
 

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 
-from .core import PARAM_TABLE, ModelParams, PopulationState
+from .core import PARAM_TABLE, ModelParams, ParamRow, PopulationState
 from .core import fractions_to_counts, snap_count
-from .errors import ConfigError, InvalidParameterError
+from .errors import ConfigError, InvalidParameterError, quote
 
 _KNOWN_KEYS = frozenset(PARAM_TABLE) | {
     "initial_counts",
@@ -35,19 +34,14 @@ class RunConfig:
     output: str | None = None
 
 
-def _require_number(key: str, value: object) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        digits = len(str(value))
-        raise ConfigError(f"{key} is too large, got an integer of {digits} digits") from None
+def _require_number(key: str, value: object, row: ParamRow = ParamRow(float)) -> float:
+    row.check(key, value)
+    return float(value)
 
 
 def _require_triple(key: str, value: object) -> tuple[float, float, float]:
     if not isinstance(value, list) or len(value) != 3:
-        raise ConfigError(f"{key} must be a list of three numbers, got {value!r}")
+        raise ConfigError(f"{key} must be a list of three numbers, got {quote(value)}")
     return tuple(_require_number(key, item) for item in value)
 
 
@@ -70,66 +64,53 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"configuration must be a JSON object, got {type(raw).__name__}")
     for key in raw:
         if key not in _KNOWN_KEYS:
-            raise ConfigError(f"unknown key: {key}")
-
-    # Float keys become floats here, so a huge integer literal fails as too large.
-    param_values = {
-        key: _require_number(key, raw[key]) if row.kind is float else raw[key]
-        for key, row in PARAM_TABLE.items()
-        if key in raw
-    }
+            raise ConfigError(f"unknown key: {quote(key)}")
     try:
+        # Float keys become floats here; ModelParams checks every key against its row.
+        param_values = {
+            key: _require_number(key, raw[key]) if row.kind is float else raw[key]
+            for key, row in PARAM_TABLE.items()
+            if key in raw
+        }
         params = ModelParams(**param_values)
+
+        has_counts = "initial_counts" in raw
+        has_split = "initial_total" in raw or "initial_fractions" in raw
+        if has_counts and has_split:
+            raise ConfigError(
+                "provide exactly one of initial_counts or initial_total with initial_fractions"
+            )
+        if has_counts:
+            counts = _require_triple("initial_counts", raw["initial_counts"])
+            if min(counts) < 0:
+                raise ConfigError(f"initial_counts must be nonnegative, got {counts}")
+            if not math.isfinite(counts[0] + counts[1] + counts[2]):
+                raise ConfigError(f"initial_counts must have a finite total, got {counts}")
+            if params.integer_rounding:
+                counts = tuple(snap_count(c) for c in counts)
+        elif has_split:
+            if "initial_total" not in raw or "initial_fractions" not in raw:
+                raise ConfigError("initial_total and initial_fractions must be given together")
+            total = _require_number("initial_total", raw["initial_total"], ParamRow(float, 0))
+            x = _require_triple("initial_fractions", raw["initial_fractions"])
+            if not (x[0] >= 0 and x[1] >= 0 and x[2] >= 0):
+                raise ConfigError(f"initial_fractions must be nonnegative, got {x}")
+            if abs(x[0] + x[1] + x[2] - 1.0) > 1e-9:
+                raise ConfigError(f"initial_fractions must sum to 1 within 1e-9, got {x}")
+            counts = fractions_to_counts(x, total, params.integer_rounding)
+        else:
+            raise ConfigError(
+                "missing initial population: provide initial_counts or "
+                "initial_total with initial_fractions"
+            )
+
+        initial_pulses = raw.get("initial_pulses", 0)
+        ParamRow(int, 0).check("initial_pulses", initial_pulses)
     except InvalidParameterError as exc:
         raise ConfigError(str(exc)) from exc
-
-    has_counts = "initial_counts" in raw
-    has_split = "initial_total" in raw or "initial_fractions" in raw
-    if has_counts and has_split:
-        raise ConfigError(
-            "provide exactly one of initial_counts or initial_total with initial_fractions"
-        )
-    if has_counts:
-        counts = _require_triple("initial_counts", raw["initial_counts"])
-        if min(counts) < 0:
-            raise ConfigError(f"initial_counts must be nonnegative, got {counts}")
-        if not math.isfinite(counts[0] + counts[1] + counts[2]):
-            raise ConfigError(f"initial_counts must have a finite total, got {counts}")
-        if params.integer_rounding:
-            counts = tuple(snap_count(c) for c in counts)
-    elif has_split:
-        if "initial_total" not in raw or "initial_fractions" not in raw:
-            raise ConfigError("initial_total and initial_fractions must be given together")
-        total = _require_number("initial_total", raw["initial_total"])
-        if total < 0:
-            raise ConfigError(f"initial_total must be >= 0, got {total}")
-        if not math.isfinite(total):
-            raise ConfigError(f"initial_total must be finite, got {total}")
-        x = _require_triple("initial_fractions", raw["initial_fractions"])
-        if not (x[0] >= 0 and x[1] >= 0 and x[2] >= 0):
-            raise ConfigError(f"initial_fractions must be nonnegative, got {x}")
-        if abs(x[0] + x[1] + x[2] - 1.0) > 1e-9:
-            raise ConfigError(f"initial_fractions must sum to 1 within 1e-9, got {x}")
-        counts = fractions_to_counts(x, total, params.integer_rounding)
-    else:
-        raise ConfigError(
-            "missing initial population: provide initial_counts or "
-            "initial_total with initial_fractions"
-        )
-
-    initial_pulses = raw.get("initial_pulses", 0)
-    if isinstance(initial_pulses, bool) or not isinstance(initial_pulses, int):
-        raise ConfigError(f"initial_pulses must be an integer, got {initial_pulses!r}")
-    if initial_pulses < 0:
-        raise ConfigError(f"initial_pulses must be >= 0, got {initial_pulses}")
-    # The damping factor multiplies the pulse count into a float.
-    if initial_pulses > sys.float_info.max:
-        raise ConfigError(
-            f"initial_pulses is too large, got an integer of {len(str(initial_pulses))} digits"
-        )
     output = raw.get("output")
     if output is not None and (not isinstance(output, str) or "\0" in output):
-        raise ConfigError(f"output must be a string path, got {output!r}")
+        raise ConfigError(f"output must be a string path, got {quote(output)}")
 
     initial = PopulationState(*counts, pulses_delivered=initial_pulses)
     return RunConfig(params=params, initial=initial, output=output)

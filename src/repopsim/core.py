@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InvalidParameterError, InvalidStateError
+from .errors import InvalidParameterError, InvalidStateError, quote
 
 # Record phases within a simulated course.
 INITIAL = "initial"
@@ -43,21 +43,27 @@ class ParamRow(NamedTuple):
     strict: bool = False  # low itself lies outside the range
 
     def check(self, name: str, value: object) -> None:
-        """Reject a value of the wrong kind, out of range or, for a float, not finite."""
+        """Reject a value of the wrong kind, too large for a float, out of range or not finite."""
         kind, low, high, strict = self
-        # isinstance counts a bool as an int, so only a bool row may hold one.
-        if isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, kind)):
-            wanted = {bool: "true or false", int: "an integer", float: "a number"}[kind]
-            raise InvalidParameterError(f"{name} must be {wanted}, got {value!r}")
+        if type(value) is not float or kind is not float:  # a float in a float row needs neither
+            # isinstance counts a bool as an int, so only a bool row may hold one.
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, kind)):
+                wanted = {bool: "true or false", int: "an integer", float: "a number"}[kind]
+                raise InvalidParameterError(f"{name} must be {wanted}, got {quote(value)}")
+            if isinstance(value, int) and abs(value) > sys.float_info.max:
+                digits = f"{len(str(abs(value)))} digits"
+                raise InvalidParameterError(f"{name} is too large, got an integer of {digits}")
         if low is None:
             return
         if high is not None and not low <= value <= high:
-            raise InvalidParameterError(f"{name} must lie in [{low:g}, {high:g}], got {value}")
-        if not (value > low if strict else value >= low):
-            sign = ">" if strict else ">="
-            raise InvalidParameterError(f"{name} must be {sign} {low:g}, got {value}")
-        if high is None and kind is float and not math.isfinite(value):  # [low, high] is finite
-            raise InvalidParameterError(f"{name} must be finite, got {value}")
+            wanted = f"lie in [{low:g}, {high:g}]"
+        elif not (value > low if strict else value >= low):
+            wanted = f"be {'>' if strict else '>='} {low:g}"
+        elif high is None and kind is float and not math.isfinite(value):  # [low, high] is finite
+            wanted = "be finite"
+        else:
+            return
+        raise InvalidParameterError(f"{name} must {wanted}, got {quote(value)}")
 
 
 # Each ModelParams field's kind and range, in field order: the one place they live.
@@ -73,14 +79,12 @@ PARAM_TABLE = {
     "v1": ParamRow(float, 0),
     "a": ParamRow(float, 0, strict=True),
     "theta": ParamRow(float),
-    "weeks": ParamRow(int, 1),  # a course lasts at least one week
+    "weeks": ParamRow(int, 1, 520),  # one week to ten years
     "ode_step": ParamRow(float, ODE_STEP_FLOOR, GROWTH_INTERVAL),
     "integer_rounding": ParamRow(bool),
-    "weekend_days": ParamRow(int, 0),
-    "pulses_per_week": ParamRow(int, 0),
+    "weekend_days": ParamRow(int, 0, 7),
+    "pulses_per_week": ParamRow(int, 0, 7),
 }
-INT_PARAMS = tuple(name for name, row in PARAM_TABLE.items() if row.kind is int)
-BOOL_PARAMS = tuple(name for name, row in PARAM_TABLE.items() if row.kind is bool)
 
 
 @dataclass(frozen=True)
@@ -111,24 +115,25 @@ class ModelParams:
         if not s > 0:
             raise InvalidParameterError(
                 f"the survival fraction exp(-(alpha*dose + beta*dose^2)) must be > 0, "
-                f"got {s} for alpha={self.alpha}, beta={self.beta}, dose={self.dose}"
+                f"got {s} for alpha={quote(self.alpha)}, beta={quote(self.beta)}, "
+                f"dose={quote(self.dose)}"
             )
         for name in ("q_rad", "p_rad"):
             value = getattr(self, name)
             if not 0 <= value <= s:
                 raise InvalidParameterError(
-                    f"{name} must lie in [0, {s:.6f}] (the survival fraction), got {value}"
+                    f"{name} must lie in [0, {s:.6f}] (the survival fraction), got {quote(value)}"
                 )
         # psi <= exp(theta), since the subtracted pulse term is never negative.
         if not -math.inf < self.theta <= math.log(sys.float_info.max):
             raise InvalidParameterError(
                 f"theta must be finite and small enough for exp(theta) to be "
-                f"finite, got {self.theta}"
+                f"finite, got {quote(self.theta)}"
             )
         if not math.isfinite(self.a * self.v1 * math.exp(self.theta)):
             raise InvalidParameterError(
                 f"a * v1 * exp(theta), the largest fast-fraction velocity, must be "
-                f"finite, got a={self.a}, v1={self.v1}, theta={self.theta}"
+                f"finite, got a={quote(self.a)}, v1={quote(self.v1)}, theta={quote(self.theta)}"
             )
 
 

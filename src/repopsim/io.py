@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import csv
 import hashlib
+from collections.abc import Iterator
 from importlib import resources
 from pathlib import Path
 
 from .analysis import GoldenRow, SweepEntry, TrajectoryDiff
-from .errors import SchemaError
+from .errors import SchemaError, quote
 from .schedule import Trajectory, TrajectoryRecord
 
 TRAJECTORY_HEADER = "day,phase,y0,y1,y2,x0,x1,x2,phi,v2,total"
@@ -34,18 +35,27 @@ def _format_real(value: float) -> str:
     return f"{value:.9f}"
 
 
-def _echo(text: str, limit: int = 60) -> str:
-    """text quoted for an error message; past limit characters, cut and its length stated."""
-    if len(text) <= limit:
-        return repr(text)
-    return f"{text[:limit]!r}... ({len(text)} characters)"
-
-
 def _read_text(source: str | Path) -> str:
     try:
         return Path(source).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{source}: not UTF-8 text: {exc}") from None
+
+
+def _table_rows(text: str, origin: str, header: str, separator: str) -> Iterator[tuple]:
+    """(line number, line, cells) per row below a header; SchemaError on a bad header or width."""
+    lines = text.splitlines()
+    if not lines or lines[0] != header:
+        got = lines[0] if lines else "<empty file>"
+        raise SchemaError(f"{origin}: expected header {header!r}, got {quote(got)}")
+    width = header.count(separator) + 1
+    for number, line in enumerate(lines[1:], 2):
+        cells = line.split(separator)
+        if len(cells) != width:
+            raise SchemaError(
+                f"{origin}: expected {width} columns, got {len(cells)}: {quote(line)}"
+            )
+        yield number, line, cells
 
 
 def _cell_error(where: str, line: str, cells: list[str]) -> SchemaError:
@@ -56,7 +66,7 @@ def _cell_error(where: str, line: str, cells: list[str]) -> SchemaError:
             parse(cell)
         except ValueError:
             kind = "an integer" if parse is int else "a number"
-            return SchemaError(f"{where}: {_echo(cell)} is not {kind}: {_echo(line)}")
+            return SchemaError(f"{where}: {quote(cell)} is not {kind}: {quote(line)}")
 
 
 def write_trajectory(trajectory: Trajectory, destination: str | Path) -> None:
@@ -84,19 +94,13 @@ def read_trajectory(source: str | Path) -> Trajectory:
     diagnostics are not serialized and come back as zeros.
 
     Raises:
-        SchemaError: for a file that is not UTF-8 text, a wrong header or
-            column count, or a cell that is not a number.
+        SchemaError: naming the file, for one that is not UTF-8 text, a wrong
+            header or column count, or a cell that is not a number.
     """
-    lines = _read_text(source).splitlines()
-    if not lines or lines[0] != TRAJECTORY_HEADER:
-        got = lines[0] if lines else "<empty file>"
-        raise SchemaError(f"expected header {TRAJECTORY_HEADER!r}, got {_echo(got)}")
+    origin = str(source)
     records = []
     integer_rounding = True
-    for number, line in enumerate(lines[1:], 2):
-        cells = line.split(",")
-        if len(cells) != 11:
-            raise SchemaError(f"expected 11 columns, got {len(cells)}: {_echo(line)}")
+    for number, line, cells in _table_rows(_read_text(source), origin, TRAJECTORY_HEADER, ","):
         day, phase, y0, y1, y2, x0, x1, x2, phi, v2, total = cells
         if integer_rounding and ("." in y0 or "." in y1 or "." in y2 or "." in total):
             integer_rounding = False
@@ -108,7 +112,7 @@ def read_trajectory(source: str | Path) -> Trajectory:
                 )
             )
         except ValueError:
-            raise _cell_error(f"line {number}", line, cells) from None
+            raise _cell_error(f"{origin}: line {number}", line, cells) from None
     return Trajectory(records=tuple(records), integer_rounding=integer_rounding)
 
 
@@ -142,15 +146,8 @@ def write_sweep_summary(entries: tuple[SweepEntry, ...], destination: str | Path
 
 
 def _parse_reference(text: str, origin: str) -> tuple[GoldenRow, ...]:
-    lines = text.splitlines()
-    if not lines or lines[0] != REFERENCE_HEADER:
-        got = lines[0] if lines else "<empty file>"
-        raise SchemaError(f"{origin}: expected header {REFERENCE_HEADER!r}, got {_echo(got)}")
     rows = []
-    for number, line in enumerate(lines[1:], 2):
-        cells = line.split("|")
-        if len(cells) != 6:
-            raise SchemaError(f"{origin}: expected 6 columns, got {len(cells)}: {_echo(line)}")
+    for number, line, cells in _table_rows(text, origin, REFERENCE_HEADER, "|"):
         try:
             rows.append(GoldenRow(int(cells[0]), cells[1], *map(float, cells[2:])))
         except ValueError:

@@ -181,6 +181,9 @@ class TestSweep:
             ("weeks", 1.5, "weeks must be an integer, got 1.5"),
             ("integer_rounding", 0.0, "integer_rounding must be true or false, got 0.0"),
             ("alpha", "x", "alpha must be a number, got 'x'"),
+            pytest.param(
+                "alpha", 10**400, "alpha is too large, got an integer of 401 digits", id="alpha-big"
+            ),
         ],
     )
     def test_wrongly_typed_value_becomes_error_entry(self, key, value, message):

@@ -49,6 +49,19 @@ def config_bytes(**overrides) -> bytes:
     return json.dumps({"weeks": 1, "initial_counts": [6, 3, 1], **overrides}).encode()
 
 
+def run_rejected_in_subprocess(tmp_path, content: bytes) -> str:
+    """stderr of `repopsim run` on a config that must exit 1 at once, writing nothing."""
+    config = tmp_path / "rejected.json"
+    config.write_bytes(content)
+    argv = ["run", "--config", str(config), "--out", str(tmp_path / "never.csv")]
+    result = subprocess.run(
+        [sys.executable, "-m", "repopsim", *argv], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == EXIT_VALIDATION
+    assert not (tmp_path / "never.csv").exists()
+    return result.stderr
+
+
 def run_course(tmp_path, name="course.csv", **overrides):
     config = write_config_file(tmp_path, **overrides)
     out = tmp_path / name
@@ -134,15 +147,14 @@ class TestRun:
 
     def test_ode_step_below_the_floor_exits_at_once(self, tmp_path):
         # Unguarded, this course would take about 10**300 RK4 steps a day.
-        config = tmp_path / "tiny.json"
-        config.write_bytes(config_bytes(ode_step=1e-300))
-        argv = ["run", "--config", str(config), "--out", str(tmp_path / "never.csv")]
-        result = subprocess.run(
-            [sys.executable, "-m", "repopsim", *argv], capture_output=True, text=True, timeout=60
-        )
-        assert result.returncode == EXIT_VALIDATION
-        assert result.stderr == "error: ode_step must lie in [0.0001, 1], got 1e-300\n"
-        assert not (tmp_path / "never.csv").exists()
+        err = run_rejected_in_subprocess(tmp_path, config_bytes(ode_step=1e-300))
+        assert err == "error: ode_step must lie in [0.0001, 1], got 1e-300\n"
+
+    def test_course_longer_than_ten_years_exits_at_once(self, tmp_path):
+        # Unguarded, this course would run for 7 * 10**8 days, keeping a record for each.
+        content = config_bytes(weeks=100_000_000, dose=0, v0=0, v1=0, ode_step=1)
+        err = run_rejected_in_subprocess(tmp_path, content)
+        assert err == "error: weeks must lie in [1, 520], got 100000000\n"
 
     def test_overflowing_division_is_numeric_error(self, tmp_path, capsys):
         # A finite fast velocity whose daily factor 2^v2 overflows a float.
@@ -231,7 +243,7 @@ class TestDiff:
         out = tmp_path / "diff.csv"
         assert cli_main(["diff", str(course), str(bad), "--out", str(out)]) == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert err.startswith("error: line 3: ")
+        assert err.startswith(f"error: {bad}: line 3: ")
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -355,6 +367,14 @@ class TestSweep:
         assert err == f"error: --values: {message}\n"
         assert not out_dir.exists()
 
+    def test_long_unparseable_value_is_cut(self, tmp_path, capsys):
+        config = write_config_file(tmp_path)
+        argv = ["sweep", "--config", config, "--param", "a", "--values", "1," + "x" * 100_000]
+        assert cli_main([*argv, "--out-dir", str(tmp_path / "sweep")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert len(err) < 300
+        assert err.endswith("... (100000 characters) is not a number\n")
+
     def test_integer_parameter_values(self, tmp_path):
         config = write_config_file(tmp_path)
         out_dir = tmp_path / "sweep"
@@ -433,11 +453,11 @@ def test_benchmark_tracer_sees_the_wrapped_layers(tmp_path):
 
 
 # Fuzzing the CLI: every drawn config and sweep must end in a documented exit
-# code, never an exception. The course length is capped (weeks <= 2, at most 7
-# pulse and 7 weekend days a week, no ode_step from the floor up to 0.1) only so
-# that about 100 examples stay within a second or two of tier-1 time; a longer
-# course runs the same code. A step below the floor is drawn: it is rejected
-# before any course runs.
+# code and a short message, never an exception. In-range long courses (weeks
+# from 3 to 520, ode_step from the floor up to 0.1) are skipped only so that
+# about 100 examples stay within a second or two of tier-1 time; a longer course
+# runs the same code. Values past the bounds are drawn: they are rejected before
+# any course runs.
 _MIXING = json.loads(Path(MIXING_PATH).read_text(encoding="utf-8"))
 _CONFIG_KEYS = sorted({*_MIXING, "initial_total", "initial_fractions", "output"})
 _JSON_SCALARS = (
@@ -447,6 +467,7 @@ _JSON_SCALARS = (
     | st.sampled_from([10**400, -(10**400), 0, -1])
     | st.floats()  # NaN and +-inf included; +-inf is written as the literal +-1e999
     | st.text(max_size=6)
+    | st.sampled_from(["x" * 10_000, [0] * 10_000])
 )
 _JSON_VALUES = _JSON_SCALARS | st.recursive(
     _JSON_SCALARS,
@@ -460,7 +481,7 @@ _ODE_STEPS = st.integers(0, 7).flatmap(
 _SWEEP_TOKENS = (
     st.integers(-2, 3).map(str)
     | st.floats().filter(lambda v: not ODE_STEP_FLOOR <= v < 0.1).map(repr)
-    | st.sampled_from(["", " ", "x", "1e999", "-1e999", "nan", "true", "0x10", "1_0"])
+    | st.sampled_from(["", " ", "x", "1e999", "-1e999", "nan", "true", "0x10", "1_0", "8", "521"])
     | st.sampled_from([math.nextafter(ODE_STEP_FLOOR, 0.0), 1e-300]).map(repr)
 )
 
@@ -470,10 +491,9 @@ def _is_int(value) -> bool:
 
 
 def _short_course(config: dict) -> bool:
-    step = config.get("ode_step")
+    weeks, step = config.get("weeks"), config.get("ode_step")
     return not (
-        (_is_int(config.get("weeks")) and config["weeks"] > 2)
-        or any(_is_int(config.get(k)) and config[k] > 7 for k in ("pulses_per_week", "weekend_days"))
+        (_is_int(weeks) and 2 < weeks <= 520)
         or (isinstance(step, (int, float)) and ODE_STEP_FLOOR <= step < 0.1)
     )
 
@@ -486,6 +506,7 @@ def _exit_code(argv: list[str]) -> int:
         except SystemExit as exc:  # argparse rejects the command line
             code = exc.code
     assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue()) < 500
     return code
 
 

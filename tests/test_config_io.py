@@ -214,8 +214,9 @@ class TestTrajectoryFiles:
         path = tmp_path / "bad.csv"
         text = "\n".join([TRAJECTORY_HEADER, good, ",".join(cells)]) + "\n"
         path.write_text(text, encoding="utf-8")
-        with pytest.raises(SchemaError, match="^line 3: .*'abc'"):
+        with pytest.raises(SchemaError) as info:
             read_trajectory(path)
+        assert str(info.value).startswith(f"{path}: line 3: 'abc' is not ")
 
 
 class TestDiffAndSweepFiles:
@@ -345,3 +346,35 @@ def test_error_message_cuts_a_long_line_and_states_its_length(tmp_path, read, te
     assert len(message) < 300
     for length in lengths:
         assert f"... ({length} characters)" in message
+
+
+@pytest.mark.parametrize(
+    "document, start, end",
+    [
+        ({"k" * 100_000: 1}, "unknown key: 'kkk", "... (100000 characters)"),
+        ({"dose": "x" * 100_000}, "dose must be a number, got 'xxx", "... (100000 characters)"),
+        (
+            {"initial_counts": [0] * 100_000},
+            "initial_counts must be a list of three numbers, got [0, 0, ",
+            "... (300000 characters)",
+        ),
+        (
+            {"output": "a\0" + "b" * 100_000},
+            "output must be a string path, got 'a\\x00bbb",
+            "... (100002 characters)",
+        ),
+        (
+            {"initial_pulses": "x" * 100_000},
+            "initial_pulses must be an integer, got 'xxx",
+            "... (100000 characters)",
+        ),
+        ({"weeks": 10**3999}, "weeks is too large, got an integer of 4000 digits", ""),
+    ],
+    ids=["unknown-key", "number-key", "initial-counts", "output", "initial-pulses", "huge-weeks"],
+)
+def test_config_message_cuts_a_long_value_and_states_its_length(document, start, end):
+    with pytest.raises(ConfigError) as info:
+        parse_config(json.dumps({"initial_counts": [6, 3, 1], **document}))
+    message = str(info.value)
+    assert len(message) < 300
+    assert message.startswith(start) and message.endswith(end)

@@ -124,6 +124,7 @@ class TestModelParams:
             ({"dose": "2"}, "dose must be a number, got '2'"),
             ({"alpha": True}, "alpha must be a number, got True"),
             ({"theta": None}, "theta must be a number, got None"),
+            ({"alpha": 10**400}, "alpha is too large, got an integer of 401 digits"),
         ],
     )
     def test_rejects_wrongly_typed_values(self, overrides, message):
