@@ -7,11 +7,11 @@ import math
 from dataclasses import dataclass, replace as dc_replace
 
 from .core import PARAM_TABLE, ModelParams, PopulationState
-from .errors import AlignmentError, ConfigError, InvalidParameterError, SimulationError
+from .errors import AlignmentError, ConfigError, InvalidParameterError, SimulationError, quote
 from .schedule import Trajectory, simulate_course
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DiffPoint:
     """Velocity difference at one aligned (day, phase) grid point."""
 
@@ -67,7 +67,7 @@ def lq_closed_form(n0: float, n: int, params: ModelParams) -> float:
     return n0 * math.exp(-n * (params.alpha * d + params.beta * d * d))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GoldenRow:
     """One row of the bundled reference table."""
 
@@ -79,7 +79,7 @@ class GoldenRow:
     velocity: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CellDeviation:
     """Relative deviation of a single compared table cell."""
 
@@ -194,7 +194,8 @@ def sweep(
     yields an error entry for that value and the sweep continues.
     """
     if key not in PARAM_TABLE:
-        return tuple(SweepEntry(value=value, error=f"unknown parameter: {key}") for value in values)
+        error = f"unknown parameter: {quote(key)}"
+        return tuple(SweepEntry(value=value, error=error) for value in values)
     entries = []
     for value in values:
         try:

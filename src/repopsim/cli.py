@@ -112,7 +112,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     entries = sweep(config.params, args.param, values, config.initial, threshold=args.threshold)
     for entry in entries:
         if entry.trajectory is None:
-            print(f"value {entry.value!r}: {entry.error}")
+            print(f"value {quote(entry.value)}: {entry.error}")
             continue
         destination = out_dir / f"sweep_{args.param}_{entry.value!r}.csv"
         write_trajectory(entry.trajectory, destination)

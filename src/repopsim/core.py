@@ -2,7 +2,11 @@
 
 The population is split into three fractions: a slow compartment, a middle
 compartment, and a fast compartment whose velocity is damped by accumulated
-radiation pulses. Everything here is a pure function of immutable values.
+radiation pulses. Every function here is pure. ModelParams, built once per
+course, is a frozen dataclass. PopulationState and VelocityVector, built
+several times per simulated day, are slotted dataclasses: cheaper to build,
+but mutable and unhashable. Nothing in the package mutates one after it is
+built.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InvalidParameterError, InvalidStateError, quote
+from .errors import InvalidParameterError, InvalidStateError, digit_count, quote
 
 # Record phases within a simulated course.
 INITIAL = "initial"
@@ -51,7 +55,7 @@ class ParamRow(NamedTuple):
                 wanted = {bool: "true or false", int: "an integer", float: "a number"}[kind]
                 raise InvalidParameterError(f"{name} must be {wanted}, got {quote(value)}")
             if isinstance(value, int) and abs(value) > sys.float_info.max:
-                digits = f"{len(str(abs(value)))} digits"
+                digits = f"{digit_count(value)} digits"
                 raise InvalidParameterError(f"{name} is too large, got an integer of {digits}")
         if low is None:
             return
@@ -137,7 +141,7 @@ class ModelParams:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PopulationState:
     """Cell counts of the three fractions at one instant of a course."""
 
@@ -166,7 +170,7 @@ class PopulationState:
         return (self.y0 / t, self.y1 / t, self.y2 / t)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class VelocityVector:
     """Per-fraction growth velocities in force for one growth interval."""
 

@@ -35,7 +35,7 @@ _RENORM_TOL = 1e-12
 Triple = tuple[float, float, float]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReplicatorField:
     """Right-hand-side data for one growth interval (v2 frozen throughout)."""
 
@@ -191,7 +191,7 @@ def apply_division(
     return PopulationState(y0, y1, y2, state.pulses_delivered)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GrowthStep:
     """Outcome of one growth interval, with integrator diagnostics."""
 

@@ -131,7 +131,7 @@ def write_sweep_summary(entries: tuple[SweepEntry, ...], destination: str | Path
         writer.writerow(SWEEP_HEADER.split(","))
         for entry in entries:
             if entry.error is not None:
-                writer.writerow([repr(entry.value), "", "", "", entry.error])
+                writer.writerow([quote(entry.value), "", "", "", entry.error])
                 continue
             threshold_day = "" if entry.threshold_day is None else str(entry.threshold_day)
             writer.writerow(

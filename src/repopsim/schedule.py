@@ -29,7 +29,7 @@ from .growth import growth_day_detail
 from .radiation import apply_pulse, build_radiation_operator
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TrajectoryRecord:
     """One logged row of a course, mirroring the day-by-day table schema.
 

@@ -184,6 +184,12 @@ class TestSweep:
             pytest.param(
                 "alpha", 10**400, "alpha is too large, got an integer of 401 digits", id="alpha-big"
             ),
+            pytest.param(
+                "alpha",
+                10**5000,
+                "alpha is too large, got an integer of 5001 digits",
+                id="alpha-past-str-limit",
+            ),
         ],
     )
     def test_wrongly_typed_value_becomes_error_entry(self, key, value, message):
@@ -192,7 +198,7 @@ class TestSweep:
 
     def test_unknown_key_reported_per_value(self):
         entries = sweep(ModelParams(weeks=1), "banana", (1.0,), reference_initial())
-        assert entries[0].error == "unknown parameter: banana"
+        assert entries[0].error == "unknown parameter: 'banana'"
 
     def test_order_independence(self):
         params = ModelParams(weeks=1)

@@ -375,6 +375,26 @@ class TestSweep:
         assert len(err) < 300
         assert err.endswith("... (100000 characters) is not a number\n")
 
+    @pytest.mark.parametrize(
+        "param, values, error",
+        [
+            ("k" * 100_000, "1", "unknown parameter: 'kkkk"),
+            ("weeks", "9" * 4_000, "weeks is too large, got an integer of 4000 digits"),
+        ],
+        ids=["long-key", "long-value"],
+    )
+    def test_long_key_or_value_is_cut_in_both_outputs(
+        self, tmp_path, capsys, param, values, error
+    ):
+        config = write_config_file(tmp_path)
+        out_dir = tmp_path / "sweep"
+        argv = ["sweep", "--config", config, "--param", param, "--values", values]
+        assert cli_main([*argv, "--out-dir", str(out_dir)]) == EXIT_OK
+        out = capsys.readouterr().out
+        summary = (out_dir / "sweep_summary.csv").read_text(encoding="utf-8")
+        assert len(out.encode()) < 500 and len(summary.encode()) < 500
+        assert error in out and error in summary
+
     def test_integer_parameter_values(self, tmp_path):
         config = write_config_file(tmp_path)
         out_dir = tmp_path / "sweep"

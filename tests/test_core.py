@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import fields
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repopsim
 from repopsim import (
     InvalidParameterError,
     InvalidStateError,
@@ -125,6 +127,12 @@ class TestModelParams:
             ({"alpha": True}, "alpha must be a number, got True"),
             ({"theta": None}, "theta must be a number, got None"),
             ({"alpha": 10**400}, "alpha is too large, got an integer of 401 digits"),
+            ({"alpha": 10**5000}, "alpha is too large, got an integer of 5001 digits"),
+            ({"weeks": -(10**5000)}, "weeks is too large, got an integer of 5001 digits"),
+            (
+                {"integer_rounding": 10**5000},
+                f"integer_rounding must be true or false, got 1{'0' * 59}... (5001 characters)",
+            ),
         ],
     )
     def test_rejects_wrongly_typed_values(self, overrides, message):
@@ -414,3 +422,47 @@ class TestConstants:
     def test_phase_and_period_vocabulary(self):
         assert PHASES == ("initial", "post_growth", "post_radiation")
         assert PERIODS == (RADIATION_PERIOD, WEEKEND)
+
+
+_STATE = PopulationState(6.0, 3.0, 1.0)
+_VELOCITIES = VelocityVector(0.01, 0.016, 0.08)
+# One instance of each type built per growth day, row or compared cell: slotted.
+_SLOTTED = {
+    "PopulationState": _STATE,
+    "VelocityVector": _VELOCITIES,
+    "ReplicatorField": repopsim.ReplicatorField(_VELOCITIES, 0.0, 0.0),
+    "GrowthStep": repopsim.GrowthStep(_STATE, 0.01, 0.08, 0.0, False),
+    "TrajectoryRecord": repopsim.TrajectoryRecord(
+        1, "initial", 6.0, 3.0, 1.0, 0.6, 0.3, 0.1, 0.0, 0.08, 10.0
+    ),
+    "DiffPoint": repopsim.DiffPoint(1, "initial", 0.0),
+    "GoldenRow": repopsim.GoldenRow(1, "initial", 6.0, 3.0, 1.0, 0.0),
+    "CellDeviation": repopsim.CellDeviation(1, "initial", "y0", 6.0, 6.0, 0.0),
+}
+# One instance of each type built once per course or operation: frozen.
+_FROZEN = {
+    "ModelParams": ModelParams(),
+    "RunConfig": repopsim.RunConfig(ModelParams(), _STATE),
+    "RadiationOperator": repopsim.RadiationOperator(0.5, 0.0, 0.0),
+    "Trajectory": repopsim.Trajectory(records=()),
+    "TrajectoryDiff": repopsim.TrajectoryDiff((), 0, 0),
+    "ComparisonReport": repopsim.ComparisonReport(0, 0, None, ()),
+    "SweepEntry": repopsim.SweepEntry(value=1.0),
+}
+
+
+class TestValueLayout:
+    @pytest.mark.parametrize("name", _SLOTTED)
+    def test_per_day_types_are_slotted(self, name):
+        value = _SLOTTED[name]
+        assert type(value).__name__ == name
+        assert "__slots__" in vars(type(value))
+        assert not hasattr(value, "__dict__")
+
+    @pytest.mark.parametrize("name", _FROZEN)
+    def test_per_course_types_stay_frozen(self, name):
+        value = _FROZEN[name]
+        assert type(value).__name__ == name
+        first = fields(value)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, first, getattr(value, first))
