@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from pathlib import Path
 
@@ -86,18 +87,39 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# A base-10 integer literal as int() reads one.
+_INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")
+
+
+def _parse_integer(token: str) -> int:
+    """int(token), also past the 4,300 digits at which int() refuses a string."""
+    try:
+        return int(token)
+    except ValueError:
+        if not _INTEGER.fullmatch(token):
+            raise
+    # Read 640 digits at a time: the lowest limit the interpreter accepts.
+    digits = token.lstrip("+-").replace("_", "")
+    value = 0
+    for start in range(0, len(digits), 640):
+        chunk = digits[start : start + 640]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return -value if token.startswith("-") else value
+
+
 def _parse_sweep_values(param: str, text: str) -> tuple[float, ...]:
     # An unknown key parses as a number; sweep then reports it for each value.
     kind = PARAM_TABLE[param].kind if param in PARAM_TABLE else float
     if kind is bool:
         raise ConfigError(f"--param {param} is true or false, not a number, and cannot be swept")
+    parse = _parse_integer if kind is int else kind
     values = []
     for token in text.split(","):
         token = token.strip()
         if not token:
             continue
         try:
-            values.append(kind(token))
+            values.append(parse(token))
         except ValueError:
             wanted = "an integer" if kind is int else "a number"
             raise ConfigError(f"--values: {quote(token)} is not {wanted}") from None

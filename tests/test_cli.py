@@ -380,8 +380,11 @@ class TestSweep:
         [
             ("k" * 100_000, "1", "unknown parameter: 'kkkk"),
             ("weeks", "9" * 4_000, "weeks is too large, got an integer of 4000 digits"),
+            # Past the 4,300 digits at which int() refuses a string.
+            ("weeks", "9" * 5_000, "weeks is too large, got an integer of 5000 digits"),
+            ("weeks", "-" + "9" * 5_000, "weeks is too large, got an integer of 5000 digits"),
         ],
-        ids=["long-key", "long-value"],
+        ids=["long-key", "long-value", "value-past-int-limit", "negative-past-int-limit"],
     )
     def test_long_key_or_value_is_cut_in_both_outputs(
         self, tmp_path, capsys, param, values, error
@@ -394,6 +397,14 @@ class TestSweep:
         summary = (out_dir / "sweep_summary.csv").read_text(encoding="utf-8")
         assert len(out.encode()) < 500 and len(summary.encode()) < 500
         assert error in out and error in summary
+
+    @pytest.mark.parametrize(
+        "token, value",
+        [("0" * 5_000 + "3", 3), ("+1_" + "0" * 4_999, 10**4_999)],
+        ids=["leading-zeros", "underscore-and-sign"],
+    )
+    def test_integer_token_past_the_int_limit_is_read_exactly(self, token, value):
+        assert cli._parse_sweep_values("weeks", f"1,{token}") == (1, value)
 
     def test_integer_parameter_values(self, tmp_path):
         config = write_config_file(tmp_path)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -23,6 +24,8 @@ from repopsim import (
     replicator_rhs,
     v2_of,
 )
+from repopsim import growth
+from repopsim.core import GROWTH_INTERVAL, ODE_STEP_FLOOR, PARAM_TABLE, SIMPLEX_TOL
 
 from .conftest import euler_mix, random_simplex_points, reference_initial
 
@@ -117,6 +120,29 @@ class TestReplicatorRhs:
     def test_rejects_mixing_rate_outside_unit_interval(self):
         with pytest.raises(InvalidParameterError):
             ReplicatorField(PAPER_V, q_mix=1.5, p_mix=0.0)
+
+    @pytest.mark.parametrize(
+        "value",
+        [0.0, -0.0, 1.0, 0, 1, 0.5, 1.5, -1e-300, 2, True, "0.5", None, math.nan, math.inf],
+    )
+    def test_mixing_rate_checked_as_the_parameter_table_checks_it(self, value):
+        # Two floats in [0, 1] take a shortcut past the table; every other
+        # value meets the table's check and message.
+        for name in ("q_mix", "p_mix"):
+            try:
+                PARAM_TABLE[name].check(name, value)
+            except InvalidParameterError as exc:
+                want = str(exc)
+            else:
+                want = None
+            rates = {"q_mix": 0.5, "p_mix": 0.5, name: value}
+            try:
+                ReplicatorField(PAPER_V, **rates)
+            except InvalidParameterError as exc:
+                got = str(exc)
+            else:
+                got = None
+            assert got == want
 
 
 class TestIntegrateGrowth:
@@ -263,6 +289,118 @@ class TestKernelMatchesSpec:
         assert got == outcome(rk4_from_rhs, field, x, 1.0, 0.5)
 
 
+class TestStageTestElision:
+    """Inside and outside the bound under which the kernel skips its stage-point
+    sum tests, it returns and raises exactly what the specification does."""
+
+    C = growth._SUM_BOUND_HV
+    M = growth._SUM_BOUND_DRIFT
+    N_MAX = growth._SUM_BOUND_STEPS
+
+    @settings(deadline=None, max_examples=400)
+    @given(
+        duration=st.sampled_from([1.0, 0.05, 0.01]),
+        steps=st.sampled_from([1, 2, 5, 20]),
+        hv=st.sampled_from([1 - 1e-6, 1.0, 1 + 1e-6, 0.1, 10.0]) | st.floats(0.0, 2.0),
+        shares=st.tuples(*[st.sampled_from([0.0, 1.0, 1.0 - 1e-6]) | st.floats(0.0, 1.0)] * 3),
+        q=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        p=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        x01=st.tuples(*[st.sampled_from([0.0, -1e-9]) | st.floats(0.0, 1.0)] * 2),
+        deviation=st.sampled_from(
+            [0.0, 1 - 1e-6, 1 + 1e-6, -1 + 1e-6, -1 - 1e-6, 10.0, -10.0, 10.00001, -10.00001]
+        ),
+    )
+    def test_equals_rk4_of_replicator_rhs_at_the_bound(
+        self, duration, steps, hv, shares, q, p, x01, deviation
+    ):
+        # hv is h * max(v) in units of C; each velocity is a share of that
+        # largest one, which reaches 1e3 at one step of 5e-4 days. deviation
+        # is x0 + x1 + x2 - 1 in units of M: just inside and outside it, and
+        # at and just past +-1e-9, the simplex tolerance.
+        h = duration / steps
+        v = [share * hv * self.C / h for share in shares]
+        v[max(range(3), key=shares.__getitem__)] = hv * self.C / h
+        x0, x1 = x01
+        if x0 + x1 > 1.0:
+            x1 = 1.0 - x0
+        x = (x0, x1, 1.0 - x0 - x1 + deviation * self.M)
+        field = ReplicatorField(VelocityVector(*v), q, p)
+        want = outcome(rk4_from_rhs, field, x, duration, h)
+        assert outcome(integrate_growth, field, x, duration, h) == want
+
+    @pytest.mark.parametrize(
+        "x", [(0.5, 0.3, 0.2), (0.5, 0.3, 0.2 + 1e-10), (0.0, -1e-9, 1.0 + 1e-9)]
+    )
+    @pytest.mark.parametrize("hv", [0.5, 0.5 * (1 + 1e-6), 5.0])
+    def test_equal_velocities_at_and_past_the_bound(self, x, hv):
+        # With equal velocities the stage points stay near x and each stage
+        # multiplies the input's deviation by 1 - c*h*v: at hV = 5 that
+        # reaches 22.75 by stage k4, so a deviation of 1e-10 trips the sum
+        # test while every component test passes.
+        field = ReplicatorField(VelocityVector(hv, hv, hv), 0.0, 0.0)
+        want = outcome(rk4_from_rhs, field, x, 1.0, 1.0)
+        assert outcome(integrate_growth, field, x, 1.0, 1.0) == want
+        if hv == 5.0 and x[2] == 0.2 + 1e-10:
+            assert want == (
+                NumericInstabilityError,
+                "stage point left the simplex at step 1 of 1 (t=1.0000)",
+            )
+
+    def test_input_component_below_the_tolerance_fails_at_step_one(self):
+        # The sum is exact, so the bound holds; only the component test,
+        # made once before the loop, catches x0. The stage points after it
+        # have x0 scaled by 3/4 and 1/2, back inside the tolerance.
+        field = ReplicatorField(VelocityVector(0.0, 0.0, 0.5), 0.0, 0.0)
+        x = (-1.2e-9, 0.0, 1.0 + 1.2e-9)
+        want = (NumericInstabilityError, "stage point left the simplex at step 1 of 1 (t=1.0000)")
+        assert outcome(rk4_from_rhs, field, x, 1.0, 1.0) == want
+        assert outcome(integrate_growth, field, x, 1.0, 1.0) == want
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_step_count_at_the_bound(self, extra):
+        steps = self.N_MAX + extra
+        field = ReplicatorField(PAPER_V, 0.1, 0.1)
+        x = (0.6, 0.34, 0.06 + 1e-10)
+        want = outcome(rk4_from_rhs, field, x, 1.0, 1.0 / steps)
+        assert outcome(integrate_growth, field, x, 1.0, 1.0 / steps) == want
+
+    @pytest.mark.parametrize(
+        "v2, q, x",
+        [
+            (math.nan, 0.0, (0.6, 0.34, 0.06)),
+            (-0.08, 0.0, (0.6, 0.34, 0.06)),
+            (0.08, math.nan, (0.6, 0.34, 0.06)),
+            (0.08, 1.5, (0.6, 0.34, 0.06)),
+            (0.08, 0.0, (math.nan, 0.5, 0.5)),
+            (0.08, 0.0, (0.0, 0.0, math.inf)),
+        ],
+    )
+    def test_nan_inf_or_negative_values_take_the_tested_path(self, v2, q, x):
+        # The constructors reject each of these v2 and q values, but both
+        # types are mutable. An infinite velocity has its own test above,
+        # where the kernel's per-component tests differ from min().
+        field = ReplicatorField(VelocityVector(0.01, 0.016, 0.08), 0.0, 0.0)
+        field.v.v2, field.q_mix = v2, q
+        got = outcome(integrate_growth, field, x, 1.0, 0.5)
+        assert repr(got) == repr(outcome(rk4_from_rhs, field, x, 1.0, 0.5))
+
+    def test_proof_premises(self):
+        # The endpoint test stands in for the component tests of each later
+        # step's first stage point.
+        assert growth._STABILITY_TOL == SIMPLEX_TOL
+        # Every growth day of a course fits in N_MAX steps.
+        assert round(GROWTH_INTERVAL / ODE_STEP_FLOOR) <= self.N_MAX
+        # The per-step rounding bound is derived for hV <= 1/2 and comes to
+        # 16 unit roundoffs; the closing one must also cover 20.
+        u = 2.0**-53
+        delta = growth._SUM_BOUND_ROUNDING
+        assert self.C <= 0.5
+        assert delta >= 20 * u
+        # The deviation bound at every stage point stays inside the tolerance.
+        growth_factor = (1 + 7 * SIMPLEX_TOL * self.C) ** (self.N_MAX + 1)
+        assert (self.M + (self.N_MAX + 1) * delta) * growth_factor < SIMPLEX_TOL
+
+
 class TestApplyDivision:
     def test_zero_velocities_is_identity_on_counts(self):
         state = PopulationState(100.0, 100.0, 100.0)
@@ -385,6 +523,30 @@ class TestGrowthDay:
             raw[2] / norm * 1000.0,
         )
         assert out.y2 != raw[2] * 1000.0
+
+    @pytest.mark.parametrize(
+        "raw, integer_rounding, error",
+        [
+            # Inside the simplex tolerance, but a negative count in real mode,
+            # reported before division doubles it.
+            ((-5e-10, 0.6, 0.4 + 5e-10), False, "^y0 must be >= 0, got -5[.0-9]*e-07$"),
+            ((-5e-10, 0.6, 0.4 + 5e-10), True, None),
+            # Outside it: the one simplex test of the endpoint.
+            ((-1e-8, 0.6, 0.4 + 1e-8), True, "^fractions must lie on the simplex"),
+        ],
+    )
+    def test_endpoint_checks(self, monkeypatch, raw, integer_rounding, error):
+        monkeypatch.setattr(
+            "repopsim.growth.integrate_growth", lambda field, x, duration, step: raw
+        )
+        params = ModelParams(v0=1.0, v1=0.0, integer_rounding=integer_rounding)
+        state = PopulationState(600.0, 300.0, 100.0)
+        if error is None:
+            out = growth_day_detail(state, params).state
+            assert (out.y0, out.y1, out.y2) == (0.0, 600.0, 400.0)
+        else:
+            with pytest.raises(InvalidStateError, match=error):
+                growth_day_detail(state, params)
 
     def test_rejects_empty_population(self):
         params = ModelParams()
