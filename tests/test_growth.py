@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import random
+import re
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +22,10 @@ from repopsim import (
     apply_division,
     growth_day_detail,
     integrate_growth,
+    load_config,
     mean_velocity,
     replicator_rhs,
+    simulate_course,
     v2_of,
 )
 from repopsim import growth
@@ -201,6 +205,22 @@ class TestIntegrateGrowth:
         with pytest.raises(InvalidParameterError):
             integrate_growth(field, (0.6, 0.34, 0.06), duration, step)
 
+    @pytest.mark.parametrize(
+        "duration, step, message",
+        [
+            (math.inf, 1.0, "duration must be finite and > 0, got inf"),
+            (1e308, 1e-10, "at most 1000000 steps, got 1e+308 / 1e-10"),
+            (1e6, 1e-4, "at most 1000000 steps, got 1000000.0 / 0.0001"),
+            (1.0, 1 / (10**6 + 1), "at most 1000000 steps, got 1.0 / 9.9"),
+        ],
+    )
+    def test_rejects_unbounded_step_counts(self, duration, step, message):
+        # An infinite ratio once escaped round() as a bare OverflowError, and
+        # 1e6 days at 1e-4 would loop 10**10 times.
+        field = ReplicatorField(PAPER_V, 0.0, 0.0)
+        with pytest.raises(InvalidParameterError, match=re.escape(message)):
+            integrate_growth(field, (0.6, 0.34, 0.06), duration, step)
+
     def test_instability_names_the_step(self):
         field = ReplicatorField(VelocityVector(0.0, 0.0, 20.0), 0.0, 0.0)
         with pytest.raises(NumericInstabilityError, match="step"):
@@ -290,12 +310,12 @@ class TestKernelMatchesSpec:
 
 
 class TestStageTestElision:
-    """Inside and outside the bound under which the kernel skips its stage-point
-    sum tests, it returns and raises exactly what the specification does."""
+    """Inside and outside the bound under which the kernel runs no test in its
+    loop, it returns and raises exactly what the specification does."""
 
-    C = growth._SUM_BOUND_HV
-    M = growth._SUM_BOUND_DRIFT
-    N_MAX = growth._SUM_BOUND_STEPS
+    C = growth._BOUND_HV
+    M = growth._BOUND_DRIFT
+    N_MAX = growth._BOUND_STEPS
 
     @settings(deadline=None, max_examples=400)
     @given(
@@ -314,9 +334,9 @@ class TestStageTestElision:
         self, duration, steps, hv, shares, q, p, x01, deviation
     ):
         # hv is h * max(v) in units of C; each velocity is a share of that
-        # largest one, which reaches 1e3 at one step of 5e-4 days. deviation
-        # is x0 + x1 + x2 - 1 in units of M: just inside and outside it, and
-        # at and just past +-1e-9, the simplex tolerance.
+        # largest one, which reaches 31.25 at hv = 1 and one step of 5e-4
+        # days. deviation is x0 + x1 + x2 - 1 in units of M: just inside and
+        # outside it, and at and just past +-1e-9, the simplex tolerance.
         h = duration / steps
         v = [share * hv * self.C / h for share in shares]
         v[max(range(3), key=shares.__getitem__)] = hv * self.C / h
@@ -328,10 +348,50 @@ class TestStageTestElision:
         want = outcome(rk4_from_rhs, field, x, duration, h)
         assert outcome(integrate_growth, field, x, duration, h) == want
 
+    def test_subnormal_components_stay_nonnegative_at_the_bound(self):
+        # The lemma behind the bound: from an input with no negative
+        # component, every stage point and endpoint component is >= 0 in
+        # floating point, underflow included. The inputs put components at 0,
+        # at subnormals and where an inflow a0*q or a1*p lands a few units of
+        # 2**-1074 from 0, with h*V exactly C.
+        rng = random.Random(10)
+        tiny = [0.0, 5e-324, 1e-320, 2.2250738585072014e-308]
+        rates = [0.0, 1.0, 1e-300, 0.5]
+        for _ in range(5000):
+            h = rng.choice([1.0, 0.5, 0.1, 0.01, 1e-4, 10.0, 1e3])
+            n = rng.choice([1, 2, 3])
+            shares = [rng.choice([0.0, 1.0, rng.random()]) for _ in range(3)]
+            shares[rng.randrange(3)] = 1.0
+            v = []
+            for share in shares:
+                vi = share * self.C / h
+                while h * vi > self.C:
+                    vi = math.nextafter(vi, 0.0)
+                v.append(vi)
+            q, p = rng.choice(rates), rng.choice(rates)
+            comps = [rng.choice(tiny) for _ in range(3)]
+            source = rng.randrange(2)
+            rate = (q, p)[source]
+            if v[source] * rate > 0 and rng.random() < 0.5:
+                # Make the source's inflow a few subnormal units.
+                units = rng.choice([0.5, 1.0, 1.5, 2.5, 3.0, 12.0, 13.0, 40.0])
+                comps[source] = min(0.4, units * 5e-324 / (v[source] * rate))
+            bulk = rng.randrange(3)
+            comps[bulk] = 0.0
+            comps[bulk] = 1.0 - sum(comps)
+            x = tuple(comps)
+            field = ReplicatorField(VelocityVector(*v), q, p)
+            want = outcome(rk4_from_rhs, field, x, n * h, h)
+            got = outcome(integrate_growth, field, x, n * h, h)
+            assert got == want
+            assert all(isinstance(c, float) and c >= 0.0 for c in got)
+
     @pytest.mark.parametrize(
         "x", [(0.5, 0.3, 0.2), (0.5, 0.3, 0.2 + 1e-10), (0.0, -1e-9, 1.0 + 1e-9)]
     )
-    @pytest.mark.parametrize("hv", [0.5, 0.5 * (1 + 1e-6), 5.0])
+    @pytest.mark.parametrize(
+        "hv", [0.5, 0.5 * (1 + 1e-6), 5.0, growth._BOUND_HV, growth._BOUND_HV * (1 + 1e-6)]
+    )
     def test_equal_velocities_at_and_past_the_bound(self, x, hv):
         # With equal velocities the stage points stay near x and each stage
         # multiplies the input's deviation by 1 - c*h*v: at hV = 5 that
@@ -347,14 +407,25 @@ class TestStageTestElision:
             )
 
     def test_input_component_below_the_tolerance_fails_at_step_one(self):
-        # The sum is exact, so the bound holds; only the component test,
-        # made once before the loop, catches x0. The stage points after it
-        # have x0 scaled by 3/4 and 1/2, back inside the tolerance.
+        # The sum is exact, but x0 < 0 puts the input outside the bound; only
+        # the component test, made once before the loop, catches x0. The
+        # stage points after it have x0 scaled by 3/4 and 1/2, back inside
+        # the tolerance.
         field = ReplicatorField(VelocityVector(0.0, 0.0, 0.5), 0.0, 0.0)
         x = (-1.2e-9, 0.0, 1.0 + 1.2e-9)
         want = (NumericInstabilityError, "stage point left the simplex at step 1 of 1 (t=1.0000)")
         assert outcome(rk4_from_rhs, field, x, 1.0, 1.0) == want
         assert outcome(integrate_growth, field, x, 1.0, 1.0) == want
+
+    def test_negative_input_component_takes_the_checked_path(self):
+        # Every other premise holds: h*v0 = C, the sum is exact. x0 starts
+        # inside the tolerance, but component 0 is the fastest and grows by
+        # about 1 + C a step, so it passes -1e-9 at a stage point of step 7.
+        field = ReplicatorField(VelocityVector(self.C, 0.0, 0.0), 0.0, 0.0)
+        x = (-9e-10, 1.0 + 9e-10, 0.0)
+        want = (NumericInstabilityError, "stage point left the simplex at step 7 of 20 (t=7.0000)")
+        assert outcome(rk4_from_rhs, field, x, 20.0, 1.0) == want
+        assert outcome(integrate_growth, field, x, 20.0, 1.0) == want
 
     @pytest.mark.parametrize("extra", [0, 1])
     def test_step_count_at_the_bound(self, extra):
@@ -384,21 +455,79 @@ class TestStageTestElision:
         got = outcome(integrate_growth, field, x, 1.0, 0.5)
         assert repr(got) == repr(outcome(rk4_from_rhs, field, x, 1.0, 0.5))
 
+    @pytest.mark.parametrize("name", ["baseline.json", "mixing.json", None])
+    def test_shipped_courses_run_inside_the_bound(self, name, monkeypatch):
+        # The two shipped configs and the course `check` runs (ModelParams()
+        # from the reference population) keep every growth day inside the
+        # bound, so their RK4 loops run no test. v2 = a*v1*psi with psi <=
+        # e**theta, so max(v0, v1, a*v1*e**theta) bounds every velocity.
+        if name is None:
+            params, initial = ModelParams(), reference_initial()
+        else:
+            config = load_config(str(resources.files("repopsim").joinpath("data", name)))
+            params, initial = config.params, config.initial
+        n = round(GROWTH_INTERVAL / params.ode_step)
+        top = max(params.v0, params.v1, params.a * params.v1 * math.exp(params.theta))
+        assert n <= self.N_MAX
+        assert GROWTH_INTERVAL / n * top <= self.C
+        days = []
+
+        def integrate(field, x, duration, step):
+            days.append(min(x) >= 0.0 and abs(x[0] + x[1] + x[2] - 1.0) <= self.M)
+            return integrate_growth(field, x, duration, step)
+
+        monkeypatch.setattr(growth, "integrate_growth", integrate)
+        simulate_course(params, initial)
+        assert days and all(days)
+
     def test_proof_premises(self):
-        # The endpoint test stands in for the component tests of each later
-        # step's first stage point.
-        assert growth._STABILITY_TOL == SIMPLEX_TOL
-        # Every growth day of a course fits in N_MAX steps.
-        assert round(GROWTH_INTERVAL / ODE_STEP_FLOOR) <= self.N_MAX
-        # The per-step rounding bound is derived for hV <= 1/2 and comes to
-        # 16 unit roundoffs; the closing one must also cover 20.
+        # Each constant the comment above the flag in growth.py states,
+        # rederived from C, M, N_MAX and delta.
+        C, M, N_MAX = self.C, self.M, self.N_MAX
         u = 2.0**-53
-        delta = growth._SUM_BOUND_ROUNDING
-        assert self.C <= 0.5
+        # Every growth day of a course fits in N_MAX steps.
+        assert round(GROWTH_INTERVAL / ODE_STEP_FLOOR) <= N_MAX
+        # Part 1. The per-step rounding bound is derived for hV <= 1/2 and
+        # comes to 16 unit roundoffs; the closing one must also cover 20.
+        delta = growth._BOUND_ROUNDING
+        assert C <= 0.5
         assert delta >= 20 * u
         # The deviation bound at every stage point stays inside the tolerance.
-        growth_factor = (1 + 7 * SIMPLEX_TOL * self.C) ** (self.N_MAX + 1)
-        assert (self.M + (self.N_MAX + 1) * delta) * growth_factor < SIMPLEX_TOL
+        growth_factor = (1 + 7 * SIMPLEX_TOL * C) ** (N_MAX + 1)
+        assert (M + (N_MAX + 1) * delta) * growth_factor < 1.4e-10 < SIMPLEX_TOL
+        # Part 2. h phi^ <= C1 from h v_i <= C(1 + 2u), a sum within 1.4e-10
+        # of 1, and h s <= 2**-50.
+        C1 = 1.001 * C
+        assert (C * (1 + 2 * u) * (1 + 1.4e-10) * (1 + u) + 1.5 * 2.0**-50) * (1 + u) ** 2 <= C1
+        # Q at x, and case a.
+        assert 2 * C1 < 1 / 5 and 10 * C1 * (1 + u) < 1 / 5
+        # From Q: the stage points, and the endpoint with h6 <= 2h/3.
+        assert (1 + u) / 5 <= 1
+        assert 2 / 3 * 6 * (1 + u) ** 4 / 5 <= 0.81 < 1
+        # Case a for component 0: the band [0.933, 1.07] x_0.
+        assert (1 + u) * (1 + 4 * C1 * 1.07) <= 1.07 and 4 * C1 * 1.07 <= min(0.07, 4)
+        assert 2 * C1 * 1.07 <= 0.03348 and (1 - 2 * 0.03348) * (1 - 2 * u) >= 0.933
+        # Case b.
+        assert 2.5 * C1 * (1 + u) <= 0.0392 and 5 * C1 * (1 + u) <= 0.0783
+        assert 0.0392 * 12 <= 0.5  # N_i(z) = 0 while PI <= 12s
+        assert (1 + u) / (1 - 5 * C1 * (1 + u) ** 2) <= 1.085
+        assert 13 / 1.085 > 11 and 1 / (2 * 1.085) > 0.46  # Im >= 12s, Im > 0.46s/h
+        assert 0.0783 * 1.085 <= 0.085
+        # U.
+        assert (1 + u) * (1 + 4 * C1 * (1 + u) * 1.07) <= 1.07
+        assert (1 + u) * (4 * C1 * (1 + u) * 2.2 + 2 * (1 + u)) <= 2.2
+        # i = 1.
+        kappa0 = 0.871
+        assert 0.933 / 1.07 >= kappa0
+        assert kappa0 * (1 - 4 * u) - (kappa0 + 1) / 12 >= 0.71 >= 0.085
+        # i = 2.
+        assert (1 - u) * (1 - (1 + u) ** 2 * 2 * C1 * 1.07) >= 0.966
+        assert (1 - u) ** 3 * kappa0 * (1 - 4 * u) - (1 + u) ** 2 * 2 * C1 * 2.2 >= 0.802
+        assert (1 - u) ** 3 * (kappa0 + 1) <= 1.872
+        kappa1 = 0.364
+        assert min(0.966 / 1.07, 0.802 / 2.2) >= kappa1
+        assert 1.872 * C1 <= 0.03 and C1 * 1.085 <= 0.017  # s/h < 2.17 Im
+        assert kappa1 * (1 - 4 * u) - 0.017 - (kappa1 + 1 + 0.03) / 12 >= 0.23 >= 0.085
 
 
 class TestApplyDivision:
