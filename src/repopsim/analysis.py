@@ -3,12 +3,19 @@ reference-table comparison, and parameter sweeps."""
 
 from __future__ import annotations
 
+import functools
+import marshal
 import math
-from dataclasses import dataclass, replace as dc_replace
+import os
+import sys
+import threading
+from dataclasses import dataclass, fields, replace as dc_replace
+from operator import attrgetter
+from typing import NoReturn
 
 from .core import PARAM_TABLE, ModelParams, PopulationState
 from .errors import AlignmentError, ConfigError, InvalidParameterError, SimulationError, quote
-from .schedule import Trajectory, simulate_course
+from .schedule import Trajectory, TrajectoryRecord, simulate_course
 
 
 @dataclass(slots=True)
@@ -180,6 +187,34 @@ class SweepEntry:
     trajectory: Trajectory | None = None
 
 
+def _sweep_value(
+    params: ModelParams,
+    key: str,
+    initial: PopulationState,
+    threshold: float | None,
+    value: float,
+) -> SweepEntry:
+    """The entry of one sweep value; a course the model rejects becomes an error entry."""
+    try:
+        trajectory = simulate_course(dc_replace(params, **{key: value}), initial)
+    except SimulationError as exc:
+        return SweepEntry(value=value, error=str(exc))
+    final = trajectory.final()
+    threshold_day = None
+    if threshold is not None:
+        for rec in trajectory.post_growth_records():
+            if rec.phi >= threshold:
+                threshold_day = rec.day
+                break
+    return SweepEntry(
+        value=value,
+        final_total=final.total,
+        final_phi=final.phi,
+        threshold_day=threshold_day,
+        trajectory=trajectory,
+    )
+
+
 def sweep(
     params: ModelParams,
     key: str,
@@ -192,31 +227,196 @@ def sweep(
     Any ModelParams field can be varied, the course shape included. An
     invalid key, an out-of-range value or a course the model rejects
     yields an error entry for that value and the sweep continues.
+
+    The values run in W = min(value count, usable CPUs) processes: value k
+    runs in process k mod W, the calling process and W - 1 forked children.
+    The entries equal a serial run's, so the files written from them are
+    byte-identical. The sweep runs serially in the calling process when W
+    is below two, when the platform has no fork, under a profiler or tracer
+    (cProfile, coverage, a debugger), when another thread is alive, or when
+    a pipe or a fork cannot be made. A child failure other than a rejected
+    course raises RuntimeError.
     """
     if key not in PARAM_TABLE:
         error = f"unknown parameter: {quote(key)}"
         return tuple(SweepEntry(value=value, error=error) for value in values)
-    entries = []
-    for value in values:
-        try:
-            trajectory = simulate_course(dc_replace(params, **{key: value}), initial)
-        except SimulationError as exc:
-            entries.append(SweepEntry(value=value, error=str(exc)))
-            continue
-        final = trajectory.final()
-        threshold_day = None
-        if threshold is not None:
-            for rec in trajectory.post_growth_records():
-                if rec.phi >= threshold:
-                    threshold_day = rec.day
-                    break
-        entries.append(
-            SweepEntry(
-                value=value,
-                final_total=final.total,
-                final_phi=final.phi,
-                threshold_day=threshold_day,
-                trajectory=trajectory,
-            )
-        )
+    one = functools.partial(_sweep_value, params, key, initial, threshold)
+    workers = min(len(values), _usable_cpus())
+    if workers < 2 or not _can_fork():
+        return tuple(map(one, values))
+    return _forked_sweep(one, values, workers)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _can_fork() -> bool:
+    """Whether forking is safe and hides nothing.
+
+    A profiler or tracer sees only its own process's calls, and a fork
+    copies only the calling thread, whatever locks the others hold.
+    """
+    return (
+        hasattr(os, "fork")
+        and sys.getprofile() is None
+        and sys.gettrace() is None
+        and threading.active_count() == 1
+    )
+
+
+_record_row = attrgetter(*(field.name for field in fields(TrajectoryRecord)))
+
+
+def _plain(entry: SweepEntry) -> tuple:
+    """An entry without its value, as tuples of ints, floats, strs, bools and None.
+
+    The records go as one tuple per column, not per row: the receiver then
+    frees eleven long tuples per entry, where short ones would pile up on
+    the interpreter's free list for tuples of their length.
+    """
+    t = entry.trajectory
+    if t is not None:
+        columns = tuple(zip(*map(_record_row, t.records)))
+        t = (columns, t.integer_rounding, t.max_simplex_drift, t.renormalizations, t.extinction_day)
+    return (entry.error, entry.final_total, entry.final_phi, entry.threshold_day, t)
+
+
+def _from_plain(value: float, plain: tuple) -> SweepEntry:
+    error, final_total, final_phi, threshold_day, t = plain
+    if t is not None:
+        columns, *rest = t
+        t = Trajectory(tuple(TrajectoryRecord(*row) for row in zip(*columns)), *rest)
+    return SweepEntry(value, error, final_total, final_phi, threshold_day, t)
+
+
+def _frame(tag: bytes, body: bytes) -> bytes:
+    """A tag byte, the body's length in 8 bytes, and the body."""
+    return tag + len(body).to_bytes(8, "little") + body
+
+
+def _entry_frame(entry: SweepEntry) -> bytes:
+    """An entry's plain data by marshal (tag m), or by pickle (tag p) where
+    marshal would not give it back equal: it refuses some types and writes
+    others, such as a NumPy scalar, as bytes."""
+    plain = _plain(entry)
+    try:
+        body = marshal.dumps(plain)
+        if marshal.loads(body) == plain:
+            return _frame(b"m", body)
+    except ValueError:
+        pass
+    import pickle
+
+    return _frame(b"p", pickle.dumps(plain))
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def _serve_share(write_fd: int, one, values: tuple) -> NoReturn:
+    """Child side: one frame per entry, then exit 0; on a failure, a traceback
+    frame (tag e), then exit 1.
+
+    The child ends in os._exit, so it runs no atexit handler and flushes no
+    inherited buffer.
+    """
+    try:
+        for value in values:
+            _write_all(write_fd, _entry_frame(one(value)))
+    except BaseException:
+        import traceback
+
+        _write_all(write_fd, _frame(b"e", traceback.format_exc().encode()))
+        os._exit(1)
+    os._exit(0)
+
+
+def _receive_share(
+    read_fd: int, values: tuple, workers: int, share: int, entries: list
+) -> str | None:
+    """Fill a child's entries from its frames, one frame in memory at a time.
+
+    Returns the child's traceback, a note of a short frame, or None once
+    every entry of the share arrived.
+    """
+    with open(read_fd, "rb", closefd=False) as stream:
+        for k in range(share, len(values), workers):
+            header = stream.read(9)
+            size = int.from_bytes(header[1:], "little")
+            body = stream.read(size) if len(header) == 9 else b""
+            if len(header) < 9 or len(body) < size:
+                return f"its frame for value {quote(values[k])} was cut short"
+            if header[:1] == b"e":
+                return body.decode(errors="replace")
+            if header[:1] == b"p":
+                import pickle  # only a frame of this process's own child
+
+                plain = pickle.loads(body)
+            else:
+                plain = marshal.loads(body)
+            entries[k] = _from_plain(values[k], plain)
+    return None
+
+
+def _forked_sweep(one, values: tuple, workers: int) -> tuple[SweepEntry, ...]:
+    """one(value) for every value, value k in share k mod workers, in input order.
+
+    Share 0 runs here; each other share runs in a forked child that writes
+    its entries to a pipe. A share whose pipe or fork fails also runs here.
+    Every child is reaped and every pipe end closed before this returns or
+    raises; a child still running when this process fails is killed first.
+    """
+    children: list[tuple[int, int, int]] = []  # (pid, read end, share)
+    try:
+        for share in range(1, workers):
+            try:
+                read_fd, write_fd = os.pipe()
+            except OSError:
+                break
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                break
+            if pid == 0:
+                try:
+                    _serve_share(write_fd, one, values[share::workers])
+                finally:
+                    os._exit(1)
+            os.close(write_fd)
+            children.append((pid, read_fd, share))
+        forked = {share for _, _, share in children}
+        entries = [
+            None if k % workers in forked else one(value) for k, value in enumerate(values)
+        ]
+        problems = [
+            _receive_share(read_fd, values, workers, share, entries)
+            for _, read_fd, share in children
+        ]
+    except BaseException:
+        import signal  # only this failure path needs it
+
+        for pid, _, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        statuses = []
+        for pid, read_fd, _ in children:
+            os.close(read_fd)
+            statuses.append(os.waitpid(pid, 0)[1])
+    for (pid, _, _), status, problem in zip(children, statuses, problems):
+        code = os.waitstatus_to_exitcode(status)
+        if code < 0:
+            raise RuntimeError(f"sweep worker {pid} was killed by signal {-code}")
+        if code or problem:
+            detail = (problem or "no traceback").strip()
+            raise RuntimeError(f"sweep worker {pid} exited with code {code}:\n{detail}")
     return tuple(entries)

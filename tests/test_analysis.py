@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import math
+import os
+import signal
+import sys
+import threading
 
+import numpy as np
 import pytest
 
+from repopsim import analysis, schedule
 from repopsim import (
     AlignmentError,
     ConfigError,
@@ -207,6 +213,169 @@ class TestSweep:
         by_value_f = {e.value: (e.final_total, e.final_phi) for e in forward}
         by_value_b = {e.value: (e.final_total, e.final_phi) for e in backward}
         assert by_value_f == by_value_b
+
+
+
+# Sweeps run on a fast-dominated start in real mode, where the recorded
+# velocity is the fast fraction's: a = 1 stays below 0.05 and a = 5 reaches it
+# on day 1, and a = 0 is rejected by the a > 0 row.
+FAST_START = PopulationState(0.0, 0.0, 1e6)
+SHORT_REAL = ModelParams(weeks=1, integer_rounding=False)
+
+PARITY_CASES = {
+    "one-value": ("a", (5.0,), 0.05),
+    "two-values-error-row": ("a", (0.0, 5.0), 0.05),
+    "three-values-hit-miss-error": ("a", (1.0, 5.0, 0.0), 0.05),
+    "five-course-lengths": ("weeks", (1, 3, 2, 1, 2), None),
+}
+
+
+@pytest.fixture
+def use_cpus(monkeypatch):
+    """Sets the usable CPU count the sweep sees."""
+    return lambda count: monkeypatch.setattr(analysis, "_usable_cpus", lambda: count)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children the sweep forks."""
+    made = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return made
+
+
+def open_fds() -> int | None:
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def assert_no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestParallelSweep:
+    @pytest.mark.parametrize("key, values, threshold", PARITY_CASES.values(), ids=PARITY_CASES)
+    def test_serial_and_parallel_entries_are_equal(self, use_cpus, forks, key, values, threshold):
+        use_cpus(1)
+        serial = sweep(SHORT_REAL, key, values, FAST_START, threshold=threshold)
+        assert forks == []
+        use_cpus(3)
+        parallel = sweep(SHORT_REAL, key, values, FAST_START, threshold=threshold)
+        assert len(forks) == min(len(values), 3) - 1
+        assert parallel == serial
+        assert [e.value for e in parallel] == list(values)
+        assert_no_children_left()
+
+    def test_parity_cases_cover_error_rows_threshold_hits_and_misses(self):
+        entries = [
+            entry
+            for key, values, threshold in PARITY_CASES.values()
+            for entry in sweep(SHORT_REAL, key, values, FAST_START, threshold=threshold)
+        ]
+        assert any(e.error is not None for e in entries)
+        assert any(e.threshold_day is not None for e in entries)
+        assert any(e.error is None and e.threshold_day is None for e in entries)
+        lengths = {len(e.trajectory.records) for e in entries if e.trajectory is not None}
+        assert len(lengths) == 3
+
+    def test_numpy_values_arrive_with_their_types(self, use_cpus, forks):
+        values = (np.float64(1.0), np.float64(5.0))
+        use_cpus(1)
+        serial = sweep(SHORT_REAL, "a", values, FAST_START)
+        use_cpus(2)
+        parallel = sweep(SHORT_REAL, "a", values, FAST_START)
+        assert len(forks) == 1
+        assert parallel == serial
+        assert type(parallel[1].final_phi) is type(serial[1].final_phi) is np.float64
+
+    @pytest.mark.parametrize(
+        "failure, message",
+        [
+            ("child-raises", r"(?s)worker \d+ exited with code 1:\n.*RuntimeError: course 5.0"),
+            ("child-killed", rf"worker \d+ was killed by signal {int(signal.SIGKILL)}"),
+            ("child-frame-cut-short", r"worker \d+ exited with code 0:\n.* 5.0 was cut short"),
+            ("parent-raises", r"^course 1.0$"),
+        ],
+    )
+    def test_a_failed_share_raises_and_leaves_no_child_or_pipe(
+        self, monkeypatch, use_cpus, forks, failure, message
+    ):
+        # Value 1.0 is the calling process's share, 5.0 the child's.
+        parent = os.getpid()
+        real_course = analysis.simulate_course
+
+        def failing_course(params, initial):
+            in_child = os.getpid() != parent
+            if failure == "child-killed" and in_child:
+                os.kill(os.getpid(), signal.SIGKILL)
+            if (failure, params.a) in (("child-raises", 5.0), ("parent-raises", 1.0)):
+                raise RuntimeError(f"course {params.a}")
+            return real_course(params, initial)
+
+        monkeypatch.setattr(analysis, "simulate_course", failing_course)
+        if failure == "child-frame-cut-short":
+            real_frame = analysis._entry_frame
+            monkeypatch.setattr(analysis, "_entry_frame", lambda entry: real_frame(entry)[:-1])
+        use_cpus(2)
+        fds = open_fds()
+        with pytest.raises(RuntimeError, match=message):
+            sweep(SHORT_REAL, "a", (1.0, 5.0), FAST_START)
+        assert len(forks) == 1
+        assert_no_children_left()
+        assert open_fds() == fds
+
+    def test_a_failed_fork_runs_the_share_here(self, monkeypatch, use_cpus):
+        use_cpus(1)
+        serial = sweep(SHORT_REAL, "a", (1.0, 0.0, 5.0), FAST_START, threshold=0.05)
+
+        def failing_fork():
+            raise BlockingIOError("no process left")
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        use_cpus(3)
+        fds = open_fds()
+        assert sweep(SHORT_REAL, "a", (1.0, 0.0, 5.0), FAST_START, threshold=0.05) == serial
+        assert_no_children_left()
+        assert open_fds() == fds
+
+    def test_a_profiler_sees_every_course(self, use_cpus, forks):
+        use_cpus(2)
+        courses = []
+
+        def profiler(frame, event, arg):
+            if event == "call" and frame.f_code is schedule.simulate_course.__code__:
+                courses.append(frame.f_locals["params"].a)
+
+        sys.setprofile(profiler)
+        try:
+            entries = sweep(SHORT_REAL, "a", (1.0, 2.0, 5.0), FAST_START)
+        finally:
+            sys.setprofile(None)
+        assert forks == []
+        assert courses == [1.0, 2.0, 5.0]
+        assert all(e.error is None for e in entries)
+
+    def test_a_second_thread_keeps_the_sweep_serial(self, use_cpus, forks):
+        use_cpus(2)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(60,))
+        waiter.start()
+        try:
+            entries = sweep(SHORT_REAL, "a", (1.0, 5.0), FAST_START)
+        finally:
+            release.set()
+            waiter.join(timeout=60)
+        assert not waiter.is_alive()
+        assert forks == []
+        assert [e.value for e in entries] == [1.0, 5.0]
 
 
 def test_reference_run_for_comparison_is_a_fixture(course_zero, golden):

@@ -8,6 +8,7 @@ import importlib.util
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -451,6 +452,35 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert result.stdout.count("PASS") == 4
+
+
+def test_sweep_subprocess_prints_each_line_once(tmp_path):
+    # "started" sits in the block buffer of a piped stdout while the sweep
+    # forks; a child that flushed it on exit would print it twice.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    config = write_config_file(tmp_path)
+    script = (
+        "import sys; print('started'); from repopsim.cli import cli_main;"
+        " sys.exit(cli_main(sys.argv[1:]))"
+    )
+    argv = ["sweep", "--config", config, "--param", "a", "--values", "1.0,2.5,0,5.0"]
+    out_dir = tmp_path / "sweep"
+    result = subprocess.run(
+        [sys.executable, "-c", script, *argv, "--out-dir", str(out_dir)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == EXIT_OK
+    assert result.stdout.splitlines() == [
+        "started",
+        f"value 1.0: wrote {out_dir / 'sweep_a_1.0.csv'}",
+        f"value 2.5: wrote {out_dir / 'sweep_a_2.5.csv'}",
+        "value 0.0: a must be > 0, got 0.0",
+        f"value 5.0: wrote {out_dir / 'sweep_a_5.0.csv'}",
+        f"wrote {out_dir / 'sweep_summary.csv'}",
+    ]
 
 
 def test_parser_is_built_once():

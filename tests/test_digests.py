@@ -9,7 +9,9 @@ default weekly shape, so three more courses are pinned: the mixing config
 with real-valued counts (the nine-decimal count format), a 52-week course
 at ode_step 0.5 (two RK4 steps a day, where pulses, rounding and records
 outweigh the integration), and the mixing config reshaped to three weeks
-of three pulse days and four growth-only days.
+of three pulse days and four growth-only days. A sweep of `a` on the mixing
+config pins every file it writes, whether its values run in one process or
+several.
 """
 
 from __future__ import annotations
@@ -56,6 +58,18 @@ DERIVED_DIGESTS = {
     ),
 }
 
+# `sweep --param a --values 1.0,2.5,0,5.0,7.25 --threshold 0.03` on mixing.json:
+# the a > 0 row turns 0 into an error row, which writes no trajectory. At
+# a = 5.0 the course is the shipped mixing run.
+SWEEP_VALUES = "1.0,2.5,0,5.0,7.25"
+SWEEP_DIGESTS = {
+    "sweep_a_1.0.csv": "5d75f37d7523dff9c4af20b9837b219406ca495c578902068c05afda56c80dbc",
+    "sweep_a_2.5.csv": "c83651cbbaa62eeca3997dacb14781544f05a01e342f2c27af0592ac6c0fdbae",
+    "sweep_a_5.0.csv": SHIPPED_DIGESTS["mixing.json"],
+    "sweep_a_7.25.csv": "c38791e6980f83b970d5d9eca34ff8aaaa7931b3a06aa8b88f2cd426af997bc6",
+    "sweep_summary.csv": "871c953cf6528f5174b5bc571e2a8c2783e8b677597abe190332feec6ff12622",
+}
+
 
 def shipped_config(name: str) -> str:
     return str(resources.files("repopsim").joinpath(f"data/{name}"))
@@ -83,6 +97,14 @@ def test_derived_config_trajectory_digest(name, tmp_path):
     base, overrides, digest = DERIVED_DIGESTS[name]
     out = run_derived(tmp_path, base, overrides)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_sweep_digests(tmp_path):
+    argv = ["sweep", "--config", shipped_config("mixing.json"), "--param", "a"]
+    argv += ["--values", SWEEP_VALUES, "--threshold", "0.03", "--out-dir", str(tmp_path)]
+    assert cli_main(argv) == EXIT_OK
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert written == SWEEP_DIGESTS
 
 
 @pytest.mark.parametrize("integer_rounding", [True, False])
