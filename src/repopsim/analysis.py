@@ -4,18 +4,17 @@ reference-table comparison, and parameter sweeps."""
 from __future__ import annotations
 
 import functools
-import marshal
 import math
 import os
 import sys
+import tempfile
 import threading
-from dataclasses import dataclass, fields, replace as dc_replace
-from operator import attrgetter
-from typing import NoReturn
+from dataclasses import dataclass, replace as dc_replace
+from typing import IO, NoReturn
 
 from .core import PARAM_TABLE, ModelParams, PopulationState
 from .errors import AlignmentError, ConfigError, InvalidParameterError, SimulationError, quote
-from .schedule import Trajectory, TrajectoryRecord, simulate_course
+from .schedule import Trajectory, simulate_course
 
 
 @dataclass(slots=True)
@@ -234,9 +233,15 @@ def sweep(
     byte-identical. The sweep runs serially in the calling process when W
     is below two, when the platform has no fork, under a profiler or tracer
     (cProfile, coverage, a debugger), when another thread is alive, or when
-    a pipe or a fork cannot be made. A child failure other than a rejected
-    course raises RuntimeError.
+    an unlinked temporary file or a fork cannot be made. Each child pickles
+    its entries into its own such file, so it never waits on the parent. A
+    child failure other than a rejected course raises RuntimeError.
+
+    Raises:
+        InvalidParameterError: for a NaN threshold, before any course runs.
     """
+    if threshold is not None and math.isnan(threshold):
+        raise InvalidParameterError("threshold must be a number, got nan")
     if key not in PARAM_TABLE:
         error = f"unknown parameter: {quote(key)}"
         return tuple(SweepEntry(value=value, error=error) for value in values)
@@ -268,155 +273,93 @@ def _can_fork() -> bool:
     )
 
 
-_record_row = attrgetter(*(field.name for field in fields(TrajectoryRecord)))
-
-
-def _plain(entry: SweepEntry) -> tuple:
-    """An entry without its value, as tuples of ints, floats, strs, bools and None.
-
-    The records go as one tuple per column, not per row: the receiver then
-    frees eleven long tuples per entry, where short ones would pile up on
-    the interpreter's free list for tuples of their length.
-    """
-    t = entry.trajectory
-    if t is not None:
-        columns = tuple(zip(*map(_record_row, t.records)))
-        t = (columns, t.integer_rounding, t.max_simplex_drift, t.renormalizations, t.extinction_day)
-    return (entry.error, entry.final_total, entry.final_phi, entry.threshold_day, t)
-
-
-def _from_plain(value: float, plain: tuple) -> SweepEntry:
-    error, final_total, final_phi, threshold_day, t = plain
-    if t is not None:
-        columns, *rest = t
-        t = Trajectory(tuple(TrajectoryRecord(*row) for row in zip(*columns)), *rest)
-    return SweepEntry(value, error, final_total, final_phi, threshold_day, t)
-
-
-def _frame(tag: bytes, body: bytes) -> bytes:
-    """A tag byte, the body's length in 8 bytes, and the body."""
-    return tag + len(body).to_bytes(8, "little") + body
-
-
 def _entry_frame(entry: SweepEntry) -> bytes:
-    """An entry's plain data by marshal (tag m), or by pickle (tag p) where
-    marshal would not give it back equal: it refuses some types and writes
-    others, such as a NumPy scalar, as bytes."""
-    plain = _plain(entry)
-    try:
-        body = marshal.dumps(plain)
-        if marshal.loads(body) == plain:
-            return _frame(b"m", body)
-    except ValueError:
-        pass
-    import pickle
+    """An entry as one pickle: the bytes a child writes for it."""
+    import pickle  # loaded on the forked path only
 
-    return _frame(b"p", pickle.dumps(plain))
+    return pickle.dumps(entry, pickle.HIGHEST_PROTOCOL)
 
 
-def _write_all(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view) :]
-
-
-def _serve_share(write_fd: int, one, values: tuple) -> NoReturn:
-    """Child side: one frame per entry, then exit 0; on a failure, a traceback
-    frame (tag e), then exit 1.
-
-    The child ends in os._exit, so it runs no atexit handler and flushes no
-    inherited buffer.
-    """
+def _serve_share(file: IO[bytes], one, values: tuple) -> NoReturn:
+    """Child side: one pickle per entry, then exit 0; on a failure, the pickled
+    traceback text, then exit 1. A regular file never blocks its writer, and
+    os._exit runs no atexit handler and flushes no inherited buffer."""
+    code = 0
     try:
         for value in values:
-            _write_all(write_fd, _entry_frame(one(value)))
+            file.write(_entry_frame(one(value)))
     except BaseException:
+        import pickle
         import traceback
 
-        _write_all(write_fd, _frame(b"e", traceback.format_exc().encode()))
-        os._exit(1)
-    os._exit(0)
-
-
-def _receive_share(
-    read_fd: int, values: tuple, workers: int, share: int, entries: list
-) -> str | None:
-    """Fill a child's entries from its frames, one frame in memory at a time.
-
-    Returns the child's traceback, a note of a short frame, or None once
-    every entry of the share arrived.
-    """
-    with open(read_fd, "rb", closefd=False) as stream:
-        for k in range(share, len(values), workers):
-            header = stream.read(9)
-            size = int.from_bytes(header[1:], "little")
-            body = stream.read(size) if len(header) == 9 else b""
-            if len(header) < 9 or len(body) < size:
-                return f"its frame for value {quote(values[k])} was cut short"
-            if header[:1] == b"e":
-                return body.decode(errors="replace")
-            if header[:1] == b"p":
-                import pickle  # only a frame of this process's own child
-
-                plain = pickle.loads(body)
-            else:
-                plain = marshal.loads(body)
-            entries[k] = _from_plain(values[k], plain)
-    return None
+        file.write(pickle.dumps(traceback.format_exc()))
+        code = 1
+    file.flush()
+    os._exit(code)
 
 
 def _forked_sweep(one, values: tuple, workers: int) -> tuple[SweepEntry, ...]:
     """one(value) for every value, value k in share k mod workers, in input order.
 
-    Share 0 runs here; each other share runs in a forked child that writes
-    its entries to a pipe. A share whose pipe or fork fails also runs here.
-    Every child is reaped and every pipe end closed before this returns or
-    raises; a child still running when this process fails is killed first.
+    Share 0 runs here; each other share runs in a forked child that pickles
+    its entries into an unlinked temporary file. A share whose file or fork
+    fails also runs here. Every child is reaped and every file closed before
+    this returns or raises; a child still running when this process fails
+    is killed first.
     """
-    children: list[tuple[int, int, int]] = []  # (pid, read end, share)
-    try:
-        for share in range(1, workers):
-            try:
-                read_fd, write_fd = os.pipe()
-            except OSError:
-                break
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                break
-            if pid == 0:
-                try:
-                    _serve_share(write_fd, one, values[share::workers])
-                finally:
-                    os._exit(1)
-            os.close(write_fd)
-            children.append((pid, read_fd, share))
-        forked = {share for _, _, share in children}
-        entries = [
-            None if k % workers in forked else one(value) for k, value in enumerate(values)
-        ]
-        problems = [
-            _receive_share(read_fd, values, workers, share, entries)
-            for _, read_fd, share in children
-        ]
-    except BaseException:
-        import signal  # only this failure path needs it
+    import pickle
 
-        for pid, _, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
+    children: list[tuple[int, IO[bytes], int]] = []  # (pid, file, share)
+    try:
+        try:
+            for share in range(1, workers):
+                try:
+                    file = tempfile.TemporaryFile()
+                except OSError:
+                    break
+                try:
+                    pid = os.fork()
+                except OSError:
+                    file.close()
+                    break
+                if pid == 0:
+                    try:
+                        _serve_share(file, one, values[share::workers])
+                    finally:
+                        os._exit(1)
+                children.append((pid, file, share))
+            forked = {share for _, _, share in children}
+            entries = [
+                None if k % workers in forked else one(value) for k, value in enumerate(values)
+            ]
+        except BaseException:
+            import signal  # only this failure path needs it
+
+            for pid, _, _ in children:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            statuses = [os.waitpid(pid, 0)[1] for pid, _, _ in children]
+        for (pid, file, share), status in zip(children, statuses):
+            code = os.waitstatus_to_exitcode(status)
+            if code < 0:
+                raise RuntimeError(f"sweep worker {pid} was killed by signal {-code}")
+            problem = None
+            file.seek(0)
+            for k in range(share, len(values), workers):
+                try:
+                    entry = pickle.load(file)
+                except (EOFError, pickle.UnpicklingError):
+                    problem = f"its frame for value {quote(values[k])} was cut short"
+                    break
+                if isinstance(entry, str):
+                    problem = entry
+                    break
+                entries[k] = entry
+            if code or problem:
+                detail = (problem or "no traceback").strip()
+                raise RuntimeError(f"sweep worker {pid} exited with code {code}:\n{detail}")
     finally:
-        statuses = []
-        for pid, read_fd, _ in children:
-            os.close(read_fd)
-            statuses.append(os.waitpid(pid, 0)[1])
-    for (pid, _, _), status, problem in zip(children, statuses, problems):
-        code = os.waitstatus_to_exitcode(status)
-        if code < 0:
-            raise RuntimeError(f"sweep worker {pid} was killed by signal {-code}")
-        if code or problem:
-            detail = (problem or "no traceback").strip()
-            raise RuntimeError(f"sweep worker {pid} exited with code {code}:\n{detail}")
+        for _, file, _ in children:
+            file.close()
     return tuple(entries)

@@ -16,6 +16,7 @@ from importlib import resources
 from pathlib import Path
 
 from .analysis import GoldenRow, SweepEntry, TrajectoryDiff
+from .core import PHASES
 from .errors import SchemaError, quote
 from .schedule import Trajectory, TrajectoryRecord
 
@@ -43,7 +44,8 @@ def _read_text(source: str | Path) -> str:
 
 
 def _table_rows(text: str, origin: str, header: str, separator: str) -> Iterator[tuple]:
-    """(line number, line, cells) per row below a header; SchemaError on a bad header or width."""
+    """(line number, line, cells) per row below a header whose second column
+    is the phase; SchemaError on a bad header, width or phase."""
     lines = text.splitlines()
     if not lines or lines[0] != header:
         got = lines[0] if lines else "<empty file>"
@@ -55,6 +57,8 @@ def _table_rows(text: str, origin: str, header: str, separator: str) -> Iterator
             raise SchemaError(
                 f"{origin}: expected {width} columns, got {len(cells)}: {quote(line)}"
             )
+        if cells[1] not in PHASES:
+            raise SchemaError(f"{origin}: line {number}: unknown phase {quote(cells[1])}")
         yield number, line, cells
 
 
@@ -95,7 +99,7 @@ def read_trajectory(source: str | Path) -> Trajectory:
 
     Raises:
         SchemaError: naming the file, for one that is not UTF-8 text, a wrong
-            header or column count, or a cell that is not a number.
+            header or column count, an unknown phase, or a cell that is not a number.
     """
     origin = str(source)
     records = []
@@ -162,7 +166,8 @@ def load_reference_table(source: str | Path | None = None) -> tuple[GoldenRow, .
 
     Raises:
         SchemaError: for a file that is not UTF-8 text, a wrong header or column
-            count, a cell that is not a number, or a bundled table's bad checksum.
+            count, an unknown phase, a cell that is not a number, or a bundled
+            table's bad checksum.
     """
     if source is None:
         data = (resources.files(__package__) / "data" / _REFERENCE_RESOURCE).read_bytes()

@@ -7,6 +7,9 @@ import os
 import signal
 import sys
 import threading
+import time
+from dataclasses import replace as dc_replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from repopsim import (
     AlignmentError,
     ConfigError,
     GoldenRow,
+    InvalidParameterError,
     ModelParams,
     PopulationState,
     Trajectory,
@@ -23,6 +27,7 @@ from repopsim import (
     build_radiation_operator,
     compare_to_golden,
     diff_velocity,
+    load_config,
     lq_closed_form,
     pulse_power,
     sweep,
@@ -168,6 +173,11 @@ class TestSweep:
         missed = sweep(params, "theta", (0.0,), initial, threshold=1.0)
         assert all(e.threshold_day == 1 for e in hit)
         assert missed[0].threshold_day is None
+
+    def test_nan_threshold_is_rejected_before_any_course(self, monkeypatch):
+        monkeypatch.setattr(analysis, "simulate_course", lambda *args: pytest.fail("a course ran"))
+        with pytest.raises(InvalidParameterError, match="threshold must be a number, got nan"):
+            sweep(ModelParams(weeks=1), "a", (1.0, 5.0), reference_initial(), threshold=math.nan)
 
     def test_out_of_range_value_becomes_error_entry(self):
         entries = sweep(
@@ -376,6 +386,56 @@ class TestParallelSweep:
         assert not waiter.is_alive()
         assert forks == []
         assert [e.value for e in entries] == [1.0, 5.0]
+
+    def test_a_child_never_waits_on_the_parent(self, monkeypatch, use_cpus, forks, tmp_path):
+        # A 52-week entry is tens of KiB, so a child writing its share into a
+        # 64 KiB pipe would stall on its second entry until the parent read.
+        mixing = load_config(str(resources.files("repopsim") / "data" / "mixing.json"))
+        params = dc_replace(mixing.params, weeks=52)
+        marker = tmp_path / "child-finished"
+        parent = os.getpid()
+        real_course = analysis.simulate_course
+        seen = []
+
+        def course(params, initial):
+            trajectory = real_course(params, initial)
+            if os.getpid() != parent and params.a == 6.0:
+                marker.touch()
+            if os.getpid() == parent and params.a == 1.0:
+                deadline = time.monotonic() + 10
+                while not marker.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                seen.append(marker.exists())
+            return trajectory
+
+        monkeypatch.setattr(analysis, "simulate_course", course)
+        use_cpus(2)
+        entries = sweep(params, "a", (1.0, 2.0, 3.0, 4.0, 5.0, 6.0), mixing.initial)
+        assert len(forks) == 1
+        assert seen == [True]
+        assert [e.value for e in entries] == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        assert all(e.error is None for e in entries)
+        assert_no_children_left()
+
+    def test_a_child_failing_after_some_entries_reports_its_traceback(
+        self, monkeypatch, use_cpus, forks
+    ):
+        # The child's share is 2.0 then 4.0; it fails on its second value.
+        real_course = analysis.simulate_course
+
+        def failing_course(params, initial):
+            if params.a == 4.0:
+                raise RuntimeError("course 4.0")
+            return real_course(params, initial)
+
+        monkeypatch.setattr(analysis, "simulate_course", failing_course)
+        use_cpus(2)
+        fds = open_fds()
+        with pytest.raises(RuntimeError, match=r"(?s)exited with code 1:\n.*RuntimeError: course 4.0"):
+            sweep(SHORT_REAL, "a", (1.0, 2.0, 3.0, 4.0), FAST_START)
+        assert len(forks) == 1
+        assert_no_children_left()
+        assert open_fds() == fds
 
 
 def test_reference_run_for_comparison_is_a_fixture(course_zero, golden):

@@ -233,6 +233,17 @@ class TestDiff:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_unknown_phase_is_validation_error(self, tmp_path, capsys):
+        course = run_course(tmp_path)
+        lines = course.read_text(encoding="utf-8").splitlines()
+        lines[2] = lines[2].replace(",post_growth,", ",bogus,")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "diff.csv"
+        assert cli_main(["diff", str(course), str(bad), "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {bad}: line 3: unknown phase 'bogus'\n"
+        assert not out.exists()
+
     def test_malformed_number_is_validation_error(self, tmp_path, capsys):
         course = run_course(tmp_path)
         lines = course.read_text(encoding="utf-8").splitlines()
@@ -296,6 +307,15 @@ class TestSweep:
         summary = (out_dir / "sweep_summary.csv").read_text(encoding="utf-8")
         assert "q_rad" in summary
         assert "0.7" in capsys.readouterr().out
+
+    def test_nan_threshold_is_validation_error(self, tmp_path, capsys):
+        config = write_config_file(tmp_path)
+        out_dir = tmp_path / "sweep"
+        argv = ["sweep", "--config", config, "--param", "a", "--values", "1.0,5.0"]
+        code = cli_main([*argv, "--out-dir", str(out_dir), "--threshold", "nan"])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: threshold must be a number, got nan\n"
+        assert list(out_dir.iterdir()) == []
 
     def test_rejected_course_is_reported_in_summary(self, tmp_path, capsys):
         # An ode_step longer than the one-day growth interval is rejected for
@@ -481,6 +501,20 @@ def test_sweep_subprocess_prints_each_line_once(tmp_path):
         f"value 5.0: wrote {out_dir / 'sweep_a_5.0.csv'}",
         f"wrote {out_dir / 'sweep_summary.csv'}",
     ]
+
+
+def test_importing_the_cli_loads_no_pickling_forking_or_pool_module():
+    # The sweep imports pickle, signal and traceback only on its forked path,
+    # so the start-up time and memory of every other command stay as they were.
+    script = (
+        "import sys, repopsim.cli; print([m for m in ('pickle', '_pickle', 'signal', 'traceback',"
+        " 'multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_parser_is_built_once():

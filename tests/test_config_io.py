@@ -218,6 +218,15 @@ class TestTrajectoryFiles:
             read_trajectory(path)
         assert str(info.value).startswith(f"{path}: line 3: 'abc' is not ")
 
+    def test_unknown_phase_names_file_and_line(self, tmp_path):
+        good = "1,initial,600,340,60,0.600000000,0.340000000,0.060000000,0.0,0.08,1000"
+        path = tmp_path / "bad.csv"
+        rows = [TRAJECTORY_HEADER, good, good.replace("initial", "bogus")]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(SchemaError) as info:
+            read_trajectory(path)
+        assert str(info.value) == f"{path}: line 3: unknown phase 'bogus'"
+
 
 class TestDiffAndSweepFiles:
     def test_self_diff_writes_zero_column(self, course_zero, tmp_path):
@@ -272,6 +281,13 @@ class TestReferenceTable:
         path.write_text("day|phase|bad\n", encoding="utf-8")
         with pytest.raises(SchemaError, match="table.psv"):
             load_reference_table(str(path))
+
+    def test_unknown_phase_names_file_and_line(self, tmp_path):
+        path = tmp_path / "table.psv"
+        path.write_text(REFERENCE_HEADER + "\n1|bogus|1|2|3|0.0\n", encoding="utf-8")
+        with pytest.raises(SchemaError) as info:
+            load_reference_table(str(path))
+        assert str(info.value) == f"{path}: line 2: unknown phase 'bogus'"
 
     def test_wrong_column_count_rejected(self, tmp_path):
         path = tmp_path / "table.psv"
