@@ -230,12 +230,15 @@ def sweep(
     The values run in W = min(value count, usable CPUs) processes: value k
     runs in process k mod W, the calling process and W - 1 forked children.
     The entries equal a serial run's, so the files written from them are
-    byte-identical. The sweep runs serially in the calling process when W
-    is below two, when the platform has no fork, under a profiler or tracer
-    (cProfile, coverage, a debugger), when another thread is alive, or when
-    an unlinked temporary file or a fork cannot be made. Each child pickles
-    its entries into its own such file, so it never waits on the parent. A
-    child failure other than a rejected course raises RuntimeError.
+    byte-identical. A serial run is the one-process case of the same path:
+    W is 1 when the platform has no fork, under a profiler or tracer
+    (cProfile, coverage, a debugger) or when another thread is alive, and a
+    share whose unlinked temporary file or fork cannot be made runs in the
+    calling process. Each child pickles its entries into its own such file,
+    so it never waits on the parent. A child failure other than a rejected
+    course raises RuntimeError. Every exit, a failure, a killed child or an
+    interrupt, kills the children still running, reaps them and closes
+    their files.
 
     Raises:
         InvalidParameterError: for a NaN threshold, before any course runs.
@@ -246,9 +249,7 @@ def sweep(
         error = f"unknown parameter: {quote(key)}"
         return tuple(SweepEntry(value=value, error=error) for value in values)
     one = functools.partial(_sweep_value, params, key, initial, threshold)
-    workers = min(len(values), _usable_cpus())
-    if workers < 2 or not _can_fork():
-        return tuple(map(one, values))
+    workers = min(len(values), _usable_cpus()) if _can_fork() else 1
     return _forked_sweep(one, values, workers)
 
 
@@ -302,48 +303,35 @@ def _forked_sweep(one, values: tuple, workers: int) -> tuple[SweepEntry, ...]:
     """one(value) for every value, value k in share k mod workers, in input order.
 
     Share 0 runs here; each other share runs in a forked child that pickles
-    its entries into an unlinked temporary file. A share whose file or fork
-    fails also runs here. Every child is reaped and every file closed before
-    this returns or raises; a child still running when this process fails
-    is killed first.
+    its entries into an unlinked temporary file, read once the child is
+    reaped. A share whose file or fork fails also runs here, and one worker
+    forks nothing. Every exit, a failure or an interrupt included, kills and
+    reaps each child not yet reaped and closes every file.
     """
-    import pickle
-
-    children: list[tuple[int, IO[bytes], int]] = []  # (pid, file, share)
+    files: list[IO[bytes]] = []
+    children: dict[int, tuple[IO[bytes], int]] = {}  # pid -> (file, share), until reaped
     try:
-        try:
-            for share in range(1, workers):
+        for share in range(1, workers):
+            try:
+                files.append(tempfile.TemporaryFile())
+                pid = os.fork()
+            except OSError:
+                break
+            if pid == 0:
                 try:
-                    file = tempfile.TemporaryFile()
-                except OSError:
-                    break
-                try:
-                    pid = os.fork()
-                except OSError:
-                    file.close()
-                    break
-                if pid == 0:
-                    try:
-                        _serve_share(file, one, values[share::workers])
-                    finally:
-                        os._exit(1)
-                children.append((pid, file, share))
-            forked = {share for _, _, share in children}
-            entries = [
-                None if k % workers in forked else one(value) for k, value in enumerate(values)
-            ]
-        except BaseException:
-            import signal  # only this failure path needs it
-
-            for pid, _, _ in children:
-                os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            statuses = [os.waitpid(pid, 0)[1] for pid, _, _ in children]
-        for (pid, file, share), status in zip(children, statuses):
-            code = os.waitstatus_to_exitcode(status)
+                    _serve_share(files[-1], one, values[share::workers])
+                finally:
+                    os._exit(1)
+            children[pid] = (files[-1], share)
+        forked = {share for _, share in children.values()}
+        entries = [None if k % workers in forked else one(value) for k, value in enumerate(values)]
+        for pid, (file, share) in tuple(children.items()):
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
             if code < 0:
                 raise RuntimeError(f"sweep worker {pid} was killed by signal {-code}")
+            import pickle  # loaded on the forked path only
+
             problem = None
             file.seek(0)
             for k in range(share, len(values), workers):
@@ -359,7 +347,15 @@ def _forked_sweep(one, values: tuple, workers: int) -> tuple[SweepEntry, ...]:
             if code or problem:
                 detail = (problem or "no traceback").strip()
                 raise RuntimeError(f"sweep worker {pid} exited with code {code}:\n{detail}")
+        return tuple(entries)
     finally:
-        for _, file, _ in children:
+        for pid in children:
+            import signal  # only an early exit leaves a child unreaped
+
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass  # reaped just before an interrupt
+        for file in files:
             file.close()
-    return tuple(entries)

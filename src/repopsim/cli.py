@@ -129,9 +129,9 @@ def _parse_sweep_values(param: str, text: str) -> tuple[float, ...]:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     values = _parse_sweep_values(args.param, args.values)
+    entries = sweep(config.params, args.param, values, config.initial, threshold=args.threshold)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    entries = sweep(config.params, args.param, values, config.initial, threshold=args.threshold)
     for entry in entries:
         if entry.trajectory is None:
             print(f"value {quote(entry.value)}: {entry.error}")

@@ -20,7 +20,7 @@ from .core import (
     ModelParams,
     PopulationState,
     VelocityVector,
-    _check_simplex,
+    fractions_to_counts,
     mean_velocity,
     snap_count,
     velocities_of,
@@ -355,17 +355,10 @@ def growth_day_detail(
     if renormalized:
         s = x_end[0] + x_end[1] + x_end[2]
         x_end = (x_end[0] / s, x_end[1] / s, x_end[2] / s)
-    # mean_velocity and fractions_to_counts, inlined, with one simplex test.
-    _check_simplex(x_end)
-    x0, x1, x2 = x_end
-    phi = v.v0 * x0 + v.v1 * x1 + v.v2 * x2
-    if total < 0:
-        raise InvalidStateError(f"total must be >= 0, got {total}")
-    c0, c1, c2 = x0 * total, x1 * total, x2 * total
-    if params.integer_rounding:
-        c0, c1, c2 = snap_count(c0), snap_count(c1), snap_count(c2)
+    counts = fractions_to_counts(x_end, total, params.integer_rounding)
+    phi = v.v0 * x_end[0] + v.v1 * x_end[1] + v.v2 * x_end[2]
     # Built for its check: in real mode an endpoint component just below 0
     # gives a negative count, reported here before division scales it.
-    intermediate = PopulationState(c0, c1, c2, pulses)
+    intermediate = PopulationState(*counts, pulses)
     divided = apply_division(intermediate, v, GROWTH_INTERVAL, params.integer_rounding)
     return GrowthStep(divided, phi, v.v2, drift, renormalized)

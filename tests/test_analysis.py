@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -342,6 +343,24 @@ class TestParallelSweep:
         assert_no_children_left()
         assert open_fds() == fds
 
+    def test_one_worker_makes_no_file_or_fork_and_loads_no_pickling_or_signal_module(self):
+        # A fresh interpreter, so the modules listed are the sweep's own; with
+        # os.fork and tempfile.TemporaryFile set to None, calling either fails.
+        script = (
+            "import os, sys, tempfile\n"
+            "from repopsim import analysis, ModelParams, PopulationState\n"
+            "analysis._usable_cpus = lambda: 1\n"
+            "os.fork = tempfile.TemporaryFile = None\n"
+            "entries = analysis.sweep(ModelParams(weeks=1), 'a', (1.0, 5.0), PopulationState(6, 3, 1))\n"
+            "assert [e.error for e in entries] == [None, None]\n"
+            "print([m for m in ('pickle', '_pickle', 'signal') if m in sys.modules])\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
+
     def test_a_failed_fork_runs_the_share_here(self, monkeypatch, use_cpus):
         use_cpus(1)
         serial = sweep(SHORT_REAL, "a", (1.0, 0.0, 5.0), FAST_START, threshold=0.05)
@@ -436,6 +455,46 @@ class TestParallelSweep:
         assert len(forks) == 1
         assert_no_children_left()
         assert open_fds() == fds
+
+    @pytest.mark.parametrize("reaped_first", [False, True], ids=["before-waiting", "after-reaping"])
+    def test_an_interrupted_wait_kills_and_reaps_every_child(
+        self, monkeypatch, use_cpus, forks, tmp_path, reaped_first
+    ):
+        # The first blocking wait raises KeyboardInterrupt, as a signal handler
+        # would: before it waits on a child whose course still sleeps, or just
+        # after it reaped the first of two children.
+        marker = tmp_path / "child-finished"
+        parent = os.getpid()
+        real_course = analysis.simulate_course
+        real_waitpid = os.waitpid
+        interrupted = []
+
+        def sleeping_course(params, initial):
+            if os.getpid() != parent:
+                time.sleep(5)
+                marker.touch()
+            return real_course(params, initial)
+
+        def interrupted_waitpid(pid, options):
+            if options == 0 and not interrupted:
+                interrupted.append(pid)
+                if reaped_first:
+                    real_waitpid(pid, options)
+                raise KeyboardInterrupt
+            return real_waitpid(pid, options)
+
+        if not reaped_first:
+            monkeypatch.setattr(analysis, "simulate_course", sleeping_course)
+        monkeypatch.setattr(os, "waitpid", interrupted_waitpid)
+        values = (1.0, 2.0, 5.0) if reaped_first else (1.0, 5.0)
+        use_cpus(len(values))
+        fds = open_fds()
+        with pytest.raises(KeyboardInterrupt):
+            sweep(SHORT_REAL, "a", values, FAST_START)
+        assert len(forks) == len(values) - 1
+        assert_no_children_left()
+        assert open_fds() == fds
+        assert not marker.exists()
 
 
 def test_reference_run_for_comparison_is_a_fixture(course_zero, golden):
