@@ -1,5 +1,6 @@
 """Trajectory post-processing: velocity differences, closed-form totals,
-reference-table comparison, and parameter sweeps."""
+reference-table comparison, parameter sweeps, and the forked map that runs
+independent courses side by side."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import sys
 import tempfile
 import threading
 from dataclasses import dataclass, replace as dc_replace
-from typing import IO, NoReturn
+from typing import IO, Callable, NoReturn
 
 from .core import PARAM_TABLE, ModelParams, PopulationState
 from .errors import AlignmentError, ConfigError, InvalidParameterError, SimulationError, quote
@@ -220,6 +221,7 @@ def sweep(
     values: tuple[float, ...],
     initial: PopulationState,
     threshold: float | None = None,
+    each: Callable[[SweepEntry], SweepEntry] | None = None,
 ) -> tuple[SweepEntry, ...]:
     """One independent simulation per parameter value, in input order.
 
@@ -227,21 +229,16 @@ def sweep(
     invalid key, an out-of-range value or a course the model rejects
     yields an error entry for that value and the sweep continues.
 
-    The values run in W = min(value count, usable CPUs) processes: value k
-    runs in process k mod W, the calling process and W - 1 forked children.
-    The entries equal a serial run's, so the files written from them are
-    byte-identical. A serial run is the one-process case of the same path:
-    W is 1 when the platform has no fork, under a profiler or tracer
-    (cProfile, coverage, a debugger) or when another thread is alive, and a
-    share whose unlinked temporary file or fork cannot be made runs in the
-    calling process. Each child pickles its entries into its own such file,
-    so it never waits on the parent. A child failure other than a rejected
-    course raises RuntimeError. Every exit, a failure, a killed child or an
-    interrupt, kills the children still running, reaps them and closes
-    their files.
+    The values run through forked_map, so the entries equal a serial run's
+    and the files written from them are byte-identical. each, if given,
+    replaces every entry of a value in the process that ran the value,
+    before the entry is sent back: a caller can write the trajectory there
+    and return the entry without it. Without each, the entries carry their
+    trajectories.
 
     Raises:
         InvalidParameterError: for a NaN threshold, before any course runs.
+        OSError: raised by each, in whichever process it ran.
     """
     if threshold is not None and math.isnan(threshold):
         raise InvalidParameterError("threshold must be a number, got nan")
@@ -249,8 +246,7 @@ def sweep(
         error = f"unknown parameter: {quote(key)}"
         return tuple(SweepEntry(value=value, error=error) for value in values)
     one = functools.partial(_sweep_value, params, key, initial, threshold)
-    workers = min(len(values), _usable_cpus()) if _can_fork() else 1
-    return _forked_sweep(one, values, workers)
+    return forked_map(one if each is None else lambda value: each(one(value)), values)
 
 
 def _usable_cpus() -> int:
@@ -274,40 +270,49 @@ def _can_fork() -> bool:
     )
 
 
-def _entry_frame(entry: SweepEntry) -> bytes:
-    """An entry as one pickle: the bytes a child writes for it."""
+def _entry_frame(result) -> bytes:
+    """A result as one pickle: the bytes a child writes for it."""
     import pickle  # loaded on the forked path only
 
-    return pickle.dumps(entry, pickle.HIGHEST_PROTOCOL)
+    return pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
 
 
 def _serve_share(file: IO[bytes], one, values: tuple) -> NoReturn:
-    """Child side: one pickle per entry, then exit 0; on a failure, the pickled
-    traceback text, then exit 1. A regular file never blocks its writer, and
-    os._exit runs no atexit handler and flushes no inherited buffer."""
+    """Child side: one pickle per result, then exit 0. On a failure, exit 1
+    after a pickle of the OSError or SimulationError itself, or else of the
+    traceback text. A regular file never blocks its writer, and os._exit runs
+    no atexit handler and flushes no inherited buffer."""
     code = 0
     try:
         for value in values:
             file.write(_entry_frame(one(value)))
-    except BaseException:
+    except BaseException as exc:
         import pickle
         import traceback
 
-        file.write(pickle.dumps(traceback.format_exc()))
+        sent = exc if isinstance(exc, (OSError, SimulationError)) else traceback.format_exc()
+        file.write(pickle.dumps(sent))
         code = 1
     file.flush()
     os._exit(code)
 
 
-def _forked_sweep(one, values: tuple, workers: int) -> tuple[SweepEntry, ...]:
-    """one(value) for every value, value k in share k mod workers, in input order.
+def forked_map(one, values: tuple) -> tuple:
+    """one(value) for every value, in input order, in W = min(value count,
+    usable CPUs) processes: value k runs in share k mod W.
 
     Share 0 runs here; each other share runs in a forked child that pickles
-    its entries into an unlinked temporary file, read once the child is
-    reaped. A share whose file or fork fails also runs here, and one worker
-    forks nothing. Every exit, a failure or an interrupt included, kills and
-    reaps each child not yet reaped and closes every file.
+    its results into an unlinked temporary file, read once the child is
+    reaped. The results equal a serial run's. W is 1, which forks nothing and
+    makes no file, when the platform has no fork, under a profiler or tracer
+    (cProfile, coverage, a debugger) or when another thread is alive; a share
+    whose file or fork fails also runs here. An OSError or SimulationError
+    in a child is raised here as itself; any other child failure raises
+    RuntimeError. A child sends a failure as an exception or a str, so one
+    returns neither. Every exit, a failure or an interrupt included, kills
+    and reaps each child not yet reaped and closes every file.
     """
+    workers = min(len(values), _usable_cpus()) if _can_fork() else 1
     files: list[IO[bytes]] = []
     children: dict[int, tuple[IO[bytes], int]] = {}  # pid -> (file, share), until reaped
     try:
@@ -324,7 +329,7 @@ def _forked_sweep(one, values: tuple, workers: int) -> tuple[SweepEntry, ...]:
                     os._exit(1)
             children[pid] = (files[-1], share)
         forked = {share for _, share in children.values()}
-        entries = [None if k % workers in forked else one(value) for k, value in enumerate(values)]
+        results = [None if k % workers in forked else one(value) for k, value in enumerate(values)]
         for pid, (file, share) in tuple(children.items()):
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[pid]
@@ -336,18 +341,20 @@ def _forked_sweep(one, values: tuple, workers: int) -> tuple[SweepEntry, ...]:
             file.seek(0)
             for k in range(share, len(values), workers):
                 try:
-                    entry = pickle.load(file)
+                    result = pickle.load(file)
                 except (EOFError, pickle.UnpicklingError):
                     problem = f"its frame for value {quote(values[k])} was cut short"
                     break
-                if isinstance(entry, str):
-                    problem = entry
+                if isinstance(result, BaseException):
+                    raise result
+                if isinstance(result, str):
+                    problem = result
                     break
-                entries[k] = entry
+                results[k] = result
             if code or problem:
                 detail = (problem or "no traceback").strip()
                 raise RuntimeError(f"sweep worker {pid} exited with code {code}:\n{detail}")
-        return tuple(entries)
+        return tuple(results)
     finally:
         for pid in children:
             import signal  # only an early exit leaves a child unreaped

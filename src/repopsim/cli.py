@@ -10,9 +10,10 @@ import argparse
 import functools
 import re
 import sys
+from dataclasses import replace as dc_replace
 from pathlib import Path
 
-from .analysis import compare_to_golden, diff_velocity, lq_closed_form, sweep
+from .analysis import compare_to_golden, diff_velocity, forked_map, lq_closed_form, sweep
 from .config import load_config
 from .core import PARAM_TABLE, ModelParams, PopulationState, survival_fraction
 from .errors import ConfigError, NumericInstabilityError, SimulationError, quote
@@ -129,16 +130,28 @@ def _parse_sweep_values(param: str, text: str) -> tuple[float, ...]:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     values = _parse_sweep_values(args.param, args.values)
-    entries = sweep(config.params, args.param, values, config.initial, threshold=args.threshold)
     out_dir = Path(args.out_dir)
+
+    def destination(value: float) -> Path:
+        return out_dir / f"sweep_{args.param}_{value!r}.csv"
+
+    def write(entry):
+        # Runs in the process that ran the course, so no trajectory travels back.
+        if entry.trajectory is None:
+            return entry
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_trajectory(entry.trajectory, destination(entry.value))
+        return dc_replace(entry, trajectory=None)
+
+    entries = sweep(
+        config.params, args.param, values, config.initial, threshold=args.threshold, each=write
+    )
     out_dir.mkdir(parents=True, exist_ok=True)
     for entry in entries:
-        if entry.trajectory is None:
+        if entry.error is not None:
             print(f"value {quote(entry.value)}: {entry.error}")
             continue
-        destination = out_dir / f"sweep_{args.param}_{entry.value!r}.csv"
-        write_trajectory(entry.trajectory, destination)
-        print(f"value {entry.value!r}: wrote {destination}")
+        print(f"value {entry.value!r}: wrote {destination(entry.value)}")
     write_sweep_summary(entries, out_dir / "sweep_summary.csv")
     print(f"wrote {out_dir / 'sweep_summary.csv'}")
     return EXIT_OK
@@ -192,7 +205,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
         )
     )
 
-    trajectory = simulate_course(params, config.initial)
+    # The configured course runs here, so its error surfaces as it would
+    # serially; the reference course runs beside it where a CPU is free.
+    trajectory, reference_run = forked_map(
+        lambda course: simulate_course(*course),
+        ((params, config.initial), (ModelParams(weeks=_REFERENCE_WEEKS), _REFERENCE_INITIAL)),
+    )
     results.append(
         _check_line(
             "simplex-drift",
@@ -202,7 +220,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     )
 
     reference = load_reference_table()
-    reference_run = simulate_course(ModelParams(weeks=_REFERENCE_WEEKS), _REFERENCE_INITIAL)
     early = compare_to_golden(
         reference_run,
         reference,

@@ -13,6 +13,7 @@ import csv
 import hashlib
 from collections.abc import Iterator
 from importlib import resources
+from operator import attrgetter
 from pathlib import Path
 
 from .analysis import GoldenRow, SweepEntry, TrajectoryDiff
@@ -73,21 +74,17 @@ def _cell_error(where: str, line: str, cells: list[str]) -> SchemaError:
             return SchemaError(f"{where}: {quote(cell)} is not {kind}: {quote(line)}")
 
 
+# One row template per count mode over the header's fields: "%d" writes
+# str(int(count)), and NaN or inf raise as int() does.
+_ROW_FIELDS = attrgetter(*TRAJECTORY_HEADER.split(","))
+_INTEGER_ROW = "%d,%s,%d,%d,%d,%.9f,%.9f,%.9f,%.9f,%.9f,%d\n"
+_REAL_ROW = "%d,%s" + ",%.9f" * 9 + "\n"
+
+
 def write_trajectory(trajectory: Trajectory, destination: str | Path) -> None:
     """Write a trajectory as a comma-separated table, one record per line."""
-    records = trajectory.records
-    if trajectory.integer_rounding:
-        rows = [
-            f"{r.day},{r.phase},{int(r.y0)},{int(r.y1)},{int(r.y2)},{r.x0:.9f},{r.x1:.9f},"
-            f"{r.x2:.9f},{r.phi:.9f},{r.v2:.9f},{int(r.total)}\n"
-            for r in records
-        ]
-    else:
-        rows = [
-            f"{r.day},{r.phase},{r.y0:.9f},{r.y1:.9f},{r.y2:.9f},{r.x0:.9f},{r.x1:.9f},"
-            f"{r.x2:.9f},{r.phi:.9f},{r.v2:.9f},{r.total:.9f}\n"
-            for r in records
-        ]
+    row = _INTEGER_ROW if trajectory.integer_rounding else _REAL_ROW
+    rows = [row % _ROW_FIELDS(r) for r in trajectory.records]
     Path(destination).write_text(TRAJECTORY_HEADER + "\n" + "".join(rows), encoding="utf-8")
 
 

@@ -1,10 +1,14 @@
-"""Shared fixtures: reference parameter sets, course runs, and ODE oracles."""
+"""Shared fixtures: reference parameter sets, course runs, ODE oracles, and
+the CPU count, fork count and leak probes of the forked paths."""
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
 
+from repopsim import analysis
 from repopsim import (
     ModelParams,
     PopulationState,
@@ -85,3 +89,34 @@ def random_simplex_points(rng, count: int) -> list[tuple[float, float, float]]:
         a, b = sorted(rng.random() for _ in range(2))
         points.append((a, b - a, 1.0 - b))
     return points
+
+
+@pytest.fixture
+def use_cpus(monkeypatch):
+    """Sets the usable CPU count that forked_map sees."""
+    return lambda count: monkeypatch.setattr(analysis, "_usable_cpus", lambda: count)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children that forked_map forks."""
+    made = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return made
+
+
+def open_fds() -> int | None:
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def assert_no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -34,7 +34,7 @@ from repopsim import (
     sweep,
 )
 
-from .conftest import reference_initial
+from .conftest import assert_no_children_left, open_fds, reference_initial
 
 
 def tiny_trajectory(points):
@@ -241,37 +241,6 @@ PARITY_CASES = {
 }
 
 
-@pytest.fixture
-def use_cpus(monkeypatch):
-    """Sets the usable CPU count the sweep sees."""
-    return lambda count: monkeypatch.setattr(analysis, "_usable_cpus", lambda: count)
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the children the sweep forks."""
-    made = []
-    real_fork = os.fork
-
-    def counting_fork():
-        pid = real_fork()
-        if pid:
-            made.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return made
-
-
-def open_fds() -> int | None:
-    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
-
-
-def assert_no_children_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestParallelSweep:
     @pytest.mark.parametrize("key, values, threshold", PARITY_CASES.values(), ids=PARITY_CASES)
     def test_serial_and_parallel_entries_are_equal(self, use_cpus, forks, key, values, threshold):
@@ -452,6 +421,40 @@ class TestParallelSweep:
         fds = open_fds()
         with pytest.raises(RuntimeError, match=r"(?s)exited with code 1:\n.*RuntimeError: course 4.0"):
             sweep(SHORT_REAL, "a", (1.0, 2.0, 3.0, 4.0), FAST_START)
+        assert len(forks) == 1
+        assert_no_children_left()
+        assert open_fds() == fds
+
+    def test_each_maps_every_entry_on_either_path(self, use_cpus, forks):
+        def drop(entry):
+            return dc_replace(entry, trajectory=None)
+
+        values = (1.0, 0.0, 5.0)
+        use_cpus(1)
+        expected = tuple(map(drop, sweep(SHORT_REAL, "a", values, FAST_START, threshold=0.05)))
+        assert sweep(SHORT_REAL, "a", values, FAST_START, threshold=0.05, each=drop) == expected
+        use_cpus(2)
+        assert sweep(SHORT_REAL, "a", values, FAST_START, threshold=0.05, each=drop) == expected
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize(
+        "error",
+        [PermissionError(13, "Permission denied", "x.csv"), InvalidParameterError("bad")],
+        ids=["os-error", "simulation-error"],
+    )
+    def test_a_child_os_or_simulation_error_is_raised_as_itself(self, use_cpus, forks, error):
+        parent = os.getpid()
+
+        def each(entry):
+            if os.getpid() != parent:
+                raise error
+            return entry
+
+        use_cpus(2)
+        fds = open_fds()
+        with pytest.raises(type(error)) as raised:
+            sweep(SHORT_REAL, "a", (1.0, 5.0), FAST_START, each=each)
+        assert str(raised.value) == str(error)
         assert len(forks) == 1
         assert_no_children_left()
         assert open_fds() == fds

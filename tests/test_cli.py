@@ -20,10 +20,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repopsim import ModelParams, cli
+from repopsim import ModelParams, analysis, cli
 from repopsim.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, cli_main
 from repopsim.core import ODE_STEP_FLOOR
 from repopsim.io import TRAJECTORY_HEADER
+
+from .conftest import assert_no_children_left, open_fds
 
 BASELINE_PATH = str(resources.files("repopsim").joinpath("data/baseline.json"))
 MIXING_PATH = str(resources.files("repopsim").joinpath("data/mixing.json"))
@@ -447,6 +449,69 @@ class TestSweep:
         assert (out_dir / "sweep_weeks_1.csv").exists()
         assert (out_dir / "sweep_weeks_2.csv").exists()
 
+    def sweep_argv(self, tmp_path, values: str, out_dir) -> list[str]:
+        config = write_config_file(tmp_path)
+        argv = ["sweep", "--config", config, "--param", "a", "--values", values]
+        return [*argv, "--out-dir", str(out_dir)]
+
+    def test_a_child_write_failure_is_io_error(
+        self, tmp_path, capsys, monkeypatch, use_cpus, forks
+    ):
+        # Value 1.0 is the calling process's share, 5.0 the child's.
+        real_write = cli.write_trajectory
+
+        def failing_write(trajectory, destination):
+            if destination.name == "sweep_a_5.0.csv":
+                raise PermissionError(13, "Permission denied", str(destination))
+            real_write(trajectory, destination)
+
+        monkeypatch.setattr(cli, "write_trajectory", failing_write)
+        use_cpus(2)
+        out_dir = tmp_path / "sweep"
+        fds = open_fds()
+        assert cli_main(self.sweep_argv(tmp_path, "1.0,5.0", out_dir)) == EXIT_IO
+        out, err = capsys.readouterr()
+        assert len(forks) == 1
+        assert_no_children_left()
+        assert open_fds() == fds
+        assert out == ""
+        assert err == f"error: [Errno 13] Permission denied: '{out_dir / 'sweep_a_5.0.csv'}'\n"
+
+    def test_children_send_entries_without_trajectories(
+        self, tmp_path, capsys, monkeypatch, use_cpus, forks
+    ):
+        # The child runs 2.0 and 4.0; what its spy sees goes to a file.
+        seen = tmp_path / "sent"
+        real_frame = analysis._entry_frame
+
+        def spy(entry):
+            with open(seen, "a", encoding="utf-8") as handle:
+                handle.write(f"{entry.value!r} {entry.trajectory is None}\n")
+            return real_frame(entry)
+
+        monkeypatch.setattr(analysis, "_entry_frame", spy)
+        use_cpus(2)
+        out_dir = tmp_path / "sweep"
+        assert cli_main(self.sweep_argv(tmp_path, "1.0,2.0,3.0,4.0", out_dir)) == EXIT_OK
+        assert len(forks) == 1
+        assert seen.read_text(encoding="utf-8") == "2.0 True\n4.0 True\n"
+        written = sorted(p.name for p in out_dir.iterdir())
+        assert written == [*(f"sweep_a_{v}.0.csv" for v in range(1, 5)), "sweep_summary.csv"]
+
+    def test_two_workers_writing_one_file_match_a_serial_run(
+        self, tmp_path, capsys, use_cpus, forks
+    ):
+        outputs = []
+        for cpus in (1, 2):
+            use_cpus(cpus)
+            out_dir = tmp_path / f"sweep-{cpus}"
+            assert cli_main(self.sweep_argv(tmp_path, "2.0,2.0", out_dir)) == EXIT_OK
+            lines = capsys.readouterr().out.replace(str(out_dir), "<out>")
+            outputs.append((lines, {p.name: p.read_bytes() for p in out_dir.iterdir()}))
+        assert len(forks) == 1
+        assert outputs[0] == outputs[1]
+        assert sorted(outputs[0][1]) == ["sweep_a_2.0.csv", "sweep_summary.csv"]
+
 
 class TestCheck:
     def test_bundled_baseline_passes(self, capsys):
@@ -461,6 +526,41 @@ class TestCheck:
         bad = tmp_path / "bad.json"
         bad.write_text("{", encoding="utf-8")
         assert cli_main(["check", "--config", str(bad)]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize(
+        "case, expected",
+        [
+            ("mixing", EXIT_OK),
+            ("baseline", EXIT_OK),
+            ("zero-count", EXIT_VALIDATION),
+            ("v1-1e300", EXIT_NUMERIC),
+        ],
+    )
+    def test_forked_check_prints_what_a_serial_check_prints(
+        self, tmp_path, capsys, use_cpus, forks, case, expected
+    ):
+        # The configured course runs in the calling process, so its error
+        # comes after the two PASS lines in both runs; the reference course
+        # runs in the one child.
+        mixing = json.loads(Path(MIXING_PATH).read_text(encoding="utf-8"))
+        config = {
+            "mixing": MIXING_PATH,
+            "baseline": BASELINE_PATH,
+            "zero-count": write_config_file(tmp_path, "zero.json", initial_counts=[0, 0, 0]),
+            "v1-1e300": write_config_file(tmp_path, "huge-v1.json", **{**mixing, "v1": 1e300}),
+        }[case]
+        use_cpus(1)
+        serial = cli_main(["check", "--config", config]), capsys.readouterr()
+        assert forks == []
+        use_cpus(2)
+        fds = open_fds()
+        forked = cli_main(["check", "--config", config]), capsys.readouterr()
+        assert len(forks) == 1
+        assert_no_children_left()
+        assert open_fds() == fds
+        assert forked == serial
+        assert serial[0] == expected
+        assert serial[1].out.count("PASS") == (4 if expected == EXIT_OK else 2)
 
 
 def test_console_entry_point_runs():
@@ -500,6 +600,27 @@ def test_sweep_subprocess_prints_each_line_once(tmp_path):
         "value 0.0: a must be > 0, got 0.0",
         f"value 5.0: wrote {out_dir / 'sweep_a_5.0.csv'}",
         f"wrote {out_dir / 'sweep_summary.csv'}",
+    ]
+
+
+def test_check_subprocess_prints_each_line_once():
+    # Two PASS lines sit in the block buffer of a piped stdout when the
+    # reference course forks; a child that flushed them would print them twice.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    result = subprocess.run(
+        [sys.executable, "-m", "repopsim", "check", "--config", MIXING_PATH],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == EXIT_OK
+    names = [line.split(":")[0] for line in result.stdout.splitlines()]
+    assert names == [
+        "PASS operator-column-sums",
+        "PASS pulse-closed-form",
+        "PASS simplex-drift",
+        "PASS reference-table",
     ]
 
 

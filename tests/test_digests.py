@@ -11,7 +11,8 @@ at ode_step 0.5 (two RK4 steps a day, where pulses, rounding and records
 outweigh the integration), and the mixing config reshaped to three weeks
 of three pulse days and four growth-only days. A sweep of `a` on the mixing
 config pins every file it writes, whether its values run in one process or
-several.
+several, and `check` on the mixing config pins what it prints, whether its
+two courses run in one process or two.
 """
 
 from __future__ import annotations
@@ -70,6 +71,9 @@ SWEEP_DIGESTS = {
     "sweep_summary.csv": "871c953cf6528f5174b5bc571e2a8c2783e8b677597abe190332feec6ff12622",
 }
 
+# stdout of `check --config mixing.json`: four PASS lines.
+CHECK_STDOUT_DIGEST = "fb7f1c0d524b06de01955a4e5bdb774b75e51ebf1f4e23b879cb0c0ad41eec20"
+
 
 def shipped_config(name: str) -> str:
     return str(resources.files("repopsim").joinpath(f"data/{name}"))
@@ -105,6 +109,12 @@ def test_sweep_digests(tmp_path):
     assert cli_main(argv) == EXIT_OK
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert written == SWEEP_DIGESTS
+
+
+def test_check_stdout_digest(capsys):
+    assert cli_main(["check", "--config", shipped_config("mixing.json")]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CHECK_STDOUT_DIGEST
 
 
 @pytest.mark.parametrize("integer_rounding", [True, False])
