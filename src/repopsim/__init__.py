@@ -25,15 +25,11 @@ from .core import (
     WEEKEND,
     ModelParams,
     PopulationState,
-    VelocityVector,
     fractions_to_counts,
-    mean_velocity,
     psi,
     snap_count,
     survival_fraction,
     v2_of,
-    velocities_of,
-    velocity_from_doubling_time,
 )
 from .errors import (
     AlignmentError,
@@ -46,11 +42,9 @@ from .errors import (
 )
 from .growth import (
     GrowthStep,
-    ReplicatorField,
     apply_division,
     growth_day_detail,
     integrate_growth,
-    replicator_rhs,
 )
 from .io import (
     load_reference_table,
@@ -59,7 +53,7 @@ from .io import (
     write_sweep_summary,
     write_trajectory,
 )
-from .radiation import RadiationOperator, apply_pulse, build_radiation_operator, pulse_power
+from .radiation import RadiationOperator, apply_pulse, build_radiation_operator
 from .schedule import Trajectory, TrajectoryRecord, simulate_course
 
 __version__ = "0.1.0"

@@ -334,7 +334,7 @@ def forked_map(one, values: tuple) -> tuple:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[pid]
             if code < 0:
-                raise RuntimeError(f"sweep worker {pid} was killed by signal {-code}")
+                raise RuntimeError(f"worker {pid} was killed by signal {-code}")
             import pickle  # loaded on the forked path only
 
             problem = None
@@ -353,7 +353,7 @@ def forked_map(one, values: tuple) -> tuple:
                 results[k] = result
             if code or problem:
                 detail = (problem or "no traceback").strip()
-                raise RuntimeError(f"sweep worker {pid} exited with code {code}:\n{detail}")
+                raise RuntimeError(f"worker {pid} exited with code {code}:\n{detail}")
         return tuple(results)
     finally:
         for pid in children:

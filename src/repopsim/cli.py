@@ -76,6 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.out == "":
+        raise ConfigError("--out must be a nonempty path, got ''")
     config = load_config(args.config)
     destination = args.out or config.output
     if destination is None:

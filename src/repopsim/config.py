@@ -109,7 +109,7 @@ def parse_config(text: str) -> RunConfig:
     except InvalidParameterError as exc:
         raise ConfigError(str(exc)) from exc
     output = raw.get("output")
-    if output is not None and (not isinstance(output, str) or "\0" in output):
+    if output is not None and (not isinstance(output, str) or not output or "\0" in output):
         raise ConfigError(f"output must be a string path, got {quote(output)}")
 
     initial = PopulationState(*counts, pulses_delivered=initial_pulses)

@@ -3,10 +3,9 @@
 The population is split into three fractions: a slow compartment, a middle
 compartment, and a fast compartment whose velocity is damped by accumulated
 radiation pulses. Every function here is pure. ModelParams, built once per
-course, is a frozen dataclass. PopulationState and VelocityVector, built
-several times per simulated day, are slotted dataclasses: cheaper to build,
-but mutable and unhashable. Nothing in the package mutates one after it is
-built.
+course, is a frozen dataclass. PopulationState, built once per pulse and
+growth day, is a slotted dataclass: cheaper to build, but mutable and
+unhashable. Nothing in the package mutates one after it is built.
 """
 
 from __future__ import annotations
@@ -170,21 +169,6 @@ class PopulationState:
         return (self.y0 / t, self.y1 / t, self.y2 / t)
 
 
-@dataclass(slots=True)
-class VelocityVector:
-    """Per-fraction growth velocities in force for one growth interval."""
-
-    v0: float  # slow-fraction velocity (1/day)
-    v1: float  # middle-fraction velocity (1/day)
-    v2: float  # fast-fraction velocity, damped by accumulated pulses (1/day)
-
-    def __post_init__(self) -> None:
-        if not (self.v0 >= 0 and self.v1 >= 0 and self.v2 >= 0):
-            for name in ("v0", "v1", "v2"):
-                if not getattr(self, name) >= 0:
-                    raise InvalidParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
-
-
 def survival_fraction(params: ModelParams) -> float:
     """Surviving cell fraction after a single pulse of params.dose.
 
@@ -194,30 +178,9 @@ def survival_fraction(params: ModelParams) -> float:
     return math.exp(-(params.alpha * d + params.beta * d * d))
 
 
-def velocity_from_doubling_time(doubling_time: float) -> float:
-    """Growth velocity ln(2)/T_d for a volume doubling time in days.
-
-    Raises:
-        InvalidParameterError: if the doubling time is not positive.
-    """
-    if not doubling_time > 0:
-        raise InvalidParameterError(f"doubling time must be > 0, got {doubling_time}")
-    return math.log(2) / doubling_time
-
-
 def _check_simplex(x: tuple[float, float, float]) -> None:
     if min(x) < -SIMPLEX_TOL or abs(x[0] + x[1] + x[2] - 1.0) > SIMPLEX_TOL:
         raise InvalidStateError(f"fractions must lie on the simplex, got {x}")
-
-
-def mean_velocity(x: tuple[float, float, float], v: VelocityVector) -> float:
-    """Population mean growth velocity over the fraction triple x.
-
-    Raises:
-        InvalidStateError: if x is off the simplex beyond tolerance.
-    """
-    _check_simplex(x)
-    return v.v0 * x[0] + v.v1 * x[1] + v.v2 * x[2]
 
 
 def psi(params: ModelParams, pulses: int, period: str) -> float:
@@ -249,11 +212,6 @@ def psi(params: ModelParams, pulses: int, period: str) -> float:
 def v2_of(params: ModelParams, pulses: int, period: str) -> float:
     """Fast-fraction velocity a * v1 * psi at the given pulse count and period."""
     return params.a * params.v1 * psi(params, pulses, period)
-
-
-def velocities_of(params: ModelParams, pulses: int, period: str) -> VelocityVector:
-    """Velocity vector in force for a growth interval starting now."""
-    return VelocityVector(params.v0, params.v1, v2_of(params, pulses, period))
 
 
 def snap_count(value: float) -> float:

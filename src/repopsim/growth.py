@@ -15,15 +15,11 @@ from dataclasses import dataclass
 from .core import (
     GROWTH_INTERVAL,
     PARAM_TABLE,
-    RADIATION_PERIOD,
     SIMPLEX_TOL,
     ModelParams,
     PopulationState,
-    VelocityVector,
     fractions_to_counts,
-    mean_velocity,
     snap_count,
-    velocities_of,
 )
 from .errors import InvalidParameterError, InvalidStateError, NumericInstabilityError
 
@@ -40,62 +36,32 @@ _BOUND_DRIFT = 1e-10
 _BOUND_ROUNDING = 32 * 2.0**-53
 
 Triple = tuple[float, float, float]
+# (v0, v1, v2, q_mix, p_mix): the velocities and mutation rates of one growth interval.
+Rates = tuple[float, float, float, float, float]
 
 
-@dataclass(slots=True)
-class ReplicatorField:
-    """Right-hand-side data for one growth interval (v2 frozen throughout)."""
-
-    v: VelocityVector  # velocities in force for the interval
-    q_mix: float  # slow-to-middle mutation rate
-    p_mix: float  # middle-to-fast mutation rate
-
-    def __post_init__(self) -> None:
-        q, p = self.q_mix, self.p_mix
-        if type(q) is float and type(p) is float and 0.0 <= q <= 1.0 and 0.0 <= p <= 1.0:
-            return  # what PARAM_TABLE accepts on every growth day, without the lookups
-        for name in ("q_mix", "p_mix"):
-            PARAM_TABLE[name].check(name, getattr(self, name))
-
-
-def replicator_rhs(field: ReplicatorField, x: Triple) -> Triple:
-    """Time derivative of the fraction triple under the replicator field.
-
-    The three components sum to Phi * (1 - sum(x)), hence to zero on the
-    simplex, which is what keeps the integration on the simplex without any
-    forced renormalization.
-
-    Raises:
-        InvalidStateError: if x is off the simplex beyond tolerance.
-    """
-    phi = mean_velocity(x, field.v)
-    v = field.v
-    return (
-        v.v0 * x[0] * (1.0 - field.q_mix) - x[0] * phi,
-        v.v1 * x[1] * (1.0 - field.p_mix) + v.v0 * x[0] * field.q_mix - x[1] * phi,
-        v.v2 * x[2] + v.v1 * x[1] * field.p_mix - x[2] * phi,
-    )
-
-
-def integrate_growth(field: ReplicatorField, x: Triple, duration: float, step: float) -> Triple:
-    """Fraction triple after `duration` days of mixing under the field.
+def integrate_growth(rates: Rates, x: Triple, duration: float, step: float) -> Triple:
+    """Fraction triple after `duration` days of mixing under the replicator
+    field with velocities (v0, v1, v2) and mutation rates q_mix, p_mix.
 
     Classical fixed-step fourth-order integration. The raw endpoint is
     returned; growth_day_detail projects it back onto the simplex.
 
-    The loop is replicator_rhs unrolled over scalar locals: every stage
-    evaluates the field with the same float operations in the same order,
-    so the result equals a plain RK4 composed from replicator_rhs bit for
-    bit, and raises where that RK4 raises, with the same message. Within a
-    written bound (every h*v_i at most 1/64, at most 10**4 steps, an input
-    >= 0 with sum within 1e-10 of 1) the loop tests nothing: the comment
-    above the flag proves that no test could fire. Outside it each stage
-    point gets the simplex test of mean_velocity and each endpoint the
-    [0, 1] test, which stands in for the next step's first component test.
+    The loop is replicator_rhs of tests/test_growth.py unrolled over scalar
+    locals: every stage evaluates the field with the same float operations
+    in the same order, so the result equals a plain RK4 composed from
+    replicator_rhs bit for bit, and raises where that RK4 raises, with the
+    same message. Within a written bound (every h*v_i at most 1/64, at most
+    10**4 steps, an input >= 0 with sum within 1e-10 of 1) the loop tests
+    nothing: the comment above the flag proves that no test could fire.
+    Outside it the rates are checked once, each stage point gets the simplex
+    test and each endpoint the [0, 1] test, which stands in for the next
+    step's first component test.
 
     Raises:
         InvalidParameterError: for a duration not finite and > 0, a step
-            outside (0, duration], or more than 10**6 steps.
+            outside (0, duration], more than 10**6 steps, a negative or NaN
+            velocity, or a q_mix or p_mix outside [0, 1].
         NumericInstabilityError: if a stage point leaves the simplex by more
             than 1e-9, or any endpoint component leaves [0, 1] by more than
             1e-9, naming the offending step.
@@ -112,8 +78,7 @@ def integrate_growth(field: ReplicatorField, x: Triple, duration: float, step: f
     h = duration / n
     hh = 0.5 * h
     h6 = h / 6.0
-    v0, v1, v2 = field.v.v0, field.v.v1, field.v.v2
-    q, p = field.q_mix, field.p_mix
+    v0, v1, v2, q, p = rates
     cq, cp = 1.0 - q, 1.0 - p
     lo, hi, tol = -SIMPLEX_TOL, 1.0 + SIMPLEX_TOL, SIMPLEX_TOL
     x0, x1, x2 = x
@@ -220,20 +185,25 @@ def integrate_growth(field: ReplicatorField, x: Triple, duration: float, step: f
     #       By G, I_2(z) >= 0.364 (1 - 4u) Im - 1.394s - 0.017 Im >= 0.23 Im.
     # tests/test_growth.py asserts each of these constants from C, M, N_MAX
     # and delta.
+    rates_ok = 0.0 <= v0 and 0.0 <= v1 and 0.0 <= v2 and 0.0 <= q <= 1.0 and 0.0 <= p <= 1.0
     checked = not (
-        0.0 <= v0 and 0.0 <= v1 and 0.0 <= v2
+        rates_ok
         and h * v0 <= _BOUND_HV and h * v1 <= _BOUND_HV and h * v2 <= _BOUND_HV
-        and 0.0 <= q <= 1.0 and 0.0 <= p <= 1.0
         and n <= _BOUND_STEPS
         and 0.0 <= x0 and 0.0 <= x1 and 0.0 <= x2
         and abs(x0 + x1 + x2 - 1.0) <= _BOUND_DRIFT
     )
-    # The components of step 1's first stage point. Every later step starts
-    # from an endpoint whose `x_i < lo` test is this one.
-    if checked and (x0 < lo or x1 < lo or x2 < lo):
-        raise _stage_error(0, n, h)
+    if checked:
+        if not rates_ok:
+            _check_velocities((v0, v1, v2))
+            for name, rate in (("q_mix", q), ("p_mix", p)):
+                PARAM_TABLE[name].check(name, rate)
+        # The components of step 1's first stage point. Every later step
+        # starts from an endpoint whose `x_i < lo` test is this one.
+        if x0 < lo or x1 < lo or x2 < lo:
+            raise _stage_error(0, n, h)
     for i in range(n):
-        # Stage k1 at x. The sum is tested as mean_velocity tests it.
+        # Stage k1 at x. Its components were tested at the previous endpoint.
         if checked and abs(x0 + x1 + x2 - 1.0) > tol:
             raise _stage_error(i, n, h)
         a0, a1, a2 = v0 * x0, v1 * x1, v2 * x2
@@ -287,33 +257,41 @@ def _stage_error(i: int, n: int, h: float) -> NumericInstabilityError:
     )
 
 
+def _check_velocities(v: Triple) -> None:
+    for name, value in zip(("v0", "v1", "v2"), v):
+        if not value >= 0:
+            raise InvalidParameterError(f"{name} must be >= 0, got {value}")
+
+
 def apply_division(
-    state: PopulationState,
-    v: VelocityVector,
-    duration: float,
-    integer_rounding: bool = False,
-) -> PopulationState:
-    """Each compartment multiplied by its division factor 2^(v_i * duration).
+    counts: Triple, v: Triple, duration: float, integer_rounding: bool = False
+) -> Triple:
+    """Each count multiplied by its division factor 2^(v_i * duration), for
+    the velocities v = (v0, v1, v2).
 
     Raises:
-        InvalidParameterError: for a nonpositive duration.
+        InvalidParameterError: for a nonpositive duration or a negative or
+            NaN velocity.
         NumericInstabilityError: if a divided count is too large for a float.
     """
     if not duration > 0:
         raise InvalidParameterError(f"duration must be > 0, got {duration}")
+    v0, v1, v2 = v
+    if not (v0 >= 0 and v1 >= 0 and v2 >= 0):
+        _check_velocities(v)
     try:
-        y0 = state.y0 * 2.0 ** (v.v0 * duration)
-        y1 = state.y1 * 2.0 ** (v.v1 * duration)
-        y2 = state.y2 * 2.0 ** (v.v2 * duration)
+        y0 = counts[0] * 2.0 ** (v0 * duration)
+        y1 = counts[1] * 2.0 ** (v1 * duration)
+        y2 = counts[2] * 2.0 ** (v2 * duration)
     except OverflowError:
         y0 = y1 = y2 = math.inf
     if y0 + y1 + y2 == math.inf:
         raise NumericInstabilityError(
-            f"cell counts overflow dividing for {duration} days at velocities {(v.v0, v.v1, v.v2)}"
+            f"cell counts overflow dividing for {duration} days at velocities {(v0, v1, v2)}"
         )
     if integer_rounding:
-        y0, y1, y2 = snap_count(y0), snap_count(y1), snap_count(y2)
-    return PopulationState(y0, y1, y2, state.pulses_delivered)
+        return snap_count(y0), snap_count(y1), snap_count(y2)
+    return y0, y1, y2
 
 
 @dataclass(slots=True)
@@ -322,43 +300,40 @@ class GrowthStep:
 
     state: PopulationState  # post-division population
     phi: float  # mean velocity at the end of the mixing stage
-    v2: float  # fast-fraction velocity frozen for the interval
     drift: float  # raw |sum(x) - 1| at the integrator endpoint
     renormalized: bool  # whether the simplex guard fired
 
 
-def growth_day_detail(
-    state: PopulationState,
-    params: ModelParams,
-    period: str = RADIATION_PERIOD,
-) -> GrowthStep:
+def growth_day_detail(state: PopulationState, params: ModelParams, v2: float) -> GrowthStep:
     """One growth interval with the recorded mean velocity and diagnostics.
 
-    Stages: freeze the velocity vector from the state's pulse count and the
-    period, evolve the fractions, project an endpoint that drifted more than
-    1e-12 from the simplex back onto it proportionally, rebuild counts from
-    the fractions, then divide.
+    Stages: evolve the fractions under the velocities (params.v0, params.v1,
+    v2), with v2 frozen for the interval, project an endpoint that drifted
+    more than 1e-12 from the simplex back onto it proportionally, rebuild
+    counts from the fractions, then divide.
 
     Raises:
-        InvalidStateError: for an empty population.
+        InvalidStateError: for an empty population, or a negative rebuilt
+            count.
     """
-    y0, y1, y2, pulses = state.y0, state.y1, state.y2, state.pulses_delivered
+    y0, y1, y2 = state.y0, state.y1, state.y2
     total = y0 + y1 + y2
     if total == 0:
         raise InvalidStateError("cannot grow an empty population")
-    v = velocities_of(params, pulses, period)
-    field = ReplicatorField(v, params.q_mix, params.p_mix)
+    v0, v1 = params.v0, params.v1
     x = (y0 / total, y1 / total, y2 / total)
-    x_end = integrate_growth(field, x, GROWTH_INTERVAL, params.ode_step)
+    rates = (v0, v1, v2, params.q_mix, params.p_mix)
+    x_end = integrate_growth(rates, x, GROWTH_INTERVAL, params.ode_step)
     drift = abs(x_end[0] + x_end[1] + x_end[2] - 1.0)
     renormalized = drift > _RENORM_TOL
     if renormalized:
         s = x_end[0] + x_end[1] + x_end[2]
         x_end = (x_end[0] / s, x_end[1] / s, x_end[2] / s)
     counts = fractions_to_counts(x_end, total, params.integer_rounding)
-    phi = v.v0 * x_end[0] + v.v1 * x_end[1] + v.v2 * x_end[2]
-    # Built for its check: in real mode an endpoint component just below 0
-    # gives a negative count, reported here before division scales it.
-    intermediate = PopulationState(*counts, pulses)
-    divided = apply_division(intermediate, v, GROWTH_INTERVAL, params.integer_rounding)
-    return GrowthStep(divided, phi, v.v2, drift, renormalized)
+    phi = v0 * x_end[0] + v1 * x_end[1] + v2 * x_end[2]
+    # In real mode an endpoint component just below 0 gives a negative count,
+    # reported here before division scales it.
+    if not (counts[0] >= 0 and counts[1] >= 0 and counts[2] >= 0):
+        PopulationState(*counts)  # raises InvalidStateError naming the count
+    divided = apply_division(counts, (v0, v1, v2), GROWTH_INTERVAL, params.integer_rounding)
+    return GrowthStep(PopulationState(*divided, state.pulses_delivered), phi, drift, renormalized)

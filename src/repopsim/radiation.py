@@ -69,18 +69,3 @@ def apply_pulse(
     if integer_rounding:
         y0, y1, y2 = snap_count(y0), snap_count(y1), snap_count(y2)
     return PopulationState(y0, y1, y2, state.pulses_delivered + 1)
-
-
-def pulse_power(
-    op: RadiationOperator, n: int, state: PopulationState, integer_rounding: bool = False
-) -> PopulationState:
-    """n successive pulses; n = 0 returns the state unchanged.
-
-    Raises:
-        InvalidParameterError: if n is negative.
-    """
-    if n < 0:
-        raise InvalidParameterError(f"pulse count must be >= 0, got {n}")
-    for _ in range(n):
-        state = apply_pulse(op, state, integer_rounding)
-    return state

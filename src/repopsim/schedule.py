@@ -67,17 +67,6 @@ class Trajectory:
         """Whether the course ended early with the population gone."""
         return self.extinction_day is not None
 
-    def record(self, day: int, phase: str) -> TrajectoryRecord:
-        """The unique record at (day, phase).
-
-        Raises:
-            KeyError: if no such record was logged.
-        """
-        for rec in self.records:
-            if rec.day == day and rec.phase == phase:
-                return rec
-        raise KeyError(f"no record at day {day}, phase {phase!r}")
-
     def post_growth_records(self) -> tuple[TrajectoryRecord, ...]:
         return tuple(r for r in self.records if r.phase == POST_GROWTH)
 
@@ -130,11 +119,14 @@ def simulate_course(params: ModelParams, initial: PopulationState) -> Trajectory
             if rounding and state.total() < 1:
                 extinction_day = day
                 break
-        step = growth_day_detail(state, params, RADIATION_PERIOD if treatment else WEEKEND)
+        elif not treatment:
+            v2 = v2_of(params, state.pulses_delivered, WEEKEND)
+        # One v2 a day, shared by its records and its growth; day 1 keeps the initial record's.
+        step = growth_day_detail(state, params, v2)
         state, phi = step.state, step.phi
         max_drift = max(max_drift, step.drift)
         renorms += step.renormalized
-        records.append(_make_record(day, POST_GROWTH, state, phi, step.v2))
+        records.append(_make_record(day, POST_GROWTH, state, phi, v2))
         if rounding and state.total() < 1:
             extinction_day = day
             break

@@ -1,5 +1,6 @@
-"""Shared fixtures: reference parameter sets, course runs, ODE oracles, and
-the CPU count, fork count and leak probes of the forked paths."""
+"""Shared fixtures: reference parameter sets, course runs, ODE oracles, small
+helpers over the package's types, and the CPU count, fork count and leak
+probes of the forked paths."""
 
 from __future__ import annotations
 
@@ -10,11 +11,14 @@ import pytest
 
 from repopsim import analysis
 from repopsim import (
+    InvalidStateError,
     ModelParams,
     PopulationState,
+    apply_pulse,
     load_reference_table,
     simulate_course,
 )
+from repopsim.core import SIMPLEX_TOL
 
 # Initial population of the bundled reference course: the first pulse is
 # already folded in, so the pulse counter seeds at one.
@@ -50,6 +54,32 @@ def course_mixing():
     """Seven-week course with transfer and mixing coefficients switched on."""
     params = ModelParams(weeks=REFERENCE_WEEKS, **MIXING_OVERRIDES)
     return simulate_course(params, reference_initial())
+
+
+def record(trajectory, day: int, phase: str):
+    """The unique record of a trajectory at (day, phase)."""
+    for rec in trajectory.records:
+        if rec.day == day and rec.phase == phase:
+            return rec
+    raise KeyError(f"no record at day {day}, phase {phase!r}")
+
+
+def mean_velocity(x: tuple[float, float, float], v: tuple[float, float, float]) -> float:
+    """Population mean growth velocity v0 x0 + v1 x1 + v2 x2.
+
+    Raises:
+        InvalidStateError: if x is off the simplex beyond tolerance.
+    """
+    if min(x) < -SIMPLEX_TOL or abs(x[0] + x[1] + x[2] - 1.0) > SIMPLEX_TOL:
+        raise InvalidStateError(f"fractions must lie on the simplex, got {x}")
+    return v[0] * x[0] + v[1] * x[1] + v[2] * x[2]
+
+
+def pulse_power(op, n: int, state: PopulationState, integer_rounding: bool = False):
+    """n successive pulses; n = 0 returns the state unchanged."""
+    for _ in range(n):
+        state = apply_pulse(op, state, integer_rounding)
+    return state
 
 
 def euler_mix(

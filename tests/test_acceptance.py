@@ -22,22 +22,27 @@ from repopsim import (
     ModelParams,
     PopulationState,
     RadiationOperator,
-    ReplicatorField,
     apply_division,
     apply_pulse,
     build_radiation_operator,
     fractions_to_counts,
     integrate_growth,
-    mean_velocity,
-    pulse_power,
     simulate_course,
     survival_fraction,
-    velocities_of,
+    v2_of,
 )
 from repopsim.cli import cli_main
 from repopsim.io import TRAJECTORY_HEADER
 
-from .conftest import REFERENCE_WEEKS, euler_mix, random_simplex_points, reference_initial
+from .conftest import (
+    REFERENCE_WEEKS,
+    euler_mix,
+    mean_velocity,
+    pulse_power,
+    random_simplex_points,
+    record,
+    reference_initial,
+)
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 cells = st.floats(min_value=0.0, max_value=1e12, allow_nan=False)
@@ -81,7 +86,7 @@ def test_criterion_03_simplex_preserved_over_six_week_course():
 
 
 def test_criterion_04_fast_fraction_dominates_by_day_48(course_zero):
-    assert course_zero.record(48, "post_growth").x2 >= 0.93
+    assert record(course_zero, 48, "post_growth").x2 >= 0.93
 
 
 def test_criterion_05_early_course_reproduction_at_desk_scale():
@@ -92,10 +97,10 @@ def test_criterion_05_early_course_reproduction_at_desk_scale():
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
 
-    day1 = trajectory.record(1, "post_growth")
+    day1 = record(trajectory, 1, "post_growth")
     assert abs(day1.total - 625950700.0) / 625950700.0 <= 0.005
 
-    day2 = trajectory.record(2, "post_radiation")
+    day2 = record(trajectory, 2, "post_radiation")
     for got, want in zip(
         (day2.y0, day2.y1, day2.y2), (229863321.0, 131585880.0, 25878696.0)
     ):
@@ -103,7 +108,7 @@ def test_criterion_05_early_course_reproduction_at_desk_scale():
 
 
 def test_criterion_06_terminal_velocity(course_zero):
-    phi = course_zero.record(48, "post_growth").phi
+    phi = record(course_zero, 48, "post_growth").phi
     assert abs(phi - 0.078599769) / 0.078599769 <= 0.10
 
 
@@ -132,16 +137,16 @@ def test_criterion_08_one_week_equals_hand_composed_operators(course_zero):
     # weekdays. Every emitted value must match the engine bitwise.
     params = ModelParams(weeks=REFERENCE_WEEKS)
     op = build_radiation_operator(params)
-    start = course_zero.record(5, "post_growth")
+    start = record(course_zero, 5, "post_growth")
     state = PopulationState(start.y0, start.y1, start.y2, pulses_delivered=5)
     previous_phi = start.phi
 
     def grow(state, period):
         total = state.total()
         x = state.fractions()
-        v = velocities_of(params, state.pulses_delivered, period)
-        field = ReplicatorField(v, params.q_mix, params.p_mix)
-        x_end = integrate_growth(field, x, 1.0, params.ode_step)
+        v = (params.v0, params.v1, v2_of(params, state.pulses_delivered, period))
+        rates = (*v, params.q_mix, params.p_mix)
+        x_end = integrate_growth(rates, x, 1.0, params.ode_step)
         if abs(x_end[0] + x_end[1] + x_end[2] - 1.0) > 1e-12:
             norm = x_end[0] + x_end[1] + x_end[2]
             x_end = (x_end[0] / norm, x_end[1] / norm, x_end[2] / norm)
@@ -150,7 +155,8 @@ def test_criterion_08_one_week_equals_hand_composed_operators(course_zero):
         grown = PopulationState(
             mixed[0], mixed[1], mixed[2], pulses_delivered=state.pulses_delivered
         )
-        return apply_division(grown, v, 1.0, params.integer_rounding), phi, v.v2
+        divided = apply_division((grown.y0, grown.y1, grown.y2), v, 1.0, params.integer_rounding)
+        return PopulationState(*divided, grown.pulses_delivered), phi, v[2]
 
     def assert_matches(rec, state, phi, v2):
         assert (rec.y0, rec.y1, rec.y2) == (state.y0, state.y1, state.y2)
@@ -166,25 +172,25 @@ def test_criterion_08_one_week_equals_hand_composed_operators(course_zero):
 
     for day in (6, 7):
         state, previous_phi, v2 = grow(state, "weekend")
-        assert_matches(course_zero.record(day, "post_growth"), state, previous_phi, v2)
+        assert_matches(record(course_zero, day, "post_growth"), state, previous_phi, v2)
 
     for day in range(8, 13):
         state = apply_pulse(op, state, params.integer_rounding)
-        rec = course_zero.record(day, "post_radiation")
-        v2_now = velocities_of(params, state.pulses_delivered, "radiation").v2
+        rec = record(course_zero, day, "post_radiation")
+        v2_now = v2_of(params, state.pulses_delivered, "radiation")
         assert_matches(rec, state, previous_phi, v2_now)
         state, previous_phi, v2 = grow(state, "radiation")
-        assert_matches(course_zero.record(day, "post_growth"), state, previous_phi, v2)
+        assert_matches(record(course_zero, day, "post_growth"), state, previous_phi, v2)
 
 
 def test_criterion_09_rk4_matches_small_step_euler_oracle():
     params = ModelParams(q_rad=0.0005, p_rad=0.0005, q_mix=0.1, p_mix=0.1)
-    v = velocities_of(params, 1, "radiation")
-    field = ReplicatorField(v, params.q_mix, params.p_mix)
+    v = (params.v0, params.v1, v2_of(params, 1, "radiation"))
+    rates = (*v, params.q_mix, params.p_mix)
     points = random_simplex_points(random.Random(2026), 50)
-    oracle = euler_mix(points, (v.v0, v.v1, v.v2), params.q_mix, params.p_mix, 1.0, 1e-5)
+    oracle = euler_mix(points, v, params.q_mix, params.p_mix, 1.0, 1e-5)
     for x, reference in zip(points, oracle):
-        out = integrate_growth(field, x, duration=1.0, step=0.01)
+        out = integrate_growth(rates, x, duration=1.0, step=0.01)
         for got, want in zip(out, reference):
             assert abs(got - want) <= 1e-6
 

@@ -30,11 +30,10 @@ from repopsim import (
     diff_velocity,
     load_config,
     lq_closed_form,
-    pulse_power,
     sweep,
 )
 
-from .conftest import assert_no_children_left, open_fds, reference_initial
+from .conftest import assert_no_children_left, open_fds, pulse_power, reference_initial
 
 
 def tiny_trajectory(points):
@@ -308,6 +307,25 @@ class TestParallelSweep:
         fds = open_fds()
         with pytest.raises(RuntimeError, match=message):
             sweep(SHORT_REAL, "a", (1.0, 5.0), FAST_START)
+        assert len(forks) == 1
+        assert_no_children_left()
+        assert open_fds() == fds
+
+    def test_a_failed_job_that_is_no_sweep_value_names_its_worker(self, use_cpus, forks):
+        # check runs its reference course through forked_map too.
+        parent = os.getpid()
+
+        def job(value):
+            if os.getpid() != parent:
+                raise ValueError(f"job {value}")
+            return value
+
+        use_cpus(2)
+        fds = open_fds()
+        message = r"(?s)^worker \d+ exited with code 1:\n.*ValueError: job 1"
+        with pytest.raises(RuntimeError, match=message) as caught:
+            analysis.forked_map(job, (0, 1))
+        assert "sweep" not in str(caught.value).splitlines()[0]
         assert len(forks) == 1
         assert_no_children_left()
         assert open_fds() == fds

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repopsim import ModelParams, analysis, cli
+from repopsim import ModelParams, analysis, cli, load_config, simulate_course
 from repopsim.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, cli_main
 from repopsim.core import ODE_STEP_FLOOR
 from repopsim.io import TRAJECTORY_HEADER
@@ -85,6 +85,29 @@ class TestRun:
         config = write_config_file(tmp_path, output=str(destination))
         assert cli_main(["run", "--config", config]) == EXIT_OK
         assert destination.exists()
+
+    @pytest.mark.parametrize(
+        "output, argv, message",
+        [
+            ("", [], "error: output must be a string path, got ''\n"),
+            ("config.csv", ["--out", ""], "error: --out must be a nonempty path, got ''\n"),
+        ],
+        ids=["config-output", "out-flag"],
+    )
+    def test_empty_destination_is_rejected_before_the_course(
+        self, tmp_path, capsys, monkeypatch, output, argv, message
+    ):
+        # "" once ran the whole course and then failed to open '.', or gave
+        # way to the config's output.
+        def course(params, initial):
+            raise AssertionError("the course ran")
+
+        monkeypatch.setattr(cli, "simulate_course", course)
+        monkeypatch.chdir(tmp_path)
+        config = write_config_file(tmp_path, output=output)
+        assert cli_main(["run", "--config", config, *argv]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "config.csv").exists()
 
     def test_missing_destination_is_validation_error(self, tmp_path, capsys):
         config = write_config_file(tmp_path)
@@ -666,6 +689,12 @@ def test_benchmark_tracer_sees_the_wrapped_layers(tmp_path):
     for name in ("growth.growth_day_detail", "radiation.apply_pulse", "growth.integrate_growth"):
         assert totals.get(name, {"calls": 0})["calls"] > 0, name
     assert cli.cli_main is cli_main
+    # The tracer counts RK4 steps from integrate_growth's third and fourth
+    # positional arguments, duration and step: the count must be the course's.
+    config = load_config(BASELINE_PATH)
+    growth_days = len(simulate_course(config.params, config.initial).post_growth_records())
+    steps = growth_days * round(1 / config.params.ode_step)
+    assert totals["growth.integrate_growth"]["value"] == steps
 
 
 # Fuzzing the CLI: every drawn config and sweep must end in a documented exit

@@ -16,15 +16,11 @@ from repopsim import (
     InvalidStateError,
     ModelParams,
     PopulationState,
-    VelocityVector,
     fractions_to_counts,
-    mean_velocity,
     psi,
     snap_count,
     survival_fraction,
     v2_of,
-    velocities_of,
-    velocity_from_doubling_time,
 )
 from repopsim.core import (
     ODE_STEP_FLOOR,
@@ -209,7 +205,7 @@ class TestModelParams:
 
     def test_zero_velocities_are_legal(self):
         p = ModelParams(v0=0.0, v1=0.0)
-        assert velocities_of(p, 0, RADIATION_PERIOD) == VelocityVector(0.0, 0.0, 0.0)
+        assert (p.v0, p.v1, v2_of(p, 0, RADIATION_PERIOD)) == (0.0, 0.0, 0.0)
 
 
 class TestPopulationState:
@@ -239,50 +235,6 @@ class TestPopulationState:
 
 
 class TestVelocities:
-    @pytest.mark.parametrize("bad", [-1.0, math.nan])
-    @pytest.mark.parametrize("index", [0, 1, 2])
-    def test_negative_velocity_message_names_the_component(self, index, bad):
-        v = [0.01, 0.016, 0.08]
-        v[index] = bad
-        with pytest.raises(InvalidParameterError, match=f"^v{index} must be >= 0, got {bad}$"):
-            VelocityVector(*v)
-
-    def test_doubling_time_conversion(self):
-        assert velocity_from_doubling_time(69.3147) == pytest.approx(0.01, rel=1e-6)
-        assert velocity_from_doubling_time(43.3217) == pytest.approx(0.016, rel=1e-6)
-        assert velocity_from_doubling_time(69.3147) == math.log(2.0) / 69.3147
-        # A doubling time of ln(2) days forces a unit velocity.
-        assert velocity_from_doubling_time(math.log(2.0)) == pytest.approx(1.0, rel=1e-15)
-
-    def test_rejects_nonpositive_doubling_time(self):
-        with pytest.raises(InvalidParameterError):
-            velocity_from_doubling_time(0.0)
-
-    def test_mean_velocity_is_dot_product(self):
-        x = (0.6, 0.34, 0.06)
-        v = VelocityVector(0.01, 0.016, 0.0804)
-        expected = x[0] * v.v0 + x[1] * v.v1 + x[2] * v.v2
-        assert mean_velocity(x, v) == pytest.approx(expected, rel=1e-15)
-        assert mean_velocity(x, v) == pytest.approx(0.016264, rel=1e-12)
-
-    def test_mean_velocity_at_simplex_vertices(self):
-        v = VelocityVector(0.01, 0.016, 0.08)
-        assert mean_velocity((1.0, 0.0, 0.0), v) == 0.01
-        assert mean_velocity((0.0, 0.0, 1.0), v) == 0.08
-
-    @settings(deadline=None)
-    @given(
-        a=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-        b=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-    )
-    def test_mean_velocity_bounded_by_component_rates(self, a, b):
-        lo, hi = sorted((a, b))
-        x = (lo, hi - lo, 1.0 - hi)
-        v = VelocityVector(0.01, 0.016, 0.08)
-        rates = (v.v0, v.v1, v.v2)
-        phi = mean_velocity(x, v)
-        assert min(rates) - 1e-15 <= phi <= max(rates) + 1e-15
-
     def test_damping_zero_coefficients(self):
         # With no transfer and no mixing the damping factor is exp(theta)
         # regardless of the pulse count, in both periods.
@@ -345,12 +297,6 @@ class TestVelocities:
         params = ModelParams(q_mix=q, p_mix=p)
         for period in PERIODS:
             assert psi(params, n + 1, period) <= psi(params, n, period)
-
-    def test_velocities_carry_base_rates(self):
-        p = ModelParams()
-        v = velocities_of(p, 3, WEEKEND)
-        assert (v.v0, v.v1) == (p.v0, p.v1)
-        assert v.v2 == v2_of(p, 3, WEEKEND)
 
 
 class TestRounding:
@@ -425,13 +371,10 @@ class TestConstants:
 
 
 _STATE = PopulationState(6.0, 3.0, 1.0)
-_VELOCITIES = VelocityVector(0.01, 0.016, 0.08)
 # One instance of each type built per growth day, row or compared cell: slotted.
 _SLOTTED = {
     "PopulationState": _STATE,
-    "VelocityVector": _VELOCITIES,
-    "ReplicatorField": repopsim.ReplicatorField(_VELOCITIES, 0.0, 0.0),
-    "GrowthStep": repopsim.GrowthStep(_STATE, 0.01, 0.08, 0.0, False),
+    "GrowthStep": repopsim.GrowthStep(_STATE, 0.01, 0.0, False),
     "TrajectoryRecord": repopsim.TrajectoryRecord(
         1, "initial", 6.0, 3.0, 1.0, 0.6, 0.3, 0.1, 0.0, 0.08, 10.0
     ),

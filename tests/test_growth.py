@@ -17,50 +17,78 @@ from repopsim import (
     ModelParams,
     NumericInstabilityError,
     PopulationState,
-    ReplicatorField,
-    VelocityVector,
     apply_division,
     growth_day_detail,
     integrate_growth,
     load_config,
-    mean_velocity,
-    replicator_rhs,
     simulate_course,
     v2_of,
 )
 from repopsim import growth
 from repopsim.core import GROWTH_INTERVAL, ODE_STEP_FLOOR, PARAM_TABLE, SIMPLEX_TOL
 
-from .conftest import euler_mix, random_simplex_points, reference_initial
+from .conftest import euler_mix, mean_velocity, random_simplex_points, reference_initial
 
-PAPER_V = VelocityVector(0.01, 0.016, 0.0804010016687521)
+PAPER_V = (0.01, 0.016, 0.0804010016687521)
 
 
 def simplex_points(rng: random.Random, count: int):
     return random_simplex_points(rng, count)
 
 
-def rk4_from_rhs(field, x, duration, step):
+def replicator_rhs(rates, x):
+    """Time derivative of the fraction triple under the replicator field
+    with rates (v0, v1, v2, q_mix, p_mix).
+
+    The readable form of the field that integrate_growth unrolls. The three
+    components sum to Phi * (1 - sum(x)), hence to zero on the simplex,
+    which is what keeps the integration on the simplex without any forced
+    renormalization.
+
+    Raises:
+        InvalidStateError: if x is off the simplex beyond tolerance.
+    """
+    v0, v1, v2, q_mix, p_mix = rates
+    phi = mean_velocity(x, (v0, v1, v2))
+    return (
+        v0 * x[0] * (1.0 - q_mix) - x[0] * phi,
+        v1 * x[1] * (1.0 - p_mix) + v0 * x[0] * q_mix - x[1] * phi,
+        v2 * x[2] + v1 * x[1] * p_mix - x[2] * phi,
+    )
+
+
+def check_rates(rates):
+    """The rate checks integrate_growth makes, with its messages: each
+    velocity >= 0, and q_mix and p_mix as the parameter table checks them."""
+    for name, value in zip(("v0", "v1", "v2"), rates):
+        if not value >= 0:
+            raise InvalidParameterError(f"{name} must be >= 0, got {value}")
+    for name, value in zip(("q_mix", "p_mix"), rates[3:]):
+        PARAM_TABLE[name].check(name, value)
+
+
+def rk4_from_rhs(rates, x, duration, step):
     """Plain fixed-step RK4 composed from replicator_rhs.
 
     The specification integrate_growth must match bit for bit: the same
     step count, stage points, update order, checks and messages.
     """
+    check_rates(rates)
     n = max(1, round(duration / step))
     h = duration / n
     for i in range(n):
         try:
-            k1 = replicator_rhs(field, x)
+            k1 = replicator_rhs(rates, x)
             k2 = replicator_rhs(
-                field,
+                rates,
                 (x[0] + 0.5 * h * k1[0], x[1] + 0.5 * h * k1[1], x[2] + 0.5 * h * k1[2]),
             )
             k3 = replicator_rhs(
-                field,
+                rates,
                 (x[0] + 0.5 * h * k2[0], x[1] + 0.5 * h * k2[1], x[2] + 0.5 * h * k2[2]),
             )
             k4 = replicator_rhs(
-                field, (x[0] + h * k3[0], x[1] + h * k3[1], x[2] + h * k3[2])
+                rates, (x[0] + h * k3[0], x[1] + h * k3[1], x[2] + h * k3[2])
             )
         except InvalidStateError as exc:
             raise NumericInstabilityError(
@@ -79,28 +107,28 @@ def rk4_from_rhs(field, x, duration, step):
     return x
 
 
-def outcome(integrate, field, x, duration, step):
+def outcome(integrate, rates, x, duration, step):
     """The returned triple, or the raised exception's type and message."""
     try:
-        return integrate(field, x, duration, step)
-    except NumericInstabilityError as exc:
+        return integrate(rates, x, duration, step)
+    except (InvalidParameterError, NumericInstabilityError) as exc:
         return type(exc), str(exc)
 
 
 class TestReplicatorRhs:
     def test_fast_corner_is_fixed_point(self):
-        field = ReplicatorField(PAPER_V, q_mix=0.3, p_mix=0.7)
-        dx = replicator_rhs(field, (0.0, 0.0, 1.0))
+        rates = (*PAPER_V, 0.3, 0.7)
+        dx = replicator_rhs(rates, (0.0, 0.0, 1.0))
         assert dx == pytest.approx((0.0, 0.0, 0.0), abs=1e-15)
 
     def test_slow_corner_leaks_through_mixing(self):
-        field = ReplicatorField(VelocityVector(0.01, 0.016, 0.08), q_mix=0.1, p_mix=0.0)
-        dx = replicator_rhs(field, (1.0, 0.0, 0.0))
+        rates = (0.01, 0.016, 0.08, 0.1, 0.0)
+        dx = replicator_rhs(rates, (1.0, 0.0, 0.0))
         assert dx == pytest.approx((-0.001, 0.001, 0.0), abs=1e-15)
 
     def test_interior_point_sums_to_zero(self):
-        field = ReplicatorField(PAPER_V, q_mix=0.0, p_mix=0.0)
-        dx = replicator_rhs(field, (0.6, 0.34, 0.06))
+        rates = (*PAPER_V, 0.0, 0.0)
+        dx = replicator_rhs(rates, (0.6, 0.34, 0.06))
         assert abs(sum(dx)) <= 1e-14
         assert dx[2] > 0.0
 
@@ -113,25 +141,26 @@ class TestReplicatorRhs:
         x = (lo, hi - lo, 1.0 - hi)
         q = data.draw(st.floats(min_value=0.0, max_value=1.0))
         p = data.draw(st.floats(min_value=0.0, max_value=1.0))
-        field = ReplicatorField(PAPER_V, q_mix=q, p_mix=p)
-        assert abs(sum(replicator_rhs(field, x))) <= 1e-14
+        rates = (*PAPER_V, q, p)
+        assert abs(sum(replicator_rhs(rates, x))) <= 1e-14
 
     def test_rejects_off_simplex_input(self):
-        field = ReplicatorField(PAPER_V, 0.0, 0.0)
+        rates = (*PAPER_V, 0.0, 0.0)
         with pytest.raises(InvalidStateError):
-            replicator_rhs(field, (0.5, 0.5, 0.5))
+            replicator_rhs(rates, (0.5, 0.5, 0.5))
 
+
+class TestIntegrateGrowth:
     def test_rejects_mixing_rate_outside_unit_interval(self):
-        with pytest.raises(InvalidParameterError):
-            ReplicatorField(PAPER_V, q_mix=1.5, p_mix=0.0)
+        with pytest.raises(InvalidParameterError, match=r"^q_mix must lie in \[0, 1\], got 1.5$"):
+            integrate_growth((*PAPER_V, 1.5, 0.0), (0.6, 0.34, 0.06), 1.0, 0.01)
 
     @pytest.mark.parametrize(
-        "value",
-        [0.0, -0.0, 1.0, 0, 1, 0.5, 1.5, -1e-300, 2, True, "0.5", None, math.nan, math.inf],
+        "value", [0.0, -0.0, 1.0, 0, 1, 0.5, 1.5, -1e-300, 2, math.nan, math.inf]
     )
     def test_mixing_rate_checked_as_the_parameter_table_checks_it(self, value):
-        # Two floats in [0, 1] take a shortcut past the table; every other
-        # value meets the table's check and message.
+        # A rate in [0, 1] lies inside the bound and meets no check; every
+        # other value meets the table's check and message.
         for name in ("q_mix", "p_mix"):
             try:
                 PARAM_TABLE[name].check(name, value)
@@ -141,69 +170,77 @@ class TestReplicatorRhs:
                 want = None
             rates = {"q_mix": 0.5, "p_mix": 0.5, name: value}
             try:
-                ReplicatorField(PAPER_V, **rates)
+                integrate_growth(
+                    (*PAPER_V, rates["q_mix"], rates["p_mix"]), (0.6, 0.34, 0.06), 1.0, 0.01
+                )
             except InvalidParameterError as exc:
                 got = str(exc)
             else:
                 got = None
             assert got == want
 
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_negative_velocity_message_names_the_component(self, index, bad):
+        v = [0.01, 0.016, 0.08]
+        v[index] = bad
+        with pytest.raises(InvalidParameterError, match=f"^v{index} must be >= 0, got {bad}$"):
+            integrate_growth((*v, 0.0, 0.0), (0.6, 0.34, 0.06), 1.0, 0.01)
 
-class TestIntegrateGrowth:
     def test_fast_corner_preserved(self):
-        field = ReplicatorField(PAPER_V, 0.2, 0.3)
-        out = integrate_growth(field, (0.0, 0.0, 1.0), duration=1.0, step=0.01)
+        rates = (*PAPER_V, 0.2, 0.3)
+        out = integrate_growth(rates, (0.0, 0.0, 1.0), duration=1.0, step=0.01)
         assert out == pytest.approx((0.0, 0.0, 1.0), abs=1e-12)
 
     def test_equal_velocities_freeze_fractions(self):
-        field = ReplicatorField(VelocityVector(0.02, 0.02, 0.02), 0.0, 0.0)
+        rates = (0.02, 0.02, 0.02, 0.0, 0.0)
         x = (0.6, 0.34, 0.06)
-        out = integrate_growth(field, x, duration=1.0, step=0.01)
+        out = integrate_growth(rates, x, duration=1.0, step=0.01)
         assert out == pytest.approx(x, abs=1e-10)
 
     def test_against_small_step_euler(self):
-        field = ReplicatorField(PAPER_V, 0.0, 0.0)
+        rates = (*PAPER_V, 0.0, 0.0)
         x = (0.6, 0.34, 0.06)
-        out = integrate_growth(field, x, duration=1.0, step=0.01)
+        out = integrate_growth(rates, x, duration=1.0, step=0.01)
         assert out[2] > x[2]
-        oracle = euler_mix([x], (PAPER_V.v0, PAPER_V.v1, PAPER_V.v2), 0.0, 0.0, 1.0, 1e-5)
+        oracle = euler_mix([x], PAPER_V, 0.0, 0.0, 1.0, 1e-5)
         for got, want in zip(out, oracle[0]):
             assert abs(got - want) <= 1e-6
 
     def test_slow_corner_stationary_only_without_mixing(self):
         x = (1.0, 0.0, 0.0)
-        frozen = ReplicatorField(PAPER_V, 0.0, 0.0)
+        frozen = (*PAPER_V, 0.0, 0.0)
         out = integrate_growth(frozen, x, duration=1.0, step=0.01)
         assert out == pytest.approx(x, abs=1e-12)
-        leaky = ReplicatorField(PAPER_V, 0.1, 0.0)
+        leaky = (*PAPER_V, 0.1, 0.0)
         moved = integrate_growth(leaky, x, duration=1.0, step=0.01)
         assert moved[0] < 1.0 - 1e-5
         assert moved[1] > 1e-5
 
     def test_monotone_selection_without_mixing(self):
         rng = random.Random(7)
-        field = ReplicatorField(PAPER_V, 0.0, 0.0)
+        rates = (*PAPER_V, 0.0, 0.0)
         for x in simplex_points(rng, 10):
             previous = x[2]
             for _ in range(5):
-                x = integrate_growth(field, x, duration=1.0, step=0.01)
+                x = integrate_growth(rates, x, duration=1.0, step=0.01)
                 assert x[2] >= previous - 1e-12
                 previous = x[2]
 
     def test_simplex_drift_stays_tiny(self):
-        field = ReplicatorField(PAPER_V, 0.1, 0.1)
+        rates = (*PAPER_V, 0.1, 0.1)
         x = (0.6, 0.34, 0.06)
         for _ in range(10):
-            x = integrate_growth(field, x, duration=1.0, step=0.01)
+            x = integrate_growth(rates, x, duration=1.0, step=0.01)
         assert abs(sum(x) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize(
         "duration, step", [(0.0, 0.01), (-1.0, 0.01), (1.0, 0.0), (1.0, 2.0)]
     )
     def test_rejects_bad_spans(self, duration, step):
-        field = ReplicatorField(PAPER_V, 0.0, 0.0)
+        rates = (*PAPER_V, 0.0, 0.0)
         with pytest.raises(InvalidParameterError):
-            integrate_growth(field, (0.6, 0.34, 0.06), duration, step)
+            integrate_growth(rates, (0.6, 0.34, 0.06), duration, step)
 
     @pytest.mark.parametrize(
         "duration, step, message",
@@ -217,22 +254,22 @@ class TestIntegrateGrowth:
     def test_rejects_unbounded_step_counts(self, duration, step, message):
         # An infinite ratio once escaped round() as a bare OverflowError, and
         # 1e6 days at 1e-4 would loop 10**10 times.
-        field = ReplicatorField(PAPER_V, 0.0, 0.0)
+        rates = (*PAPER_V, 0.0, 0.0)
         with pytest.raises(InvalidParameterError, match=re.escape(message)):
-            integrate_growth(field, (0.6, 0.34, 0.06), duration, step)
+            integrate_growth(rates, (0.6, 0.34, 0.06), duration, step)
 
     def test_instability_names_the_step(self):
-        field = ReplicatorField(VelocityVector(0.0, 0.0, 20.0), 0.0, 0.0)
+        rates = (0.0, 0.0, 20.0, 0.0, 0.0)
         with pytest.raises(NumericInstabilityError, match="step"):
-            integrate_growth(field, (0.5, 0.49, 0.01), duration=3.0, step=1.0)
+            integrate_growth(rates, (0.5, 0.49, 0.01), duration=3.0, step=1.0)
 
 
     def test_infinite_velocity_fails_instead_of_returning_nan(self):
         # inf * 0 puts NaN next to -inf in a stage point; each component is
         # tested on its own, so the NaN cannot mask the -inf.
-        field = ReplicatorField(VelocityVector(0.01, 0.016, float("inf")), 0.0, 0.0)
+        rates = (0.01, 0.016, float("inf"), 0.0, 0.0)
         with pytest.raises(NumericInstabilityError, match="stage point .* step 1 of 2"):
-            integrate_growth(field, (0.0, 0.5, 0.5), duration=1.0, step=0.5)
+            integrate_growth(rates, (0.0, 0.5, 0.5), duration=1.0, step=0.5)
 
 
 class TestKernelMatchesSpec:
@@ -254,10 +291,10 @@ class TestKernelMatchesSpec:
     def test_equals_rk4_of_replicator_rhs(self, ab, v0, v1, v2, q, p, duration, steps):
         lo, hi = sorted(ab)
         x = (lo, hi - lo, 1.0 - hi)
-        field = ReplicatorField(VelocityVector(v0, v1, v2), q, p)
+        rates = (v0, v1, v2, q, p)
         step = duration / steps
-        want = outcome(rk4_from_rhs, field, x, duration, step)
-        got = outcome(integrate_growth, field, x, duration, step)
+        want = outcome(rk4_from_rhs, rates, x, duration, step)
+        got = outcome(integrate_growth, rates, x, duration, step)
         assert got == want
 
     def test_equals_rk4_of_replicator_rhs_on_seeded_fields(self):
@@ -266,47 +303,47 @@ class TestKernelMatchesSpec:
         for _ in range(1000):
             lo, hi = sorted((rng.random(), rng.random()))
             x = (lo, hi - lo, 1.0 - hi)
-            v = VelocityVector(rng.uniform(0, 1), rng.uniform(0, 2), rng.uniform(0, 30))
-            field = ReplicatorField(v, rng.random(), rng.random())
+            v = (rng.uniform(0, 1), rng.uniform(0, 2), rng.uniform(0, 30))
+            rates = (*v, rng.random(), rng.random())
             duration = rng.uniform(0.01, 3.0)
             step = duration / rng.randint(1, 20)
-            want = outcome(rk4_from_rhs, field, x, duration, step)
-            assert outcome(integrate_growth, field, x, duration, step) == want
+            want = outcome(rk4_from_rhs, rates, x, duration, step)
+            assert outcome(integrate_growth, rates, x, duration, step) == want
 
     def test_paper_day_equals_spec(self):
-        field = ReplicatorField(PAPER_V, 0.1, 0.1)
+        rates = (*PAPER_V, 0.1, 0.1)
         x = (0.6, 0.34, 0.06)
-        assert integrate_growth(field, x, 1.0, 0.01) == rk4_from_rhs(field, x, 1.0, 0.01)
+        assert integrate_growth(rates, x, 1.0, 0.01) == rk4_from_rhs(rates, x, 1.0, 0.01)
 
     def test_stage_point_message(self):
-        field = ReplicatorField(VelocityVector(0.0, 0.0, 25.0), 0.0, 0.0)
+        rates = (0.0, 0.0, 25.0, 0.0, 0.0)
         x = (0.5, 0.49, 0.01)
-        got = outcome(integrate_growth, field, x, 2.0, 0.25)
+        got = outcome(integrate_growth, rates, x, 2.0, 0.25)
         assert got == (
             NumericInstabilityError,
             "stage point left the simplex at step 2 of 8 (t=0.5000)",
         )
-        assert got == outcome(rk4_from_rhs, field, x, 2.0, 0.25)
+        assert got == outcome(rk4_from_rhs, rates, x, 2.0, 0.25)
 
     def test_endpoint_message(self):
-        field = ReplicatorField(VelocityVector(0.0, 0.0, 20.0), 0.0, 0.0)
+        rates = (0.0, 0.0, 20.0, 0.0, 0.0)
         x = (0.5, 0.49, 0.01)
-        got = outcome(integrate_growth, field, x, 3.0, 1.0)
+        got = outcome(integrate_growth, rates, x, 3.0, 1.0)
         assert got[0] is NumericInstabilityError
         assert got[1].startswith("component left [0, 1] at step 1 of 3 (t=1.0000): (-0.30")
-        assert got == outcome(rk4_from_rhs, field, x, 3.0, 1.0)
+        assert got == outcome(rk4_from_rhs, rates, x, 3.0, 1.0)
 
     @pytest.mark.parametrize(
         "x", [(0.5, 0.5, 0.5), (0.2, 0.2, 0.2), (-1e-8, 0.5, 0.5 + 1e-8), (0.5, 1.0, -0.5)]
     )
     def test_off_simplex_input_is_a_stage_one_failure(self, x):
-        field = ReplicatorField(PAPER_V, 0.0, 0.0)
-        got = outcome(integrate_growth, field, x, 1.0, 0.5)
+        rates = (*PAPER_V, 0.0, 0.0)
+        got = outcome(integrate_growth, rates, x, 1.0, 0.5)
         assert got == (
             NumericInstabilityError,
             "stage point left the simplex at step 1 of 2 (t=0.5000)",
         )
-        assert got == outcome(rk4_from_rhs, field, x, 1.0, 0.5)
+        assert got == outcome(rk4_from_rhs, rates, x, 1.0, 0.5)
 
 
 class TestStageTestElision:
@@ -344,9 +381,9 @@ class TestStageTestElision:
         if x0 + x1 > 1.0:
             x1 = 1.0 - x0
         x = (x0, x1, 1.0 - x0 - x1 + deviation * self.M)
-        field = ReplicatorField(VelocityVector(*v), q, p)
-        want = outcome(rk4_from_rhs, field, x, duration, h)
-        assert outcome(integrate_growth, field, x, duration, h) == want
+        rates = (*v, q, p)
+        want = outcome(rk4_from_rhs, rates, x, duration, h)
+        assert outcome(integrate_growth, rates, x, duration, h) == want
 
     def test_subnormal_components_stay_nonnegative_at_the_bound(self):
         # The lemma behind the bound: from an input with no negative
@@ -380,7 +417,7 @@ class TestStageTestElision:
             comps[bulk] = 0.0
             comps[bulk] = 1.0 - sum(comps)
             x = tuple(comps)
-            field = ReplicatorField(VelocityVector(*v), q, p)
+            field = (*v, q, p)
             want = outcome(rk4_from_rhs, field, x, n * h, h)
             got = outcome(integrate_growth, field, x, n * h, h)
             assert got == want
@@ -397,9 +434,9 @@ class TestStageTestElision:
         # multiplies the input's deviation by 1 - c*h*v: at hV = 5 that
         # reaches 22.75 by stage k4, so a deviation of 1e-10 trips the sum
         # test while every component test passes.
-        field = ReplicatorField(VelocityVector(hv, hv, hv), 0.0, 0.0)
-        want = outcome(rk4_from_rhs, field, x, 1.0, 1.0)
-        assert outcome(integrate_growth, field, x, 1.0, 1.0) == want
+        rates = (hv, hv, hv, 0.0, 0.0)
+        want = outcome(rk4_from_rhs, rates, x, 1.0, 1.0)
+        assert outcome(integrate_growth, rates, x, 1.0, 1.0) == want
         if hv == 5.0 and x[2] == 0.2 + 1e-10:
             assert want == (
                 NumericInstabilityError,
@@ -411,29 +448,29 @@ class TestStageTestElision:
         # the component test, made once before the loop, catches x0. The
         # stage points after it have x0 scaled by 3/4 and 1/2, back inside
         # the tolerance.
-        field = ReplicatorField(VelocityVector(0.0, 0.0, 0.5), 0.0, 0.0)
+        rates = (0.0, 0.0, 0.5, 0.0, 0.0)
         x = (-1.2e-9, 0.0, 1.0 + 1.2e-9)
         want = (NumericInstabilityError, "stage point left the simplex at step 1 of 1 (t=1.0000)")
-        assert outcome(rk4_from_rhs, field, x, 1.0, 1.0) == want
-        assert outcome(integrate_growth, field, x, 1.0, 1.0) == want
+        assert outcome(rk4_from_rhs, rates, x, 1.0, 1.0) == want
+        assert outcome(integrate_growth, rates, x, 1.0, 1.0) == want
 
     def test_negative_input_component_takes_the_checked_path(self):
         # Every other premise holds: h*v0 = C, the sum is exact. x0 starts
         # inside the tolerance, but component 0 is the fastest and grows by
         # about 1 + C a step, so it passes -1e-9 at a stage point of step 7.
-        field = ReplicatorField(VelocityVector(self.C, 0.0, 0.0), 0.0, 0.0)
+        rates = (self.C, 0.0, 0.0, 0.0, 0.0)
         x = (-9e-10, 1.0 + 9e-10, 0.0)
         want = (NumericInstabilityError, "stage point left the simplex at step 7 of 20 (t=7.0000)")
-        assert outcome(rk4_from_rhs, field, x, 20.0, 1.0) == want
-        assert outcome(integrate_growth, field, x, 20.0, 1.0) == want
+        assert outcome(rk4_from_rhs, rates, x, 20.0, 1.0) == want
+        assert outcome(integrate_growth, rates, x, 20.0, 1.0) == want
 
     @pytest.mark.parametrize("extra", [0, 1])
     def test_step_count_at_the_bound(self, extra):
         steps = self.N_MAX + extra
-        field = ReplicatorField(PAPER_V, 0.1, 0.1)
+        rates = (*PAPER_V, 0.1, 0.1)
         x = (0.6, 0.34, 0.06 + 1e-10)
-        want = outcome(rk4_from_rhs, field, x, 1.0, 1.0 / steps)
-        assert outcome(integrate_growth, field, x, 1.0, 1.0 / steps) == want
+        want = outcome(rk4_from_rhs, rates, x, 1.0, 1.0 / steps)
+        assert outcome(integrate_growth, rates, x, 1.0, 1.0 / steps) == want
 
     @pytest.mark.parametrize(
         "v2, q, x",
@@ -447,13 +484,12 @@ class TestStageTestElision:
         ],
     )
     def test_nan_inf_or_negative_values_take_the_tested_path(self, v2, q, x):
-        # The constructors reject each of these v2 and q values, but both
-        # types are mutable. An infinite velocity has its own test above,
-        # where the kernel's per-component tests differ from min().
-        field = ReplicatorField(VelocityVector(0.01, 0.016, 0.08), 0.0, 0.0)
-        field.v.v2, field.q_mix = v2, q
-        got = outcome(integrate_growth, field, x, 1.0, 0.5)
-        assert repr(got) == repr(outcome(rk4_from_rhs, field, x, 1.0, 0.5))
+        # The kernel and the specification reject each of these v2 and q
+        # values with the same message. An infinite velocity has its own test
+        # above, where the kernel's per-component tests differ from min().
+        rates = (0.01, 0.016, v2, q, 0.0)
+        got = outcome(integrate_growth, rates, x, 1.0, 0.5)
+        assert repr(got) == repr(outcome(rk4_from_rhs, rates, x, 1.0, 0.5))
 
     @pytest.mark.parametrize("name", ["baseline.json", "mixing.json", None])
     def test_shipped_courses_run_inside_the_bound(self, name, monkeypatch):
@@ -472,9 +508,9 @@ class TestStageTestElision:
         assert GROWTH_INTERVAL / n * top <= self.C
         days = []
 
-        def integrate(field, x, duration, step):
+        def integrate(rates, x, duration, step):
             days.append(min(x) >= 0.0 and abs(x[0] + x[1] + x[2] - 1.0) <= self.M)
-            return integrate_growth(field, x, duration, step)
+            return integrate_growth(rates, x, duration, step)
 
         monkeypatch.setattr(growth, "integrate_growth", integrate)
         simulate_course(params, initial)
@@ -532,24 +568,24 @@ class TestStageTestElision:
 
 class TestApplyDivision:
     def test_zero_velocities_is_identity_on_counts(self):
-        state = PopulationState(100.0, 100.0, 100.0)
-        out = apply_division(state, VelocityVector(0.0, 0.0, 0.0), 1.0)
+        state = (100.0, 100.0, 100.0)
+        out = PopulationState(*apply_division(state, (0.0, 0.0, 0.0), 1.0))
         assert (out.y0, out.y1, out.y2) == (100.0, 100.0, 100.0)
 
     def test_doubling_factors(self):
-        state = PopulationState(100.0, 100.0, 100.0)
-        v = VelocityVector(0.01, 0.016, 0.08)
-        out = apply_division(state, v, 1.0)
+        state = (100.0, 100.0, 100.0)
+        v = (0.01, 0.016, 0.08)
+        out = PopulationState(*apply_division(state, v, 1.0))
         expected = tuple(100.0 * 2.0**rate for rate in (0.01, 0.016, 0.08))
         assert (out.y0, out.y1, out.y2) == pytest.approx(expected, rel=1e-15)
         assert out.y0 == pytest.approx(100.69555500567189, rel=1e-12)
-        snapped = apply_division(state, v, 1.0, integer_rounding=True)
+        snapped = PopulationState(*apply_division(state, v, 1.0, integer_rounding=True))
         assert (snapped.y0, snapped.y1, snapped.y2) == (101.0, 101.0, 106.0)
 
     def test_duration_scales_exponent(self):
-        state = PopulationState(50.0, 0.0, 0.0)
-        v = VelocityVector(0.5, 0.0, 0.0)
-        out = apply_division(state, v, 2.0)
+        state = (50.0, 0.0, 0.0)
+        v = (0.5, 0.0, 0.0)
+        out = PopulationState(*apply_division(state, v, 2.0))
         assert out.y0 == pytest.approx(50.0 * 2.0, rel=1e-15)
 
     @settings(deadline=None)
@@ -559,23 +595,31 @@ class TestApplyDivision:
         y2=st.floats(min_value=0.0, max_value=1e9),
     )
     def test_total_is_sum_of_scaled_components(self, y0, y1, y2):
-        v = VelocityVector(0.01, 0.016, 0.08)
-        out = apply_division(PopulationState(y0, y1, y2), v, 1.0)
+        v = (0.01, 0.016, 0.08)
+        out = PopulationState(*apply_division((y0, y1, y2), v, 1.0))
         expected = y0 * 2.0**0.01 + y1 * 2.0**0.016 + y2 * 2.0**0.08
         assert out.total() == pytest.approx(expected, rel=1e-15, abs=1e-15)
 
     def test_rejects_nonpositive_duration(self):
         with pytest.raises(InvalidParameterError):
-            apply_division(PopulationState(1.0, 1.0, 1.0), PAPER_V, 0.0)
+            apply_division((1.0, 1.0, 1.0), PAPER_V, 0.0)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_negative_velocity_message_names_the_component(self, index, bad):
+        v = [0.01, 0.016, 0.08]
+        v[index] = bad
+        with pytest.raises(InvalidParameterError, match=f"^v{index} must be >= 0, got {bad}$"):
+            apply_division((1.0, 1.0, 1.0), tuple(v), 1.0)
 
     @pytest.mark.parametrize("integer_rounding", [False, True])
     @pytest.mark.parametrize(
         "state, v",
         [
             # 2^v2 is beyond float range although the fast compartment is empty.
-            (PopulationState(0.0, 1000.0, 0.0), VelocityVector(0.01, 100.0, 1e302)),
+            ((0.0, 1000.0, 0.0), (0.01, 100.0, 1e302)),
             # Every factor is finite but the counts overflow.
-            (PopulationState(1e300, 1e308, 0.0), VelocityVector(0.01, 5.0, 25.0)),
+            ((1e300, 1e308, 0.0), (0.01, 5.0, 25.0)),
         ],
     )
     def test_overflowing_counts_are_numeric_instability(self, state, v, integer_rounding):
@@ -587,12 +631,12 @@ class TestGrowthDay:
     def test_degenerate_parameters_are_identity(self):
         params = ModelParams(v0=0.0, v1=0.0, a=1.0, theta=0.0, integer_rounding=False)
         state = PopulationState(100.0, 50.0, 25.0)
-        out = growth_day_detail(state, params).state
+        out = growth_day_detail(state, params, v2_of(params, 0, "radiation")).state
         assert (out.y0, out.y1, out.y2) == pytest.approx((100.0, 50.0, 25.0), rel=1e-12)
 
     def test_first_reference_day_total(self, golden):
         params = ModelParams(weeks=7)
-        out = growth_day_detail(reference_initial(), params).state
+        out = growth_day_detail(reference_initial(), params, v2_of(params, 1, "radiation")).state
         row = next(r for r in golden if r.day == 1 and r.phase == "post_growth")
         target = row.y0 + row.y1 + row.y2
         assert target == 625950700.0
@@ -602,7 +646,8 @@ class TestGrowthDay:
         # Over one day the total multiplies by roughly 2**phi; the gap is
         # only the spread between per-component doubling and the mean rate.
         start = reference_initial()
-        detail = growth_day_detail(start, ModelParams(weeks=7))
+        params = ModelParams(weeks=7)
+        detail = growth_day_detail(start, params, v2_of(params, 1, "radiation"))
         ratio = detail.state.total() / start.total()
         assert ratio == pytest.approx(2.0**detail.phi, rel=1e-3)
         assert ratio == pytest.approx(625950700.0 / 618783392.0, rel=1e-3)
@@ -613,21 +658,21 @@ class TestGrowthDay:
         )
         assert v2_of(params, 0, "radiation") == pytest.approx(0.02, rel=1e-15)
         state = PopulationState(600.0, 340.0, 60.0)
-        out = growth_day_detail(state, params).state
+        out = growth_day_detail(state, params, v2_of(params, 0, "radiation")).state
         before = state.fractions()
         after = out.fractions()
         assert after == pytest.approx(before, abs=1e-9)
         assert out.total() == pytest.approx(1000.0 * 2.0**0.02, rel=1e-10)
 
-    def test_detail_reports_frozen_velocity_and_phi(self):
+    def test_detail_reports_phi_and_drift(self):
         params = ModelParams(weeks=7, integer_rounding=False)
-        detail = growth_day_detail(reference_initial(), params)
-        assert detail.v2 == v2_of(params, 1, "radiation")
+        v2 = v2_of(params, 1, "radiation")
+        detail = growth_day_detail(reference_initial(), params, v2)
         assert detail.drift <= 1e-12
         assert not detail.renormalized
         # phi is the mean velocity of the evolved fractions, before division
         # reweights them.
-        v = VelocityVector(params.v0, params.v1, detail.v2)
+        v = (params.v0, params.v1, v2)
         post = detail.state.fractions()
         assert post is not None
         assert detail.phi == pytest.approx(mean_velocity(post, v), rel=0.02)
@@ -637,10 +682,12 @@ class TestGrowthDay:
         # projected fractions times the total.
         raw = (0.6, 0.3, 0.1 + 1e-10)
         monkeypatch.setattr(
-            "repopsim.growth.integrate_growth", lambda field, x, duration, step: raw
+            "repopsim.growth.integrate_growth", lambda rates, x, duration, step: raw
         )
         params = ModelParams(v0=0.0, v1=0.0, integer_rounding=False)
-        detail = growth_day_detail(PopulationState(600.0, 300.0, 100.0), params)
+        detail = growth_day_detail(
+            PopulationState(600.0, 300.0, 100.0), params, v2_of(params, 0, "radiation")
+        )
         norm = raw[0] + raw[1] + raw[2]
         assert detail.drift == abs(norm - 1.0)
         assert 1e-12 < detail.drift < 2e-10
@@ -666,27 +713,19 @@ class TestGrowthDay:
     )
     def test_endpoint_checks(self, monkeypatch, raw, integer_rounding, error):
         monkeypatch.setattr(
-            "repopsim.growth.integrate_growth", lambda field, x, duration, step: raw
+            "repopsim.growth.integrate_growth", lambda rates, x, duration, step: raw
         )
         params = ModelParams(v0=1.0, v1=0.0, integer_rounding=integer_rounding)
         state = PopulationState(600.0, 300.0, 100.0)
+        v2 = v2_of(params, 0, "radiation")
         if error is None:
-            out = growth_day_detail(state, params).state
+            out = growth_day_detail(state, params, v2).state
             assert (out.y0, out.y1, out.y2) == (0.0, 600.0, 400.0)
         else:
             with pytest.raises(InvalidStateError, match=error):
-                growth_day_detail(state, params)
+                growth_day_detail(state, params, v2)
 
     def test_rejects_empty_population(self):
         params = ModelParams()
         with pytest.raises(InvalidStateError):
-            growth_day_detail(PopulationState(0.0, 0.0, 0.0), params)
-
-    def test_weekend_period_uses_weekend_damping(self):
-        params = ModelParams(q_mix=0.1, p_mix=0.1, integer_rounding=False)
-        state = PopulationState(600.0, 340.0, 60.0, pulses_delivered=5)
-        weekday = growth_day_detail(state, params, period="radiation")
-        weekend = growth_day_detail(state, params, period="weekend")
-        assert weekday.v2 == v2_of(params, 5, "radiation")
-        assert weekend.v2 == v2_of(params, 5, "weekend")
-        assert weekend.v2 != weekday.v2
+            growth_day_detail(PopulationState(0.0, 0.0, 0.0), params, v2_of(params, 0, "radiation"))

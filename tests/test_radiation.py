@@ -15,9 +15,10 @@ from repopsim import (
     RadiationOperator,
     apply_pulse,
     build_radiation_operator,
-    pulse_power,
     survival_fraction,
 )
+
+from .conftest import pulse_power
 
 counts = st.floats(min_value=0.0, max_value=1e12, allow_nan=False, allow_subnormal=False)
 
@@ -136,11 +137,6 @@ class TestPulsePower:
         out = pulse_power(op, 2, PopulationState(100.0, 100.0, 100.0))
         # (100,100,100) -> (40,40,70) -> (16, 4+12, 8+35) = (16,16,43)
         assert (out.y0, out.y1, out.y2) == pytest.approx((16.0, 16.0, 43.0), rel=1e-12)
-
-    def test_rejects_negative_count(self):
-        op = RadiationOperator(s=0.5, q=0.0, p=0.0)
-        with pytest.raises(InvalidParameterError):
-            pulse_power(op, -1, PopulationState(1.0, 1.0, 1.0))
 
     @settings(deadline=None)
     @given(n=st.integers(min_value=0, max_value=12))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from importlib import resources
 
 import pytest
 
@@ -11,14 +12,14 @@ from repopsim import (
     InvalidStateError,
     ModelParams,
     PopulationState,
-    mean_velocity,
+    core,
+    load_config,
     simulate_course,
     survival_fraction,
     v2_of,
-    velocities_of,
 )
 
-from .conftest import REFERENCE_WEEKS, reference_initial
+from .conftest import REFERENCE_WEEKS, mean_velocity, record, reference_initial
 
 
 class TestScheduleSpec:
@@ -55,12 +56,12 @@ class TestSimulateCourse:
         for row in golden:
             if row.day > 5 or row.phase == "initial":
                 continue
-            rec = course_zero.record(row.day, row.phase)
+            rec = record(course_zero, row.day, row.phase)
             for got, want in zip((rec.y0, rec.y1, rec.y2), (row.y0, row.y1, row.y2)):
                 assert abs(got - want) / want <= 0.005, (row.day, row.phase)
 
     def test_late_course_reaches_fast_dominated_equilibrium(self, course_zero):
-        rec = course_zero.record(48, "post_growth")
+        rec = record(course_zero, 48, "post_growth")
         assert rec.total < 1000.0
         assert rec.x2 > 0.9
         assert rec.phi == pytest.approx(0.0786, rel=0.1)
@@ -93,21 +94,37 @@ class TestSimulateCourse:
         assert traj.records[-1].day == 14
         last_pr = [r for r in traj.records if r.phase == "post_radiation"][-1]
         assert last_pr.day == 12
-        assert course_zero.record(12, "post_radiation").v2 == v2_of(params, 10, "radiation")
+        assert record(course_zero, 12, "post_radiation").v2 == v2_of(params, 10, "radiation")
 
     def test_pulse_count_visible_through_damped_velocity(self, course_mixing):
         # In the damped regime v2 pins down the accumulated pulse count
         # exactly: end-of-week growth days must reflect w * 5 pulses.
         damped = ModelParams(weeks=7, q_rad=0.0005, p_rad=0.0005, q_mix=0.1, p_mix=0.1)
         for week, day in ((1, 7), (2, 14), (3, 21)):
-            rec = course_mixing.record(day, "post_growth")
+            rec = record(course_mixing, day, "post_growth")
             assert rec.v2 == v2_of(damped, 5 * week, "weekend")
 
     def test_post_radiation_rows_inherit_previous_velocity(self, course_zero):
         for day in (2, 3, 4, 5, 9, 16):
-            before = course_zero.record(day - 1, "post_growth")
-            after = course_zero.record(day, "post_radiation")
+            before = record(course_zero, day - 1, "post_growth")
+            after = record(course_zero, day, "post_radiation")
             assert after.phi == before.phi, day
+
+    def test_psi_is_computed_once_per_course_day(self, monkeypatch):
+        # A day's v2 serves both its post-radiation record and its growth,
+        # with at most one more call for the initial record.
+        config = load_config(str(resources.files("repopsim").joinpath("data", "mixing.json")))
+        calls = []
+        real_psi = core.psi
+
+        def counting_psi(*args):
+            calls.append(args)
+            return real_psi(*args)
+
+        monkeypatch.setattr(core, "psi", counting_psi)
+        trajectory = simulate_course(config.params, config.initial)
+        assert trajectory.final().day == 42
+        assert 0 < len(calls) <= 42 + 1
 
     def test_record_totals_and_fractions_are_consistent(self, course_zero):
         for rec in course_zero.records:
@@ -191,27 +208,28 @@ class TestPhaseVelocity:
     def test_fast_corner_returns_frozen_velocity(self):
         params = ModelParams(q_mix=0.1, p_mix=0.1)
         x = PopulationState(0.0, 0.0, 500.0).fractions()
-        radiation = velocities_of(params, 3, "radiation")
-        weekend = velocities_of(params, 3, "weekend")
+        radiation = (params.v0, params.v1, v2_of(params, 3, "radiation"))
+        weekend = (params.v0, params.v1, v2_of(params, 3, "weekend"))
         assert mean_velocity(x, radiation) == v2_of(params, 3, "radiation")
         assert mean_velocity(x, weekend) == v2_of(params, 3, "weekend")
 
     def test_reference_day_one_velocity(self, course_zero):
         params = ModelParams(weeks=REFERENCE_WEEKS)
-        rec = course_zero.record(1, "post_growth")
+        rec = record(course_zero, 1, "post_growth")
         x = PopulationState(rec.y0, rec.y1, rec.y2).fractions()
-        phi = mean_velocity(x, velocities_of(params, 1, "radiation"))
+        phi = mean_velocity(x, (params.v0, params.v1, v2_of(params, 1, "radiation")))
         assert abs(phi - 0.016515136) / 0.016515136 <= 0.10
 
     def test_uniform_velocities_collapse_to_common_value(self):
         params = ModelParams(v0=0.02, v1=0.02, a=1.0, theta=0.0)
         x = PopulationState(10.0, 20.0, 30.0).fractions()
-        phi = mean_velocity(x, velocities_of(params, 0, "radiation"))
+        phi = mean_velocity(x, (params.v0, params.v1, v2_of(params, 0, "radiation")))
         assert phi == pytest.approx(0.02, rel=1e-12)
 
     def test_rejects_empty_population(self):
         # An empty population has no fractions, and the all-zero triple is
         # off the simplex, so no mean velocity can be formed for it.
         assert PopulationState(0.0, 0.0, 0.0).fractions() is None
+        params = ModelParams()
         with pytest.raises(InvalidStateError):
-            mean_velocity((0.0, 0.0, 0.0), velocities_of(ModelParams(), 0, "radiation"))
+            mean_velocity((0.0, 0.0, 0.0), (params.v0, params.v1, v2_of(params, 0, "radiation")))
