@@ -34,6 +34,9 @@ _BOUND_HV = 1 / 64
 _BOUND_STEPS = 10**4
 _BOUND_DRIFT = 1e-10
 _BOUND_ROUNDING = 32 * 2.0**-53
+# The kinds of mixing rate that skip the parameter table's kind check; a bool
+# or any other kind meets the check and its message.
+_RATE_KINDS = (float, int)
 
 Triple = tuple[float, float, float]
 # (v0, v1, v2, q_mix, p_mix): the velocities and mutation rates of one growth interval.
@@ -79,7 +82,6 @@ def integrate_growth(rates: Rates, x: Triple, duration: float, step: float) -> T
     hh = 0.5 * h
     h6 = h / 6.0
     v0, v1, v2, q, p = rates
-    cq, cp = 1.0 - q, 1.0 - p
     lo, hi, tol = -SIMPLEX_TOL, 1.0 + SIMPLEX_TOL, SIMPLEX_TOL
     x0, x1, x2 = x
     # `checked` is off while this bound holds: each h*v_i in [0, C], q and p
@@ -185,7 +187,10 @@ def integrate_growth(rates: Rates, x: Triple, duration: float, step: float) -> T
     #       By G, I_2(z) >= 0.364 (1 - 4u) Im - 1.394s - 0.017 Im >= 0.23 Im.
     # tests/test_growth.py asserts each of these constants from C, M, N_MAX
     # and delta.
-    rates_ok = 0.0 <= v0 and 0.0 <= v1 and 0.0 <= v2 and 0.0 <= q <= 1.0 and 0.0 <= p <= 1.0
+    rates_ok = (
+        type(q) in _RATE_KINDS and type(p) in _RATE_KINDS
+        and 0.0 <= v0 and 0.0 <= v1 and 0.0 <= v2 and 0.0 <= q <= 1.0 and 0.0 <= p <= 1.0
+    )
     checked = not (
         rates_ok
         and h * v0 <= _BOUND_HV and h * v1 <= _BOUND_HV and h * v2 <= _BOUND_HV
@@ -202,6 +207,7 @@ def integrate_growth(rates: Rates, x: Triple, duration: float, step: float) -> T
         # starts from an endpoint whose `x_i < lo` test is this one.
         if x0 < lo or x1 < lo or x2 < lo:
             raise _stage_error(0, n, h)
+    cq, cp = 1.0 - q, 1.0 - p
     for i in range(n):
         # Stage k1 at x. Its components were tested at the previous endpoint.
         if checked and abs(x0 + x1 + x2 - 1.0) > tol:

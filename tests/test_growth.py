@@ -156,11 +156,12 @@ class TestIntegrateGrowth:
             integrate_growth((*PAPER_V, 1.5, 0.0), (0.6, 0.34, 0.06), 1.0, 0.01)
 
     @pytest.mark.parametrize(
-        "value", [0.0, -0.0, 1.0, 0, 1, 0.5, 1.5, -1e-300, 2, math.nan, math.inf]
+        "value",
+        [0.0, -0.0, 1.0, 0, 1, 0.5, 1.5, -1e-300, 2, True, "0.5", None, math.nan, math.inf],
     )
     def test_mixing_rate_checked_as_the_parameter_table_checks_it(self, value):
-        # A rate in [0, 1] lies inside the bound and meets no check; every
-        # other value meets the table's check and message.
+        # A float or int rate in [0, 1] lies inside the bound and meets no
+        # check; every other value meets the table's check and message.
         for name in ("q_mix", "p_mix"):
             try:
                 PARAM_TABLE[name].check(name, value)
