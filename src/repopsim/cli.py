@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace as dc_replace
 from pathlib import Path
 
-from .analysis import compare_to_golden, diff_velocity, forked_map, lq_closed_form, sweep
+from .analysis import compare_to_golden, diff_velocity, lq_closed_form, sweep
 from .config import load_config
 from .core import PARAM_TABLE, ModelParams, PopulationState, survival_fraction
 from .errors import ConfigError, NumericInstabilityError, SimulationError, quote
@@ -75,9 +75,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _require_destination(flag: str, path: str | None) -> None:
+    """Reject an empty output path, which would name the working directory,
+    before any course runs or any file is read."""
+    if path == "":
+        raise ConfigError(f"{flag} must be a nonempty path, got ''")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.out == "":
-        raise ConfigError("--out must be a nonempty path, got ''")
+    _require_destination("--out", args.out)
     config = load_config(args.config)
     destination = args.out or config.output
     if destination is None:
@@ -130,6 +136,7 @@ def _parse_sweep_values(param: str, text: str) -> tuple[float, ...]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    _require_destination("--out-dir", args.out_dir)
     config = load_config(args.config)
     values = _parse_sweep_values(args.param, args.values)
     out_dir = Path(args.out_dir)
@@ -160,6 +167,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
+    _require_destination("--out", args.out)
     first = read_trajectory(args.first)
     second = read_trajectory(args.second)
     diff = diff_velocity(first, second)
@@ -177,74 +185,38 @@ def _check_line(name: str, passed: bool, detail: str) -> bool:
 def _cmd_check(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     params = config.params
-    results = []
-
     op = build_radiation_operator(params)
-    matrix = op.matrix()
     s = survival_fraction(params)
-    column_errors = [
-        abs(sum(matrix[row][col] for row in range(3)) - s) for col in range(3)
-    ]
-    worst_column = max(column_errors) / s
-    results.append(
-        _check_line(
-            "operator-column-sums",
-            worst_column <= 1e-12,
-            f"worst relative column deviation {worst_column:.3e}",
-        )
-    )
+    column = max(abs(sum(row[col] for row in op.matrix()) - s) for col in range(3)) / s
+    detail = f"worst relative column deviation {column:.3e}"
+    results = [_check_line("operator-column-sums", column <= 1e-12, detail)]
 
     pulsed = PopulationState(y0=6e8, y1=3.4e8, y2=6e7)
     for _ in range(30):
         pulsed = apply_pulse(op, pulsed)
     closed = lq_closed_form(1e9, 30, params)
     lq_error = abs(pulsed.total() - closed) / closed
-    results.append(
-        _check_line(
-            "pulse-closed-form",
-            lq_error <= 1e-12,
-            f"30-pulse total vs closed form, relative error {lq_error:.3e}",
-        )
-    )
+    detail = f"30-pulse total vs closed form, relative error {lq_error:.3e}"
+    results.append(_check_line("pulse-closed-form", lq_error <= 1e-12, detail))
 
-    # The configured course runs here, so its error surfaces as it would
-    # serially; the reference course runs beside it where a CPU is free.
-    trajectory, reference_run = forked_map(
-        lambda course: simulate_course(*course),
-        ((params, config.initial), (ModelParams(weeks=_REFERENCE_WEEKS), _REFERENCE_INITIAL)),
-    )
-    results.append(
-        _check_line(
-            "simplex-drift",
-            trajectory.max_simplex_drift <= 1e-9,
-            f"max |sum(x) - 1| at integrator endpoints {trajectory.max_simplex_drift:.3e}",
-        )
-    )
+    # Both courses run here: a course costs less than a fork.
+    drift = simulate_course(params, config.initial).max_simplex_drift
+    detail = f"max |sum(x) - 1| at integrator endpoints {drift:.3e}"
+    results.append(_check_line("simplex-drift", drift <= 1e-9, detail))
 
+    reference_run = simulate_course(ModelParams(weeks=_REFERENCE_WEEKS), _REFERENCE_INITIAL)
     reference = load_reference_table()
     early = compare_to_golden(
-        reference_run,
-        reference,
-        _REFERENCE_COUNT_TOLERANCE,
-        days=(1, 5),
-        columns=("y0", "y1", "y2"),
+        reference_run, reference, _REFERENCE_COUNT_TOLERANCE, (1, 5), ("y0", "y1", "y2")
     )
     final = compare_to_golden(
-        reference_run,
-        reference,
-        _REFERENCE_VELOCITY_TOLERANCE,
-        days=(48, 48),
-        columns=("velocity",),
+        reference_run, reference, _REFERENCE_VELOCITY_TOLERANCE, (48, 48), ("velocity",)
     )
     worst_early = 0.0 if early.worst is None else early.worst.relative
     worst_final = 0.0 if final.worst is None else final.worst.relative
-    results.append(
-        _check_line(
-            "reference-table",
-            early.passed and final.passed and early.matched > 0 and final.matched > 0,
-            f"early-course counts worst {worst_early:.3e}, final velocity worst {worst_final:.3e}",
-        )
-    )
+    detail = f"early-course counts worst {worst_early:.3e}, final velocity worst {worst_final:.3e}"
+    passed = early.passed and final.passed and early.matched > 0 and final.matched > 0
+    results.append(_check_line("reference-table", passed, detail))
 
     return EXIT_OK if all(results) else EXIT_VALIDATION
 

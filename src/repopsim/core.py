@@ -31,8 +31,8 @@ PERIODS = (RADIATION_PERIOD, WEEKEND)
 # Tolerance for membership on the probability simplex.
 SIMPLEX_TOL = 1e-9
 
-# Length of the growth interval closing each course day (days), and the shortest
-# integration step (days): at most 10**4 RK4 steps per growth day.
+# Length of the growth interval closing each course day (days), and the least
+# ode_step a config may set (days); the step is range-checked and changes nothing.
 GROWTH_INTERVAL = 1.0
 ODE_STEP_FLOOR = 1e-4
 
@@ -106,7 +106,7 @@ class ModelParams:
     a: float = 5.0  # fast-to-middle velocity multiplier
     theta: float = 0.005  # threshold offset in the damping exponent
     weeks: int = 6  # course length in weeks
-    ode_step: float = 0.01  # fixed integration step (days)
+    ode_step: float = 0.01  # accepted and range-checked; has no effect on results
     integer_rounding: bool = True  # snap counts to whole cells after each stage
     weekend_days: int = 2  # growth-only days closing each week
     pulses_per_week: int = 5  # weekdays opening each week, one pulse each

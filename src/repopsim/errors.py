@@ -14,7 +14,7 @@ class InvalidStateError(SimulationError, ValueError):
 
 
 class NumericInstabilityError(SimulationError, ArithmeticError):
-    """An integration step left the admissible region."""
+    """A growth day or a division has no finite result."""
 
 
 class AlignmentError(SimulationError, ValueError):

@@ -91,7 +91,7 @@ def write_trajectory(trajectory: Trajectory, destination: str | Path) -> None:
 def read_trajectory(source: str | Path) -> Trajectory:
     """Parse a trajectory table written by write_trajectory.
 
-    The returned trajectory carries exactly the file's values; integrator
+    The returned trajectory carries exactly the file's values; simplex
     diagnostics are not serialized and come back as zeros.
 
     Raises:

@@ -54,11 +54,11 @@ class TrajectoryRecord:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Ordered record log of one course plus integrator diagnostics."""
+    """Ordered record log of one course plus simplex diagnostics."""
 
     records: tuple[TrajectoryRecord, ...]
     integer_rounding: bool = True  # formatting hint: counts are whole cells
-    max_simplex_drift: float = 0.0  # worst raw |sum(x) - 1| at any ODE endpoint
+    max_simplex_drift: float = 0.0  # worst |sum(x) - 1| at any mixing endpoint
     renormalizations: int = 0  # how many growth intervals needed the guard
     extinction_day: int | None = None  # day the total first fell below one cell
 

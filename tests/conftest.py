@@ -4,6 +4,7 @@ probes of the forked paths."""
 
 from __future__ import annotations
 
+import decimal
 import os
 
 import numpy as np
@@ -110,6 +111,32 @@ def euler_mix(
         )
         x = x + step * dx
     return x
+
+
+def decimal_growth_day(rates, x, duration=1.0):
+    """normalize(exp(duration * A) x) in 50-digit decimal arithmetic, from the
+    exact values of the float inputs: the reference for the closed-form day.
+
+    A = [[v0(1-q),0,0],[v0 q, v1(1-p),0],[0, v1 p, v2]] has no negative
+    entry, so every term of its Taylor series applied to x >= 0 is >= 0 and
+    the sum cancels nothing; it stops once a term is below 1e-55 of the sum.
+    """
+    with decimal.localcontext(prec=50):
+        D = decimal.Decimal
+        v0, v1, v2, q, p = (D(r) for r in rates)
+        t = D(duration)
+        a = ((t * v0 * (1 - q), 0, 0), (t * v0 * q, t * v1 * (1 - p), 0), (0, t * v1 * p, t * v2))
+        term = [D(c) for c in x]
+        total = list(term)
+        k = 0
+        while True:
+            k += 1
+            term = [sum(a[i][j] * term[j] for j in range(3)) / k for i in range(3)]
+            total = [s + t for s, t in zip(total, term)]
+            if max(term) <= sum(total) * D("1e-55"):
+                break
+        s = sum(total)
+        return tuple(c / s for c in total)
 
 
 def random_simplex_points(rng, count: int) -> list[tuple[float, float, float]]:

@@ -235,6 +235,16 @@ class TestDiff:
         assert all(line.split(",")[2] == "0.000000000" for line in lines[1:])
         assert "(0 unmatched)" in capsys.readouterr().out
 
+    def test_empty_out_is_rejected_before_the_inputs_are_read(self, tmp_path, capsys, monkeypatch):
+        # "" once read and aligned both files, then failed to open '.'.
+        def read(path):
+            raise AssertionError("an input was read")
+
+        monkeypatch.setattr(cli, "read_trajectory", read)
+        course = str(tmp_path / "never-read.csv")
+        assert cli_main(["diff", course, course, "--out", ""]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: --out must be a nonempty path, got ''\n"
+
     def test_missing_input_is_io_error(self, tmp_path):
         out = tmp_path / "diff.csv"
         code = cli_main(["diff", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"), "--out", str(out)])
@@ -342,6 +352,19 @@ class TestSweep:
         assert capsys.readouterr().err == "error: threshold must be a number, got nan\n"
         assert not out_dir.exists()
 
+    def test_empty_out_dir_is_rejected_before_the_courses(self, tmp_path, capsys, monkeypatch):
+        # "" once wrote every file into the working directory and exited 0.
+        def course(params, initial):
+            raise AssertionError("a course ran")
+
+        monkeypatch.setattr(analysis, "simulate_course", course)
+        monkeypatch.chdir(tmp_path)
+        config = write_config_file(tmp_path)
+        argv = ["sweep", "--config", config, "--param", "a", "--values", "1.0,5.0"]
+        assert cli_main([*argv, "--out-dir", ""]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: --out-dir must be a nonempty path, got ''\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
     def test_rejected_course_is_reported_in_summary(self, tmp_path, capsys):
         # An ode_step longer than the one-day growth interval is rejected for
         # that value only.
@@ -359,7 +382,7 @@ class TestSweep:
         assert "value 2.0: ode_step must lie" in capsys.readouterr().out
 
     def test_course_failing_inside_simulation_is_reported_in_summary(self, tmp_path, capsys):
-        # v1 = 1e300 passes ModelParams, then the integrator leaves the simplex.
+        # v1 = 1e300 passes ModelParams, then the division overflows.
         config = write_config_file(tmp_path)
         out_dir = tmp_path / "sweep"
         argv = ["sweep", "--config", config, "--param", "v1", "--values", "0.016,1e300"]
@@ -370,8 +393,8 @@ class TestSweep:
             rows = list(csv.DictReader(handle))
         assert [row["value"] for row in rows] == ["0.016", "1e+300"]
         assert rows[0]["error"] == "" and rows[0]["final_total"] != ""
-        assert rows[1]["error"].startswith("stage point left the simplex")
-        assert "value 1e+300: stage point left the simplex" in capsys.readouterr().out
+        assert rows[1]["error"].startswith("cell counts overflow")
+        assert "value 1e+300: cell counts overflow" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "param, values, lengths",
@@ -559,12 +582,9 @@ class TestCheck:
             ("v1-1e300", EXIT_NUMERIC),
         ],
     )
-    def test_forked_check_prints_what_a_serial_check_prints(
-        self, tmp_path, capsys, use_cpus, forks, case, expected
-    ):
-        # The configured course runs in the calling process, so its error
-        # comes after the two PASS lines in both runs; the reference course
-        # runs in the one child.
+    def test_check_forks_nothing(self, tmp_path, capsys, use_cpus, forks, case, expected):
+        # A course takes about a millisecond, less than a fork costs, so both
+        # of check's courses run in the calling process even with a CPU free.
         mixing = json.loads(Path(MIXING_PATH).read_text(encoding="utf-8"))
         config = {
             "mixing": MIXING_PATH,
@@ -572,18 +592,11 @@ class TestCheck:
             "zero-count": write_config_file(tmp_path, "zero.json", initial_counts=[0, 0, 0]),
             "v1-1e300": write_config_file(tmp_path, "huge-v1.json", **{**mixing, "v1": 1e300}),
         }[case]
-        use_cpus(1)
-        serial = cli_main(["check", "--config", config]), capsys.readouterr()
-        assert forks == []
         use_cpus(2)
-        fds = open_fds()
-        forked = cli_main(["check", "--config", config]), capsys.readouterr()
-        assert len(forks) == 1
-        assert_no_children_left()
-        assert open_fds() == fds
-        assert forked == serial
-        assert serial[0] == expected
-        assert serial[1].out.count("PASS") == (4 if expected == EXIT_OK else 2)
+        code = cli_main(["check", "--config", config])
+        assert forks == []
+        assert code == expected
+        assert capsys.readouterr().out.count("PASS") == (4 if expected == EXIT_OK else 2)
 
 
 def test_console_entry_point_runs():
@@ -627,8 +640,7 @@ def test_sweep_subprocess_prints_each_line_once(tmp_path):
 
 
 def test_check_subprocess_prints_each_line_once():
-    # Two PASS lines sit in the block buffer of a piped stdout when the
-    # reference course forks; a child that flushed them would print them twice.
+    # Each line is printed once, in order, through a piped stdout's block buffer.
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     result = subprocess.run(
         [sys.executable, "-m", "repopsim", "check", "--config", MIXING_PATH],

@@ -4,27 +4,39 @@ The README promises that two runs of one config produce byte-identical
 files on any platform. These digests pin that output across code changes:
 a faster kernel, a refactor or a new formatter must leave them as they are.
 
-The shipped configs both run in integer mode at ode_step 0.01 with the
-default weekly shape, so three more courses are pinned: the mixing config
-with real-valued counts (the nine-decimal count format), a 52-week course
-at ode_step 0.5 (two RK4 steps a day, where pulses, rounding and records
-outweigh the integration), and the mixing config reshaped to three weeks
-of three pulse days and four growth-only days. A sweep of `a` on the mixing
-config pins every file it writes, whether its values run in one process or
-several, and `check` on the mixing config pins what it prints, whether its
-two courses run in one process or two.
+The shipped configs both run in integer mode with the default weekly
+shape, so three more courses are pinned: the mixing config with real-valued
+counts (the nine-decimal count format), a 52-week course at ode_step 0.5
+(where pulses, rounding and records outweigh the growth day), and the mixing
+config reshaped to three weeks of three pulse days and four growth-only
+days. A sweep of `a` on the mixing config pins every file it writes, whether
+its values run in one process or several, and `check` on the mixing config
+pins what it prints.
+
+When the RK4 loop gave way to the exact growth day, two digests moved and
+were pinned again; every other digest stayed. The mixing-real file changed
+in the last printed digit of 110 count cells (y0, y1, y2 and total), each
+about one unit in the last place of a count near 1e8 or below. Replayed map
+by map in 50-digit decimal arithmetic (the test at the end of this file),
+the largest per-map gap fell from 17.1 to 3.7 units of 2**-53. `check`'s
+output changed only in its simplex-drift line, 8.882e-16 to 2.220e-16.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import decimal
 import hashlib
 import json
 from importlib import resources
 
 import pytest
 
+from repopsim import load_config, simulate_course, survival_fraction
 from repopsim.cli import EXIT_OK, cli_main
 from repopsim.io import read_trajectory, write_trajectory
+
+from .conftest import decimal_growth_day
 
 SHIPPED_DIGESTS = {
     "baseline.json": "9d1dcaa9e29aa5274d98c11b9fb00c154974b40e65137a7b17f4960064b2c1a4",
@@ -45,7 +57,7 @@ DERIVED_DIGESTS = {
     "mixing-real": (
         "mixing.json",
         {"integer_rounding": False},
-        "e7850a3f3621f2885891f779b39aa253460888f5c30d6dc0e252438c9c52c9aa",
+        "cf388508bc1b954a80a6127c28ba88cd4998313057e086b953ec304ca2fa659a",
     ),
     "coarse-52-weeks": (
         "baseline.json",
@@ -72,7 +84,7 @@ SWEEP_DIGESTS = {
 }
 
 # stdout of `check --config mixing.json`: four PASS lines.
-CHECK_STDOUT_DIGEST = "fb7f1c0d524b06de01955a4e5bdb774b75e51ebf1f4e23b879cb0c0ad41eec20"
+CHECK_STDOUT_DIGEST = "633902b68ec30c326973ac2b79c4502fd269bf7a8259964a3ab32a4541c43c1b"
 
 
 def shipped_config(name: str) -> str:
@@ -125,3 +137,50 @@ def test_write_read_write_is_byte_identical(integer_rounding, tmp_path):
     second = tmp_path / "rewritten.csv"
     write_trajectory(parsed, second)
     assert second.read_bytes() == first.read_bytes()
+
+
+# The most relative rounding error, in units of 2**-53, that one stage map may
+# add to a count, from the operations it does in floating point. A pulse: S - Q
+# or S - P, a product and a sum (3), plus one. A growth day: the fractions
+# (a sum of three counts and a division, 3), the closed-form day (24, the
+# budget of tests/test_growth.py at velocities below 1), the counts rebuilt
+# from the fractions (1) and the division factor 2**v and its product (3).
+PULSE_BUDGET = 4 * 2.0**-53
+GROWTH_BUDGET = 31 * 2.0**-53
+
+
+def decimal_replay_gaps(trajectory, params):
+    """For each record after the first, the largest relative gap between one
+    of its counts and the image of the previous record's counts under that
+    record's stage map, taken in 50-digit decimal arithmetic from the floats
+    the program used: the gap is the rounding of that one map."""
+    D = decimal.Decimal
+    s, q, p = (D(c) for c in (survival_fraction(params), params.q_rad, params.p_rad))
+    gaps = []
+    for before, after in zip(trajectory.records, trajectory.records[1:]):
+        y = [D(before.y0), D(before.y1), D(before.y2)]
+        with decimal.localcontext(prec=50):
+            if after.phase == "post_radiation":
+                want = (y[0] * (s - q), y[0] * q + y[1] * (s - p), y[1] * p + y[2] * s)
+                budget = PULSE_BUDGET
+            else:
+                v = (params.v0, params.v1, after.v2)
+                total = sum(y)
+                x = tuple(c / total for c in y)
+                z = decimal_growth_day((*v, params.q_mix, params.p_mix), x)
+                want = tuple(c * total * D(2) ** D(vi) for c, vi in zip(z, v))
+                budget = GROWTH_BUDGET
+            got = (D(after.y0), D(after.y1), D(after.y2))
+            gap = max(abs(g - w) / w for g, w in zip(got, want))
+        gaps.append((float(gap), budget))
+    return gaps
+
+
+def test_real_mode_course_is_within_each_maps_rounding_budget():
+    # The course behind the mixing-real digest, replayed map by map.
+    config = load_config(shipped_config("mixing.json"))
+    params = dataclasses.replace(config.params, integer_rounding=False)
+    trajectory = simulate_course(params, config.initial)
+    gaps = decimal_replay_gaps(trajectory, params)
+    assert len(gaps) == len(trajectory.records) - 1 == 71
+    assert all(gap <= budget for gap, budget in gaps)

@@ -1,11 +1,10 @@
-"""Replicator mixing, fixed-step integration, and the division step."""
+"""Replicator mixing, the exact growth day, and the division step."""
 
 from __future__ import annotations
 
+import decimal
 import math
 import random
-import re
-from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -20,14 +19,17 @@ from repopsim import (
     apply_division,
     growth_day_detail,
     integrate_growth,
-    load_config,
-    simulate_course,
     v2_of,
 )
-from repopsim import growth
-from repopsim.core import GROWTH_INTERVAL, ODE_STEP_FLOOR, PARAM_TABLE, SIMPLEX_TOL
+from repopsim.core import PARAM_TABLE
 
-from .conftest import euler_mix, mean_velocity, random_simplex_points, reference_initial
+from .conftest import (
+    decimal_growth_day,
+    euler_mix,
+    mean_velocity,
+    random_simplex_points,
+    reference_initial,
+)
 
 PAPER_V = (0.01, 0.016, 0.0804010016687521)
 
@@ -40,7 +42,7 @@ def replicator_rhs(rates, x):
     """Time derivative of the fraction triple under the replicator field
     with rates (v0, v1, v2, q_mix, p_mix).
 
-    The readable form of the field that integrate_growth unrolls. The three
+    The field whose exact flow integrate_growth computes. The three
     components sum to Phi * (1 - sum(x)), hence to zero on the simplex,
     which is what keeps the integration on the simplex without any forced
     renormalization.
@@ -57,62 +59,21 @@ def replicator_rhs(rates, x):
     )
 
 
-def check_rates(rates):
-    """The rate checks integrate_growth makes, with its messages: each
-    velocity >= 0, and q_mix and p_mix as the parameter table checks them."""
-    for name, value in zip(("v0", "v1", "v2"), rates):
-        if not value >= 0:
-            raise InvalidParameterError(f"{name} must be >= 0, got {value}")
-    for name, value in zip(("q_mix", "p_mix"), rates[3:]):
-        PARAM_TABLE[name].check(name, value)
-
-
 def rk4_from_rhs(rates, x, duration, step):
-    """Plain fixed-step RK4 composed from replicator_rhs.
-
-    The specification integrate_growth must match bit for bit: the same
-    step count, stage points, update order, checks and messages.
-    """
-    check_rates(rates)
+    """Plain fixed-step RK4 composed from replicator_rhs: the oracle that
+    integrate_growth once unrolled, now checked against its exact day."""
     n = max(1, round(duration / step))
     h = duration / n
-    for i in range(n):
-        try:
-            k1 = replicator_rhs(rates, x)
-            k2 = replicator_rhs(
-                rates,
-                (x[0] + 0.5 * h * k1[0], x[1] + 0.5 * h * k1[1], x[2] + 0.5 * h * k1[2]),
-            )
-            k3 = replicator_rhs(
-                rates,
-                (x[0] + 0.5 * h * k2[0], x[1] + 0.5 * h * k2[1], x[2] + 0.5 * h * k2[2]),
-            )
-            k4 = replicator_rhs(
-                rates, (x[0] + h * k3[0], x[1] + h * k3[1], x[2] + h * k3[2])
-            )
-        except InvalidStateError as exc:
-            raise NumericInstabilityError(
-                f"stage point left the simplex at step {i + 1} of {n} "
-                f"(t={(i + 1) * h:.4f})"
-            ) from exc
-        x = (
-            x[0] + h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-            x[1] + h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
-            x[2] + h / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
+    for _ in range(n):
+        k1 = replicator_rhs(rates, x)
+        k2 = replicator_rhs(rates, tuple(xi + 0.5 * h * ki for xi, ki in zip(x, k1)))
+        k3 = replicator_rhs(rates, tuple(xi + 0.5 * h * ki for xi, ki in zip(x, k2)))
+        k4 = replicator_rhs(rates, tuple(xi + h * ki for xi, ki in zip(x, k3)))
+        x = tuple(
+            xi + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+            for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
         )
-        if min(x) < -1e-9 or max(x) > 1.0 + 1e-9:
-            raise NumericInstabilityError(
-                f"component left [0, 1] at step {i + 1} of {n} (t={(i + 1) * h:.4f}): {x}"
-            )
     return x
-
-
-def outcome(integrate, rates, x, duration, step):
-    """The returned triple, or the raised exception's type and message."""
-    try:
-        return integrate(rates, x, duration, step)
-    except (InvalidParameterError, NumericInstabilityError) as exc:
-        return type(exc), str(exc)
 
 
 class TestReplicatorRhs:
@@ -243,328 +204,126 @@ class TestIntegrateGrowth:
         with pytest.raises(InvalidParameterError):
             integrate_growth(rates, (0.6, 0.34, 0.06), duration, step)
 
-    @pytest.mark.parametrize(
-        "duration, step, message",
-        [
-            (math.inf, 1.0, "duration must be finite and > 0, got inf"),
-            (1e308, 1e-10, "at most 1000000 steps, got 1e+308 / 1e-10"),
-            (1e6, 1e-4, "at most 1000000 steps, got 1000000.0 / 0.0001"),
-            (1.0, 1 / (10**6 + 1), "at most 1000000 steps, got 1.0 / 9.9"),
-        ],
-    )
-    def test_rejects_unbounded_step_counts(self, duration, step, message):
-        # An infinite ratio once escaped round() as a bare OverflowError, and
-        # 1e6 days at 1e-4 would loop 10**10 times.
+    def test_rejects_an_infinite_duration(self):
         rates = (*PAPER_V, 0.0, 0.0)
-        with pytest.raises(InvalidParameterError, match=re.escape(message)):
-            integrate_growth(rates, (0.6, 0.34, 0.06), duration, step)
-
-    def test_instability_names_the_step(self):
-        rates = (0.0, 0.0, 20.0, 0.0, 0.0)
-        with pytest.raises(NumericInstabilityError, match="step"):
-            integrate_growth(rates, (0.5, 0.49, 0.01), duration=3.0, step=1.0)
-
+        message = "^duration must be finite and > 0, got inf$"
+        with pytest.raises(InvalidParameterError, match=message):
+            integrate_growth(rates, (0.6, 0.34, 0.06), math.inf, 1.0)
 
     def test_infinite_velocity_fails_instead_of_returning_nan(self):
-        # inf * 0 puts NaN next to -inf in a stage point; each component is
-        # tested on its own, so the NaN cannot mask the -inf.
+        # inf - inf in the shifted diagonal is NaN, which the endpoint test catches.
         rates = (0.01, 0.016, float("inf"), 0.0, 0.0)
-        with pytest.raises(NumericInstabilityError, match="stage point .* step 1 of 2"):
+        with pytest.raises(NumericInstabilityError, match="no finite nonzero endpoint"):
             integrate_growth(rates, (0.0, 0.5, 0.5), duration=1.0, step=0.5)
 
+    @pytest.mark.parametrize("x", [(-1e-12, 0.5, 0.5 + 1e-12), (math.nan, 0.5, 0.5)])
+    def test_negative_or_nan_fraction_is_invalid_state(self, x):
+        with pytest.raises(InvalidStateError, match="^fractions must be >= 0"):
+            integrate_growth((*PAPER_V, 0.1, 0.1), x, 1.0, 0.01)
 
-class TestKernelMatchesSpec:
-    """integrate_growth equals RK4 composed from replicator_rhs, bit for bit."""
+    def test_empty_input_has_no_endpoint(self):
+        with pytest.raises(NumericInstabilityError, match="no finite nonzero endpoint"):
+            integrate_growth((*PAPER_V, 0.1, 0.1), (0.0, 0.0, 0.0), 1.0, 0.01)
 
-    @settings(deadline=None, max_examples=300)
-    @given(
-        ab=st.tuples(
-            st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0)
-        ),
-        v0=st.floats(min_value=0.0, max_value=1.0),
-        v1=st.floats(min_value=0.0, max_value=2.0),
-        v2=st.floats(min_value=0.0, max_value=30.0),
-        q=st.floats(min_value=0.0, max_value=1.0),
-        p=st.floats(min_value=0.0, max_value=1.0),
-        duration=st.floats(min_value=0.01, max_value=3.0),
-        steps=st.integers(min_value=1, max_value=200),
-    )
-    def test_equals_rk4_of_replicator_rhs(self, ab, v0, v1, v2, q, p, duration, steps):
-        lo, hi = sorted(ab)
-        x = (lo, hi - lo, 1.0 - hi)
-        rates = (v0, v1, v2, q, p)
-        step = duration / steps
-        want = outcome(rk4_from_rhs, rates, x, duration, step)
-        got = outcome(integrate_growth, rates, x, duration, step)
-        assert got == want
-
-    def test_equals_rk4_of_replicator_rhs_on_seeded_fields(self):
-        # A one-ulp change in a single stage surfaces in about 1% of these.
-        rng = random.Random(2)
-        for _ in range(1000):
-            lo, hi = sorted((rng.random(), rng.random()))
-            x = (lo, hi - lo, 1.0 - hi)
-            v = (rng.uniform(0, 1), rng.uniform(0, 2), rng.uniform(0, 30))
-            rates = (*v, rng.random(), rng.random())
-            duration = rng.uniform(0.01, 3.0)
-            step = duration / rng.randint(1, 20)
-            want = outcome(rk4_from_rhs, rates, x, duration, step)
-            assert outcome(integrate_growth, rates, x, duration, step) == want
-
-    def test_paper_day_equals_spec(self):
+    @pytest.mark.parametrize("step", [1.0, 0.5, 0.01, 1e-300])
+    def test_step_does_not_change_the_result(self, step):
         rates = (*PAPER_V, 0.1, 0.1)
         x = (0.6, 0.34, 0.06)
-        assert integrate_growth(rates, x, 1.0, 0.01) == rk4_from_rhs(rates, x, 1.0, 0.01)
-
-    def test_stage_point_message(self):
-        rates = (0.0, 0.0, 25.0, 0.0, 0.0)
-        x = (0.5, 0.49, 0.01)
-        got = outcome(integrate_growth, rates, x, 2.0, 0.25)
-        assert got == (
-            NumericInstabilityError,
-            "stage point left the simplex at step 2 of 8 (t=0.5000)",
-        )
-        assert got == outcome(rk4_from_rhs, rates, x, 2.0, 0.25)
-
-    def test_endpoint_message(self):
-        rates = (0.0, 0.0, 20.0, 0.0, 0.0)
-        x = (0.5, 0.49, 0.01)
-        got = outcome(integrate_growth, rates, x, 3.0, 1.0)
-        assert got[0] is NumericInstabilityError
-        assert got[1].startswith("component left [0, 1] at step 1 of 3 (t=1.0000): (-0.30")
-        assert got == outcome(rk4_from_rhs, rates, x, 3.0, 1.0)
-
-    @pytest.mark.parametrize(
-        "x", [(0.5, 0.5, 0.5), (0.2, 0.2, 0.2), (-1e-8, 0.5, 0.5 + 1e-8), (0.5, 1.0, -0.5)]
-    )
-    def test_off_simplex_input_is_a_stage_one_failure(self, x):
-        rates = (*PAPER_V, 0.0, 0.0)
-        got = outcome(integrate_growth, rates, x, 1.0, 0.5)
-        assert got == (
-            NumericInstabilityError,
-            "stage point left the simplex at step 1 of 2 (t=0.5000)",
-        )
-        assert got == outcome(rk4_from_rhs, rates, x, 1.0, 0.5)
+        assert integrate_growth(rates, x, 1.0, step) == integrate_growth(rates, x, 1.0, 1.0)
 
 
-class TestStageTestElision:
-    """Inside and outside the bound under which the kernel runs no test in its
-    loop, it returns and raises exactly what the specification does."""
+# Unit roundoff of a double.
+U = 2.0**-53
 
-    C = growth._BOUND_HV
-    M = growth._BOUND_DRIFT
-    N_MAX = growth._BOUND_STEPS
+
+def seeded_field(rng: random.Random, i: int):
+    """Rates and a start point: random, with every fifth field's two first
+    diagonal entries equal, every third v2 at or within 1e-9 of v1(1-p), q
+    and p often exactly 0 or 1, and every seventh start a simplex vertex."""
+    q = rng.choice([0.0, 1.0, rng.random(), rng.random()])
+    p = rng.choice([0.0, 1.0, rng.random(), rng.random()])
+    v0, v1, v2 = rng.uniform(0, 1), rng.uniform(0, 2), rng.uniform(0, 2)
+    if i % 5 == 0:
+        v0, q = v1, p  # v0(1-q) = v1(1-p) in floating point too
+    if i % 3 == 0:
+        v2 = v1 * (1.0 - p) * (1.0 + rng.choice([0.0, 1e-9, -1e-9, 1e-13]))
+    if i % 7 == 0:
+        x = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))[rng.randrange(3)]
+    else:
+        x = random_simplex_points(rng, 1)[0]
+    return (v0, v1, v2, q, p), x
+
+
+class TestExactDay:
+    """integrate_growth against a 50-digit reference, against RK4, and on extreme inputs."""
+
+    def test_within_a_few_units_of_a_decimal_reference(self):
+        # Per component, in units of U: 3 for the shifted diagonal and its
+        # exponentials, 5 for a first difference (expm1, a division and a
+        # product), 6 for the second difference's series or its division by
+        # the spread, 4 for the products and sums that build the endpoint and
+        # 3 for its normalization. Every term is >= 0, so no sum amplifies an
+        # error; 3 * max(d) more covers the rounding of the diagonal entries,
+        # which the exponentials scale by their size.
+        rng = random.Random(16)
+        for i in range(2400):
+            rates, x = seeded_field(rng, i)
+            got = integrate_growth(rates, x, 1.0, 0.01)
+            want = decimal_growth_day(rates, x)
+            bound = (21 + 3 * max(rates[:3])) * U
+            for g, w in zip(got, want):
+                assert abs(decimal.Decimal(g) - w) <= decimal.Decimal(bound) * w, (rates, x)
+
+    def test_agrees_with_rk4_at_step_0_01(self):
+        # Velocities of the paper's size, where RK4's own error at step 0.01
+        # stays far below 1e-12.
+        rng = random.Random(9)
+        for _ in range(200):
+            rates = (rng.uniform(0, 0.05), rng.uniform(0, 0.05), rng.uniform(0, 0.2))
+            rates += (rng.random(), rng.random())
+            x = random_simplex_points(rng, 1)[0]
+            got = integrate_growth(rates, x, 1.0, 0.01)
+            want = rk4_from_rhs(rates, x, 1.0, 0.01)
+            assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12
 
     @settings(deadline=None, max_examples=400)
     @given(
-        duration=st.sampled_from([1.0, 0.05, 0.01]),
-        steps=st.sampled_from([1, 2, 5, 20]),
-        hv=st.sampled_from([1 - 1e-6, 1.0, 1 + 1e-6, 0.1, 10.0]) | st.floats(0.0, 2.0),
-        shares=st.tuples(*[st.sampled_from([0.0, 1.0, 1.0 - 1e-6]) | st.floats(0.0, 1.0)] * 3),
+        v=st.tuples(*[st.sampled_from([0.0, 5e-324, 1e-310, 1e300]) | st.floats(0.0, 1e300)] * 3),
         q=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
         p=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
-        x01=st.tuples(*[st.sampled_from([0.0, -1e-9]) | st.floats(0.0, 1.0)] * 2),
-        deviation=st.sampled_from(
-            [0.0, 1 - 1e-6, 1 + 1e-6, -1 + 1e-6, -1 - 1e-6, 10.0, -10.0, 10.00001, -10.00001]
-        ),
+        ab=st.tuples(*[st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)] * 2),
     )
-    def test_equals_rk4_of_replicator_rhs_at_the_bound(
-        self, duration, steps, hv, shares, q, p, x01, deviation
-    ):
-        # hv is h * max(v) in units of C; each velocity is a share of that
-        # largest one, which reaches 31.25 at hv = 1 and one step of 5e-4
-        # days. deviation is x0 + x1 + x2 - 1 in units of M: just inside and
-        # outside it, and at and just past +-1e-9, the simplex tolerance.
-        h = duration / steps
-        v = [share * hv * self.C / h for share in shares]
-        v[max(range(3), key=shares.__getitem__)] = hv * self.C / h
-        x0, x1 = x01
-        if x0 + x1 > 1.0:
-            x1 = 1.0 - x0
-        x = (x0, x1, 1.0 - x0 - x1 + deviation * self.M)
-        rates = (*v, q, p)
-        want = outcome(rk4_from_rhs, rates, x, duration, h)
-        assert outcome(integrate_growth, rates, x, duration, h) == want
+    def test_extreme_inputs_give_a_simplex_point_or_numeric_instability(self, v, q, p, ab):
+        lo, hi = sorted(ab)
+        x = (lo, hi - lo, 1.0 - hi)
+        try:
+            got = integrate_growth((*v, q, p), x, 1.0, 1.0)
+        except NumericInstabilityError:
+            return
+        assert all(math.isfinite(c) and c >= 0.0 for c in got)
+        assert abs(sum(got) - 1.0) <= 4 * U
 
-    def test_subnormal_components_stay_nonnegative_at_the_bound(self):
-        # The lemma behind the bound: from an input with no negative
-        # component, every stage point and endpoint component is >= 0 in
-        # floating point, underflow included. The inputs put components at 0,
-        # at subnormals and where an inflow a0*q or a1*p lands a few units of
-        # 2**-1074 from 0, with h*V exactly C.
-        rng = random.Random(10)
-        tiny = [0.0, 5e-324, 1e-320, 2.2250738585072014e-308]
-        rates = [0.0, 1.0, 1e-300, 0.5]
-        for _ in range(5000):
-            h = rng.choice([1.0, 0.5, 0.1, 0.01, 1e-4, 10.0, 1e3])
-            n = rng.choice([1, 2, 3])
-            shares = [rng.choice([0.0, 1.0, rng.random()]) for _ in range(3)]
-            shares[rng.randrange(3)] = 1.0
-            v = []
-            for share in shares:
-                vi = share * self.C / h
-                while h * vi > self.C:
-                    vi = math.nextafter(vi, 0.0)
-                v.append(vi)
-            q, p = rng.choice(rates), rng.choice(rates)
-            comps = [rng.choice(tiny) for _ in range(3)]
-            source = rng.randrange(2)
-            rate = (q, p)[source]
-            if v[source] * rate > 0 and rng.random() < 0.5:
-                # Make the source's inflow a few subnormal units.
-                units = rng.choice([0.5, 1.0, 1.5, 2.5, 3.0, 12.0, 13.0, 40.0])
-                comps[source] = min(0.4, units * 5e-324 / (v[source] * rate))
-            bulk = rng.randrange(3)
-            comps[bulk] = 0.0
-            comps[bulk] = 1.0 - sum(comps)
-            x = tuple(comps)
-            field = (*v, q, p)
-            want = outcome(rk4_from_rhs, field, x, n * h, h)
-            got = outcome(integrate_growth, field, x, n * h, h)
-            assert got == want
-            assert all(isinstance(c, float) and c >= 0.0 for c in got)
-
-    @pytest.mark.parametrize(
-        "x", [(0.5, 0.3, 0.2), (0.5, 0.3, 0.2 + 1e-10), (0.0, -1e-9, 1.0 + 1e-9)]
+    @settings(deadline=None, max_examples=200)
+    @given(
+        v2=st.sampled_from([0.0, 5e-324, 1.0, 1e300]) | st.floats(0.0, 1e300),
+        x0=st.floats(0.0, 1.0),
+        q=st.floats(0.0, 1.0),
     )
-    @pytest.mark.parametrize(
-        "hv", [0.5, 0.5 * (1 + 1e-6), 5.0, growth._BOUND_HV, growth._BOUND_HV * (1 + 1e-6)]
-    )
-    def test_equal_velocities_at_and_past_the_bound(self, x, hv):
-        # With equal velocities the stage points stay near x and each stage
-        # multiplies the input's deviation by 1 - c*h*v: at hV = 5 that
-        # reaches 22.75 by stage k4, so a deviation of 1e-10 trips the sum
-        # test while every component test passes.
-        rates = (hv, hv, hv, 0.0, 0.0)
-        want = outcome(rk4_from_rhs, rates, x, 1.0, 1.0)
-        assert outcome(integrate_growth, rates, x, 1.0, 1.0) == want
-        if hv == 5.0 and x[2] == 0.2 + 1e-10:
-            assert want == (
-                NumericInstabilityError,
-                "stage point left the simplex at step 1 of 1 (t=1.0000)",
-            )
+    def test_an_empty_fast_compartment_with_no_inflow_takes_no_part(self, v2, x0, q):
+        # p = 0 cuts the fast compartment off, so whatever v2 is, the day is
+        # the day of the two other compartments: the answer RK4 gave too.
+        x = (x0, 1.0 - x0, 0.0)
+        got = integrate_growth((0.01, 0.016, v2, q, 0.0), x, 1.0, 0.01)
+        want = integrate_growth((0.01, 0.016, 0.0, q, 0.0), x, 1.0, 0.01)
+        assert got == want
+        assert got[2] == 0.0
 
-    def test_input_component_below_the_tolerance_fails_at_step_one(self):
-        # The sum is exact, but x0 < 0 puts the input outside the bound; only
-        # the component test, made once before the loop, catches x0. The
-        # stage points after it have x0 scaled by 3/4 and 1/2, back inside
-        # the tolerance.
-        rates = (0.0, 0.0, 0.5, 0.0, 0.0)
-        x = (-1.2e-9, 0.0, 1.0 + 1.2e-9)
-        want = (NumericInstabilityError, "stage point left the simplex at step 1 of 1 (t=1.0000)")
-        assert outcome(rk4_from_rhs, rates, x, 1.0, 1.0) == want
-        assert outcome(integrate_growth, rates, x, 1.0, 1.0) == want
-
-    def test_negative_input_component_takes_the_checked_path(self):
-        # Every other premise holds: h*v0 = C, the sum is exact. x0 starts
-        # inside the tolerance, but component 0 is the fastest and grows by
-        # about 1 + C a step, so it passes -1e-9 at a stage point of step 7.
-        rates = (self.C, 0.0, 0.0, 0.0, 0.0)
-        x = (-9e-10, 1.0 + 9e-10, 0.0)
-        want = (NumericInstabilityError, "stage point left the simplex at step 7 of 20 (t=7.0000)")
-        assert outcome(rk4_from_rhs, rates, x, 20.0, 1.0) == want
-        assert outcome(integrate_growth, rates, x, 20.0, 1.0) == want
-
-    @pytest.mark.parametrize("extra", [0, 1])
-    def test_step_count_at_the_bound(self, extra):
-        steps = self.N_MAX + extra
-        rates = (*PAPER_V, 0.1, 0.1)
-        x = (0.6, 0.34, 0.06 + 1e-10)
-        want = outcome(rk4_from_rhs, rates, x, 1.0, 1.0 / steps)
-        assert outcome(integrate_growth, rates, x, 1.0, 1.0 / steps) == want
-
-    @pytest.mark.parametrize(
-        "v2, q, x",
-        [
-            (math.nan, 0.0, (0.6, 0.34, 0.06)),
-            (-0.08, 0.0, (0.6, 0.34, 0.06)),
-            (0.08, math.nan, (0.6, 0.34, 0.06)),
-            (0.08, 1.5, (0.6, 0.34, 0.06)),
-            (0.08, 0.0, (math.nan, 0.5, 0.5)),
-            (0.08, 0.0, (0.0, 0.0, math.inf)),
-        ],
-    )
-    def test_nan_inf_or_negative_values_take_the_tested_path(self, v2, q, x):
-        # The kernel and the specification reject each of these v2 and q
-        # values with the same message. An infinite velocity has its own test
-        # above, where the kernel's per-component tests differ from min().
-        rates = (0.01, 0.016, v2, q, 0.0)
-        got = outcome(integrate_growth, rates, x, 1.0, 0.5)
-        assert repr(got) == repr(outcome(rk4_from_rhs, rates, x, 1.0, 0.5))
-
-    @pytest.mark.parametrize("name", ["baseline.json", "mixing.json", None])
-    def test_shipped_courses_run_inside_the_bound(self, name, monkeypatch):
-        # The two shipped configs and the course `check` runs (ModelParams()
-        # from the reference population) keep every growth day inside the
-        # bound, so their RK4 loops run no test. v2 = a*v1*psi with psi <=
-        # e**theta, so max(v0, v1, a*v1*e**theta) bounds every velocity.
-        if name is None:
-            params, initial = ModelParams(), reference_initial()
-        else:
-            config = load_config(str(resources.files("repopsim").joinpath("data", name)))
-            params, initial = config.params, config.initial
-        n = round(GROWTH_INTERVAL / params.ode_step)
-        top = max(params.v0, params.v1, params.a * params.v1 * math.exp(params.theta))
-        assert n <= self.N_MAX
-        assert GROWTH_INTERVAL / n * top <= self.C
-        days = []
-
-        def integrate(rates, x, duration, step):
-            days.append(min(x) >= 0.0 and abs(x[0] + x[1] + x[2] - 1.0) <= self.M)
-            return integrate_growth(rates, x, duration, step)
-
-        monkeypatch.setattr(growth, "integrate_growth", integrate)
-        simulate_course(params, initial)
-        assert days and all(days)
-
-    def test_proof_premises(self):
-        # Each constant the comment above the flag in growth.py states,
-        # rederived from C, M, N_MAX and delta.
-        C, M, N_MAX = self.C, self.M, self.N_MAX
-        u = 2.0**-53
-        # Every growth day of a course fits in N_MAX steps.
-        assert round(GROWTH_INTERVAL / ODE_STEP_FLOOR) <= N_MAX
-        # Part 1. The per-step rounding bound is derived for hV <= 1/2 and
-        # comes to 16 unit roundoffs; the closing one must also cover 20.
-        delta = growth._BOUND_ROUNDING
-        assert C <= 0.5
-        assert delta >= 20 * u
-        # The deviation bound at every stage point stays inside the tolerance.
-        growth_factor = (1 + 7 * SIMPLEX_TOL * C) ** (N_MAX + 1)
-        assert (M + (N_MAX + 1) * delta) * growth_factor < 1.4e-10 < SIMPLEX_TOL
-        # Part 2. h phi^ <= C1 from h v_i <= C(1 + 2u), a sum within 1.4e-10
-        # of 1, and h s <= 2**-50.
-        C1 = 1.001 * C
-        assert (C * (1 + 2 * u) * (1 + 1.4e-10) * (1 + u) + 1.5 * 2.0**-50) * (1 + u) ** 2 <= C1
-        # Q at x, and case a.
-        assert 2 * C1 < 1 / 5 and 10 * C1 * (1 + u) < 1 / 5
-        # From Q: the stage points, and the endpoint with h6 <= 2h/3.
-        assert (1 + u) / 5 <= 1
-        assert 2 / 3 * 6 * (1 + u) ** 4 / 5 <= 0.81 < 1
-        # Case a for component 0: the band [0.933, 1.07] x_0.
-        assert (1 + u) * (1 + 4 * C1 * 1.07) <= 1.07 and 4 * C1 * 1.07 <= min(0.07, 4)
-        assert 2 * C1 * 1.07 <= 0.03348 and (1 - 2 * 0.03348) * (1 - 2 * u) >= 0.933
-        # Case b.
-        assert 2.5 * C1 * (1 + u) <= 0.0392 and 5 * C1 * (1 + u) <= 0.0783
-        assert 0.0392 * 12 <= 0.5  # N_i(z) = 0 while PI <= 12s
-        assert (1 + u) / (1 - 5 * C1 * (1 + u) ** 2) <= 1.085
-        assert 13 / 1.085 > 11 and 1 / (2 * 1.085) > 0.46  # Im >= 12s, Im > 0.46s/h
-        assert 0.0783 * 1.085 <= 0.085
-        # U.
-        assert (1 + u) * (1 + 4 * C1 * (1 + u) * 1.07) <= 1.07
-        assert (1 + u) * (4 * C1 * (1 + u) * 2.2 + 2 * (1 + u)) <= 2.2
-        # i = 1.
-        kappa0 = 0.871
-        assert 0.933 / 1.07 >= kappa0
-        assert kappa0 * (1 - 4 * u) - (kappa0 + 1) / 12 >= 0.71 >= 0.085
-        # i = 2.
-        assert (1 - u) * (1 - (1 + u) ** 2 * 2 * C1 * 1.07) >= 0.966
-        assert (1 - u) ** 3 * kappa0 * (1 - 4 * u) - (1 + u) ** 2 * 2 * C1 * 2.2 >= 0.802
-        assert (1 - u) ** 3 * (kappa0 + 1) <= 1.872
-        kappa1 = 0.364
-        assert min(0.966 / 1.07, 0.802 / 2.2) >= kappa1
-        assert 1.872 * C1 <= 0.03 and C1 * 1.085 <= 0.017  # s/h < 2.17 Im
-        assert kappa1 * (1 - 4 * u) - 0.017 - (kappa1 + 1 + 0.03) / 12 >= 0.23 >= 0.085
+    @pytest.mark.parametrize("vertex", [0, 1, 2])
+    def test_a_vertex_with_a_huge_velocity_and_no_outflow_stays_put(self, vertex):
+        x = tuple(float(i == vertex) for i in range(3))
+        v = [0.01, 0.016, 0.08]
+        v[vertex] = 1e300
+        assert integrate_growth((*v, 0.0, 0.0), x, 1.0, 0.01) == x
 
 
 class TestApplyDivision:
