@@ -5,6 +5,7 @@ from __future__ import annotations
 import decimal
 import math
 import random
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +20,11 @@ from repopsim import (
     apply_division,
     growth_day_detail,
     integrate_growth,
+    load_config,
+    simulate_course,
     v2_of,
 )
+from repopsim import growth
 from repopsim.core import PARAM_TABLE
 
 from .conftest import (
@@ -216,7 +220,9 @@ class TestIntegrateGrowth:
         with pytest.raises(NumericInstabilityError, match="no finite nonzero endpoint"):
             integrate_growth(rates, (0.0, 0.5, 0.5), duration=1.0, step=0.5)
 
-    @pytest.mark.parametrize("x", [(-1e-12, 0.5, 0.5 + 1e-12), (math.nan, 0.5, 0.5)])
+    @pytest.mark.parametrize(
+        "x", [(-1e-12, 0.5, 0.5 + 1e-12), (math.nan, 0.5, 0.5), (0.5, 1.0, -0.5)]
+    )
     def test_negative_or_nan_fraction_is_invalid_state(self, x):
         with pytest.raises(InvalidStateError, match="^fractions must be >= 0"):
             integrate_growth((*PAPER_V, 0.1, 0.1), x, 1.0, 0.01)
@@ -230,6 +236,34 @@ class TestIntegrateGrowth:
         rates = (*PAPER_V, 0.1, 0.1)
         x = (0.6, 0.34, 0.06)
         assert integrate_growth(rates, x, 1.0, step) == integrate_growth(rates, x, 1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "duration, step", [(1e308, 1e-10), (1e6, 1e-4), (1.0, 1 / (10**6 + 1))]
+    )
+    def test_huge_duration_to_step_ratios_cost_one_day(self, duration, step):
+        # Under RK4 these asked for 1e318, 1e10 and 1000001 steps.
+        rates = (*PAPER_V, 0.1, 0.1)
+        x = (0.6, 0.34, 0.06)
+        got = integrate_growth(rates, x, duration, step)
+        assert got == integrate_growth(rates, x, duration, duration)
+        assert all(c >= 0.0 for c in got) and abs(sum(got) - 1.0) <= 4 * U
+
+    @pytest.mark.parametrize("x", [(0.5, 0.5, 0.5), (0.2, 0.2, 0.2)])
+    def test_off_simplex_input_ends_where_its_projection_does(self, x):
+        # exp(A) is linear, so a start off the simplex by a positive factor
+        # ends at the same point as its projection onto the simplex.
+        rates = (*PAPER_V, 0.1, 0.1)
+        got = integrate_growth(rates, x, 1.0, 0.01)
+        want = integrate_growth(rates, (1 / 3, 1 / 3, 1 / 3), 1.0, 0.01)
+        assert got == pytest.approx(want, rel=8 * U, abs=0.0)
+
+    @pytest.mark.parametrize("x", [(0.5, 0.3, 0.2), (0.6, 0.34, 0.06), (0.0, 0.0, 1.0)])
+    @pytest.mark.parametrize("v", [2.0**-6, 0.5, 5.0, 1e300])
+    def test_equal_velocities_without_mixing_keep_the_fractions(self, v, x):
+        # Equal diagonal entries shift to 0, so exp(A) x is x itself and only
+        # the normalization rounds.
+        got = integrate_growth((v, v, v, 0.0, 0.0), x, 1.0, 1.0)
+        assert got == tuple(c / sum(x) for c in x)
 
 
 # Unit roundoff of a double.
@@ -324,6 +358,52 @@ class TestExactDay:
         v = [0.01, 0.016, 0.08]
         v[vertex] = 1e300
         assert integrate_growth((*v, 0.0, 0.0), x, 1.0, 0.01) == x
+
+    @pytest.mark.parametrize("order", ["rising", "falling"])
+    @pytest.mark.parametrize(
+        "spread", [0.0, 1e-300, 1e-9, 0.25, 0.5, 0.5 * (1 + 1e-12), 0.75, 5.0, 50.0, 500.0]
+    )
+    def test_second_difference_on_both_sides_of_the_series_spread(self, spread, order):
+        # Diagonal entries 1, 1 + spread/3 and 1 + spread, or the reverse,
+        # with q = p = 1/2 so both inflows carry cells: the second difference
+        # comes from its series up to growth._SERIES_SPREAD and from the
+        # division by the spread past it. The bound is the decimal test's.
+        diagonal = [1.0, 1.0 + spread / 3, 1.0 + spread]
+        if order == "falling":
+            diagonal.reverse()
+        rates = (2 * diagonal[0], 2 * diagonal[1], diagonal[2], 0.5, 0.5)
+        x = (0.6, 0.34, 0.06)
+        got = integrate_growth(rates, x, 1.0, 1.0)
+        want = decimal_growth_day(rates, x)
+        bound = decimal.Decimal((21 + 3 * max(rates[:3])) * U)
+        for g, w in zip(got, want):
+            assert abs(decimal.Decimal(g) - w) <= bound * w
+
+    @pytest.mark.parametrize("name", ["baseline.json", "mixing.json", None])
+    def test_shipped_courses_match_the_decimal_day(self, name, monkeypatch):
+        # Every growth day of the two shipped configs and of the course
+        # `check` runs (ModelParams() from the reference population), within
+        # the decimal test's bound of the 50-digit day from the same start.
+        if name is None:
+            params, initial = ModelParams(), reference_initial()
+        else:
+            config = load_config(str(resources.files("repopsim").joinpath("data", name)))
+            params, initial = config.params, config.initial
+        days = []
+
+        def integrate(rates, x, duration, step):
+            got = integrate_growth(rates, x, duration, step)
+            days.append((rates, x, duration, got))
+            return got
+
+        monkeypatch.setattr(growth, "integrate_growth", integrate)
+        simulate_course(params, initial)
+        assert days
+        for rates, x, duration, got in days:
+            want = decimal_growth_day(rates, x, duration)
+            bound = decimal.Decimal((21 + 3 * duration * max(rates[:3])) * U)
+            for g, w in zip(got, want):
+                assert abs(decimal.Decimal(g) - w) <= bound * w, (rates, x)
 
 
 class TestApplyDivision:
