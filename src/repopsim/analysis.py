@@ -1,17 +1,11 @@
 """Trajectory post-processing: velocity differences, closed-form totals,
-reference-table comparison, parameter sweeps, and the forked map that runs
-independent courses side by side."""
+reference-table comparison, and parameter sweeps."""
 
 from __future__ import annotations
 
-import functools
 import math
-import os
-import sys
-import tempfile
-import threading
 from dataclasses import dataclass, replace as dc_replace
-from typing import IO, Callable, NoReturn
+from typing import Callable
 
 from .core import PARAM_TABLE, ModelParams, PopulationState
 from .errors import AlignmentError, ConfigError, InvalidParameterError, SimulationError, quote
@@ -229,140 +223,22 @@ def sweep(
     invalid key, an out-of-range value or a course the model rejects
     yields an error entry for that value and the sweep continues.
 
-    The values run through forked_map, so the entries equal a serial run's
-    and the files written from them are byte-identical. each, if given,
-    replaces every entry of a value in the process that ran the value,
-    before the entry is sent back: a caller can write the trajectory there
-    and return the entry without it. Without each, the entries carry their
-    trajectories.
+    The values run one after another in the calling process. A course
+    takes about a millisecond, so a forked worker's copy-on-write faults and
+    its wait for a free CPU would eat most of what it saves, and more than
+    all of it while the other CPUs are busy. each, if given, replaces the
+    entry of a value as soon as the value has run: a caller can write the
+    trajectory there and keep the entry without it. Without each, the
+    entries carry their trajectories.
 
     Raises:
         InvalidParameterError: for a NaN threshold, before any course runs.
-        OSError: raised by each, in whichever process it ran.
+        OSError: raised by each.
     """
     if threshold is not None and math.isnan(threshold):
         raise InvalidParameterError("threshold must be a number, got nan")
     if key not in PARAM_TABLE:
         error = f"unknown parameter: {quote(key)}"
         return tuple(SweepEntry(value=value, error=error) for value in values)
-    one = functools.partial(_sweep_value, params, key, initial, threshold)
-    return forked_map(one if each is None else lambda value: each(one(value)), values)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, where the platform has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _can_fork() -> bool:
-    """Whether forking is safe and hides nothing.
-
-    A profiler or tracer sees only its own process's calls, and a fork
-    copies only the calling thread, whatever locks the others hold.
-    """
-    return (
-        hasattr(os, "fork")
-        and sys.getprofile() is None
-        and sys.gettrace() is None
-        and threading.active_count() == 1
-    )
-
-
-def _entry_frame(result) -> bytes:
-    """A result as one pickle: the bytes a child writes for it."""
-    import pickle  # loaded on the forked path only
-
-    return pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
-
-
-def _serve_share(file: IO[bytes], one, values: tuple) -> NoReturn:
-    """Child side: one pickle per result, then exit 0. On a failure, exit 1
-    after a pickle of the OSError or SimulationError itself, or else of the
-    traceback text. A regular file never blocks its writer, and os._exit runs
-    no atexit handler and flushes no inherited buffer."""
-    code = 0
-    try:
-        for value in values:
-            file.write(_entry_frame(one(value)))
-    except BaseException as exc:
-        import pickle
-        import traceback
-
-        sent = exc if isinstance(exc, (OSError, SimulationError)) else traceback.format_exc()
-        file.write(pickle.dumps(sent))
-        code = 1
-    file.flush()
-    os._exit(code)
-
-
-def forked_map(one, values: tuple) -> tuple:
-    """one(value) for every value, in input order, in W = min(value count,
-    usable CPUs) processes: value k runs in share k mod W.
-
-    Share 0 runs here; each other share runs in a forked child that pickles
-    its results into an unlinked temporary file, read once the child is
-    reaped. The results equal a serial run's. W is 1, which forks nothing and
-    makes no file, when the platform has no fork, under a profiler or tracer
-    (cProfile, coverage, a debugger) or when another thread is alive; a share
-    whose file or fork fails also runs here. An OSError or SimulationError
-    in a child is raised here as itself; any other child failure raises
-    RuntimeError. A child sends a failure as an exception or a str, so one
-    returns neither. Every exit, a failure or an interrupt included, kills
-    and reaps each child not yet reaped and closes every file.
-    """
-    workers = min(len(values), _usable_cpus()) if _can_fork() else 1
-    files: list[IO[bytes]] = []
-    children: dict[int, tuple[IO[bytes], int]] = {}  # pid -> (file, share), until reaped
-    try:
-        for share in range(1, workers):
-            try:
-                files.append(tempfile.TemporaryFile())
-                pid = os.fork()
-            except OSError:
-                break
-            if pid == 0:
-                try:
-                    _serve_share(files[-1], one, values[share::workers])
-                finally:
-                    os._exit(1)
-            children[pid] = (files[-1], share)
-        forked = {share for _, share in children.values()}
-        results = [None if k % workers in forked else one(value) for k, value in enumerate(values)]
-        for pid, (file, share) in tuple(children.items()):
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[pid]
-            if code < 0:
-                raise RuntimeError(f"worker {pid} was killed by signal {-code}")
-            import pickle  # loaded on the forked path only
-
-            problem = None
-            file.seek(0)
-            for k in range(share, len(values), workers):
-                try:
-                    result = pickle.load(file)
-                except (EOFError, pickle.UnpicklingError):
-                    problem = f"its frame for value {quote(values[k])} was cut short"
-                    break
-                if isinstance(result, BaseException):
-                    raise result
-                if isinstance(result, str):
-                    problem = result
-                    break
-                results[k] = result
-            if code or problem:
-                detail = (problem or "no traceback").strip()
-                raise RuntimeError(f"worker {pid} exited with code {code}:\n{detail}")
-        return tuple(results)
-    finally:
-        for pid in children:
-            import signal  # only an early exit leaves a child unreaped
-
-            try:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            except (ProcessLookupError, ChildProcessError):
-                pass  # reaped just before an interrupt
-        for file in files:
-            file.close()
+    entries = (_sweep_value(params, key, initial, threshold, value) for value in values)
+    return tuple(entries if each is None else map(each, entries))

@@ -145,7 +145,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return out_dir / f"sweep_{args.param}_{value!r}.csv"
 
     def write(entry):
-        # Runs in the process that ran the course, so no trajectory travels back.
+        # Runs as each course ends, so no finished trajectory waits for the summary.
         if entry.trajectory is None:
             return entry
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -199,7 +199,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     detail = f"30-pulse total vs closed form, relative error {lq_error:.3e}"
     results.append(_check_line("pulse-closed-form", lq_error <= 1e-12, detail))
 
-    # Both courses run here: a course costs less than a fork.
     drift = simulate_course(params, config.initial).max_simplex_drift
     detail = f"max |sum(x) - 1| at integrator endpoints {drift:.3e}"
     results.append(_check_line("simplex-drift", drift <= 1e-9, detail))

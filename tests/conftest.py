@@ -1,6 +1,5 @@
 """Shared fixtures: reference parameter sets, course runs, ODE oracles, small
-helpers over the package's types, and the CPU count, fork count and leak
-probes of the forked paths."""
+helpers over the package's types, and fork and file-descriptor probes."""
 
 from __future__ import annotations
 
@@ -10,7 +9,6 @@ import os
 import numpy as np
 import pytest
 
-from repopsim import analysis
 from repopsim import (
     InvalidStateError,
     ModelParams,
@@ -149,14 +147,8 @@ def random_simplex_points(rng, count: int) -> list[tuple[float, float, float]]:
 
 
 @pytest.fixture
-def use_cpus(monkeypatch):
-    """Sets the usable CPU count that forked_map sees."""
-    return lambda count: monkeypatch.setattr(analysis, "_usable_cpus", lambda: count)
-
-
-@pytest.fixture
 def forks(monkeypatch):
-    """The pids of the children that forked_map forks."""
+    """The pids of the children forked while the test runs."""
     made = []
     real_fork = os.fork
 
@@ -172,8 +164,3 @@ def forks(monkeypatch):
 
 def open_fds() -> int | None:
     return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
-
-
-def assert_no_children_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)

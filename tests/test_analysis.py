@@ -3,14 +3,9 @@
 from __future__ import annotations
 
 import math
-import os
-import signal
 import subprocess
 import sys
-import threading
-import time
 from dataclasses import replace as dc_replace
-from importlib import resources
 
 import numpy as np
 import pytest
@@ -28,12 +23,11 @@ from repopsim import (
     build_radiation_operator,
     compare_to_golden,
     diff_velocity,
-    load_config,
     lq_closed_form,
     sweep,
 )
 
-from .conftest import assert_no_children_left, open_fds, pulse_power, reference_initial
+from .conftest import pulse_power, reference_initial
 
 
 def tiny_trajectory(points):
@@ -240,18 +234,16 @@ PARITY_CASES = {
 }
 
 
-class TestParallelSweep:
+class TestSweepInProcess:
     @pytest.mark.parametrize("key, values, threshold", PARITY_CASES.values(), ids=PARITY_CASES)
-    def test_serial_and_parallel_entries_are_equal(self, use_cpus, forks, key, values, threshold):
-        use_cpus(1)
-        serial = sweep(SHORT_REAL, key, values, FAST_START, threshold=threshold)
+    def test_entries_equal_one_value_sweeps_and_fork_nothing(self, forks, key, values, threshold):
+        entries = sweep(SHORT_REAL, key, values, FAST_START, threshold=threshold)
+        alone = tuple(
+            sweep(SHORT_REAL, key, (value,), FAST_START, threshold=threshold)[0] for value in values
+        )
         assert forks == []
-        use_cpus(3)
-        parallel = sweep(SHORT_REAL, key, values, FAST_START, threshold=threshold)
-        assert len(forks) == min(len(values), 3) - 1
-        assert parallel == serial
-        assert [e.value for e in parallel] == list(values)
-        assert_no_children_left()
+        assert entries == alone
+        assert [e.value for e in entries] == list(values)
 
     def test_parity_cases_cover_error_rows_threshold_hits_and_misses(self):
         entries = [
@@ -265,78 +257,34 @@ class TestParallelSweep:
         lengths = {len(e.trajectory.records) for e in entries if e.trajectory is not None}
         assert len(lengths) == 3
 
-    def test_numpy_values_arrive_with_their_types(self, use_cpus, forks):
+    def test_numpy_values_arrive_with_their_types(self):
         values = (np.float64(1.0), np.float64(5.0))
-        use_cpus(1)
-        serial = sweep(SHORT_REAL, "a", values, FAST_START)
-        use_cpus(2)
-        parallel = sweep(SHORT_REAL, "a", values, FAST_START)
-        assert len(forks) == 1
-        assert parallel == serial
-        assert type(parallel[1].final_phi) is type(serial[1].final_phi) is np.float64
+        entries = sweep(SHORT_REAL, "a", values, FAST_START)
+        assert [e.value for e in entries] == list(values)
+        assert type(entries[1].final_phi) is np.float64
 
-    @pytest.mark.parametrize(
-        "failure, message",
-        [
-            ("child-raises", r"(?s)worker \d+ exited with code 1:\n.*RuntimeError: course 5.0"),
-            ("child-killed", rf"worker \d+ was killed by signal {int(signal.SIGKILL)}"),
-            ("child-frame-cut-short", r"worker \d+ exited with code 0:\n.* 5.0 was cut short"),
-            ("parent-raises", r"^course 1.0$"),
-        ],
-    )
-    def test_a_failed_share_raises_and_leaves_no_child_or_pipe(
-        self, monkeypatch, use_cpus, forks, failure, message
-    ):
-        # Value 1.0 is the calling process's share, 5.0 the child's.
-        parent = os.getpid()
+    def test_a_failing_course_raises_and_stops_the_sweep(self, monkeypatch, forks):
         real_course = analysis.simulate_course
+        ran = []
 
         def failing_course(params, initial):
-            in_child = os.getpid() != parent
-            if failure == "child-killed" and in_child:
-                os.kill(os.getpid(), signal.SIGKILL)
-            if (failure, params.a) in (("child-raises", 5.0), ("parent-raises", 1.0)):
-                raise RuntimeError(f"course {params.a}")
+            ran.append(params.a)
+            if params.a == 2.0:
+                raise RuntimeError("course 2.0")
             return real_course(params, initial)
 
         monkeypatch.setattr(analysis, "simulate_course", failing_course)
-        if failure == "child-frame-cut-short":
-            real_frame = analysis._entry_frame
-            monkeypatch.setattr(analysis, "_entry_frame", lambda entry: real_frame(entry)[:-1])
-        use_cpus(2)
-        fds = open_fds()
-        with pytest.raises(RuntimeError, match=message):
-            sweep(SHORT_REAL, "a", (1.0, 5.0), FAST_START)
-        assert len(forks) == 1
-        assert_no_children_left()
-        assert open_fds() == fds
+        with pytest.raises(RuntimeError, match=r"^course 2.0$"):
+            sweep(SHORT_REAL, "a", (1.0, 2.0, 5.0), FAST_START)
+        assert ran == [1.0, 2.0]
+        assert forks == []
 
-    def test_a_failed_job_that_is_no_sweep_value_names_its_worker(self, use_cpus, forks):
-        # check runs its reference course through forked_map too.
-        parent = os.getpid()
-
-        def job(value):
-            if os.getpid() != parent:
-                raise ValueError(f"job {value}")
-            return value
-
-        use_cpus(2)
-        fds = open_fds()
-        message = r"(?s)^worker \d+ exited with code 1:\n.*ValueError: job 1"
-        with pytest.raises(RuntimeError, match=message) as caught:
-            analysis.forked_map(job, (0, 1))
-        assert "sweep" not in str(caught.value).splitlines()[0]
-        assert len(forks) == 1
-        assert_no_children_left()
-        assert open_fds() == fds
-
-    def test_one_worker_makes_no_file_or_fork_and_loads_no_pickling_or_signal_module(self):
+    def test_a_sweep_makes_no_file_or_fork_and_loads_no_pickling_or_signal_module(self):
         # A fresh interpreter, so the modules listed are the sweep's own; with
         # os.fork and tempfile.TemporaryFile set to None, calling either fails.
         script = (
             "import os, sys, tempfile\n"
             "from repopsim import analysis, ModelParams, PopulationState\n"
-            "analysis._usable_cpus = lambda: 1\n"
             "os.fork = tempfile.TemporaryFile = None\n"
             "entries = analysis.sweep(ModelParams(weeks=1), 'a', (1.0, 5.0), PopulationState(6, 3, 1))\n"
             "assert [e.error for e in entries] == [None, None]\n"
@@ -348,22 +296,7 @@ class TestParallelSweep:
         assert result.returncode == 0, result.stderr
         assert result.stdout == "[]\n"
 
-    def test_a_failed_fork_runs_the_share_here(self, monkeypatch, use_cpus):
-        use_cpus(1)
-        serial = sweep(SHORT_REAL, "a", (1.0, 0.0, 5.0), FAST_START, threshold=0.05)
-
-        def failing_fork():
-            raise BlockingIOError("no process left")
-
-        monkeypatch.setattr(os, "fork", failing_fork)
-        use_cpus(3)
-        fds = open_fds()
-        assert sweep(SHORT_REAL, "a", (1.0, 0.0, 5.0), FAST_START, threshold=0.05) == serial
-        assert_no_children_left()
-        assert open_fds() == fds
-
-    def test_a_profiler_sees_every_course(self, use_cpus, forks):
-        use_cpus(2)
+    def test_a_profiler_sees_every_course(self):
         courses = []
 
         def profiler(frame, event, arg):
@@ -375,147 +308,45 @@ class TestParallelSweep:
             entries = sweep(SHORT_REAL, "a", (1.0, 2.0, 5.0), FAST_START)
         finally:
             sys.setprofile(None)
-        assert forks == []
         assert courses == [1.0, 2.0, 5.0]
         assert all(e.error is None for e in entries)
 
-    def test_a_second_thread_keeps_the_sweep_serial(self, use_cpus, forks):
-        use_cpus(2)
-        release = threading.Event()
-        waiter = threading.Thread(target=release.wait, args=(60,))
-        waiter.start()
-        try:
-            entries = sweep(SHORT_REAL, "a", (1.0, 5.0), FAST_START)
-        finally:
-            release.set()
-            waiter.join(timeout=60)
-        assert not waiter.is_alive()
-        assert forks == []
-        assert [e.value for e in entries] == [1.0, 5.0]
-
-    def test_a_child_never_waits_on_the_parent(self, monkeypatch, use_cpus, forks, tmp_path):
-        # A 52-week entry is tens of KiB, so a child writing its share into a
-        # 64 KiB pipe would stall on its second entry until the parent read.
-        mixing = load_config(str(resources.files("repopsim") / "data" / "mixing.json"))
-        params = dc_replace(mixing.params, weeks=52)
-        marker = tmp_path / "child-finished"
-        parent = os.getpid()
-        real_course = analysis.simulate_course
-        seen = []
-
-        def course(params, initial):
-            trajectory = real_course(params, initial)
-            if os.getpid() != parent and params.a == 6.0:
-                marker.touch()
-            if os.getpid() == parent and params.a == 1.0:
-                deadline = time.monotonic() + 10
-                while not marker.exists() and time.monotonic() < deadline:
-                    time.sleep(0.01)
-                seen.append(marker.exists())
-            return trajectory
-
-        monkeypatch.setattr(analysis, "simulate_course", course)
-        use_cpus(2)
-        entries = sweep(params, "a", (1.0, 2.0, 3.0, 4.0, 5.0, 6.0), mixing.initial)
-        assert len(forks) == 1
-        assert seen == [True]
-        assert [e.value for e in entries] == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-        assert all(e.error is None for e in entries)
-        assert_no_children_left()
-
-    def test_a_child_failing_after_some_entries_reports_its_traceback(
-        self, monkeypatch, use_cpus, forks
-    ):
-        # The child's share is 2.0 then 4.0; it fails on its second value.
-        real_course = analysis.simulate_course
-
-        def failing_course(params, initial):
-            if params.a == 4.0:
-                raise RuntimeError("course 4.0")
-            return real_course(params, initial)
-
-        monkeypatch.setattr(analysis, "simulate_course", failing_course)
-        use_cpus(2)
-        fds = open_fds()
-        with pytest.raises(RuntimeError, match=r"(?s)exited with code 1:\n.*RuntimeError: course 4.0"):
-            sweep(SHORT_REAL, "a", (1.0, 2.0, 3.0, 4.0), FAST_START)
-        assert len(forks) == 1
-        assert_no_children_left()
-        assert open_fds() == fds
-
-    def test_each_maps_every_entry_on_either_path(self, use_cpus, forks):
+    def test_each_maps_every_entry_as_its_value_ends(self, monkeypatch):
         def drop(entry):
             return dc_replace(entry, trajectory=None)
 
         values = (1.0, 0.0, 5.0)
-        use_cpus(1)
         expected = tuple(map(drop, sweep(SHORT_REAL, "a", values, FAST_START, threshold=0.05)))
-        assert sweep(SHORT_REAL, "a", values, FAST_START, threshold=0.05, each=drop) == expected
-        use_cpus(2)
-        assert sweep(SHORT_REAL, "a", values, FAST_START, threshold=0.05, each=drop) == expected
-        assert len(forks) == 1
+        real_course = analysis.simulate_course
+        order = []
+
+        def course(params, initial):
+            order.append(f"course {params.a}")
+            return real_course(params, initial)
+
+        def each(entry):
+            order.append(f"each {entry.value}")
+            return drop(entry)
+
+        monkeypatch.setattr(analysis, "simulate_course", course)
+        assert sweep(SHORT_REAL, "a", values, FAST_START, threshold=0.05, each=each) == expected
+        # a = 0 is rejected before its course runs.
+        assert order == ["course 1.0", "each 1.0", "each 0.0", "course 5.0", "each 5.0"]
 
     @pytest.mark.parametrize(
         "error",
         [PermissionError(13, "Permission denied", "x.csv"), InvalidParameterError("bad")],
         ids=["os-error", "simulation-error"],
     )
-    def test_a_child_os_or_simulation_error_is_raised_as_itself(self, use_cpus, forks, error):
-        parent = os.getpid()
-
+    def test_an_os_or_simulation_error_from_each_is_raised_as_itself(self, error):
         def each(entry):
-            if os.getpid() != parent:
+            if entry.value == 5.0:
                 raise error
             return entry
 
-        use_cpus(2)
-        fds = open_fds()
         with pytest.raises(type(error)) as raised:
             sweep(SHORT_REAL, "a", (1.0, 5.0), FAST_START, each=each)
-        assert str(raised.value) == str(error)
-        assert len(forks) == 1
-        assert_no_children_left()
-        assert open_fds() == fds
-
-    @pytest.mark.parametrize("reaped_first", [False, True], ids=["before-waiting", "after-reaping"])
-    def test_an_interrupted_wait_kills_and_reaps_every_child(
-        self, monkeypatch, use_cpus, forks, tmp_path, reaped_first
-    ):
-        # The first blocking wait raises KeyboardInterrupt, as a signal handler
-        # would: before it waits on a child whose course still sleeps, or just
-        # after it reaped the first of two children.
-        marker = tmp_path / "child-finished"
-        parent = os.getpid()
-        real_course = analysis.simulate_course
-        real_waitpid = os.waitpid
-        interrupted = []
-
-        def sleeping_course(params, initial):
-            if os.getpid() != parent:
-                time.sleep(5)
-                marker.touch()
-            return real_course(params, initial)
-
-        def interrupted_waitpid(pid, options):
-            if options == 0 and not interrupted:
-                interrupted.append(pid)
-                if reaped_first:
-                    real_waitpid(pid, options)
-                raise KeyboardInterrupt
-            return real_waitpid(pid, options)
-
-        if not reaped_first:
-            monkeypatch.setattr(analysis, "simulate_course", sleeping_course)
-        monkeypatch.setattr(os, "waitpid", interrupted_waitpid)
-        values = (1.0, 2.0, 5.0) if reaped_first else (1.0, 5.0)
-        use_cpus(len(values))
-        fds = open_fds()
-        with pytest.raises(KeyboardInterrupt):
-            sweep(SHORT_REAL, "a", values, FAST_START)
-        assert len(forks) == len(values) - 1
-        assert_no_children_left()
-        assert open_fds() == fds
-        assert not marker.exists()
+        assert raised.value is error
 
 
 def test_reference_run_for_comparison_is_a_fixture(course_zero, golden):

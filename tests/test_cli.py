@@ -25,7 +25,7 @@ from repopsim.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, cli_ma
 from repopsim.core import ODE_STEP_FLOOR
 from repopsim.io import TRAJECTORY_HEADER
 
-from .conftest import assert_no_children_left, open_fds
+from .conftest import open_fds
 
 BASELINE_PATH = str(resources.files("repopsim").joinpath("data/baseline.json"))
 MIXING_PATH = str(resources.files("repopsim").joinpath("data/mixing.json"))
@@ -500,10 +500,7 @@ class TestSweep:
         argv = ["sweep", "--config", config, "--param", "a", "--values", values]
         return [*argv, "--out-dir", str(out_dir)]
 
-    def test_a_child_write_failure_is_io_error(
-        self, tmp_path, capsys, monkeypatch, use_cpus, forks
-    ):
-        # Value 1.0 is the calling process's share, 5.0 the child's.
+    def test_a_write_failure_is_io_error(self, tmp_path, capsys, monkeypatch, forks):
         real_write = cli.write_trajectory
 
         def failing_write(trajectory, destination):
@@ -512,51 +509,39 @@ class TestSweep:
             real_write(trajectory, destination)
 
         monkeypatch.setattr(cli, "write_trajectory", failing_write)
-        use_cpus(2)
         out_dir = tmp_path / "sweep"
         fds = open_fds()
         assert cli_main(self.sweep_argv(tmp_path, "1.0,5.0", out_dir)) == EXIT_IO
         out, err = capsys.readouterr()
-        assert len(forks) == 1
-        assert_no_children_left()
+        assert forks == []
         assert open_fds() == fds
         assert out == ""
         assert err == f"error: [Errno 13] Permission denied: '{out_dir / 'sweep_a_5.0.csv'}'\n"
 
-    def test_children_send_entries_without_trajectories(
-        self, tmp_path, capsys, monkeypatch, use_cpus, forks
-    ):
-        # The child runs 2.0 and 4.0; what its spy sees goes to a file.
-        seen = tmp_path / "sent"
-        real_frame = analysis._entry_frame
+    def test_entries_drop_their_trajectories_once_written(self, tmp_path, capsys, monkeypatch):
+        # Each trajectory is written as its course ends; the summary sees none.
+        real_summary = cli.write_sweep_summary
+        summarized = []
 
-        def spy(entry):
-            with open(seen, "a", encoding="utf-8") as handle:
-                handle.write(f"{entry.value!r} {entry.trajectory is None}\n")
-            return real_frame(entry)
+        def spy(entries, destination):
+            summarized.extend((e.value, e.trajectory is None) for e in entries)
+            real_summary(entries, destination)
 
-        monkeypatch.setattr(analysis, "_entry_frame", spy)
-        use_cpus(2)
+        monkeypatch.setattr(cli, "write_sweep_summary", spy)
         out_dir = tmp_path / "sweep"
         assert cli_main(self.sweep_argv(tmp_path, "1.0,2.0,3.0,4.0", out_dir)) == EXIT_OK
-        assert len(forks) == 1
-        assert seen.read_text(encoding="utf-8") == "2.0 True\n4.0 True\n"
+        assert summarized == [(1.0, True), (2.0, True), (3.0, True), (4.0, True)]
         written = sorted(p.name for p in out_dir.iterdir())
         assert written == [*(f"sweep_a_{v}.0.csv" for v in range(1, 5)), "sweep_summary.csv"]
 
-    def test_two_workers_writing_one_file_match_a_serial_run(
-        self, tmp_path, capsys, use_cpus, forks
-    ):
-        outputs = []
-        for cpus in (1, 2):
-            use_cpus(cpus)
-            out_dir = tmp_path / f"sweep-{cpus}"
-            assert cli_main(self.sweep_argv(tmp_path, "2.0,2.0", out_dir)) == EXIT_OK
-            lines = capsys.readouterr().out.replace(str(out_dir), "<out>")
-            outputs.append((lines, {p.name: p.read_bytes() for p in out_dir.iterdir()}))
-        assert len(forks) == 1
-        assert outputs[0] == outputs[1]
-        assert sorted(outputs[0][1]) == ["sweep_a_2.0.csv", "sweep_summary.csv"]
+    def test_a_repeated_value_writes_one_file(self, tmp_path, capsys):
+        out_dir = tmp_path / "sweep"
+        assert cli_main(self.sweep_argv(tmp_path, "2.0,2.0", out_dir)) == EXIT_OK
+        lines = capsys.readouterr().out.replace(str(out_dir), "<out>").splitlines()
+        assert lines == ["value 2.0: wrote <out>/sweep_a_2.0.csv"] * 2 + [
+            "wrote <out>/sweep_summary.csv"
+        ]
+        assert sorted(p.name for p in out_dir.iterdir()) == ["sweep_a_2.0.csv", "sweep_summary.csv"]
 
 
 class TestCheck:
@@ -582,9 +567,9 @@ class TestCheck:
             ("v1-1e300", EXIT_NUMERIC),
         ],
     )
-    def test_check_forks_nothing(self, tmp_path, capsys, use_cpus, forks, case, expected):
+    def test_check_forks_nothing(self, tmp_path, capsys, forks, case, expected):
         # A course takes about a millisecond, less than a fork costs, so both
-        # of check's courses run in the calling process even with a CPU free.
+        # of check's courses run in the calling process.
         mixing = json.loads(Path(MIXING_PATH).read_text(encoding="utf-8"))
         config = {
             "mixing": MIXING_PATH,
@@ -592,7 +577,6 @@ class TestCheck:
             "zero-count": write_config_file(tmp_path, "zero.json", initial_counts=[0, 0, 0]),
             "v1-1e300": write_config_file(tmp_path, "huge-v1.json", **{**mixing, "v1": 1e300}),
         }[case]
-        use_cpus(2)
         code = cli_main(["check", "--config", config])
         assert forks == []
         assert code == expected
@@ -612,7 +596,7 @@ def test_console_entry_point_runs():
 
 def test_sweep_subprocess_prints_each_line_once(tmp_path):
     # "started" sits in the block buffer of a piped stdout while the sweep
-    # forks; a child that flushed it on exit would print it twice.
+    # runs; it and every later line must reach the pipe once.
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     config = write_config_file(tmp_path)
     script = (
@@ -660,8 +644,7 @@ def test_check_subprocess_prints_each_line_once():
 
 
 def test_importing_the_cli_loads_no_pickling_forking_or_pool_module():
-    # The sweep imports pickle, signal and traceback only on its forked path,
-    # so the start-up time and memory of every other command stay as they were.
+    # No command forks or pickles, so start-up loads none of these modules.
     script = (
         "import sys, repopsim.cli; print([m for m in ('pickle', '_pickle', 'signal', 'traceback',"
         " 'multiprocessing', 'concurrent.futures') if m in sys.modules])"
