@@ -14,7 +14,8 @@ class InvalidStateError(SimulationError, ValueError):
 
 
 class NumericInstabilityError(SimulationError, ArithmeticError):
-    """A growth day or a division has no finite result."""
+    """A growth day or a division has no finite result, or real-valued
+    counts underflow to zero."""
 
 
 class AlignmentError(SimulationError, ValueError):

@@ -22,8 +22,6 @@ from .core import (
 )
 from .errors import InvalidParameterError, InvalidStateError, NumericInstabilityError
 
-# Endpoint drift beyond this triggers proportional renormalization.
-_RENORM_TOL = 1e-12
 # The kinds of mixing rate that skip the parameter table's kind check; a bool
 # or any other kind meets the check and its message.
 _RATE_KINDS = (float, int)
@@ -179,20 +177,17 @@ class GrowthStep:
     state: PopulationState  # post-division population
     phi: float  # mean velocity at the end of the mixing stage
     drift: float  # |sum(x) - 1| at the mixing endpoint
-    renormalized: bool  # whether the simplex guard fired
 
 
 def growth_day_detail(state: PopulationState, params: ModelParams, v2: float) -> GrowthStep:
     """One growth interval with the recorded mean velocity and diagnostics.
 
     Stages: evolve the fractions under the velocities (params.v0, params.v1,
-    v2), with v2 frozen for the interval, project an endpoint that drifted
-    more than 1e-12 from the simplex back onto it proportionally, rebuild
-    counts from the fractions, then divide.
+    v2), with v2 frozen for the interval, rebuild counts from the endpoint,
+    whose distance from the simplex is reported as `drift`, then divide.
 
     Raises:
-        InvalidStateError: for an empty population, or a negative rebuilt
-            count.
+        InvalidStateError: for an empty population.
     """
     y0, y1, y2 = state.y0, state.y1, state.y2
     total = y0 + y1 + y2
@@ -203,15 +198,7 @@ def growth_day_detail(state: PopulationState, params: ModelParams, v2: float) ->
     rates = (v0, v1, v2, params.q_mix, params.p_mix)
     x_end = integrate_growth(rates, x, GROWTH_INTERVAL, params.ode_step)
     drift = abs(x_end[0] + x_end[1] + x_end[2] - 1.0)
-    renormalized = drift > _RENORM_TOL
-    if renormalized:
-        s = x_end[0] + x_end[1] + x_end[2]
-        x_end = (x_end[0] / s, x_end[1] / s, x_end[2] / s)
     counts = fractions_to_counts(x_end, total, params.integer_rounding)
     phi = v0 * x_end[0] + v1 * x_end[1] + v2 * x_end[2]
-    # In real mode an endpoint component just below 0 gives a negative count,
-    # reported here before division scales it.
-    if not (counts[0] >= 0 and counts[1] >= 0 and counts[2] >= 0):
-        PopulationState(*counts)  # raises InvalidStateError naming the count
     divided = apply_division(counts, (v0, v1, v2), GROWTH_INTERVAL, params.integer_rounding)
-    return GrowthStep(PopulationState(*divided, state.pulses_delivered), phi, drift, renormalized)
+    return GrowthStep(PopulationState(*divided, state.pulses_delivered), phi, drift)

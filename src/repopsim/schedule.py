@@ -24,7 +24,7 @@ from .core import (
     PopulationState,
     v2_of,
 )
-from .errors import InvalidStateError
+from .errors import InvalidStateError, NumericInstabilityError
 from .growth import growth_day_detail
 from .radiation import apply_pulse, build_radiation_operator
 
@@ -59,7 +59,6 @@ class Trajectory:
     records: tuple[TrajectoryRecord, ...]
     integer_rounding: bool = True  # formatting hint: counts are whole cells
     max_simplex_drift: float = 0.0  # worst |sum(x) - 1| at any mixing endpoint
-    renormalizations: int = 0  # how many growth intervals needed the guard
     extinction_day: int | None = None  # day the total first fell below one cell
 
     @property
@@ -86,6 +85,15 @@ def _make_record(
     )
 
 
+def _extinct(state: PopulationState, rounding: bool, day: int) -> bool:
+    """Whether a total below one cell on `day` ends the course, as it does in
+    integer mode; a real-valued total of zero, with no fractions left to grow,
+    raises NumericInstabilityError."""
+    if not rounding and state.total() == 0:
+        raise NumericInstabilityError(f"real-valued cell counts underflow to zero on day {day}")
+    return rounding
+
+
 def simulate_course(params: ModelParams, initial: PopulationState) -> Trajectory:
     """Full deterministic course of weekly pulses and growth days.
 
@@ -96,6 +104,7 @@ def simulate_course(params: ModelParams, initial: PopulationState) -> Trajectory
 
     Raises:
         InvalidStateError: if the initial population is empty.
+        NumericInstabilityError: if real-valued counts underflow to zero.
     """
     if not initial.total() > 0:
         raise InvalidStateError("initial population must have a positive total")
@@ -106,7 +115,6 @@ def simulate_course(params: ModelParams, initial: PopulationState) -> Trajectory
     v2 = v2_of(params, initial.pulses_delivered, first_period)
     records = [_make_record(1, INITIAL, initial, 0.0, v2)]
     max_drift = 0.0
-    renorms = 0
     extinction_day: int | None = None
     state = initial
     phi = 0.0
@@ -116,7 +124,7 @@ def simulate_course(params: ModelParams, initial: PopulationState) -> Trajectory
             state = apply_pulse(op, state, rounding)
             v2 = v2_of(params, state.pulses_delivered, RADIATION_PERIOD)
             records.append(_make_record(day, POST_RADIATION, state, phi, v2))
-            if rounding and state.total() < 1:
+            if state.total() < 1 and _extinct(state, rounding, day):
                 extinction_day = day
                 break
         elif not treatment:
@@ -125,9 +133,8 @@ def simulate_course(params: ModelParams, initial: PopulationState) -> Trajectory
         step = growth_day_detail(state, params, v2)
         state, phi = step.state, step.phi
         max_drift = max(max_drift, step.drift)
-        renorms += step.renormalized
         records.append(_make_record(day, POST_GROWTH, state, phi, v2))
-        if rounding and state.total() < 1:
+        if state.total() < 1 and _extinct(state, rounding, day):
             extinction_day = day
             break
 
@@ -135,6 +142,5 @@ def simulate_course(params: ModelParams, initial: PopulationState) -> Trajectory
         records=tuple(records),
         integer_rounding=rounding,
         max_simplex_drift=max_drift,
-        renormalizations=renorms,
         extinction_day=extinction_day,
     )

@@ -65,6 +65,10 @@ def run_rejected_in_subprocess(tmp_path, content: bytes) -> str:
     return result.stderr
 
 
+# A valid real-mode config whose counts all underflow to zero by day 18.
+_UNDERFLOWING = {"alpha": 0.2, "beta": 0.02, "dose": 50.0, "integer_rounding": False, "weeks": 6}
+
+
 def run_course(tmp_path, name="course.csv", **overrides):
     config = write_config_file(tmp_path, **overrides)
     out = tmp_path / name
@@ -188,6 +192,15 @@ class TestRun:
         out = tmp_path / "never.csv"
         assert cli_main(["run", "--config", config, "--out", str(out)]) == EXIT_NUMERIC
         assert capsys.readouterr().err.startswith("error: cell counts overflow")
+
+    def test_real_counts_underflowing_to_zero_are_numeric_error(self, tmp_path, capsys):
+        # At dose 50 a pulse keeps exp(-60) of the cells: the 13th, on day
+        # 18, leaves no real-valued cell for the day's growth.
+        config = write_config_file(tmp_path, **_UNDERFLOWING)
+        out = tmp_path / "never.csv"
+        assert cli_main(["run", "--config", config, "--out", str(out)]) == EXIT_NUMERIC
+        assert capsys.readouterr().err == "error: real-valued cell counts underflow to zero on day 18\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "content, message",
@@ -395,6 +408,21 @@ class TestSweep:
         assert rows[0]["error"] == "" and rows[0]["final_total"] != ""
         assert rows[1]["error"].startswith("cell counts overflow")
         assert "value 1e+300: cell counts overflow" in capsys.readouterr().out
+
+    def test_real_counts_underflowing_to_zero_give_an_error_row(self, tmp_path, capsys):
+        # dose 2 keeps cells alive for the course; dose 50 empties them on day 18.
+        config = write_config_file(tmp_path, **_UNDERFLOWING)
+        out_dir = tmp_path / "sweep"
+        argv = ["sweep", "--config", config, "--param", "dose", "--values", "2,50"]
+        assert cli_main([*argv, "--out-dir", str(out_dir)]) == EXIT_OK
+        assert (out_dir / "sweep_dose_2.0.csv").exists()
+        assert not (out_dir / "sweep_dose_50.0.csv").exists()
+        with open(out_dir / "sweep_summary.csv", encoding="utf-8", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["value"] for row in rows] == ["2.0", "50.0"]
+        assert rows[0]["error"] == "" and rows[0]["final_total"] != ""
+        assert rows[1]["error"] == "real-valued cell counts underflow to zero on day 18"
+        assert "value 50.0: real-valued cell counts underflow" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "param, values, lengths",
@@ -694,10 +722,9 @@ def test_benchmark_tracer_sees_the_wrapped_layers(tmp_path):
 
 # Fuzzing the CLI: every drawn config and sweep must end in a documented exit
 # code and a short message, never an exception. In-range long courses (weeks
-# from 3 to 520, ode_step from the floor up to 0.1) are skipped only so that
-# about 100 examples stay within a second or two of tier-1 time; a longer course
-# runs the same code. Values past the bounds are drawn: they are rejected before
-# any course runs.
+# from 3 to 520) are skipped only so that about 100 examples stay within a
+# second or two of tier-1 time; a longer course runs the same code. Values past
+# the bounds are drawn: they are rejected before any course runs.
 _MIXING = json.loads(Path(MIXING_PATH).read_text(encoding="utf-8"))
 _CONFIG_KEYS = sorted({*_MIXING, "initial_total", "initial_fractions", "output"})
 _JSON_SCALARS = (
@@ -716,11 +743,13 @@ _JSON_VALUES = _JSON_SCALARS | st.recursive(
 )
 # About one step in eight lies below the floor, so its config is rejected at once.
 _ODE_STEPS = st.integers(0, 7).flatmap(
-    lambda k: st.floats(0.0, ODE_STEP_FLOOR, exclude_max=True) if k == 0 else st.floats(0.1, 1.0)
+    lambda k: st.floats(0.0, ODE_STEP_FLOOR, exclude_max=True)
+    if k == 0
+    else st.floats(ODE_STEP_FLOOR, 1.0)
 )
 _SWEEP_TOKENS = (
     st.integers(-2, 3).map(str)
-    | st.floats().filter(lambda v: not ODE_STEP_FLOOR <= v < 0.1).map(repr)
+    | st.floats().map(repr)
     | st.sampled_from(["", " ", "x", "1e999", "-1e999", "nan", "true", "0x10", "1_0", "8", "521"])
     | st.sampled_from([math.nextafter(ODE_STEP_FLOOR, 0.0), 1e-300]).map(repr)
 )
@@ -731,11 +760,8 @@ def _is_int(value) -> bool:
 
 
 def _short_course(config: dict) -> bool:
-    weeks, step = config.get("weeks"), config.get("ode_step")
-    return not (
-        (_is_int(weeks) and 2 < weeks <= 520)
-        or (isinstance(step, (int, float)) and ODE_STEP_FLOOR <= step < 0.1)
-    )
+    weeks = config.get("weeks")
+    return not (_is_int(weeks) and 2 < weeks <= 520)
 
 
 def _exit_code(argv: list[str]) -> int:

@@ -374,7 +374,7 @@ _STATE = PopulationState(6.0, 3.0, 1.0)
 # One instance of each type built per growth day, row or compared cell: slotted.
 _SLOTTED = {
     "PopulationState": _STATE,
-    "GrowthStep": repopsim.GrowthStep(_STATE, 0.01, 0.0, False),
+    "GrowthStep": repopsim.GrowthStep(_STATE, 0.01, 0.0),
     "TrajectoryRecord": repopsim.TrajectoryRecord(
         1, "initial", 6.0, 3.0, 1.0, 0.6, 0.3, 0.1, 0.0, 0.08, 10.0
     ),

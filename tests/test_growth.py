@@ -509,7 +509,6 @@ class TestGrowthDay:
         v2 = v2_of(params, 1, "radiation")
         detail = growth_day_detail(reference_initial(), params, v2)
         assert detail.drift <= 1e-12
-        assert not detail.renormalized
         # phi is the mean velocity of the evolved fractions, before division
         # reweights them.
         v = (params.v0, params.v1, v2)
@@ -517,9 +516,9 @@ class TestGrowthDay:
         assert post is not None
         assert detail.phi == pytest.approx(mean_velocity(post, v), rel=0.02)
 
-    def test_drifted_endpoint_is_projected_onto_simplex(self, monkeypatch):
+    def test_drifted_endpoint_is_reported_and_not_reprojected(self, monkeypatch):
         # Zero velocities make division the identity, so the counts are the
-        # projected fractions times the total.
+        # kernel's fractions times the total, exactly as it returned them.
         raw = (0.6, 0.3, 0.1 + 1e-10)
         monkeypatch.setattr(
             "repopsim.growth.integrate_growth", lambda rates, x, duration, step: raw
@@ -531,21 +530,16 @@ class TestGrowthDay:
         norm = raw[0] + raw[1] + raw[2]
         assert detail.drift == abs(norm - 1.0)
         assert 1e-12 < detail.drift < 2e-10
-        assert detail.renormalized
         out = detail.state
-        assert (out.y0, out.y1, out.y2) == (
-            raw[0] / norm * 1000.0,
-            raw[1] / norm * 1000.0,
-            raw[2] / norm * 1000.0,
-        )
-        assert out.y2 != raw[2] * 1000.0
+        assert (out.y0, out.y1, out.y2) == (raw[0] * 1000.0, raw[1] * 1000.0, raw[2] * 1000.0)
+        assert out.y2 != raw[2] / norm * 1000.0
 
     @pytest.mark.parametrize(
         "raw, integer_rounding, error",
         [
             # Inside the simplex tolerance, but a negative count in real mode,
-            # reported before division doubles it.
-            ((-5e-10, 0.6, 0.4 + 5e-10), False, "^y0 must be >= 0, got -5[.0-9]*e-07$"),
+            # reported once division has doubled it.
+            ((-5e-10, 0.6, 0.4 + 5e-10), False, "^y0 must be >= 0, got -1[.0-9]*e-06$"),
             ((-5e-10, 0.6, 0.4 + 5e-10), True, None),
             # Outside it: the one simplex test of the endpoint.
             ((-1e-8, 0.6, 0.4 + 1e-8), True, "^fractions must lie on the simplex"),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from importlib import resources
 
@@ -11,7 +12,9 @@ from repopsim import (
     InvalidParameterError,
     InvalidStateError,
     ModelParams,
+    NumericInstabilityError,
     PopulationState,
+    cli,
     core,
     load_config,
     simulate_course,
@@ -166,6 +169,32 @@ class TestSimulateCourse:
         assert traj.extinct
         assert traj.extinction_day == 1
         assert traj.final().total == 0.0
+
+    def test_real_counts_underflowing_in_growth_are_numeric(self):
+        # The least subnormal count, spread over three compartments with
+        # none above a half, rounds to zero in each one during day 1's growth.
+        params = ModelParams(
+            v0=1.0, v1=1.0, a=0.2, q_mix=0.8, p_mix=0.5, weeks=1, integer_rounding=False
+        )
+        message = "^real-valued cell counts underflow to zero on day 1$"
+        with pytest.raises(NumericInstabilityError, match=message):
+            simulate_course(params, PopulationState(5e-324, 0.0, 0.0))
+
+    @pytest.mark.parametrize("course", ["baseline.json", "mixing.json", "mixing-real", "check"])
+    def test_every_growth_day_ends_on_the_simplex(self, course):
+        # Nothing re-projects a growth day's endpoint, so the exact day must
+        # land within a few units of 2**-53 of the simplex by itself.
+        if course == "check":
+            params, initial = ModelParams(weeks=cli._REFERENCE_WEEKS), cli._REFERENCE_INITIAL
+        else:
+            name = "mixing.json" if course == "mixing-real" else course
+            config = load_config(str(resources.files("repopsim").joinpath("data", name)))
+            params, initial = config.params, config.initial
+            if course == "mixing-real":
+                params = dataclasses.replace(params, integer_rounding=False)
+        traj = simulate_course(params, initial)
+        assert len(traj.post_growth_records()) == 7 * params.weeks
+        assert traj.max_simplex_drift <= 4 * 2.0**-53
 
     def test_continuous_mode_never_goes_extinct(self):
         params = ModelParams(dose=4.0, weeks=2, integer_rounding=False)
