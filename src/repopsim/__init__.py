@@ -17,12 +17,9 @@ from .analysis import (
 from .config import RunConfig, load_config, parse_config, write_config
 from .core import (
     INITIAL,
-    PERIODS,
     PHASES,
     POST_GROWTH,
     POST_RADIATION,
-    RADIATION_PERIOD,
-    WEEKEND,
     ModelParams,
     PopulationState,
     fractions_to_counts,

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, replace as dc_replace
 from typing import Callable
 
-from .core import PARAM_TABLE, ModelParams, PopulationState
+from .core import PARAM_TABLE, PULSE_COUNT, ModelParams, PopulationState
 from .errors import AlignmentError, ConfigError, InvalidParameterError, SimulationError, quote
 from .schedule import Trajectory, simulate_course
 
@@ -60,10 +60,9 @@ def lq_closed_form(n0: float, n: int, params: ModelParams) -> float:
     """Total count after n pulses with growth disabled: N0 * exp(-n(ad + bd^2)).
 
     Raises:
-        InvalidParameterError: if n is negative.
+        InvalidParameterError: if n is not a pulse count.
     """
-    if n < 0:
-        raise InvalidParameterError(f"pulse count must be >= 0, got {n}")
+    PULSE_COUNT.check("n", n)
     d = params.dose
     return n0 * math.exp(-n * (params.alpha * d + params.beta * d * d))
 

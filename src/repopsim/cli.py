@@ -14,7 +14,7 @@ from dataclasses import replace as dc_replace
 from pathlib import Path
 
 from .analysis import compare_to_golden, diff_velocity, lq_closed_form, sweep
-from .config import load_config
+from .config import check_destination, load_config
 from .core import PARAM_TABLE, ModelParams, PopulationState, survival_fraction
 from .errors import ConfigError, NumericInstabilityError, SimulationError, quote
 from .io import (
@@ -75,15 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_destination(flag: str, path: str | None) -> None:
-    """Reject an empty output path, which would name the working directory,
-    before any course runs or any file is read."""
-    if path == "":
-        raise ConfigError(f"{flag} must be a nonempty path, got ''")
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    _require_destination("--out", args.out)
+    check_destination("--out", args.out)
     config = load_config(args.config)
     destination = args.out or config.output
     if destination is None:
@@ -136,7 +129,7 @@ def _parse_sweep_values(param: str, text: str) -> tuple[float, ...]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    _require_destination("--out-dir", args.out_dir)
+    check_destination("--out-dir", args.out_dir)
     config = load_config(args.config)
     values = _parse_sweep_values(args.param, args.values)
     out_dir = Path(args.out_dir)
@@ -167,7 +160,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    _require_destination("--out", args.out)
+    check_destination("--out", args.out)
     first = read_trajectory(args.first)
     second = read_trajectory(args.second)
     diff = diff_velocity(first, second)

@@ -12,9 +12,9 @@ import json
 import math
 from dataclasses import dataclass
 
-from .core import PARAM_TABLE, ModelParams, ParamRow, PopulationState
-from .core import fractions_to_counts, snap_count
-from .errors import ConfigError, InvalidParameterError, quote
+from .core import PARAM_TABLE, PULSE_COUNT, ModelParams, ParamRow, PopulationState
+from .core import check_simplex, fractions_to_counts, snap_count
+from .errors import ConfigError, InvalidParameterError, InvalidStateError, quote
 
 _KNOWN_KEYS = frozenset(PARAM_TABLE) | {
     "initial_counts",
@@ -43,6 +43,14 @@ def _require_triple(key: str, value: object) -> tuple[float, float, float]:
     if not isinstance(value, list) or len(value) != 3:
         raise ConfigError(f"{key} must be a list of three numbers, got {quote(value)}")
     return tuple(_require_number(key, item) for item in value)
+
+
+def check_destination(name: str, path: object) -> None:
+    """Reject an output path given as anything but a nonempty string with no
+    NUL, which no file can be opened at; None means no path was given. Every
+    caller checks its destinations before any course runs or any file is read."""
+    if path is not None and (not isinstance(path, str) or not path or "\0" in path):
+        raise ConfigError(f"{name} must be a nonempty path with no NUL, got {quote(path)}")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -93,10 +101,7 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError("initial_total and initial_fractions must be given together")
             total = _require_number("initial_total", raw["initial_total"], ParamRow(float, 0))
             x = _require_triple("initial_fractions", raw["initial_fractions"])
-            if not (x[0] >= 0 and x[1] >= 0 and x[2] >= 0):
-                raise ConfigError(f"initial_fractions must be nonnegative, got {x}")
-            if abs(x[0] + x[1] + x[2] - 1.0) > 1e-9:
-                raise ConfigError(f"initial_fractions must sum to 1 within 1e-9, got {x}")
+            check_simplex("initial_fractions", x)
             counts = fractions_to_counts(x, total, params.integer_rounding)
         else:
             raise ConfigError(
@@ -105,12 +110,11 @@ def parse_config(text: str) -> RunConfig:
             )
 
         initial_pulses = raw.get("initial_pulses", 0)
-        ParamRow(int, 0).check("initial_pulses", initial_pulses)
-    except InvalidParameterError as exc:
+        PULSE_COUNT.check("initial_pulses", initial_pulses)
+    except (InvalidParameterError, InvalidStateError) as exc:
         raise ConfigError(str(exc)) from exc
     output = raw.get("output")
-    if output is not None and (not isinstance(output, str) or not output or "\0" in output):
-        raise ConfigError(f"output must be a string path, got {quote(output)}")
+    check_destination("output", output)
 
     initial = PopulationState(*counts, pulses_delivered=initial_pulses)
     return RunConfig(params=params, initial=initial, output=output)

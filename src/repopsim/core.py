@@ -23,13 +23,10 @@ POST_GROWTH = "post_growth"
 POST_RADIATION = "post_radiation"
 PHASES = (INITIAL, POST_GROWTH, POST_RADIATION)
 
-# Damping periods: weekdays under active treatment versus the weekend gap.
-RADIATION_PERIOD = "radiation"
-WEEKEND = "weekend"
-PERIODS = (RADIATION_PERIOD, WEEKEND)
-
 # Tolerance for membership on the probability simplex.
 SIMPLEX_TOL = 1e-9
+# The largest float as an integer: PULSE_COUNT rejects a count above it as too large.
+_INT_MAX = int(sys.float_info.max)
 
 # Length of the growth interval closing each course day (days), and the least
 # ode_step a config may set (days); the step is range-checked and changes nothing.
@@ -88,6 +85,24 @@ PARAM_TABLE = {
     "weekend_days": ParamRow(int, 0, 7),
     "pulses_per_week": ParamRow(int, 0, 7),
 }
+# A count of delivered pulses, in a state, a damping factor, a closed form or a config.
+PULSE_COUNT = ParamRow(int, 0)
+
+
+def check_transfer(name: str, value: object, s: float) -> None:
+    """Reject a transfer probability outside [0, s]: past the survival fraction s
+    the pulse operator would hold a negative entry."""
+    ParamRow(float, 0, s).check(name, value)
+
+
+def check_simplex(name: str, x: tuple[float, float, float]) -> None:
+    """Reject a fraction triple with a negative or NaN component, or whose sum
+    is more than SIMPLEX_TOL from 1."""
+    x0, x1, x2 = x
+    if not (x0 >= 0.0 and x1 >= 0.0 and x2 >= 0.0 and abs(x0 + x1 + x2 - 1.0) <= SIMPLEX_TOL):
+        raise InvalidStateError(
+            f"{name} must be nonnegative and sum to 1 within {SIMPLEX_TOL:g}, got {x}"
+        )
 
 
 @dataclass(frozen=True)
@@ -121,12 +136,8 @@ class ModelParams:
                 f"got {s} for alpha={quote(self.alpha)}, beta={quote(self.beta)}, "
                 f"dose={quote(self.dose)}"
             )
-        for name in ("q_rad", "p_rad"):
-            value = getattr(self, name)
-            if not 0 <= value <= s:
-                raise InvalidParameterError(
-                    f"{name} must lie in [0, {s:.6f}] (the survival fraction), got {quote(value)}"
-                )
+        check_transfer("q_rad", self.q_rad, s)
+        check_transfer("p_rad", self.p_rad, s)
         # psi <= exp(theta), since the subtracted pulse term is never negative.
         if not -math.inf < self.theta <= math.log(sys.float_info.max):
             raise InvalidParameterError(
@@ -154,19 +165,13 @@ class PopulationState:
             for name in ("y0", "y1", "y2"):
                 if not getattr(self, name) >= 0:
                     raise InvalidStateError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.pulses_delivered < 0:
-            raise InvalidStateError(f"pulses_delivered must be >= 0, got {self.pulses_delivered}")
+        n = self.pulses_delivered
+        if not (type(n) is int and 0 <= n <= _INT_MAX):
+            PULSE_COUNT.check("pulses_delivered", n)
 
     def total(self) -> float:
         """Total cell count across the three fractions."""
         return self.y0 + self.y1 + self.y2
-
-    def fractions(self) -> tuple[float, float, float] | None:
-        """Counts normalized onto the simplex, or None for an empty population."""
-        t = self.total()
-        if t == 0:
-            return None
-        return (self.y0 / t, self.y1 / t, self.y2 / t)
 
 
 def survival_fraction(params: ModelParams) -> float:
@@ -178,40 +183,40 @@ def survival_fraction(params: ModelParams) -> float:
     return math.exp(-(params.alpha * d + params.beta * d * d))
 
 
-def _check_simplex(x: tuple[float, float, float]) -> None:
-    if min(x) < -SIMPLEX_TOL or abs(x[0] + x[1] + x[2] - 1.0) > SIMPLEX_TOL:
-        raise InvalidStateError(f"fractions must lie on the simplex, got {x}")
-
-
-def psi(params: ModelParams, pulses: int, period: str) -> float:
+def psi(params: ModelParams, pulses: int, treatment: bool) -> float:
     """Damping factor for the fast-fraction velocity after `pulses` pulses.
 
-    During the treatment period the exponent subtracts
-    pulses * (sqrt(Q^2 + P^2)*d + sqrt(Q'^2 + P'^2)*d^2); over the weekend it
+    On a treatment day the exponent subtracts
+    pulses * (sqrt(Q^2 + P^2)*d + sqrt(Q'^2 + P'^2)*d^2); on a weekend day it
     subtracts pulses * sqrt(Q'^2 + P'^2). Strictly positive, nonincreasing in
     the pulse count.
 
     Args:
         pulses: radiation pulses delivered so far.
-        period: RADIATION_PERIOD or WEEKEND.
+        treatment: True on a treatment day, False on a weekend day.
+
+    Raises:
+        InvalidParameterError: for pulses not a pulse count, or treatment not
+            True or False.
     """
-    if period not in PERIODS:
-        raise InvalidParameterError(f"period must be one of {PERIODS}, got {period!r}")
-    if pulses < 0:
-        raise InvalidParameterError(f"pulses must be >= 0, got {pulses}")
-    if period == RADIATION_PERIOD:
+    if not (type(pulses) is int and 0 <= pulses <= _INT_MAX):
+        PULSE_COUNT.check("pulses", pulses)
+    if treatment is True:
         d = params.dose
         per_pulse = math.hypot(params.q_rad, params.p_rad) * d
         per_division = math.hypot(params.q_mix, params.p_mix) * d * d
         subtrahend = pulses * (per_pulse + per_division)
-    else:
+    elif treatment is False:
         subtrahend = pulses * math.hypot(params.q_mix, params.p_mix)
+    else:  # not a bool: a string such as "weekend" would otherwise read as True
+        ParamRow(bool).check("treatment", treatment)
     return math.exp(params.theta - subtrahend)
 
 
-def v2_of(params: ModelParams, pulses: int, period: str) -> float:
-    """Fast-fraction velocity a * v1 * psi at the given pulse count and period."""
-    return params.a * params.v1 * psi(params, pulses, period)
+def v2_of(params: ModelParams, pulses: int, treatment: bool) -> float:
+    """Fast-fraction velocity a * v1 * psi at the given pulse count, on a
+    treatment day or a weekend day."""
+    return params.a * params.v1 * psi(params, pulses, treatment)
 
 
 def snap_count(value: float) -> float:
@@ -231,12 +236,16 @@ def fractions_to_counts(
     differ from the requested one by at most 1.5 cells.
 
     Raises:
-        InvalidStateError: if x is off the simplex or total is negative.
+        InvalidStateError: if x is off the simplex or total is negative or NaN.
     """
-    _check_simplex(x)
-    if total < 0:
+    x0, x1, x2 = x
+    if not (
+        x0 >= 0.0 and x1 >= 0.0 and x2 >= 0.0 and abs(x0 + x1 + x2 - 1.0) <= SIMPLEX_TOL
+        and total >= 0
+    ):
+        check_simplex("x", x)
         raise InvalidStateError(f"total must be >= 0, got {total}")
-    counts = (x[0] * total, x[1] * total, x[2] * total)
+    counts = (x0 * total, x1 * total, x2 * total)
     if integer_rounding:
         counts = (snap_count(counts[0]), snap_count(counts[1]), snap_count(counts[2]))
     return counts

@@ -16,6 +16,7 @@ from .core import (
     GROWTH_INTERVAL,
     PARAM_TABLE,
     ModelParams,
+    ParamRow,
     PopulationState,
     fractions_to_counts,
     snap_count,
@@ -25,6 +26,8 @@ from .errors import InvalidParameterError, InvalidStateError, NumericInstability
 # The kinds of mixing rate that skip the parameter table's kind check; a bool
 # or any other kind meets the check and its message.
 _RATE_KINDS = (float, int)
+# A span of growth in days: finite and > 0.
+_DURATION = ParamRow(float, 0, strict=True)
 # The widest spread of three exponents whose second divided difference comes
 # from its series; past it, dividing by the spread loses at most a few units.
 _SERIES_SPREAD = 0.5
@@ -55,8 +58,8 @@ def integrate_growth(rates: Rates, x: Triple, duration: float, step: float) -> T
         InvalidStateError: for a negative or NaN component of x.
         NumericInstabilityError: if exp(tA) x is not finite or sums to zero.
     """
-    if not 0 < duration < math.inf:
-        raise InvalidParameterError(f"duration must be finite and > 0, got {duration}")
+    if not (type(duration) is float and 0.0 < duration < math.inf):
+        _DURATION.check("duration", duration)
     if not 0 < step <= duration:
         raise InvalidParameterError(f"step must lie in (0, duration], got {step}")
     v0, v1, v2, q, p = rates
@@ -146,12 +149,13 @@ def apply_division(
     the velocities v = (v0, v1, v2).
 
     Raises:
-        InvalidParameterError: for a nonpositive duration or a negative or
-            NaN velocity.
-        NumericInstabilityError: if a divided count is too large for a float.
+        InvalidParameterError: for a duration not finite and > 0, or a
+            negative or NaN velocity.
+        NumericInstabilityError: if a divided count is too large for a float,
+            or an infinite velocity meets an empty compartment.
     """
-    if not duration > 0:
-        raise InvalidParameterError(f"duration must be > 0, got {duration}")
+    if not (type(duration) is float and 0.0 < duration < math.inf):
+        _DURATION.check("duration", duration)
     v0, v1, v2 = v
     if not (v0 >= 0 and v1 >= 0 and v2 >= 0):
         _check_velocities(v)
@@ -161,7 +165,7 @@ def apply_division(
         y2 = counts[2] * 2.0 ** (v2 * duration)
     except OverflowError:
         y0 = y1 = y2 = math.inf
-    if y0 + y1 + y2 == math.inf:
+    if not y0 + y1 + y2 < math.inf:  # also NaN, from an infinite factor times a zero count
         raise NumericInstabilityError(
             f"cell counts overflow dividing for {duration} days at velocities {(v0, v1, v2)}"
         )

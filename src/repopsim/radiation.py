@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ModelParams, PopulationState, snap_count, survival_fraction
+from .core import ModelParams, PopulationState, check_transfer, snap_count, survival_fraction
 from .errors import InvalidParameterError
 
 Matrix = tuple[tuple[float, float, float], ...]
@@ -27,14 +27,8 @@ class RadiationOperator:
     def __post_init__(self) -> None:
         if not 0 < self.s <= 1:
             raise InvalidParameterError(f"s must lie in (0, 1], got {self.s}")
-        if not 0 <= self.q <= self.s:
-            raise InvalidParameterError(
-                f"q must lie in [0, s] to keep entries nonnegative, got q={self.q}, s={self.s}"
-            )
-        if not 0 <= self.p <= self.s:
-            raise InvalidParameterError(
-                f"p must lie in [0, s] to keep entries nonnegative, got p={self.p}, s={self.s}"
-            )
+        check_transfer("q", self.q, self.s)
+        check_transfer("p", self.p, self.s)
 
     def matrix(self) -> Matrix:
         """Dense row-major layout [[S-Q,0,0],[Q,S-P,0],[0,P,S]]."""

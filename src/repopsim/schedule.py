@@ -5,7 +5,7 @@ weekend_days growth-only days. Each weekday starts with a radiation pulse
 and ends with a growth interval; the single exception is the first day of
 the course, whose pulse is considered already applied to the supplied
 initial state (the initial record mirrors that convention by reporting a
-zero velocity, and the v2 of day 1's period). Post-radiation records
+zero velocity, and day 1's v2). Post-radiation records
 therefore appear under the day whose morning produced them, and each full
 week emits 2 * pulses_per_week + weekend_days records.
 """
@@ -14,16 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (
-    INITIAL,
-    POST_GROWTH,
-    POST_RADIATION,
-    RADIATION_PERIOD,
-    WEEKEND,
-    ModelParams,
-    PopulationState,
-    v2_of,
-)
+from .core import INITIAL, POST_GROWTH, POST_RADIATION, ModelParams, PopulationState, v2_of
 from .errors import InvalidStateError, NumericInstabilityError
 from .growth import growth_day_detail
 from .radiation import apply_pulse, build_radiation_operator
@@ -111,8 +102,7 @@ def simulate_course(params: ModelParams, initial: PopulationState) -> Trajectory
     op = build_radiation_operator(params)
     rounding = params.integer_rounding
     week = params.pulses_per_week + params.weekend_days
-    first_period = RADIATION_PERIOD if params.pulses_per_week else WEEKEND
-    v2 = v2_of(params, initial.pulses_delivered, first_period)
+    v2 = v2_of(params, initial.pulses_delivered, params.pulses_per_week > 0)
     records = [_make_record(1, INITIAL, initial, 0.0, v2)]
     max_drift = 0.0
     extinction_day: int | None = None
@@ -120,16 +110,16 @@ def simulate_course(params: ModelParams, initial: PopulationState) -> Trajectory
     phi = 0.0
     for day in range(1, params.weeks * week + 1):
         treatment = (day - 1) % week < params.pulses_per_week
-        if treatment and day > 1:
+        pulsed = treatment and day > 1
+        if pulsed:
             state = apply_pulse(op, state, rounding)
-            v2 = v2_of(params, state.pulses_delivered, RADIATION_PERIOD)
+        # One v2 a day, shared by its records and its growth.
+        v2 = v2_of(params, state.pulses_delivered, treatment)
+        if pulsed:
             records.append(_make_record(day, POST_RADIATION, state, phi, v2))
             if state.total() < 1 and _extinct(state, rounding, day):
                 extinction_day = day
                 break
-        elif not treatment:
-            v2 = v2_of(params, state.pulses_delivered, WEEKEND)
-        # One v2 a day, shared by its records and its growth; day 1 keeps the initial record's.
         step = growth_day_detail(state, params, v2)
         state, phi = step.state, step.phi
         max_drift = max(max_drift, step.drift)

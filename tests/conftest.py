@@ -10,14 +10,13 @@ import numpy as np
 import pytest
 
 from repopsim import (
-    InvalidStateError,
     ModelParams,
     PopulationState,
     apply_pulse,
     load_reference_table,
     simulate_course,
 )
-from repopsim.core import SIMPLEX_TOL
+from repopsim.core import check_simplex
 
 # Initial population of the bundled reference course: the first pulse is
 # already folded in, so the pulse counter seeds at one.
@@ -67,10 +66,9 @@ def mean_velocity(x: tuple[float, float, float], v: tuple[float, float, float]) 
     """Population mean growth velocity v0 x0 + v1 x1 + v2 x2.
 
     Raises:
-        InvalidStateError: if x is off the simplex beyond tolerance.
+        InvalidStateError: if x is off the simplex.
     """
-    if min(x) < -SIMPLEX_TOL or abs(x[0] + x[1] + x[2] - 1.0) > SIMPLEX_TOL:
-        raise InvalidStateError(f"fractions must lie on the simplex, got {x}")
+    check_simplex("x", x)
     return v[0] * x[0] + v[1] * x[1] + v[2] * x[2]
 
 

@@ -140,10 +140,10 @@ def test_criterion_08_one_week_equals_hand_composed_operators(course_zero):
     state = PopulationState(start.y0, start.y1, start.y2, pulses_delivered=5)
     previous_phi = start.phi
 
-    def grow(state, period):
+    def grow(state, treatment):
         total = state.total()
-        x = state.fractions()
-        v = (params.v0, params.v1, v2_of(params, state.pulses_delivered, period))
+        x = (state.y0 / total, state.y1 / total, state.y2 / total)
+        v = (params.v0, params.v1, v2_of(params, state.pulses_delivered, treatment))
         rates = (*v, params.q_mix, params.p_mix)
         x_end = integrate_growth(rates, x, 1.0, params.ode_step)
         if abs(x_end[0] + x_end[1] + x_end[2] - 1.0) > 1e-12:
@@ -170,21 +170,21 @@ def test_criterion_08_one_week_equals_hand_composed_operators(course_zero):
         assert rec.v2 == v2
 
     for day in (6, 7):
-        state, previous_phi, v2 = grow(state, "weekend")
+        state, previous_phi, v2 = grow(state, False)
         assert_matches(record(course_zero, day, "post_growth"), state, previous_phi, v2)
 
     for day in range(8, 13):
         state = apply_pulse(op, state, params.integer_rounding)
         rec = record(course_zero, day, "post_radiation")
-        v2_now = v2_of(params, state.pulses_delivered, "radiation")
+        v2_now = v2_of(params, state.pulses_delivered, True)
         assert_matches(rec, state, previous_phi, v2_now)
-        state, previous_phi, v2 = grow(state, "radiation")
+        state, previous_phi, v2 = grow(state, True)
         assert_matches(record(course_zero, day, "post_growth"), state, previous_phi, v2)
 
 
 def test_criterion_09_rk4_matches_small_step_euler_oracle():
     params = ModelParams(q_rad=0.0005, p_rad=0.0005, q_mix=0.1, p_mix=0.1)
-    v = (params.v0, params.v1, v2_of(params, 1, "radiation"))
+    v = (params.v0, params.v1, v2_of(params, 1, True))
     rates = (*v, params.q_mix, params.p_mix)
     points = random_simplex_points(random.Random(2026), 50)
     oracle = euler_mix(points, v, params.q_mix, params.p_mix, 1.0, 1e-5)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import importlib.util
 import io
 import json
@@ -15,12 +16,21 @@ import tempfile
 from dataclasses import fields
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repopsim import ModelParams, analysis, cli, load_config, simulate_course
+from repopsim import (
+    ModelParams,
+    PopulationState,
+    analysis,
+    cli,
+    load_config,
+    simulate_course,
+    write_trajectory,
+)
 from repopsim.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, cli_main
 from repopsim.core import ODE_STEP_FLOOR
 from repopsim.io import TRAJECTORY_HEADER
@@ -93,8 +103,12 @@ class TestRun:
     @pytest.mark.parametrize(
         "output, argv, message",
         [
-            ("", [], "error: output must be a string path, got ''\n"),
-            ("config.csv", ["--out", ""], "error: --out must be a nonempty path, got ''\n"),
+            ("", [], "error: output must be a nonempty path with no NUL, got ''\n"),
+            (
+                "config.csv",
+                ["--out", ""],
+                "error: --out must be a nonempty path with no NUL, got ''\n",
+            ),
         ],
         ids=["config-output", "out-flag"],
     )
@@ -212,7 +226,10 @@ class TestRun:
                 config_bytes(initial_pulses=10**400),
                 "error: initial_pulses is too large, got an integer of 401",
             ),
-            (config_bytes(output="a\0b"), "error: output must be a string path, got 'a\\x00b'"),
+            (
+                config_bytes(output="a\0b"),
+                "error: output must be a nonempty path with no NUL, got 'a\\x00b'",
+            ),
         ],
         ids=["deeply-nested", "not-utf8", "huge-number", "huge-pulse-count", "nul-in-output"],
     )
@@ -256,7 +273,8 @@ class TestDiff:
         monkeypatch.setattr(cli, "read_trajectory", read)
         course = str(tmp_path / "never-read.csv")
         assert cli_main(["diff", course, course, "--out", ""]) == EXIT_VALIDATION
-        assert capsys.readouterr().err == "error: --out must be a nonempty path, got ''\n"
+        message = "error: --out must be a nonempty path with no NUL, got ''\n"
+        assert capsys.readouterr().err == message
 
     def test_missing_input_is_io_error(self, tmp_path):
         out = tmp_path / "diff.csv"
@@ -375,7 +393,8 @@ class TestSweep:
         config = write_config_file(tmp_path)
         argv = ["sweep", "--config", config, "--param", "a", "--values", "1.0,5.0"]
         assert cli_main([*argv, "--out-dir", ""]) == EXIT_VALIDATION
-        assert capsys.readouterr().err == "error: --out-dir must be a nonempty path, got ''\n"
+        message = "error: --out-dir must be a nonempty path with no NUL, got ''\n"
+        assert capsys.readouterr().err == message
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
     def test_rejected_course_is_reported_in_summary(self, tmp_path, capsys):
@@ -795,3 +814,67 @@ def test_fuzzed_config_and_sweep_values_end_in_an_exit_code(weeks, ode_step, cha
         values = ",".join(tokens)
         swp = ["sweep", "--config", str(path), "--param", param, f"--values={values}"]
         assert _exit_code([*swp, "--out-dir", str(Path(tmp) / "sweep")]) in {0, 1, 2, 3}
+
+
+@functools.cache
+def _short_trajectory():
+    return simulate_course(ModelParams(weeks=1), PopulationState(6.0, 3.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    flag=st.sampled_from(["run --out", "output", "sweep --out-dir", "diff --out"]),
+    kind=st.sampled_from(["ordinary", "empty", "nul"]),
+    name=st.text(alphabet="ab.-_1 ", min_size=1, max_size=8),
+    cut=st.integers(0, 9),
+)
+def test_every_destination_ends_in_an_exit_code_and_a_rejected_one_in_no_work(
+    flag, kind, name, cut
+):
+    # A destination is an ordinary file name, the empty path, or a path with
+    # a NUL in its last part; a rejected one must stop the command before any
+    # course runs, any input is read or any file is written.
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs, out = Path(tmp) / "inputs", Path(tmp) / "out"
+        inputs.mkdir()
+        out.mkdir()
+        name = "f" + name
+        destination = {
+            "ordinary": str(out / name),
+            "empty": "",
+            "nul": str(out / (name[:cut] + "\0" + name[cut:])),
+        }[kind]
+        config = write_config_file(
+            inputs, **({"output": destination} if flag == "output" else {})
+        )
+        course = str(inputs / "course.csv")
+        write_trajectory(_short_trajectory(), course)
+        argv = {
+            "run --out": ["run", "--config", config, "--out", destination],
+            "output": ["run", "--config", config],
+            "sweep --out-dir": [
+                "sweep", "--config", config, "--param", "a", "--values", "1.0,5.0",
+                "--out-dir", destination,
+            ],
+            "diff --out": ["diff", course, course, "--out", destination],
+        }[flag]
+        spies = [
+            mock.patch.object(cli, "simulate_course", wraps=cli.simulate_course),
+            mock.patch.object(analysis, "simulate_course", wraps=analysis.simulate_course),
+            mock.patch.object(cli, "read_trajectory", wraps=cli.read_trajectory),
+        ]
+        cwd = os.getcwd()
+        os.chdir(out)  # where an empty path would put its file
+        try:
+            with contextlib.ExitStack() as stack:
+                calls = [stack.enter_context(spy) for spy in spies]
+                code = _exit_code(argv)
+        finally:
+            os.chdir(cwd)
+        if kind == "ordinary":
+            assert code == EXIT_OK
+            assert Path(destination).exists()
+        else:
+            assert code == EXIT_VALIDATION
+            assert [spy.call_count for spy in calls] == [0, 0, 0]
+            assert list(out.iterdir()) == []

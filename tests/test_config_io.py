@@ -376,7 +376,7 @@ def test_error_message_cuts_a_long_line_and_states_its_length(tmp_path, read, te
         ),
         (
             {"output": "a\0" + "b" * 100_000},
-            "output must be a string path, got 'a\\x00bbb",
+            "output must be a nonempty path with no NUL, got 'a\\x00bbb",
             "... (100002 characters)",
         ),
         (

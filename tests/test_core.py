@@ -22,14 +22,7 @@ from repopsim import (
     survival_fraction,
     v2_of,
 )
-from repopsim.core import (
-    ODE_STEP_FLOOR,
-    PARAM_TABLE,
-    PERIODS,
-    PHASES,
-    RADIATION_PERIOD,
-    WEEKEND,
-)
+from repopsim.core import ODE_STEP_FLOOR, PARAM_TABLE, PHASES
 
 from .conftest import MIXING_OVERRIDES
 
@@ -195,9 +188,9 @@ class TestModelParams:
         assert ModelParams(theta=-1000.0).theta == -1000.0
 
     def test_transfer_rate_bounded_by_survival(self):
-        with pytest.raises(InvalidParameterError, match="survival"):
+        with pytest.raises(InvalidParameterError, match=r"^q_rad must lie in \[0, 0.618783\]"):
             ModelParams(q_rad=0.7)
-        with pytest.raises(InvalidParameterError, match="survival"):
+        with pytest.raises(InvalidParameterError, match=r"^p_rad must lie in \[0, 0.618783\]"):
             ModelParams(p_rad=0.62)
         # Right at the bound is legal.
         s = survival_fraction(ModelParams())
@@ -205,17 +198,12 @@ class TestModelParams:
 
     def test_zero_velocities_are_legal(self):
         p = ModelParams(v0=0.0, v1=0.0)
-        assert (p.v0, p.v1, v2_of(p, 0, RADIATION_PERIOD)) == (0.0, 0.0, 0.0)
+        assert (p.v0, p.v1, v2_of(p, 0, True)) == (0.0, 0.0, 0.0)
 
 
 class TestPopulationState:
-    def test_total_and_fractions(self):
-        state = PopulationState(60.0, 30.0, 10.0)
-        assert state.total() == 100.0
-        assert state.fractions() == (0.6, 0.3, 0.1)
-
-    def test_empty_population_has_no_fractions(self):
-        assert PopulationState(0.0, 0.0, 0.0).fractions() is None
+    def test_total(self):
+        assert PopulationState(60.0, 30.0, 10.0).total() == 100.0
 
     def test_rejects_negative_counts(self):
         with pytest.raises(InvalidStateError):
@@ -230,22 +218,22 @@ class TestPopulationState:
             PopulationState(*counts)
 
     def test_rejects_negative_pulse_count(self):
-        with pytest.raises(InvalidStateError):
+        with pytest.raises(InvalidParameterError, match="^pulses_delivered must be >= 0, got -1$"):
             PopulationState(1.0, 1.0, 1.0, pulses_delivered=-1)
 
 
 class TestVelocities:
     def test_damping_zero_coefficients(self):
         # With no transfer and no mixing the damping factor is exp(theta)
-        # regardless of the pulse count, in both periods.
+        # regardless of the pulse count, on treatment and weekend days alike.
         p = ModelParams()
         for n in (0, 1, 5, 30):
-            assert psi(p, n, RADIATION_PERIOD) == pytest.approx(math.exp(0.005), rel=1e-15)
-            assert psi(p, n, WEEKEND) == pytest.approx(math.exp(0.005), rel=1e-15)
-        assert v2_of(p, 1, RADIATION_PERIOD) == pytest.approx(
+            assert psi(p, n, True) == pytest.approx(math.exp(0.005), rel=1e-15)
+            assert psi(p, n, False) == pytest.approx(math.exp(0.005), rel=1e-15)
+        assert v2_of(p, 1, True) == pytest.approx(
             0.08040100166875208, rel=1e-15
         )
-        assert v2_of(p, 1, RADIATION_PERIOD) == pytest.approx(
+        assert v2_of(p, 1, True) == pytest.approx(
             p.a * p.v1 * math.exp(p.theta), rel=1e-15
         )
 
@@ -253,26 +241,26 @@ class TestVelocities:
         # No baseline drift and no delivered pulses leave nothing in the
         # exponent, so the factor is exactly 1 and the fast rate is a*v1.
         p = ModelParams(theta=0.0, q_mix=0.3, p_mix=0.2)
-        for period in PERIODS:
-            assert psi(p, 0, period) == 1.0
-            assert v2_of(p, 0, period) == 0.08
+        for treatment in (True, False):
+            assert psi(p, 0, treatment) == 1.0
+            assert v2_of(p, 0, treatment) == 0.08
 
     def test_fast_rate_scales_with_amplification(self):
         damped = ModelParams(theta=0.0, **MIXING_OVERRIDES)
         unit_a = ModelParams(a=1.0, theta=0.0, **MIXING_OVERRIDES)
         for n in (0, 1, 5):
-            factor = psi(damped, n, RADIATION_PERIOD)
-            assert v2_of(unit_a, n, RADIATION_PERIOD) == pytest.approx(
+            factor = psi(damped, n, True)
+            assert v2_of(unit_a, n, True) == pytest.approx(
                 1.0 * 0.016 * factor, rel=1e-15
             )
-            assert v2_of(unit_a, n, RADIATION_PERIOD) == pytest.approx(
-                v2_of(damped, n, RADIATION_PERIOD) / 5.0, rel=1e-15
+            assert v2_of(unit_a, n, True) == pytest.approx(
+                v2_of(damped, n, True) / 5.0, rel=1e-15
             )
         # Halving the amplification halves the rate, exactly: 0.016 vs 0.008
         # for a=1 against a damping factor of one half.
         half = ModelParams(a=1.0, theta=0.0)
-        assert v2_of(half, 0, WEEKEND) == 0.016
-        assert 0.5 * v2_of(half, 0, WEEKEND) == 0.008
+        assert v2_of(half, 0, False) == 0.016
+        assert 0.5 * v2_of(half, 0, False) == 0.008
 
     def test_damping_with_transfer_and_mixing(self):
         p = ModelParams(**MIXING_OVERRIDES)
@@ -280,23 +268,29 @@ class TestVelocities:
         mix_norm = math.sqrt(p.q_mix**2 + p.p_mix**2)
         decay = rad_norm * p.dose + mix_norm * p.dose * p.dose
         assert decay == pytest.approx(0.5670996385116112, rel=1e-12)
-        assert psi(p, 1, RADIATION_PERIOD) == pytest.approx(
+        assert psi(p, 1, True) == pytest.approx(
             math.exp(p.theta - decay), rel=1e-12
         )
-        assert psi(p, 1, RADIATION_PERIOD) == pytest.approx(
+        assert psi(p, 1, True) == pytest.approx(
             0.5700109895018366, rel=1e-12
         )
         # The weekend exponent drops the dose weighting entirely.
-        assert psi(p, 1, WEEKEND) == pytest.approx(
+        assert psi(p, 1, False) == pytest.approx(
             math.exp(p.theta - 1 * mix_norm), rel=1e-12
         )
+
+    @pytest.mark.parametrize("treatment", ["weekend", 1, None])
+    def test_damping_form_must_be_true_or_false(self, treatment):
+        message = f"^treatment must be true or false, got {treatment!r}$"
+        with pytest.raises(InvalidParameterError, match=message):
+            v2_of(ModelParams(), 1, treatment)
 
     @settings(deadline=None)
     @given(q=unit, p=unit, n=st.integers(min_value=0, max_value=40))
     def test_damping_never_increases_with_pulses(self, q, p, n):
         params = ModelParams(q_mix=q, p_mix=p)
-        for period in PERIODS:
-            assert psi(params, n + 1, period) <= psi(params, n, period)
+        for treatment in (True, False):
+            assert psi(params, n + 1, treatment) <= psi(params, n, treatment)
 
 
 class TestRounding:
@@ -322,9 +316,8 @@ class TestRounding:
         assert counts == (371270035.0, 210386353.0, 37127004.0)
 
     def test_reference_counts_normalize_back(self):
-        state = PopulationState(371270035.0, 210386353.0, 37127004.0)
-        x = state.fractions()
-        assert x is not None
+        counts = (371270035.0, 210386353.0, 37127004.0)
+        x = tuple(c / sum(counts) for c in counts)
         assert x == pytest.approx((0.600, 0.340, 0.060), abs=1e-8)
 
     def test_vertex_split_is_exact(self):
@@ -351,23 +344,19 @@ class TestRounding:
         norm = a + b + c
         x = (a / norm, b / norm, c / norm)
         counts = fractions_to_counts(x, total, integer_rounding=False)
-        state = PopulationState(*counts)
-        back = state.fractions()
-        assert back is not None
+        back = tuple(c / sum(counts) for c in counts)
         for got, want in zip(back, x):
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_fraction_sum_near_one(self):
-        state = PopulationState(371270035.0, 210386353.0, 37127004.0)
-        x = state.fractions()
-        assert x is not None
+        counts = (371270035.0, 210386353.0, 37127004.0)
+        x = tuple(c / sum(counts) for c in counts)
         assert abs(sum(x) - 1.0) <= 1e-12
 
 
 class TestConstants:
-    def test_phase_and_period_vocabulary(self):
+    def test_phase_vocabulary(self):
         assert PHASES == ("initial", "post_growth", "post_radiation")
-        assert PERIODS == (RADIATION_PERIOD, WEEKEND)
 
 
 _STATE = PopulationState(6.0, 3.0, 1.0)

@@ -210,7 +210,7 @@ class TestIntegrateGrowth:
 
     def test_rejects_an_infinite_duration(self):
         rates = (*PAPER_V, 0.0, 0.0)
-        message = "^duration must be finite and > 0, got inf$"
+        message = "^duration must be finite, got inf$"
         with pytest.raises(InvalidParameterError, match=message):
             integrate_growth(rates, (0.6, 0.34, 0.06), math.inf, 1.0)
 
@@ -460,6 +460,9 @@ class TestApplyDivision:
             ((0.0, 1000.0, 0.0), (0.01, 100.0, 1e302)),
             # Every factor is finite but the counts overflow.
             ((1e300, 1e308, 0.0), (0.01, 5.0, 25.0)),
+            # An infinite factor times an empty compartment is NaN, not inf.
+            ((1000.0, 1000.0, 0.0), (0.01, 0.016, math.inf)),
+            ((0.0, 1000.0, 1000.0), (math.inf, 0.016, 0.08)),
         ],
     )
     def test_overflowing_counts_are_numeric_instability(self, state, v, integer_rounding):
@@ -471,12 +474,12 @@ class TestGrowthDay:
     def test_degenerate_parameters_are_identity(self):
         params = ModelParams(v0=0.0, v1=0.0, a=1.0, theta=0.0, integer_rounding=False)
         state = PopulationState(100.0, 50.0, 25.0)
-        out = growth_day_detail(state, params, v2_of(params, 0, "radiation")).state
+        out = growth_day_detail(state, params, v2_of(params, 0, True)).state
         assert (out.y0, out.y1, out.y2) == pytest.approx((100.0, 50.0, 25.0), rel=1e-12)
 
     def test_first_reference_day_total(self, golden):
         params = ModelParams(weeks=7)
-        out = growth_day_detail(reference_initial(), params, v2_of(params, 1, "radiation")).state
+        out = growth_day_detail(reference_initial(), params, v2_of(params, 1, True)).state
         row = next(r for r in golden if r.day == 1 and r.phase == "post_growth")
         target = row.y0 + row.y1 + row.y2
         assert target == 625950700.0
@@ -487,7 +490,7 @@ class TestGrowthDay:
         # only the spread between per-component doubling and the mean rate.
         start = reference_initial()
         params = ModelParams(weeks=7)
-        detail = growth_day_detail(start, params, v2_of(params, 1, "radiation"))
+        detail = growth_day_detail(start, params, v2_of(params, 1, True))
         ratio = detail.state.total() / start.total()
         assert ratio == pytest.approx(2.0**detail.phi, rel=1e-3)
         assert ratio == pytest.approx(625950700.0 / 618783392.0, rel=1e-3)
@@ -496,24 +499,24 @@ class TestGrowthDay:
         params = ModelParams(
             v0=0.02, v1=0.02, a=1.0, theta=0.0, integer_rounding=False
         )
-        assert v2_of(params, 0, "radiation") == pytest.approx(0.02, rel=1e-15)
+        assert v2_of(params, 0, True) == pytest.approx(0.02, rel=1e-15)
         state = PopulationState(600.0, 340.0, 60.0)
-        out = growth_day_detail(state, params, v2_of(params, 0, "radiation")).state
-        before = state.fractions()
-        after = out.fractions()
+        out = growth_day_detail(state, params, v2_of(params, 0, True)).state
+        before = (600.0 / 1000.0, 340.0 / 1000.0, 60.0 / 1000.0)
+        after = (out.y0 / out.total(), out.y1 / out.total(), out.y2 / out.total())
         assert after == pytest.approx(before, abs=1e-9)
         assert out.total() == pytest.approx(1000.0 * 2.0**0.02, rel=1e-10)
 
     def test_detail_reports_phi_and_drift(self):
         params = ModelParams(weeks=7, integer_rounding=False)
-        v2 = v2_of(params, 1, "radiation")
+        v2 = v2_of(params, 1, True)
         detail = growth_day_detail(reference_initial(), params, v2)
         assert detail.drift <= 1e-12
         # phi is the mean velocity of the evolved fractions, before division
         # reweights them.
         v = (params.v0, params.v1, v2)
-        post = detail.state.fractions()
-        assert post is not None
+        out = detail.state
+        post = (out.y0 / out.total(), out.y1 / out.total(), out.y2 / out.total())
         assert detail.phi == pytest.approx(mean_velocity(post, v), rel=0.02)
 
     def test_drifted_endpoint_is_reported_and_not_reprojected(self, monkeypatch):
@@ -525,7 +528,7 @@ class TestGrowthDay:
         )
         params = ModelParams(v0=0.0, v1=0.0, integer_rounding=False)
         detail = growth_day_detail(
-            PopulationState(600.0, 300.0, 100.0), params, v2_of(params, 0, "radiation")
+            PopulationState(600.0, 300.0, 100.0), params, v2_of(params, 0, True)
         )
         norm = raw[0] + raw[1] + raw[2]
         assert detail.drift == abs(norm - 1.0)
@@ -537,12 +540,14 @@ class TestGrowthDay:
     @pytest.mark.parametrize(
         "raw, integer_rounding, error",
         [
-            # Inside the simplex tolerance, but a negative count in real mode,
-            # reported once division has doubled it.
-            ((-5e-10, 0.6, 0.4 + 5e-10), False, "^y0 must be >= 0, got -1[.0-9]*e-06$"),
-            ((-5e-10, 0.6, 0.4 + 5e-10), True, None),
-            # Outside it: the one simplex test of the endpoint.
-            ((-1e-8, 0.6, 0.4 + 1e-8), True, "^fractions must lie on the simplex"),
+            # A negative component within the sum's tolerance is still off the
+            # simplex, in both modes.
+            ((-5e-10, 0.6, 0.4 + 5e-10), False, "^x must be nonnegative and sum to 1 within 1e-09"),
+            ((-5e-10, 0.6, 0.4 + 5e-10), True, "^x must be nonnegative and sum to 1 within 1e-09"),
+            ((-1e-8, 0.6, 0.4 + 1e-8), True, "^x must be nonnegative and sum to 1 within 1e-09"),
+            # A sum outside it.
+            ((0.6, 0.3, 0.1 + 2e-9), False, "^x must be nonnegative and sum to 1 within 1e-09"),
+            ((0.6, 0.3, 0.1 + 5e-10), True, None),
         ],
     )
     def test_endpoint_checks(self, monkeypatch, raw, integer_rounding, error):
@@ -551,10 +556,10 @@ class TestGrowthDay:
         )
         params = ModelParams(v0=1.0, v1=0.0, integer_rounding=integer_rounding)
         state = PopulationState(600.0, 300.0, 100.0)
-        v2 = v2_of(params, 0, "radiation")
+        v2 = v2_of(params, 0, True)
         if error is None:
             out = growth_day_detail(state, params, v2).state
-            assert (out.y0, out.y1, out.y2) == (0.0, 600.0, 400.0)
+            assert (out.y0, out.y1, out.y2) == (1200.0, 300.0, 100.0)
         else:
             with pytest.raises(InvalidStateError, match=error):
                 growth_day_detail(state, params, v2)
@@ -562,4 +567,4 @@ class TestGrowthDay:
     def test_rejects_empty_population(self):
         params = ModelParams()
         with pytest.raises(InvalidStateError):
-            growth_day_detail(PopulationState(0.0, 0.0, 0.0), params, v2_of(params, 0, "radiation"))
+            growth_day_detail(PopulationState(0.0, 0.0, 0.0), params, v2_of(params, 0, True))

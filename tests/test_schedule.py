@@ -97,7 +97,7 @@ class TestSimulateCourse:
         assert traj.records[-1].day == 14
         last_pr = [r for r in traj.records if r.phase == "post_radiation"][-1]
         assert last_pr.day == 12
-        assert record(course_zero, 12, "post_radiation").v2 == v2_of(params, 10, "radiation")
+        assert record(course_zero, 12, "post_radiation").v2 == v2_of(params, 10, True)
 
     def test_pulse_count_visible_through_damped_velocity(self, course_mixing):
         # In the damped regime v2 pins down the accumulated pulse count
@@ -105,7 +105,7 @@ class TestSimulateCourse:
         damped = ModelParams(weeks=7, q_rad=0.0005, p_rad=0.0005, q_mix=0.1, p_mix=0.1)
         for week, day in ((1, 7), (2, 14), (3, 21)):
             rec = record(course_mixing, day, "post_growth")
-            assert rec.v2 == v2_of(damped, 5 * week, "weekend")
+            assert rec.v2 == v2_of(damped, 5 * week, False)
 
     def test_post_radiation_rows_inherit_previous_velocity(self, course_zero):
         for day in (2, 3, 4, 5, 9, 16):
@@ -225,8 +225,8 @@ class TestSimulateCourse:
         assert len(traj.records) == 7
         assert [r.day for r in traj.records[1:]] == [1, 2, 3, 4, 5, 6]
         assert all(r.phase != "post_radiation" for r in traj.records)
-        weekend = v2_of(params, 2, "weekend")
-        assert weekend != v2_of(params, 2, "radiation")
+        weekend = v2_of(params, 2, False)
+        assert weekend != v2_of(params, 2, True)
         assert all(r.v2 == weekend for r in traj.records)
         assert not traj.extinct
 
@@ -236,29 +236,28 @@ class TestPhaseVelocity:
 
     def test_fast_corner_returns_frozen_velocity(self):
         params = ModelParams(q_mix=0.1, p_mix=0.1)
-        x = PopulationState(0.0, 0.0, 500.0).fractions()
-        radiation = (params.v0, params.v1, v2_of(params, 3, "radiation"))
-        weekend = (params.v0, params.v1, v2_of(params, 3, "weekend"))
-        assert mean_velocity(x, radiation) == v2_of(params, 3, "radiation")
-        assert mean_velocity(x, weekend) == v2_of(params, 3, "weekend")
+        x = (0.0, 0.0, 1.0)
+        radiation = (params.v0, params.v1, v2_of(params, 3, True))
+        weekend = (params.v0, params.v1, v2_of(params, 3, False))
+        assert mean_velocity(x, radiation) == v2_of(params, 3, True)
+        assert mean_velocity(x, weekend) == v2_of(params, 3, False)
 
     def test_reference_day_one_velocity(self, course_zero):
         params = ModelParams(weeks=REFERENCE_WEEKS)
         rec = record(course_zero, 1, "post_growth")
-        x = PopulationState(rec.y0, rec.y1, rec.y2).fractions()
-        phi = mean_velocity(x, (params.v0, params.v1, v2_of(params, 1, "radiation")))
+        x = (rec.y0 / rec.total, rec.y1 / rec.total, rec.y2 / rec.total)
+        phi = mean_velocity(x, (params.v0, params.v1, v2_of(params, 1, True)))
         assert abs(phi - 0.016515136) / 0.016515136 <= 0.10
 
     def test_uniform_velocities_collapse_to_common_value(self):
         params = ModelParams(v0=0.02, v1=0.02, a=1.0, theta=0.0)
-        x = PopulationState(10.0, 20.0, 30.0).fractions()
-        phi = mean_velocity(x, (params.v0, params.v1, v2_of(params, 0, "radiation")))
+        x = (10.0 / 60.0, 20.0 / 60.0, 30.0 / 60.0)
+        phi = mean_velocity(x, (params.v0, params.v1, v2_of(params, 0, True)))
         assert phi == pytest.approx(0.02, rel=1e-12)
 
     def test_rejects_empty_population(self):
         # An empty population has no fractions, and the all-zero triple is
         # off the simplex, so no mean velocity can be formed for it.
-        assert PopulationState(0.0, 0.0, 0.0).fractions() is None
         params = ModelParams()
         with pytest.raises(InvalidStateError):
-            mean_velocity((0.0, 0.0, 0.0), (params.v0, params.v1, v2_of(params, 0, "radiation")))
+            mean_velocity((0.0, 0.0, 0.0), (params.v0, params.v1, v2_of(params, 0, True)))
