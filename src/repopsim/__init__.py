@@ -14,7 +14,7 @@ from .analysis import (
     lq_closed_form,
     sweep,
 )
-from .config import RunConfig, load_config, parse_config, write_config
+from .config import RunConfig, load_config, parse_config
 from .core import (
     INITIAL,
     PHASES,

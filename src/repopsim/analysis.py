@@ -119,15 +119,15 @@ def compare_to_golden(
     trajectory: Trajectory,
     golden: tuple[GoldenRow, ...],
     tolerance: float,
-    days: tuple[int, int] | None = None,
+    days: tuple[int, int],
     columns: tuple[str, ...] = _GOLDEN_COLUMNS,
 ) -> ComparisonReport:
     """Cell-by-cell comparison of a trajectory against a reference table.
 
     The error metric |actual - expected| / max(|actual|, |expected|) is
-    symmetric in its arguments. An optional inclusive day range and column
-    subset restrict the comparison; reference rows with no matching
-    trajectory record are skipped and counted.
+    symmetric in its arguments. Only reference rows within the inclusive day
+    range are compared, optionally on a subset of the columns; reference rows
+    with no matching trajectory record are skipped and counted.
 
     Raises:
         ConfigError: if a requested column is not part of the table schema.
@@ -141,7 +141,7 @@ def compare_to_golden(
     worst: CellDeviation | None = None
     failures = []
     for row in golden:
-        if days is not None and not days[0] <= row.day <= days[1]:
+        if not days[0] <= row.day <= days[1]:
             continue
         rec = by_key.get((row.day, row.phase))
         if rec is None:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .analysis import compare_to_golden, diff_velocity, lq_closed_form, sweep
 from .config import check_destination, load_config
-from .core import PARAM_TABLE, ModelParams, PopulationState, survival_fraction
+from .core import PARAM_TABLE, ModelParams, PopulationState
 from .errors import ConfigError, NumericInstabilityError, SimulationError, quote
 from .io import (
     load_reference_table,
@@ -179,8 +179,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     params = config.params
     op = build_radiation_operator(params)
-    s = survival_fraction(params)
-    column = max(abs(sum(row[col] for row in op.matrix()) - s) for col in range(3)) / s
+    # Column j of the operator is the pulse of the unit state e_j, so its sum is that total.
+    units = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    column = max(abs(apply_pulse(op, PopulationState(*e)).total() - op.s) for e in units) / op.s
     detail = f"worst relative column deviation {column:.3e}"
     results = [_check_line("operator-column-sums", column <= 1e-12, detail)]
 

@@ -120,16 +120,6 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(params=params, initial=initial, output=output)
 
 
-def write_config(config: RunConfig) -> str:
-    """Serialize a configuration to canonical JSON; inverse of parse_config."""
-    document: dict[str, object] = {key: getattr(config.params, key) for key in PARAM_TABLE}
-    document["initial_counts"] = [config.initial.y0, config.initial.y1, config.initial.y2]
-    document["initial_pulses"] = config.initial.pulses_delivered
-    if config.output is not None:
-        document["output"] = config.output
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
-
-
 def load_config(path: str) -> RunConfig:
     """Read and parse a configuration file.
 

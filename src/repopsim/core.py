@@ -161,10 +161,14 @@ class PopulationState:
     pulses_delivered: int = 0  # radiation pulses applied so far
 
     def __post_init__(self) -> None:
-        if not (self.y0 >= 0 and self.y1 >= 0 and self.y2 >= 0):
-            for name in ("y0", "y1", "y2"):
-                if not getattr(self, name) >= 0:
-                    raise InvalidStateError(f"{name} must be >= 0, got {getattr(self, name)}")
+        y0, y1, y2 = self.y0, self.y1, self.y2
+        # Float bounds keep each comparison float to float, cheaper than int to float.
+        if not (0.0 <= y0 < math.inf and 0.0 <= y1 < math.inf and 0.0 <= y2 < math.inf):
+            for name, value in (("y0", y0), ("y1", y1), ("y2", y2)):
+                if not value >= 0:
+                    raise InvalidStateError(f"{name} must be >= 0, got {value}")
+                if value == math.inf:
+                    raise InvalidStateError(f"{name} must be finite, got {value}")
         n = self.pulses_delivered
         if not (type(n) is int and 0 <= n <= _INT_MAX):
             PULSE_COUNT.check("pulses_delivered", n)

@@ -146,32 +146,20 @@ def write_sweep_summary(entries: tuple[SweepEntry, ...], destination: str | Path
             )
 
 
-def _parse_reference(text: str, origin: str) -> tuple[GoldenRow, ...]:
-    rows = []
-    for number, line, cells in _table_rows(text, origin, REFERENCE_HEADER, "|"):
-        try:
-            rows.append(GoldenRow(int(cells[0]), cells[1], *map(float, cells[2:])))
-        except ValueError:
-            raise _cell_error(f"{origin}: line {number}", line, cells) from None
-    return tuple(rows)
+def load_reference_table() -> tuple[GoldenRow, ...]:
+    """Load the bundled pipe-delimited reference table.
 
-
-def load_reference_table(source: str | Path | None = None) -> tuple[GoldenRow, ...]:
-    """Load a pipe-delimited reference table; default is the bundled one.
-
-    The bundled table is checksummed on load.
+    Its bytes are checksummed before they are parsed, so no cell of it can be
+    malformed.
 
     Raises:
-        SchemaError: for a file that is not UTF-8 text, a wrong header or column
-            count, an unknown phase, a cell that is not a number, or a bundled
-            table's bad checksum.
+        SchemaError: if the bundled bytes do not match REFERENCE_SHA256.
     """
-    if source is None:
-        data = (resources.files(__package__) / "data" / _REFERENCE_RESOURCE).read_bytes()
-        digest = hashlib.sha256(data).hexdigest()
-        if digest != REFERENCE_SHA256:
-            raise SchemaError(
-                f"bundled reference table checksum mismatch: {digest} != {REFERENCE_SHA256}"
-            )
-        return _parse_reference(data.decode("utf-8"), _REFERENCE_RESOURCE)
-    return _parse_reference(_read_text(source), str(source))
+    data = (resources.files(__package__) / "data" / _REFERENCE_RESOURCE).read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
+    if digest != REFERENCE_SHA256:
+        raise SchemaError(
+            f"bundled reference table checksum mismatch: {digest} != {REFERENCE_SHA256}"
+        )
+    rows = _table_rows(data.decode("utf-8"), _REFERENCE_RESOURCE, REFERENCE_HEADER, "|")
+    return tuple(GoldenRow(int(cells[0]), cells[1], *map(float, cells[2:])) for *_, cells in rows)

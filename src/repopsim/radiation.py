@@ -13,12 +13,11 @@ from dataclasses import dataclass
 from .core import ModelParams, PopulationState, check_transfer, snap_count, survival_fraction
 from .errors import InvalidParameterError
 
-Matrix = tuple[tuple[float, float, float], ...]
-
 
 @dataclass(frozen=True)
 class RadiationOperator:
-    """Lower-bidiagonal pulse operator built from S, Q, and P."""
+    """Lower-bidiagonal pulse operator [[S-Q,0,0],[Q,S-P,0],[0,P,S]], which
+    apply_pulse writes out as a product."""
 
     s: float  # survival fraction applied along the diagonal
     q: float  # slow-to-middle transfer probability
@@ -29,14 +28,6 @@ class RadiationOperator:
             raise InvalidParameterError(f"s must lie in (0, 1], got {self.s}")
         check_transfer("q", self.q, self.s)
         check_transfer("p", self.p, self.s)
-
-    def matrix(self) -> Matrix:
-        """Dense row-major layout [[S-Q,0,0],[Q,S-P,0],[0,P,S]]."""
-        return (
-            (self.s - self.q, 0.0, 0.0),
-            (self.q, self.s - self.p, 0.0),
-            (0.0, self.p, self.s),
-        )
 
 
 def build_radiation_operator(params: ModelParams) -> RadiationOperator:

@@ -96,7 +96,7 @@ class TestCompareToGolden:
             GoldenRow(day=r.day, phase=r.phase, y0=r.y0, y1=r.y1, y2=r.y2, velocity=r.phi)
             for r in course_zero.records
         )
-        report = compare_to_golden(course_zero, table, tolerance=0.0)
+        report = compare_to_golden(course_zero, table, tolerance=0.0, days=(1, 49))
         assert report.passed
         assert report.matched == len(course_zero.records)
         assert report.worst is not None and report.worst.relative == 0.0
@@ -117,14 +117,14 @@ class TestCompareToGolden:
 
     def test_rows_without_partner_are_skipped(self, course_zero):
         table = (GoldenRow(day=99, phase="post_growth", y0=1, y1=1, y2=1, velocity=0.1),)
-        report = compare_to_golden(course_zero, table, tolerance=0.1)
+        report = compare_to_golden(course_zero, table, tolerance=0.1, days=(1, 99))
         assert report.matched == 0
         assert report.skipped == 1
         assert report.worst is None
 
     def test_unknown_column_is_named(self, course_zero, golden):
         with pytest.raises(ConfigError, match="x2"):
-            compare_to_golden(course_zero, golden, tolerance=0.1, columns=("x2",))
+            compare_to_golden(course_zero, golden, tolerance=0.1, days=(1, 48), columns=("x2",))
 
     def test_error_metric_is_symmetric(self):
         a = tiny_trajectory([(1, "post_growth", 0.1)])
@@ -133,8 +133,8 @@ class TestCompareToGolden:
             GoldenRow(day=1, phase="post_growth", y0=1, y1=1, y2=1,
                       velocity=t.records[0].phi),
         )
-        forward = compare_to_golden(a, table_from(b), 0.0, columns=("velocity",))
-        backward = compare_to_golden(b, table_from(a), 0.0, columns=("velocity",))
+        forward = compare_to_golden(a, table_from(b), 0.0, days=(1, 1), columns=("velocity",))
+        backward = compare_to_golden(b, table_from(a), 0.0, days=(1, 1), columns=("velocity",))
         assert forward.worst is not None and backward.worst is not None
         assert forward.worst.relative == backward.worst.relative
 
@@ -351,6 +351,6 @@ class TestSweepInProcess:
 
 def test_reference_run_for_comparison_is_a_fixture(course_zero, golden):
     # Every reference row must find a partner in the seven-week run.
-    report = compare_to_golden(course_zero, golden, tolerance=1.0)
+    report = compare_to_golden(course_zero, golden, tolerance=1.0, days=(1, 48))
     assert report.skipped == 0
     assert report.matched == len(golden) == 83

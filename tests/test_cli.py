@@ -16,6 +16,7 @@ import tempfile
 from dataclasses import fields
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -25,12 +26,16 @@ from hypothesis import strategies as st
 from repopsim import (
     ModelParams,
     PopulationState,
+    SchemaError,
     analysis,
+    apply_pulse,
     cli,
     load_config,
+    load_reference_table,
     simulate_course,
     write_trajectory,
 )
+from repopsim import io as repopsim_io
 from repopsim.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, cli_main
 from repopsim.core import ODE_STEP_FLOOR
 from repopsim.io import TRAJECTORY_HEADER
@@ -604,6 +609,30 @@ class TestCheck:
         bad = tmp_path / "bad.json"
         bad.write_text("{", encoding="utf-8")
         assert cli_main(["check", "--config", str(bad)]) == EXIT_VALIDATION
+
+    def test_a_pulse_that_loses_cells_fails_the_column_sums(self, capsys, monkeypatch):
+        # The line measures the pulse the engine applies, so a lossy apply_pulse fails it.
+        def lossy(op, state, integer_rounding=False):
+            out = apply_pulse(op, state, integer_rounding)
+            scale = 1 - 1e-9
+            return PopulationState(out.y0 * scale, out.y1 * scale, out.y2 * scale)
+
+        monkeypatch.setattr(cli, "apply_pulse", lossy)
+        assert cli_main(["check", "--config", MIXING_PATH]) == EXIT_VALIDATION
+        assert "FAIL operator-column-sums: " in capsys.readouterr().out
+
+    def test_a_corrupt_bundled_table_is_validation_error(self, tmp_path, capsys, monkeypatch):
+        data = resources.files("repopsim").joinpath("data/reference_course.psv").read_bytes()
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "reference_course.psv").write_bytes(data + b"\n")
+        bundled = SimpleNamespace(files=lambda package: tmp_path)
+        monkeypatch.setattr(repopsim_io, "resources", bundled)
+        with pytest.raises(SchemaError, match="^bundled reference table checksum mismatch: "):
+            load_reference_table()
+        assert cli_main(["check", "--config", MIXING_PATH]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: bundled reference table checksum mismatch: ")
+        assert "reference-table" not in captured.out
 
     @pytest.mark.parametrize(
         "case, expected",

@@ -21,14 +21,12 @@ from repopsim import (
     load_reference_table,
     parse_config,
     read_trajectory,
-    write_config,
     write_diff,
     write_sweep_summary,
     write_trajectory,
 )
 from repopsim.io import (
     DIFF_HEADER,
-    REFERENCE_HEADER,
     REFERENCE_SHA256,
     SWEEP_HEADER,
     TRAJECTORY_HEADER,
@@ -119,27 +117,6 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="sum to 1"):
             parse_config(text)
 
-    def test_roundtrip_is_exact(self):
-        source = minimal_config(
-            alpha=0.21,
-            beta=0.019,
-            dose=1.8,
-            q_mix=0.07,
-            theta=0.0049,
-            weeks=2,
-            integer_rounding=False,
-            initial_counts=[600.5, 340.25, 60.125],
-            initial_pulses=3,
-            output="out.csv",
-        )
-        config = parse_config(source)
-        again = parse_config(write_config(config))
-        assert again == config
-
-    def test_write_config_is_deterministic(self):
-        config = parse_config(BASELINE.read_text(encoding="utf-8"))
-        assert write_config(config) == write_config(config)
-
     def test_load_config_reads_files(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(minimal_config(weeks=1), encoding="utf-8")
@@ -197,7 +174,7 @@ class TestTrajectoryFiles:
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("day,phase,nope\n", encoding="utf-8")
-        with pytest.raises(SchemaError, match="header"):
+        with pytest.raises(SchemaError, match=f"^{path}: expected header "):
             read_trajectory(path)
 
     def test_wrong_column_count_rejected(self, tmp_path):
@@ -267,59 +244,6 @@ class TestReferenceTable:
         data = resources.files("repopsim").joinpath("data/reference_course.psv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == REFERENCE_SHA256
 
-    def test_explicit_path_loads(self, tmp_path, golden):
-        path = tmp_path / "table.psv"
-        path.write_text(
-            REFERENCE_HEADER + "\n1|initial|371270035|210386353|37127004|0.000000000\n",
-            encoding="utf-8",
-        )
-        rows = load_reference_table(str(path))
-        assert rows == (golden[0],)
-
-    def test_wrong_header_names_origin(self, tmp_path):
-        path = tmp_path / "table.psv"
-        path.write_text("day|phase|bad\n", encoding="utf-8")
-        with pytest.raises(SchemaError, match="table.psv"):
-            load_reference_table(str(path))
-
-    def test_unknown_phase_names_file_and_line(self, tmp_path):
-        path = tmp_path / "table.psv"
-        path.write_text(REFERENCE_HEADER + "\n1|bogus|1|2|3|0.0\n", encoding="utf-8")
-        with pytest.raises(SchemaError) as info:
-            load_reference_table(str(path))
-        assert str(info.value) == f"{path}: line 2: unknown phase 'bogus'"
-
-    def test_wrong_column_count_rejected(self, tmp_path):
-        path = tmp_path / "table.psv"
-        path.write_text(REFERENCE_HEADER + "\n1|initial|1\n", encoding="utf-8")
-        with pytest.raises(SchemaError, match="columns"):
-            load_reference_table(str(path))
-
-    @pytest.mark.parametrize(
-        "content, message",
-        [
-            (b"\xff\xfe", "{path}: not UTF-8 text: "),
-            (
-                REFERENCE_HEADER + "\n1|initial|abc|2|3|0.0\n",
-                "{path}: line 2: 'abc' is not a number: '1|initial|abc|2|3|0.0'",
-            ),
-            (
-                REFERENCE_HEADER + "\n1.5|initial|1|2|3|0.0\n",
-                "{path}: line 2: '1.5' is not an integer: '1.5|initial|1|2|3|0.0'",
-            ),
-        ],
-        ids=["not-utf8", "not-a-number", "day-not-an-integer"],
-    )
-    def test_unreadable_file_names_file_and_line(self, tmp_path, content, message):
-        path = tmp_path / "table.psv"
-        if isinstance(content, bytes):
-            path.write_bytes(content)
-        else:
-            path.write_text(content, encoding="utf-8")
-        with pytest.raises(SchemaError) as info:
-            load_reference_table(str(path))
-        assert str(info.value).startswith(message.format(path=path))
-
 
 # A single line or cell of 200,000 characters, as in a file that is not a table at all.
 LONG = "9" * 200_000
@@ -327,37 +251,22 @@ _GOOD_ROW = "1,initial,600,340,60,0.600000000,0.340000000,0.060000000,0.0,0.08,1
 
 
 @pytest.mark.parametrize(
-    "read, text, lengths",
+    "text, lengths",
     [
-        (read_trajectory, LONG, [200_000]),
-        (read_trajectory, TRAJECTORY_HEADER + "\n" + LONG, [200_000]),
+        (LONG, [200_000]),
+        (TRAJECTORY_HEADER + "\n" + LONG, [200_000]),
         (
-            read_trajectory,
             TRAJECTORY_HEADER + "\n" + _GOOD_ROW.replace("600", "x" + LONG, 1),
             [200_001, len(_GOOD_ROW) - 3 + 200_001],
         ),
-        (load_reference_table, LONG, [200_000]),
-        (load_reference_table, REFERENCE_HEADER + "\n" + LONG, [200_000]),
-        (
-            load_reference_table,
-            REFERENCE_HEADER + "\n1|initial|x" + LONG + "|2|3|0.0",
-            [200_001, 200_019],
-        ),
     ],
-    ids=[
-        "trajectory-header",
-        "trajectory-columns",
-        "trajectory-cell",
-        "reference-header",
-        "reference-columns",
-        "reference-cell",
-    ],
+    ids=["trajectory-header", "trajectory-columns", "trajectory-cell"],
 )
-def test_error_message_cuts_a_long_line_and_states_its_length(tmp_path, read, text, lengths):
+def test_error_message_cuts_a_long_line_and_states_its_length(tmp_path, text, lengths):
     path = tmp_path / "long.txt"
     path.write_text(text + "\n", encoding="utf-8")
     with pytest.raises(SchemaError) as info:
-        read(str(path))
+        read_trajectory(str(path))
     message = str(info.value)
     assert len(message) < 300
     for length in lengths:

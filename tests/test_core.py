@@ -209,12 +209,13 @@ class TestPopulationState:
         with pytest.raises(InvalidStateError):
             PopulationState(-1.0, 0.0, 0.0)
 
-    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
     @pytest.mark.parametrize("index", [0, 1, 2])
     def test_count_message_names_the_component(self, index, bad):
         counts = [1.0, 1.0, 1.0]
         counts[index] = bad
-        with pytest.raises(InvalidStateError, match=f"^y{index} must be >= 0, got {bad}$"):
+        rule = "be finite" if bad == math.inf else "be >= 0"
+        with pytest.raises(InvalidStateError, match=f"^y{index} must {rule}, got {bad}$"):
             PopulationState(*counts)
 
     def test_rejects_negative_pulse_count(self):

@@ -23,21 +23,38 @@ from .conftest import pulse_power
 counts = st.floats(min_value=0.0, max_value=1e12, allow_nan=False, allow_subnormal=False)
 
 
+UNIT_STATES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
+def dense(op):
+    """The paper's radiotherapy matrix [[S-Q,0,0],[Q,S-P,0],[0,P,S]], written out
+    here as the oracle for the product apply_pulse writes out."""
+    s, q, p = op.s, op.q, op.p
+    return ((s - q, 0.0, 0.0), (q, s - p, 0.0), (0.0, p, s))
+
+
 def matvec(m, y):
     """Generic dense matrix-vector product, the oracle for hand layouts."""
     return tuple(sum(row[j] * y[j] for j in range(3)) for row in m)
 
 
+def pulse_columns(op):
+    """The operator apply_pulse applies, row-major: column j is the pulse of e_j."""
+    pulsed = [apply_pulse(op, PopulationState(*e)) for e in UNIT_STATES]
+    return tuple(zip(*((out.y0, out.y1, out.y2) for out in pulsed)))
+
+
 class TestOperator:
     def test_matrix_layout(self):
         op = RadiationOperator(s=0.5, q=0.1, p=0.2)
-        m = op.matrix()
+        m = pulse_columns(op)
+        assert m == dense(op)
         assert m[0] == pytest.approx((0.4, 0.0, 0.0), abs=1e-15)
         assert m[1] == pytest.approx((0.1, 0.3, 0.0), abs=1e-15)
         assert m[2] == pytest.approx((0.0, 0.2, 0.5), abs=1e-15)
 
     def test_zero_transfer_is_pure_scaling_matrix(self):
-        m = RadiationOperator(s=0.5, q=0.0, p=0.0).matrix()
+        m = pulse_columns(RadiationOperator(s=0.5, q=0.0, p=0.0))
         assert m == ((0.5, 0.0, 0.0), (0.0, 0.5, 0.0), (0.0, 0.0, 0.5))
 
     def test_built_from_params(self):
@@ -68,10 +85,8 @@ class TestOperator:
     )
     def test_columns_sum_to_survival(self, s, qf, pf):
         op = RadiationOperator(s=s, q=s * qf, p=s * pf)
-        m = op.matrix()
-        for j in range(3):
-            col = m[0][j] + m[1][j] + m[2][j]
-            assert col == pytest.approx(s, rel=1e-12)
+        for e in UNIT_STATES:
+            assert apply_pulse(op, PopulationState(*e)).total() == pytest.approx(s, rel=1e-12)
 
 
 class TestApplyPulse:
@@ -86,7 +101,7 @@ class TestApplyPulse:
         out = apply_pulse(op, state)
         assert (out.y0, out.y1, out.y2) == pytest.approx((40.0, 40.0, 70.0), rel=1e-12)
         assert out.total() == pytest.approx(150.0, rel=1e-12)
-        oracle = matvec(op.matrix(), (100.0, 100.0, 100.0))
+        oracle = matvec(dense(op), (100.0, 100.0, 100.0))
         assert (out.y0, out.y1, out.y2) == pytest.approx(oracle, rel=1e-12)
 
     def test_matches_reference_table_day_two(self, golden):

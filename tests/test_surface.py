@@ -1,0 +1,49 @@
+"""Every function, class and method the package defines has a caller in the
+package. A definition that only tests or the __init__ re-export name is a path
+no package caller takes; it should go, or be called."""
+
+from __future__ import annotations
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+import repopsim
+
+PACKAGE = Path(repopsim.__file__).parent
+DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
+DUNDER = re.compile(r"__\w+__")
+
+
+def referenced_names(tree: ast.AST) -> Counter:
+    """Names read as a bare name or as an attribute anywhere in tree. Strings,
+    docstrings and import lists are not Name or Attribute nodes, so they do not
+    count."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+    return names
+
+
+def test_every_definition_has_a_package_caller():
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")
+    }
+    # A re-export in __init__ makes a name public; it does not call it.
+    references = sum(
+        (referenced_names(tree) for name, tree in trees.items() if name != "__init__.py"),
+        Counter(),
+    )
+    uncalled = []
+    for file, tree in sorted(trees.items()):
+        for node in ast.walk(tree):
+            if not isinstance(node, DEFINITIONS) or DUNDER.fullmatch(node.name):
+                continue  # the language calls a dunder
+            # A call from inside its own body, such as recursion, is not a caller.
+            if references[node.name] - referenced_names(node)[node.name] <= 0:
+                uncalled.append(f"{file}:{node.lineno} {node.name}")
+    assert uncalled == []
