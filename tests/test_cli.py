@@ -610,21 +610,37 @@ class TestCheck:
         bad.write_text("{", encoding="utf-8")
         assert cli_main(["check", "--config", str(bad)]) == EXIT_VALIDATION
 
-    def test_a_pulse_that_loses_cells_fails_the_column_sums(self, capsys, monkeypatch):
-        # The line measures the pulse the engine applies, so a lossy apply_pulse fails it.
-        def lossy(op, state, integer_rounding=False):
+    @pytest.mark.parametrize("scale", [1 - 1e-9, 1 + 1e-9], ids=["loses-cells", "gains-cells"])
+    def test_a_pulse_that_moves_the_total_fails_the_column_sums(self, capsys, monkeypatch, scale):
+        # The line measures the pulse the engine applies, so an apply_pulse that
+        # loses or makes cells fails it, whichever way the total moves.
+        def scaled(op, state, integer_rounding=False):
             out = apply_pulse(op, state, integer_rounding)
-            scale = 1 - 1e-9
             return PopulationState(out.y0 * scale, out.y1 * scale, out.y2 * scale)
 
-        monkeypatch.setattr(cli, "apply_pulse", lossy)
+        monkeypatch.setattr(cli, "apply_pulse", scaled)
         assert cli_main(["check", "--config", MIXING_PATH]) == EXIT_VALIDATION
         assert "FAIL operator-column-sums: " in capsys.readouterr().out
 
-    def test_a_corrupt_bundled_table_is_validation_error(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda data: data + b"\n",
+            # One digit off: the table still parses, and only the checksum sees it.
+            lambda data: data.replace(b"371270035", b"371270036", 1),
+            lambda data: data[:-1],
+            lambda data: b"",
+        ],
+        ids=["byte-added", "digit-changed", "byte-removed", "empty"],
+    )
+    def test_a_corrupt_bundled_table_is_validation_error(
+        self, tmp_path, capsys, monkeypatch, corrupt
+    ):
         data = resources.files("repopsim").joinpath("data/reference_course.psv").read_bytes()
+        changed = corrupt(data)
+        assert changed != data
         (tmp_path / "data").mkdir()
-        (tmp_path / "data" / "reference_course.psv").write_bytes(data + b"\n")
+        (tmp_path / "data" / "reference_course.psv").write_bytes(changed)
         bundled = SimpleNamespace(files=lambda package: tmp_path)
         monkeypatch.setattr(repopsim_io, "resources", bundled)
         with pytest.raises(SchemaError, match="^bundled reference table checksum mismatch: "):

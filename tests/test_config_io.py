@@ -204,6 +204,32 @@ class TestTrajectoryFiles:
             read_trajectory(path)
         assert str(info.value) == f"{path}: line 3: unknown phase 'bogus'"
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"\xff\xfe", "{path}: not UTF-8 text: "),
+            (
+                TRAJECTORY_HEADER + "\n1,initial,abc,2,3,0,0,0,0,0,6\n",
+                "{path}: line 2: 'abc' is not a number: '1,initial,abc,2,3,0,0,0,0,0,6'",
+            ),
+            (
+                TRAJECTORY_HEADER + "\n1.5,initial,1,2,3,0,0,0,0,0,6\n",
+                "{path}: line 2: '1.5' is not an integer: '1.5,initial,1,2,3,0,0,0,0,0,6'",
+            ),
+        ],
+        ids=["not-utf8", "not-a-number", "day-not-an-integer"],
+    )
+    def test_unreadable_file_names_file_and_line(self, tmp_path, content, message):
+        # The full message, quoted line included, which the prefix checks above leave open.
+        path = tmp_path / "bad.csv"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content, encoding="utf-8")
+        with pytest.raises(SchemaError) as info:
+            read_trajectory(path)
+        assert str(info.value).startswith(message.format(path=path))
+
 
 class TestDiffAndSweepFiles:
     def test_self_diff_writes_zero_column(self, course_zero, tmp_path):
