@@ -24,7 +24,7 @@ from .core import (
     PopulationState,
     fractions_to_counts,
     psi,
-    snap_count,
+    snap_counts,
     survival_fraction,
     v2_of,
 )
@@ -37,12 +37,7 @@ from .errors import (
     SchemaError,
     SimulationError,
 )
-from .growth import (
-    GrowthStep,
-    apply_division,
-    growth_day_detail,
-    integrate_growth,
-)
+from .growth import apply_division, growth_day_detail, integrate_growth
 from .io import (
     load_reference_table,
     read_trajectory,

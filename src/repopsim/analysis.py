@@ -120,14 +120,14 @@ def compare_to_golden(
     golden: tuple[GoldenRow, ...],
     tolerance: float,
     days: tuple[int, int],
-    columns: tuple[str, ...] = _GOLDEN_COLUMNS,
+    columns: tuple[str, ...],
 ) -> ComparisonReport:
     """Cell-by-cell comparison of a trajectory against a reference table.
 
     The error metric |actual - expected| / max(|actual|, |expected|) is
     symmetric in its arguments. Only reference rows within the inclusive day
-    range are compared, optionally on a subset of the columns; reference rows
-    with no matching trajectory record are skipped and counted.
+    range are compared, on the named columns (of y0, y1, y2 and velocity);
+    reference rows with no matching trajectory record are skipped and counted.
 
     Raises:
         ConfigError: if a requested column is not part of the table schema.

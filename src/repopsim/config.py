@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .core import PARAM_TABLE, PULSE_COUNT, ModelParams, ParamRow, PopulationState
-from .core import check_simplex, fractions_to_counts, snap_count
+from .core import check_simplex, fractions_to_counts, snap_counts
 from .errors import ConfigError, InvalidParameterError, InvalidStateError, quote
 
 _KNOWN_KEYS = frozenset(PARAM_TABLE) | {
@@ -95,7 +95,7 @@ def parse_config(text: str) -> RunConfig:
             if not math.isfinite(counts[0] + counts[1] + counts[2]):
                 raise ConfigError(f"initial_counts must have a finite total, got {counts}")
             if params.integer_rounding:
-                counts = tuple(snap_count(c) for c in counts)
+                counts = snap_counts(counts)
         elif has_split:
             if "initial_total" not in raw or "initial_fractions" not in raw:
                 raise ConfigError("initial_total and initial_fractions must be given together")

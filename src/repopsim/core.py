@@ -3,9 +3,10 @@
 The population is split into three fractions: a slow compartment, a middle
 compartment, and a fast compartment whose velocity is damped by accumulated
 radiation pulses. Every function here is pure. ModelParams, built once per
-course, is a frozen dataclass. PopulationState, built once per pulse and
-growth day, is a slotted dataclass: cheaper to build, but mutable and
-unhashable. Nothing in the package mutates one after it is built.
+course, is a frozen dataclass. PopulationState, a course's validated starting
+point, is a slotted dataclass: mutable and unhashable, but nothing in the
+package mutates one after it is built. Within a course, counts travel as plain
+(y0, y1, y2) float triples.
 """
 
 from __future__ import annotations
@@ -13,9 +14,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import InvalidParameterError, InvalidStateError, digit_count, quote
+
+# The (y0, y1, y2) cell counts, or the (x0, x1, x2) fractions, of the three compartments.
+Triple = tuple[float, float, float]
 
 # Record phases within a simulated course.
 INITIAL = "initial"
@@ -27,6 +32,9 @@ PHASES = (INITIAL, POST_GROWTH, POST_RADIATION)
 SIMPLEX_TOL = 1e-9
 # The largest float as an integer: PULSE_COUNT rejects a count above it as too large.
 _INT_MAX = int(sys.float_info.max)
+# The largest float. Each entry taking cell counts compares them with 0.0 and COUNT_MAX,
+# float to float, cheaper than int to float, and calls check_counts only if one fails.
+COUNT_MAX = sys.float_info.max
 
 # Length of the growth interval closing each course day (days), and the least
 # ode_step a config may set (days); the step is range-checked and changes nothing.
@@ -95,7 +103,20 @@ def check_transfer(name: str, value: object, s: float) -> None:
     ParamRow(float, 0, s).check(name, value)
 
 
-def check_simplex(name: str, x: tuple[float, float, float]) -> None:
+def check_counts(counts: Triple) -> None:
+    """Reject a negative, NaN or infinite cell count, or an integer one too
+    large for a float, naming its component y0, y1 or y2."""
+    for name, value in zip(("y0", "y1", "y2"), counts):
+        if isinstance(value, int) and abs(value) > COUNT_MAX:
+            digits = f"{digit_count(value)} digits"
+            raise InvalidStateError(f"{name} is too large, got an integer of {digits}")
+        if not value >= 0:
+            raise InvalidStateError(f"{name} must be >= 0, got {value}")
+        if value == math.inf:
+            raise InvalidStateError(f"{name} must be finite, got {value}")
+
+
+def check_simplex(name: str, x: Triple) -> None:
     """Reject a fraction triple with a negative or NaN component, or whose sum
     is more than SIMPLEX_TOL from 1."""
     x0, x1, x2 = x
@@ -150,10 +171,19 @@ class ModelParams:
                 f"finite, got a={quote(self.a)}, v1={quote(self.v1)}, theta={quote(self.theta)}"
             )
 
+    @cached_property
+    def pulse_losses(self) -> tuple[float, float]:
+        """psi's exponent loss per delivered pulse, indexed by `treatment`:
+        sqrt(Q'^2 + P'^2) on a weekend day, sqrt(Q^2 + P^2)*d + sqrt(Q'^2 + P'^2)*d^2
+        on a treatment day. Computed on first use, so once per course, not per day."""
+        d = self.dose
+        per_division = math.hypot(self.q_mix, self.p_mix)
+        return per_division, math.hypot(self.q_rad, self.p_rad) * d + per_division * d * d
+
 
 @dataclass(slots=True)
 class PopulationState:
-    """Cell counts of the three fractions at one instant of a course."""
+    """A course's validated start: the three fractions' cell counts and the pulses delivered."""
 
     y0: float  # slow-fraction cell count
     y1: float  # middle-fraction cell count
@@ -162,13 +192,8 @@ class PopulationState:
 
     def __post_init__(self) -> None:
         y0, y1, y2 = self.y0, self.y1, self.y2
-        # Float bounds keep each comparison float to float, cheaper than int to float.
-        if not (0.0 <= y0 < math.inf and 0.0 <= y1 < math.inf and 0.0 <= y2 < math.inf):
-            for name, value in (("y0", y0), ("y1", y1), ("y2", y2)):
-                if not value >= 0:
-                    raise InvalidStateError(f"{name} must be >= 0, got {value}")
-                if value == math.inf:
-                    raise InvalidStateError(f"{name} must be finite, got {value}")
+        if not (0.0 <= y0 <= COUNT_MAX and 0.0 <= y1 <= COUNT_MAX and 0.0 <= y2 <= COUNT_MAX):
+            check_counts((y0, y1, y2))
         n = self.pulses_delivered
         if not (type(n) is int and 0 <= n <= _INT_MAX):
             PULSE_COUNT.check("pulses_delivered", n)
@@ -190,10 +215,8 @@ def survival_fraction(params: ModelParams) -> float:
 def psi(params: ModelParams, pulses: int, treatment: bool) -> float:
     """Damping factor for the fast-fraction velocity after `pulses` pulses.
 
-    On a treatment day the exponent subtracts
-    pulses * (sqrt(Q^2 + P^2)*d + sqrt(Q'^2 + P'^2)*d^2); on a weekend day it
-    subtracts pulses * sqrt(Q'^2 + P'^2). Strictly positive, nonincreasing in
-    the pulse count.
+    The exponent is theta - pulses * params.pulse_losses[treatment]. Strictly
+    positive, nonincreasing in the pulse count.
 
     Args:
         pulses: radiation pulses delivered so far.
@@ -205,16 +228,9 @@ def psi(params: ModelParams, pulses: int, treatment: bool) -> float:
     """
     if not (type(pulses) is int and 0 <= pulses <= _INT_MAX):
         PULSE_COUNT.check("pulses", pulses)
-    if treatment is True:
-        d = params.dose
-        per_pulse = math.hypot(params.q_rad, params.p_rad) * d
-        per_division = math.hypot(params.q_mix, params.p_mix) * d * d
-        subtrahend = pulses * (per_pulse + per_division)
-    elif treatment is False:
-        subtrahend = pulses * math.hypot(params.q_mix, params.p_mix)
-    else:  # not a bool: a string such as "weekend" would otherwise read as True
+    if treatment is not True and treatment is not False:  # only a bool may pick a day's loss
         ParamRow(bool).check("treatment", treatment)
-    return math.exp(params.theta - subtrahend)
+    return math.exp(params.theta - pulses * params.pulse_losses[treatment])
 
 
 def v2_of(params: ModelParams, pulses: int, treatment: bool) -> float:
@@ -223,16 +239,18 @@ def v2_of(params: ModelParams, pulses: int, treatment: bool) -> float:
     return params.a * params.v1 * psi(params, pulses, treatment)
 
 
-def snap_count(value: float) -> float:
-    """Nearest whole cell count, ties away from zero, floored at zero."""
-    if value <= 0:
-        return 0.0
-    return float(math.floor(value + 0.5))
+def snap_counts(counts: Triple) -> Triple:
+    """Each count snapped to the nearest whole cell, ties away from zero, floored at zero."""
+    y0, y1, y2 = counts
+    # (y + 0.5) // 1.0 is floor(y + 0.5) as a float, with no round trip through an int.
+    return (
+        0.0 if y0 <= 0 else (y0 + 0.5) // 1.0,
+        0.0 if y1 <= 0 else (y1 + 0.5) // 1.0,
+        0.0 if y2 <= 0 else (y2 + 0.5) // 1.0,
+    )
 
 
-def fractions_to_counts(
-    x: tuple[float, float, float], total: float, integer_rounding: bool
-) -> tuple[float, float, float]:
+def fractions_to_counts(x: Triple, total: float, integer_rounding: bool) -> Triple:
     """Counts obtained by spreading `total` cells over the fraction triple.
 
     Each component is rounded independently to the nearest whole cell (ties
@@ -250,6 +268,4 @@ def fractions_to_counts(
         check_simplex("x", x)
         raise InvalidStateError(f"total must be >= 0, got {total}")
     counts = (x0 * total, x1 * total, x2 * total)
-    if integer_rounding:
-        counts = (snap_count(counts[0]), snap_count(counts[1]), snap_count(counts[2]))
-    return counts
+    return snap_counts(counts) if integer_rounding else counts

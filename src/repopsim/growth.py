@@ -10,17 +10,9 @@ compartment divides by the factor 2^(v_i * dt).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import (
-    GROWTH_INTERVAL,
-    PARAM_TABLE,
-    ModelParams,
-    ParamRow,
-    PopulationState,
-    fractions_to_counts,
-    snap_count,
-)
+from .core import COUNT_MAX, GROWTH_INTERVAL, PARAM_TABLE, ModelParams, ParamRow, Triple
+from .core import check_counts, fractions_to_counts, snap_counts
 from .errors import InvalidParameterError, InvalidStateError, NumericInstabilityError
 
 # The kinds of mixing rate that skip the parameter table's kind check; a bool
@@ -32,7 +24,6 @@ _DURATION = ParamRow(float, 0, strict=True)
 # from its series; past it, dividing by the spread loses at most a few units.
 _SERIES_SPREAD = 0.5
 
-Triple = tuple[float, float, float]
 # (v0, v1, v2, q_mix, p_mix): the velocities and mutation rates of one growth interval.
 Rates = tuple[float, float, float, float, float]
 
@@ -114,17 +105,23 @@ def _first_difference(a: float, ea: float, b: float, eb: float) -> float:
 def _second_difference(a: float, ea: float, b: float, eb: float, c: float, ec: float) -> float:
     """f[a, b, c] of exp from the three exponentials, for a, b, c <= 0.
 
-    Sorted as s0 <= s1 <= s2 with spread w = s2 - s0, it is exp(s0) times
-    sum_k h_k(s1 - s0, w) / (k + 2)! up to _SERIES_SPREAD, h_k being the
+    Ordered as a <= b <= c with spread w = c - a, it is exp(a) times
+    sum_k h_k(b - a, w) / (k + 2)! up to _SERIES_SPREAD, h_k being the
     complete homogeneous polynomial of degree k: no term is negative, so
     nothing cancels and equal points need no case of their own. A wider
     spread divides the difference of the adjacent first differences by w.
+    Equal points carry equal exponentials, so how ties are ordered is moot.
     """
-    (s0, e0), (s1, e1), (s2, e2) = sorted(((a, ea), (b, eb), (c, ec)))
-    w = s2 - s0
+    if a > b:
+        a, ea, b, eb = b, eb, a, ea
+    if b > c:
+        b, eb, c, ec = c, ec, b, eb
+        if a > b:
+            a, ea, b, eb = b, eb, a, ea
+    w = c - a
     if w > _SERIES_SPREAD:
-        return (_first_difference(s1, e1, s2, e2) - _first_difference(s0, e0, s1, e1)) / w
-    u = s1 - s0
+        return (_first_difference(b, eb, c, ec) - _first_difference(a, ea, b, eb)) / w
+    u = b - a
     # term is h_k(u, w) / (k + 2)! and power is w**k / (k + 2)!, from k = 0.
     term = power = total = 0.5
     n = 2
@@ -133,7 +130,7 @@ def _second_difference(a: float, ea: float, b: float, eb: float, c: float, ec: f
         power = power * w / n
         term = u * term / n + power
         total += term
-    return e0 * total
+    return ea * total
 
 
 def _check_velocities(v: Triple) -> None:
@@ -169,31 +166,28 @@ def apply_division(
         raise NumericInstabilityError(
             f"cell counts overflow dividing for {duration} days at velocities {(v0, v1, v2)}"
         )
-    if integer_rounding:
-        return snap_count(y0), snap_count(y1), snap_count(y2)
-    return y0, y1, y2
+    counts = (y0, y1, y2)
+    return snap_counts(counts) if integer_rounding else counts
 
 
-@dataclass(slots=True)
-class GrowthStep:
-    """Outcome of one growth interval, with its simplex diagnostics."""
-
-    state: PopulationState  # post-division population
-    phi: float  # mean velocity at the end of the mixing stage
-    drift: float  # |sum(x) - 1| at the mixing endpoint
-
-
-def growth_day_detail(state: PopulationState, params: ModelParams, v2: float) -> GrowthStep:
-    """One growth interval with the recorded mean velocity and diagnostics.
+def growth_day_detail(
+    counts: Triple, params: ModelParams, v2: float
+) -> tuple[Triple, float, float]:
+    """One growth interval of the (y0, y1, y2) counts, returned as the divided
+    counts, the mean velocity phi at the mixing endpoint and that endpoint's
+    drift |sum(x) - 1| from the simplex.
 
     Stages: evolve the fractions under the velocities (params.v0, params.v1,
     v2), with v2 frozen for the interval, rebuild counts from the endpoint,
-    whose distance from the simplex is reported as `drift`, then divide.
+    then divide.
 
     Raises:
-        InvalidStateError: for an empty population.
+        InvalidStateError: for a count check_counts rejects, or an empty
+            population.
     """
-    y0, y1, y2 = state.y0, state.y1, state.y2
+    y0, y1, y2 = counts
+    if not (0.0 <= y0 <= COUNT_MAX and 0.0 <= y1 <= COUNT_MAX and 0.0 <= y2 <= COUNT_MAX):
+        check_counts(counts)
     total = y0 + y1 + y2
     if total == 0:
         raise InvalidStateError("cannot grow an empty population")
@@ -201,8 +195,7 @@ def growth_day_detail(state: PopulationState, params: ModelParams, v2: float) ->
     x = (y0 / total, y1 / total, y2 / total)
     rates = (v0, v1, v2, params.q_mix, params.p_mix)
     x_end = integrate_growth(rates, x, GROWTH_INTERVAL, params.ode_step)
-    drift = abs(x_end[0] + x_end[1] + x_end[2] - 1.0)
+    x0, x1, x2 = x_end
     counts = fractions_to_counts(x_end, total, params.integer_rounding)
-    phi = v0 * x_end[0] + v1 * x_end[1] + v2 * x_end[2]
     divided = apply_division(counts, (v0, v1, v2), GROWTH_INTERVAL, params.integer_rounding)
-    return GrowthStep(PopulationState(*divided, state.pulses_delivered), phi, drift)
+    return divided, v0 * x0 + v1 * x1 + v2 * x2, abs(x0 + x1 + x2 - 1.0)

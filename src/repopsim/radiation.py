@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ModelParams, PopulationState, check_transfer, snap_count, survival_fraction
+from .core import COUNT_MAX, ModelParams, Triple, check_counts, check_transfer, snap_counts
+from .core import survival_fraction
 from .errors import InvalidParameterError
 
 
@@ -40,17 +41,20 @@ def build_radiation_operator(params: ModelParams) -> RadiationOperator:
     return RadiationOperator(survival_fraction(params), params.q_rad, params.p_rad)
 
 
-def apply_pulse(
-    op: RadiationOperator, state: PopulationState, integer_rounding: bool = False
-) -> PopulationState:
-    """One radiation pulse applied to the population.
+def apply_pulse(op: RadiationOperator, counts: Triple, integer_rounding: bool = False) -> Triple:
+    """The (y0, y1, y2) counts after one radiation pulse.
 
     The continuous product multiplies the total count by exactly S; with
     integer_rounding on, each component is snapped to whole cells afterwards.
+
+    Raises:
+        InvalidStateError: for a count check_counts rejects, given or pulsed.
     """
-    y0 = state.y0 * (op.s - op.q)
-    y1 = state.y0 * op.q + state.y1 * (op.s - op.p)
-    y2 = state.y1 * op.p + state.y2 * op.s
-    if integer_rounding:
-        y0, y1, y2 = snap_count(y0), snap_count(y1), snap_count(y2)
-    return PopulationState(y0, y1, y2, state.pulses_delivered + 1)
+    y0, y1, y2 = counts
+    if not (0.0 <= y0 <= COUNT_MAX and 0.0 <= y1 <= COUNT_MAX and 0.0 <= y2 <= COUNT_MAX):
+        check_counts(counts)
+    s, q, p = op.s, op.q, op.p
+    counts = (y0 * (s - q), y0 * q + y1 * (s - p), y1 * p + y2 * s)
+    if not (counts[1] <= COUNT_MAX and counts[2] <= COUNT_MAX):  # a sum of two may overflow
+        check_counts(counts)
+    return snap_counts(counts) if integer_rounding else counts

@@ -12,6 +12,7 @@ week emits 2 * pulses_per_week + weekend_days records.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .core import INITIAL, POST_GROWTH, POST_RADIATION, ModelParams, PopulationState, v2_of
@@ -64,25 +65,37 @@ class Trajectory:
         return self.records[-1]
 
 
-def _make_record(
-    day: int, phase: str, state: PopulationState, phi: float, v2: float
-) -> TrajectoryRecord:
-    y0, y1, y2 = state.y0, state.y1, state.y2
-    total = y0 + y1 + y2
-    if total == 0:
-        return TrajectoryRecord(day, phase, y0, y1, y2, 0.0, 0.0, 0.0, phi, v2, total)
-    return TrajectoryRecord(
-        day, phase, y0, y1, y2, y0 / total, y1 / total, y2 / total, phi, v2, total
-    )
-
-
-def _extinct(state: PopulationState, rounding: bool, day: int) -> bool:
+def _extinct(total: float, rounding: bool, day: int) -> bool:
     """Whether a total below one cell on `day` ends the course, as it does in
     integer mode; a real-valued total of zero, with no fractions left to grow,
     raises NumericInstabilityError."""
-    if not rounding and state.total() == 0:
+    if not rounding and total == 0:
         raise NumericInstabilityError(f"real-valued cell counts underflow to zero on day {day}")
     return rounding
+
+
+def _stages(params: ModelParams, initial: PopulationState) -> Iterator[tuple]:
+    """The course's states in record order, as (day, phase, counts, phi, v2,
+    drift): drift is the growth day's, and 0 for the other phases."""
+    op = build_radiation_operator(params)
+    rounding = params.integer_rounding
+    week = params.pulses_per_week + params.weekend_days
+    counts = (initial.y0, initial.y1, initial.y2)
+    pulses = initial.pulses_delivered
+    phi = 0.0
+    yield 1, INITIAL, counts, phi, v2_of(params, pulses, params.pulses_per_week > 0), 0.0
+    for day in range(1, params.weeks * week + 1):
+        treatment = (day - 1) % week < params.pulses_per_week
+        pulsed = treatment and day > 1
+        if pulsed:
+            counts = apply_pulse(op, counts, rounding)
+            pulses += 1
+        # One v2 a day, shared by its records and its growth.
+        v2 = v2_of(params, pulses, treatment)
+        if pulsed:
+            yield day, POST_RADIATION, counts, phi, v2, 0.0
+        counts, phi, drift = growth_day_detail(counts, params, v2)
+        yield day, POST_GROWTH, counts, phi, v2, drift
 
 
 def simulate_course(params: ModelParams, initial: PopulationState) -> Trajectory:
@@ -90,8 +103,8 @@ def simulate_course(params: ModelParams, initial: PopulationState) -> Trajectory
 
     Emits the initial record, then walks the params.weeks weeks of the
     course shape (see the module docstring) day by day. In integer mode a
-    total below one cell after any record ends the course early and marks
-    the trajectory extinct.
+    total below one cell after any record but the initial one ends the course
+    early and marks the trajectory extinct.
 
     Raises:
         InvalidStateError: if the initial population is empty.
@@ -99,32 +112,20 @@ def simulate_course(params: ModelParams, initial: PopulationState) -> Trajectory
     """
     if not initial.total() > 0:
         raise InvalidStateError("initial population must have a positive total")
-    op = build_radiation_operator(params)
     rounding = params.integer_rounding
-    week = params.pulses_per_week + params.weekend_days
-    v2 = v2_of(params, initial.pulses_delivered, params.pulses_per_week > 0)
-    records = [_make_record(1, INITIAL, initial, 0.0, v2)]
+    records = []
     max_drift = 0.0
     extinction_day: int | None = None
-    state = initial
-    phi = 0.0
-    for day in range(1, params.weeks * week + 1):
-        treatment = (day - 1) % week < params.pulses_per_week
-        pulsed = treatment and day > 1
-        if pulsed:
-            state = apply_pulse(op, state, rounding)
-        # One v2 a day, shared by its records and its growth.
-        v2 = v2_of(params, state.pulses_delivered, treatment)
-        if pulsed:
-            records.append(_make_record(day, POST_RADIATION, state, phi, v2))
-            if state.total() < 1 and _extinct(state, rounding, day):
-                extinction_day = day
-                break
-        step = growth_day_detail(state, params, v2)
-        state, phi = step.state, step.phi
-        max_drift = max(max_drift, step.drift)
-        records.append(_make_record(day, POST_GROWTH, state, phi, v2))
-        if state.total() < 1 and _extinct(state, rounding, day):
+    for day, phase, (y0, y1, y2), phi, v2, drift in _stages(params, initial):
+        if drift > max_drift:
+            max_drift = drift
+        total = y0 + y1 + y2
+        if total:
+            x0, x1, x2 = y0 / total, y1 / total, y2 / total
+        else:
+            x0 = x1 = x2 = 0.0
+        records.append(TrajectoryRecord(day, phase, y0, y1, y2, x0, x1, x2, phi, v2, total))
+        if total < 1 and phase is not INITIAL and _extinct(total, rounding, day):
             extinction_day = day
             break
 

@@ -72,11 +72,11 @@ def mean_velocity(x: tuple[float, float, float], v: tuple[float, float, float]) 
     return v[0] * x[0] + v[1] * x[1] + v[2] * x[2]
 
 
-def pulse_power(op, n: int, state: PopulationState, integer_rounding: bool = False):
-    """n successive pulses; n = 0 returns the state unchanged."""
+def pulse_power(op, n: int, counts, integer_rounding: bool = False):
+    """The counts after n successive pulses; n = 0 returns them unchanged."""
     for _ in range(n):
-        state = apply_pulse(op, state, integer_rounding)
-    return state
+        counts = apply_pulse(op, counts, integer_rounding)
+    return counts
 
 
 def euler_mix(

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from repopsim import (
     ModelParams,
-    PopulationState,
     RadiationOperator,
     apply_division,
     apply_pulse,
@@ -56,9 +55,9 @@ def test_criterion_01_lq_identity_over_30_pulses(qf, pf):
     # Build the operator directly so q and p range over the full valid band.
     op = RadiationOperator(s=s, q=s * qf, p=s * pf)
     n0 = 1e9
-    final = pulse_power(op, 30, PopulationState(0.3 * n0, 0.5 * n0, 0.2 * n0))
+    final = pulse_power(op, 30, (0.3 * n0, 0.5 * n0, 0.2 * n0))
     expected = n0 * math.exp(-14.4)
-    assert abs(final.total() - expected) / expected <= 1e-12
+    assert abs(sum(final) - expected) / expected <= 1e-12
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -66,13 +65,12 @@ def test_criterion_01_lq_identity_over_30_pulses(qf, pf):
 def test_criterion_02_each_pulse_scales_total_by_survival(y0, y1, y2, qf, pf):
     s = survival_fraction(ModelParams())
     op = RadiationOperator(s=s, q=s * qf, p=s * pf)
-    state = PopulationState(y0, y1, y2)
-    out = apply_pulse(op, state)
-    expected = state.total() * s
+    out = apply_pulse(op, (y0, y1, y2))
+    expected = (y0 + y1 + y2) * s
     if expected == 0.0:
-        assert out.total() == 0.0
+        assert sum(out) == 0.0
     else:
-        assert abs(out.total() - expected) / expected <= 1e-12
+        assert abs(sum(out) - expected) / expected <= 1e-12
 
 
 def test_criterion_03_simplex_preserved_over_six_week_course():
@@ -137,13 +135,14 @@ def test_criterion_08_one_week_equals_hand_composed_operators(course_zero):
     params = ModelParams(weeks=REFERENCE_WEEKS)
     op = build_radiation_operator(params)
     start = record(course_zero, 5, "post_growth")
-    state = PopulationState(start.y0, start.y1, start.y2, pulses_delivered=5)
+    counts = (start.y0, start.y1, start.y2)
+    pulses = 5
     previous_phi = start.phi
 
-    def grow(state, treatment):
-        total = state.total()
-        x = (state.y0 / total, state.y1 / total, state.y2 / total)
-        v = (params.v0, params.v1, v2_of(params, state.pulses_delivered, treatment))
+    def grow(counts, pulses, treatment):
+        total = counts[0] + counts[1] + counts[2]
+        x = (counts[0] / total, counts[1] / total, counts[2] / total)
+        v = (params.v0, params.v1, v2_of(params, pulses, treatment))
         rates = (*v, params.q_mix, params.p_mix)
         x_end = integrate_growth(rates, x, 1.0, params.ode_step)
         if abs(x_end[0] + x_end[1] + x_end[2] - 1.0) > 1e-12:
@@ -151,35 +150,33 @@ def test_criterion_08_one_week_equals_hand_composed_operators(course_zero):
             x_end = (x_end[0] / norm, x_end[1] / norm, x_end[2] / norm)
         phi = mean_velocity(x_end, v)
         mixed = fractions_to_counts(x_end, total, params.integer_rounding)
-        grown = PopulationState(
-            mixed[0], mixed[1], mixed[2], pulses_delivered=state.pulses_delivered
-        )
-        divided = apply_division((grown.y0, grown.y1, grown.y2), v, 1.0, params.integer_rounding)
-        return PopulationState(*divided, grown.pulses_delivered), phi, v[2]
+        divided = apply_division(mixed, v, 1.0, params.integer_rounding)
+        return divided, phi, v[2]
 
-    def assert_matches(rec, state, phi, v2):
-        assert (rec.y0, rec.y1, rec.y2) == (state.y0, state.y1, state.y2)
-        assert rec.total == state.total()
-        total = state.total()
+    def assert_matches(rec, counts, phi, v2):
+        assert (rec.y0, rec.y1, rec.y2) == counts
+        total = counts[0] + counts[1] + counts[2]
+        assert rec.total == total
         assert (rec.x0, rec.x1, rec.x2) == (
-            state.y0 / total,
-            state.y1 / total,
-            state.y2 / total,
+            counts[0] / total,
+            counts[1] / total,
+            counts[2] / total,
         )
         assert rec.phi == phi
         assert rec.v2 == v2
 
     for day in (6, 7):
-        state, previous_phi, v2 = grow(state, False)
-        assert_matches(record(course_zero, day, "post_growth"), state, previous_phi, v2)
+        counts, previous_phi, v2 = grow(counts, pulses, False)
+        assert_matches(record(course_zero, day, "post_growth"), counts, previous_phi, v2)
 
     for day in range(8, 13):
-        state = apply_pulse(op, state, params.integer_rounding)
+        counts = apply_pulse(op, counts, params.integer_rounding)
+        pulses += 1
         rec = record(course_zero, day, "post_radiation")
-        v2_now = v2_of(params, state.pulses_delivered, True)
-        assert_matches(rec, state, previous_phi, v2_now)
-        state, previous_phi, v2 = grow(state, True)
-        assert_matches(record(course_zero, day, "post_growth"), state, previous_phi, v2)
+        v2_now = v2_of(params, pulses, True)
+        assert_matches(rec, counts, previous_phi, v2_now)
+        counts, previous_phi, v2 = grow(counts, pulses, True)
+        assert_matches(record(course_zero, day, "post_growth"), counts, previous_phi, v2)
 
 
 def test_criterion_09_rk4_matches_small_step_euler_oracle():

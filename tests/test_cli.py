@@ -614,9 +614,8 @@ class TestCheck:
     def test_a_pulse_that_moves_the_total_fails_the_column_sums(self, capsys, monkeypatch, scale):
         # The line measures the pulse the engine applies, so an apply_pulse that
         # loses or makes cells fails it, whichever way the total moves.
-        def scaled(op, state, integer_rounding=False):
-            out = apply_pulse(op, state, integer_rounding)
-            return PopulationState(out.y0 * scale, out.y1 * scale, out.y2 * scale)
+        def scaled(op, counts, integer_rounding=False):
+            return tuple(c * scale for c in apply_pulse(op, counts, integer_rounding))
 
         monkeypatch.setattr(cli, "apply_pulse", scaled)
         assert cli_main(["check", "--config", MIXING_PATH]) == EXIT_VALIDATION
@@ -735,11 +734,12 @@ def test_check_subprocess_prints_each_line_once():
     ]
 
 
-def test_importing_the_cli_loads_no_pickling_forking_or_pool_module():
-    # No command forks or pickles, so start-up loads none of these modules.
+def test_importing_the_cli_loads_no_pickling_forking_pool_or_hashing_module():
+    # No command forks or pickles, and only check hashes, which it imports for
+    # itself, so start-up loads none of these modules.
     script = (
         "import sys, repopsim.cli; print([m for m in ('pickle', '_pickle', 'signal', 'traceback',"
-        " 'multiprocessing', 'concurrent.futures') if m in sys.modules])"
+        " 'multiprocessing', 'concurrent.futures', 'hashlib', '_hashlib') if m in sys.modules])"
     )
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=120

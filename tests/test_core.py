@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import fields
 
 import pytest
@@ -18,7 +19,7 @@ from repopsim import (
     PopulationState,
     fractions_to_counts,
     psi,
-    snap_count,
+    snap_counts,
     survival_fraction,
     v2_of,
 )
@@ -218,6 +219,21 @@ class TestPopulationState:
         with pytest.raises(InvalidStateError, match=f"^y{index} must {rule}, got {bad}$"):
             PopulationState(*counts)
 
+    @pytest.mark.parametrize(
+        "bad, digits", [(10**400, 401), (-(10**400), 401), (int(sys.float_info.max) + 1, 309)]
+    )
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_integer_count_too_large_for_a_float(self, index, bad, digits):
+        counts = [1, 1, 1]
+        counts[index] = bad
+        message = f"^y{index} is too large, got an integer of {digits} digits$"
+        with pytest.raises(InvalidStateError, match=message):
+            PopulationState(*counts)
+
+    def test_largest_integer_a_float_holds_is_a_count(self):
+        state = PopulationState(int(sys.float_info.max), 0, 0)
+        assert state.total() == sys.float_info.max
+
     def test_rejects_negative_pulse_count(self):
         with pytest.raises(InvalidParameterError, match="^pulses_delivered must be >= 0, got -1$"):
             PopulationState(1.0, 1.0, 1.0, pulses_delivered=-1)
@@ -310,7 +326,9 @@ class TestRounding:
         ],
     )
     def test_snap_count_half_up_floored_at_zero(self, value, expected):
-        assert snap_count(value) == expected
+        # Each component of the triple snaps on its own.
+        assert snap_counts((value, 1.0, 2.5)) == (expected, 1.0, 3.0)
+        assert snap_counts((0.5, 7.0, value)) == (1.0, 7.0, expected)
 
     def test_reference_initial_split(self):
         counts = fractions_to_counts((0.6, 0.34, 0.06), 618783392.0, integer_rounding=True)
@@ -361,10 +379,10 @@ class TestConstants:
 
 
 _STATE = PopulationState(6.0, 3.0, 1.0)
-# One instance of each type built per growth day, row or compared cell: slotted.
+# The validated start of a course, and one instance of each type built per row
+# or compared cell: slotted.
 _SLOTTED = {
     "PopulationState": _STATE,
-    "GrowthStep": repopsim.GrowthStep(_STATE, 0.01, 0.0),
     "TrajectoryRecord": repopsim.TrajectoryRecord(
         1, "initial", 6.0, 3.0, 1.0, 0.6, 0.3, 0.1, 0.0, 0.08, 10.0
     ),

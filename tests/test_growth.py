@@ -28,6 +28,7 @@ from repopsim import growth
 from repopsim.core import PARAM_TABLE
 
 from .conftest import (
+    REFERENCE_COUNTS,
     decimal_growth_day,
     euler_mix,
     mean_velocity,
@@ -473,26 +474,24 @@ class TestApplyDivision:
 class TestGrowthDay:
     def test_degenerate_parameters_are_identity(self):
         params = ModelParams(v0=0.0, v1=0.0, a=1.0, theta=0.0, integer_rounding=False)
-        state = PopulationState(100.0, 50.0, 25.0)
-        out = growth_day_detail(state, params, v2_of(params, 0, True)).state
-        assert (out.y0, out.y1, out.y2) == pytest.approx((100.0, 50.0, 25.0), rel=1e-12)
+        out, _, _ = growth_day_detail((100.0, 50.0, 25.0), params, v2_of(params, 0, True))
+        assert out == pytest.approx((100.0, 50.0, 25.0), rel=1e-12)
 
     def test_first_reference_day_total(self, golden):
         params = ModelParams(weeks=7)
-        out = growth_day_detail(reference_initial(), params, v2_of(params, 1, True)).state
+        out, _, _ = growth_day_detail(REFERENCE_COUNTS, params, v2_of(params, 1, True))
         row = next(r for r in golden if r.day == 1 and r.phase == "post_growth")
         target = row.y0 + row.y1 + row.y2
         assert target == 625950700.0
-        assert abs(out.total() - target) / target <= 0.005
+        assert abs(sum(out) - target) / target <= 0.005
 
     def test_division_ratio_tracks_mean_velocity(self):
         # Over one day the total multiplies by roughly 2**phi; the gap is
         # only the spread between per-component doubling and the mean rate.
-        start = reference_initial()
         params = ModelParams(weeks=7)
-        detail = growth_day_detail(start, params, v2_of(params, 1, True))
-        ratio = detail.state.total() / start.total()
-        assert ratio == pytest.approx(2.0**detail.phi, rel=1e-3)
+        out, phi, _ = growth_day_detail(REFERENCE_COUNTS, params, v2_of(params, 1, True))
+        ratio = sum(out) / sum(REFERENCE_COUNTS)
+        assert ratio == pytest.approx(2.0**phi, rel=1e-3)
         assert ratio == pytest.approx(625950700.0 / 618783392.0, rel=1e-3)
 
     def test_symmetric_velocities_scale_total_only(self):
@@ -500,24 +499,22 @@ class TestGrowthDay:
             v0=0.02, v1=0.02, a=1.0, theta=0.0, integer_rounding=False
         )
         assert v2_of(params, 0, True) == pytest.approx(0.02, rel=1e-15)
-        state = PopulationState(600.0, 340.0, 60.0)
-        out = growth_day_detail(state, params, v2_of(params, 0, True)).state
+        out, _, _ = growth_day_detail((600.0, 340.0, 60.0), params, v2_of(params, 0, True))
         before = (600.0 / 1000.0, 340.0 / 1000.0, 60.0 / 1000.0)
-        after = (out.y0 / out.total(), out.y1 / out.total(), out.y2 / out.total())
+        after = tuple(c / sum(out) for c in out)
         assert after == pytest.approx(before, abs=1e-9)
-        assert out.total() == pytest.approx(1000.0 * 2.0**0.02, rel=1e-10)
+        assert sum(out) == pytest.approx(1000.0 * 2.0**0.02, rel=1e-10)
 
     def test_detail_reports_phi_and_drift(self):
         params = ModelParams(weeks=7, integer_rounding=False)
         v2 = v2_of(params, 1, True)
-        detail = growth_day_detail(reference_initial(), params, v2)
-        assert detail.drift <= 1e-12
+        out, phi, drift = growth_day_detail(REFERENCE_COUNTS, params, v2)
+        assert drift <= 1e-12
         # phi is the mean velocity of the evolved fractions, before division
         # reweights them.
         v = (params.v0, params.v1, v2)
-        out = detail.state
-        post = (out.y0 / out.total(), out.y1 / out.total(), out.y2 / out.total())
-        assert detail.phi == pytest.approx(mean_velocity(post, v), rel=0.02)
+        post = tuple(c / sum(out) for c in out)
+        assert phi == pytest.approx(mean_velocity(post, v), rel=0.02)
 
     def test_drifted_endpoint_is_reported_and_not_reprojected(self, monkeypatch):
         # Zero velocities make division the identity, so the counts are the
@@ -527,15 +524,12 @@ class TestGrowthDay:
             "repopsim.growth.integrate_growth", lambda rates, x, duration, step: raw
         )
         params = ModelParams(v0=0.0, v1=0.0, integer_rounding=False)
-        detail = growth_day_detail(
-            PopulationState(600.0, 300.0, 100.0), params, v2_of(params, 0, True)
-        )
+        out, _, drift = growth_day_detail((600.0, 300.0, 100.0), params, v2_of(params, 0, True))
         norm = raw[0] + raw[1] + raw[2]
-        assert detail.drift == abs(norm - 1.0)
-        assert 1e-12 < detail.drift < 2e-10
-        out = detail.state
-        assert (out.y0, out.y1, out.y2) == (raw[0] * 1000.0, raw[1] * 1000.0, raw[2] * 1000.0)
-        assert out.y2 != raw[2] / norm * 1000.0
+        assert drift == abs(norm - 1.0)
+        assert 1e-12 < drift < 2e-10
+        assert out == (raw[0] * 1000.0, raw[1] * 1000.0, raw[2] * 1000.0)
+        assert out[2] != raw[2] / norm * 1000.0
 
     @pytest.mark.parametrize(
         "raw, integer_rounding, error",
@@ -555,16 +549,16 @@ class TestGrowthDay:
             "repopsim.growth.integrate_growth", lambda rates, x, duration, step: raw
         )
         params = ModelParams(v0=1.0, v1=0.0, integer_rounding=integer_rounding)
-        state = PopulationState(600.0, 300.0, 100.0)
+        counts = (600.0, 300.0, 100.0)
         v2 = v2_of(params, 0, True)
         if error is None:
-            out = growth_day_detail(state, params, v2).state
-            assert (out.y0, out.y1, out.y2) == (1200.0, 300.0, 100.0)
+            out, _, _ = growth_day_detail(counts, params, v2)
+            assert out == (1200.0, 300.0, 100.0)
         else:
             with pytest.raises(InvalidStateError, match=error):
-                growth_day_detail(state, params, v2)
+                growth_day_detail(counts, params, v2)
 
     def test_rejects_empty_population(self):
         params = ModelParams()
         with pytest.raises(InvalidStateError):
-            growth_day_detail(PopulationState(0.0, 0.0, 0.0), params, v2_of(params, 0, True))
+            growth_day_detail((0.0, 0.0, 0.0), params, v2_of(params, 0, True))

@@ -19,8 +19,10 @@ from repopsim import (
     RadiationOperator,
     SimulationError,
     apply_division,
+    apply_pulse,
     cli,
     fractions_to_counts,
+    growth_day_detail,
     integrate_growth,
     lq_closed_form,
     parse_config,
@@ -30,6 +32,7 @@ from repopsim import (
 
 PARAMS = ModelParams()
 RATES = (0.01, 0.016, 0.08, 0.1, 0.1)
+OPERATOR = RadiationOperator(0.5, 0.1, 0.1)
 
 
 def _config(**keys):
@@ -63,6 +66,20 @@ RULES = [
                 "initial_fractions",
                 lambda x: parse_config(json.dumps({"initial_total": 100, "initial_fractions": x})),
             ),
+        ],
+    ),
+    (
+        "a cell count",
+        InvalidStateError,
+        r"{name} (must be (>= 0|finite)|is too large), got ",
+        [-1.0, math.nan, math.inf, -1, 10**400, -(10**400)],
+        [
+            ("y0", lambda y: PopulationState(y, 3.0, 1.0)),
+            ("y2", lambda y: PopulationState(6.0, 3.0, y)),
+            ("y0", lambda y: apply_pulse(OPERATOR, (y, 3.0, 1.0))),
+            ("y1", lambda y: apply_pulse(OPERATOR, (6.0, y, 1.0), integer_rounding=True)),
+            ("y1", lambda y: growth_day_detail((6.0, y, 1.0), PARAMS, 0.08)),
+            ("y2", lambda y: growth_day_detail((6.0, 3.0, y), PARAMS, 0.08)),
         ],
     ),
     (

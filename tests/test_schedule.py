@@ -22,7 +22,13 @@ from repopsim import (
     v2_of,
 )
 
-from .conftest import REFERENCE_WEEKS, mean_velocity, record, reference_initial
+from .conftest import (
+    MIXING_OVERRIDES,
+    REFERENCE_WEEKS,
+    mean_velocity,
+    record,
+    reference_initial,
+)
 
 
 class TestScheduleSpec:
@@ -98,6 +104,20 @@ class TestSimulateCourse:
         last_pr = [r for r in traj.records if r.phase == "post_radiation"][-1]
         assert last_pr.day == 12
         assert record(course_zero, 12, "post_radiation").v2 == v2_of(params, 10, True)
+
+    def test_counter_bookkeeping(self):
+        # The course counts on from the initial state's pulses: each
+        # post-radiation record adds one, and every record's v2 is v2_of at
+        # the count so far, in the day's damping form.
+        params = ModelParams(weeks=2, **MIXING_OVERRIDES)
+        initial = PopulationState(6e8, 3.4e8, 6e7, pulses_delivered=2)
+        week = params.pulses_per_week + params.weekend_days
+        pulses = 2
+        for rec in simulate_course(params, initial).records:
+            pulses += rec.phase == "post_radiation"
+            treatment = (rec.day - 1) % week < params.pulses_per_week
+            assert rec.v2 == v2_of(params, pulses, treatment), (rec.day, rec.phase)
+        assert pulses == 2 + 4 + 5
 
     def test_pulse_count_visible_through_damped_velocity(self, course_mixing):
         # In the damped regime v2 pins down the accumulated pulse count
