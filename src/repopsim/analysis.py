@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, replace as dc_replace
 from typing import Callable
 
-from .core import PARAM_TABLE, PULSE_COUNT, ModelParams, PopulationState
+from .core import CELL_TOTAL, PARAM_TABLE, PULSE_COUNT, ModelParams, PopulationState, lq_exponent
 from .errors import AlignmentError, ConfigError, InvalidParameterError, SimulationError, quote
 from .schedule import Trajectory, simulate_course
 
@@ -60,11 +60,11 @@ def lq_closed_form(n0: float, n: int, params: ModelParams) -> float:
     """Total count after n pulses with growth disabled: N0 * exp(-n(ad + bd^2)).
 
     Raises:
-        InvalidParameterError: if n is not a pulse count.
+        InvalidParameterError: if n0 is not a total of cells or n not a pulse count.
     """
+    CELL_TOTAL.check("n0", n0)
     PULSE_COUNT.check("n", n)
-    d = params.dose
-    return n0 * math.exp(-n * (params.alpha * d + params.beta * d * d))
+    return n0 * math.exp(-n * lq_exponent(params))
 
 
 @dataclass(slots=True)

@@ -219,12 +219,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "run": _cmd_run,
-        "sweep": _cmd_sweep,
-        "diff": _cmd_diff,
-        "check": _cmd_check,
-    }
+    handlers = {"run": _cmd_run, "sweep": _cmd_sweep, "diff": _cmd_diff, "check": _cmd_check}
     try:
         return handlers[args.command](args)
     except NumericInstabilityError as exc:

@@ -9,11 +9,10 @@ seed, and an optional output path.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
-from .core import PARAM_TABLE, PULSE_COUNT, ModelParams, ParamRow, PopulationState
-from .core import check_simplex, fractions_to_counts, snap_counts
+from .core import CELL_TOTAL, PARAM_TABLE, PULSE_COUNT, ModelParams, ParamRow, PopulationState
+from .core import check_simplex, check_total, fractions_to_counts, snap_counts
 from .errors import ConfigError, InvalidParameterError, InvalidStateError, quote
 
 _KNOWN_KEYS = frozenset(PARAM_TABLE) | {
@@ -22,6 +21,7 @@ _KNOWN_KEYS = frozenset(PARAM_TABLE) | {
     "initial_fractions",
     "initial_pulses",
     "output",
+    "ode_step",  # retired, since each growth day is exact: older configs parse, value ignored
 }
 
 
@@ -92,14 +92,13 @@ def parse_config(text: str) -> RunConfig:
             counts = _require_triple("initial_counts", raw["initial_counts"])
             if min(counts) < 0:
                 raise ConfigError(f"initial_counts must be nonnegative, got {counts}")
-            if not math.isfinite(counts[0] + counts[1] + counts[2]):
-                raise ConfigError(f"initial_counts must have a finite total, got {counts}")
+            check_total("initial_counts", counts)
             if params.integer_rounding:
                 counts = snap_counts(counts)
         elif has_split:
             if "initial_total" not in raw or "initial_fractions" not in raw:
                 raise ConfigError("initial_total and initial_fractions must be given together")
-            total = _require_number("initial_total", raw["initial_total"], ParamRow(float, 0))
+            total = _require_number("initial_total", raw["initial_total"], CELL_TOTAL)
             x = _require_triple("initial_fractions", raw["initial_fractions"])
             check_simplex("initial_fractions", x)
             counts = fractions_to_counts(x, total, params.integer_rounding)

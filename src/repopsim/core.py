@@ -32,14 +32,12 @@ PHASES = (INITIAL, POST_GROWTH, POST_RADIATION)
 SIMPLEX_TOL = 1e-9
 # The largest float as an integer: PULSE_COUNT rejects a count above it as too large.
 _INT_MAX = int(sys.float_info.max)
-# The largest float. Each entry taking cell counts compares them with 0.0 and COUNT_MAX,
-# float to float, cheaper than int to float, and calls check_counts only if one fails.
+# The largest float. Each per-day entry taking cell counts compares them with 0.0 and
+# COUNT_MAX, float to float, cheaper than int to float, and calls check_counts if one fails.
 COUNT_MAX = sys.float_info.max
 
-# Length of the growth interval closing each course day (days), and the least
-# ode_step a config may set (days); the step is range-checked and changes nothing.
+# Length of the growth interval closing each course day (days).
 GROWTH_INTERVAL = 1.0
-ODE_STEP_FLOOR = 1e-4
 
 
 class ParamRow(NamedTuple):
@@ -88,13 +86,14 @@ PARAM_TABLE = {
     "a": ParamRow(float, 0, strict=True),
     "theta": ParamRow(float),
     "weeks": ParamRow(int, 1, 520),  # one week to ten years
-    "ode_step": ParamRow(float, ODE_STEP_FLOOR, GROWTH_INTERVAL),
     "integer_rounding": ParamRow(bool),
     "weekend_days": ParamRow(int, 0, 7),
     "pulses_per_week": ParamRow(int, 0, 7),
 }
 # A count of delivered pulses, in a state, a damping factor, a closed form or a config.
 PULSE_COUNT = ParamRow(int, 0)
+# A total of cells to spread over fractions, in fractions_to_counts, a closed form or a config.
+CELL_TOTAL = ParamRow(float, 0)
 
 
 def check_transfer(name: str, value: object, s: float) -> None:
@@ -104,8 +103,8 @@ def check_transfer(name: str, value: object, s: float) -> None:
 
 
 def check_counts(counts: Triple) -> None:
-    """Reject a negative, NaN or infinite cell count, or an integer one too
-    large for a float, naming its component y0, y1 or y2."""
+    """Reject a negative, NaN or infinite cell count, or an integer one too large
+    for a float, naming its component y0, y1 or y2; then a total check_total rejects."""
     for name, value in zip(("y0", "y1", "y2"), counts):
         if isinstance(value, int) and abs(value) > COUNT_MAX:
             digits = f"{digit_count(value)} digits"
@@ -114,6 +113,13 @@ def check_counts(counts: Triple) -> None:
             raise InvalidStateError(f"{name} must be >= 0, got {value}")
         if value == math.inf:
             raise InvalidStateError(f"{name} must be finite, got {value}")
+    check_total("counts", counts)
+
+
+def check_total(name: str, counts: Triple) -> None:
+    """Reject nonnegative counts whose total is NaN or too large for a float."""
+    if not counts[0] + counts[1] + counts[2] <= COUNT_MAX:  # an integer sum compares exactly
+        raise InvalidStateError(f"{name} must have a finite total, got {counts}")
 
 
 def check_simplex(name: str, x: Triple) -> None:
@@ -142,7 +148,6 @@ class ModelParams:
     a: float = 5.0  # fast-to-middle velocity multiplier
     theta: float = 0.005  # threshold offset in the damping exponent
     weeks: int = 6  # course length in weeks
-    ode_step: float = 0.01  # accepted and range-checked; has no effect on results
     integer_rounding: bool = True  # snap counts to whole cells after each stage
     weekend_days: int = 2  # growth-only days closing each week
     pulses_per_week: int = 5  # weekdays opening each week, one pulse each
@@ -191,25 +196,22 @@ class PopulationState:
     pulses_delivered: int = 0  # radiation pulses applied so far
 
     def __post_init__(self) -> None:
-        y0, y1, y2 = self.y0, self.y1, self.y2
-        if not (0.0 <= y0 <= COUNT_MAX and 0.0 <= y1 <= COUNT_MAX and 0.0 <= y2 <= COUNT_MAX):
-            check_counts((y0, y1, y2))
-        n = self.pulses_delivered
-        if not (type(n) is int and 0 <= n <= _INT_MAX):
-            PULSE_COUNT.check("pulses_delivered", n)
+        check_counts((self.y0, self.y1, self.y2))
+        PULSE_COUNT.check("pulses_delivered", self.pulses_delivered)
 
     def total(self) -> float:
         """Total cell count across the three fractions."""
         return self.y0 + self.y1 + self.y2
 
 
-def survival_fraction(params: ModelParams) -> float:
-    """Surviving cell fraction after a single pulse of params.dose.
+def lq_exponent(params: ModelParams) -> float:
+    """The linear-quadratic log kill alpha*d + beta*d^2 of one pulse of params.dose."""
+    return params.alpha * params.dose + params.beta * params.dose * params.dose
 
-    Linear-quadratic form exp(-alpha*d - beta*d^2); equals 1 at zero dose.
-    """
-    d = params.dose
-    return math.exp(-(params.alpha * d + params.beta * d * d))
+
+def survival_fraction(params: ModelParams) -> float:
+    """Surviving cell fraction exp(-lq_exponent) after a single pulse; 1 at zero dose."""
+    return math.exp(-lq_exponent(params))
 
 
 def psi(params: ModelParams, pulses: int, treatment: bool) -> float:
@@ -258,14 +260,13 @@ def fractions_to_counts(x: Triple, total: float, integer_rounding: bool) -> Trip
     differ from the requested one by at most 1.5 cells.
 
     Raises:
-        InvalidStateError: if x is off the simplex or total is negative or NaN.
+        InvalidStateError: if x is off the simplex.
+        InvalidParameterError: for a total CELL_TOTAL rejects.
     """
     x0, x1, x2 = x
-    if not (
-        x0 >= 0.0 and x1 >= 0.0 and x2 >= 0.0 and abs(x0 + x1 + x2 - 1.0) <= SIMPLEX_TOL
-        and total >= 0
-    ):
+    if not (x0 >= 0.0 and x1 >= 0.0 and x2 >= 0.0 and abs(x0 + x1 + x2 - 1.0) <= SIMPLEX_TOL):
         check_simplex("x", x)
-        raise InvalidStateError(f"total must be >= 0, got {total}")
+    if not (type(total) is float and 0.0 <= total <= COUNT_MAX):
+        CELL_TOTAL.check("total", total)
     counts = (x0 * total, x1 * total, x2 * total)
     return snap_counts(counts) if integer_rounding else counts

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .core import COUNT_MAX, GROWTH_INTERVAL, PARAM_TABLE, ModelParams, ParamRow, Triple
-from .core import check_counts, fractions_to_counts, snap_counts
+from .core import check_counts, check_total, fractions_to_counts, snap_counts
 from .errors import InvalidParameterError, InvalidStateError, NumericInstabilityError
 
 # The kinds of mixing rate that skip the parameter table's kind check; a bool
@@ -40,7 +40,8 @@ def integrate_growth(rates: Rates, x: Triple, duration: float, step: float) -> T
     diagonal is shifted by its largest entry among the compartments that hold
     or receive cells, so no exponential exceeds 1 and none that would
     overflow is used. Every term is >= 0, so each component carries only a
-    few units of roundoff. `step` is range-checked and changes nothing.
+    few units of roundoff. `step`, once a config's ode_step, is range-checked
+    and changes nothing: it stays because the benchmark's tracer reads it.
 
     Raises:
         InvalidParameterError: for a duration not finite and > 0, a step
@@ -189,12 +190,13 @@ def growth_day_detail(
     if not (0.0 <= y0 <= COUNT_MAX and 0.0 <= y1 <= COUNT_MAX and 0.0 <= y2 <= COUNT_MAX):
         check_counts(counts)
     total = y0 + y1 + y2
-    if total == 0:
+    if not 0 < total <= COUNT_MAX:
+        check_total("counts", counts)
         raise InvalidStateError("cannot grow an empty population")
     v0, v1 = params.v0, params.v1
     x = (y0 / total, y1 / total, y2 / total)
     rates = (v0, v1, v2, params.q_mix, params.p_mix)
-    x_end = integrate_growth(rates, x, GROWTH_INTERVAL, params.ode_step)
+    x_end = integrate_growth(rates, x, GROWTH_INTERVAL, GROWTH_INTERVAL)
     x0, x1, x2 = x_end
     counts = fractions_to_counts(x_end, total, params.integer_rounding)
     divided = apply_division(counts, (v0, v1, v2), GROWTH_INTERVAL, params.integer_rounding)

