@@ -3,8 +3,6 @@ weekly therapy: survival-scaled radiation pulses composed with replicator
 growth and mutation, logged as day-by-day trajectory tables."""
 
 from .analysis import (
-    CellDeviation,
-    ComparisonReport,
     DiffPoint,
     GoldenRow,
     SweepEntry,

@@ -79,32 +79,6 @@ class GoldenRow:
     velocity: float
 
 
-@dataclass(slots=True)
-class CellDeviation:
-    """Relative deviation of a single compared table cell."""
-
-    day: int
-    phase: str
-    column: str
-    expected: float
-    actual: float
-    relative: float
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Outcome of comparing a trajectory against a reference table."""
-
-    matched: int  # reference rows aligned with a trajectory record
-    skipped: int  # reference rows without a trajectory partner
-    worst: CellDeviation | None  # largest relative deviation among compared cells
-    failures: tuple[CellDeviation, ...]  # cells beyond the tolerance
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
 def _relative(expected: float, actual: float) -> float:
     scale = max(abs(expected), abs(actual))
     if scale == 0:
@@ -118,16 +92,16 @@ _GOLDEN_COLUMNS = ("y0", "y1", "y2", "velocity")
 def compare_to_golden(
     trajectory: Trajectory,
     golden: tuple[GoldenRow, ...],
-    tolerance: float,
     days: tuple[int, int],
     columns: tuple[str, ...],
-) -> ComparisonReport:
-    """Cell-by-cell comparison of a trajectory against a reference table.
+) -> tuple[int, float]:
+    """The reference rows matched by a trajectory record, and the largest
+    relative deviation over their named columns (0.0 if none matched).
 
     The error metric |actual - expected| / max(|actual|, |expected|) is
     symmetric in its arguments. Only reference rows within the inclusive day
     range are compared, on the named columns (of y0, y1, y2 and velocity);
-    reference rows with no matching trajectory record are skipped and counted.
+    reference rows with no matching trajectory record are left out.
 
     Raises:
         ConfigError: if a requested column is not part of the table schema.
@@ -137,35 +111,16 @@ def compare_to_golden(
             raise ConfigError(f"unknown comparison column: {column}")
     by_key = {(rec.day, rec.phase): rec for rec in trajectory.records}
     matched = 0
-    skipped = 0
-    worst: CellDeviation | None = None
-    failures = []
+    worst = 0.0
     for row in golden:
-        if not days[0] <= row.day <= days[1]:
-            continue
         rec = by_key.get((row.day, row.phase))
-        if rec is None:
-            skipped += 1
+        if rec is None or not days[0] <= row.day <= days[1]:
             continue
         matched += 1
         for column in columns:
-            expected = getattr(row, column)
             actual = rec.phi if column == "velocity" else getattr(rec, column)
-            deviation = CellDeviation(
-                day=row.day,
-                phase=row.phase,
-                column=column,
-                expected=expected,
-                actual=actual,
-                relative=_relative(expected, actual),
-            )
-            if worst is None or deviation.relative > worst.relative:
-                worst = deviation
-            if deviation.relative > tolerance:
-                failures.append(deviation)
-    return ComparisonReport(
-        matched=matched, skipped=skipped, worst=worst, failures=tuple(failures)
-    )
+            worst = max(worst, _relative(getattr(row, column), actual))
+    return matched, worst
 
 
 @dataclass(frozen=True)

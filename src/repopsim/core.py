@@ -92,7 +92,8 @@ PARAM_TABLE = {
 }
 # A count of delivered pulses, in a state, a damping factor, a closed form or a config.
 PULSE_COUNT = ParamRow(int, 0)
-# A total of cells to spread over fractions, in fractions_to_counts, a closed form or a config.
+# A number of cells: one count of a state, or a total to spread over fractions
+# in fractions_to_counts, a closed form or a config.
 CELL_TOTAL = ParamRow(float, 0)
 
 
@@ -103,16 +104,13 @@ def check_transfer(name: str, value: object, s: float) -> None:
 
 
 def check_counts(counts: Triple) -> None:
-    """Reject a negative, NaN or infinite cell count, or an integer one too large
-    for a float, naming its component y0, y1 or y2; then a total check_total rejects."""
+    """Reject a cell count that CELL_TOTAL rejects, naming its component y0, y1
+    or y2, as an InvalidStateError; then a total check_total rejects."""
     for name, value in zip(("y0", "y1", "y2"), counts):
-        if isinstance(value, int) and abs(value) > COUNT_MAX:
-            digits = f"{digit_count(value)} digits"
-            raise InvalidStateError(f"{name} is too large, got an integer of {digits}")
-        if not value >= 0:
-            raise InvalidStateError(f"{name} must be >= 0, got {value}")
-        if value == math.inf:
-            raise InvalidStateError(f"{name} must be finite, got {value}")
+        try:
+            CELL_TOTAL.check(name, value)
+        except InvalidParameterError as exc:
+            raise InvalidStateError(str(exc)) from None
     check_total("counts", counts)
 
 

@@ -4,7 +4,7 @@ One growth interval proceeds in two stages. First the fraction triple evolves
 under a replicator field with mutation flow between adjacent compartments,
 computed exactly as the normalized matrix exponential of the linear field it
 projects. Then the counts are rebuilt from the evolved fractions and each
-compartment divides by the factor 2^(v_i * dt).
+compartment divides by the factor 2^v_i over the one-day interval.
 """
 
 from __future__ import annotations
@@ -140,33 +140,26 @@ def _check_velocities(v: Triple) -> None:
             raise InvalidParameterError(f"{name} must be >= 0, got {value}")
 
 
-def apply_division(
-    counts: Triple, v: Triple, duration: float, integer_rounding: bool = False
-) -> Triple:
-    """Each count multiplied by its division factor 2^(v_i * duration), for
-    the velocities v = (v0, v1, v2).
+def apply_division(counts: Triple, v: Triple, integer_rounding: bool = False) -> Triple:
+    """Each count multiplied by its division factor 2^v_i over one growth
+    interval, for the velocities v = (v0, v1, v2).
 
     Raises:
-        InvalidParameterError: for a duration not finite and > 0, or a
-            negative or NaN velocity.
+        InvalidParameterError: for a negative or NaN velocity.
         NumericInstabilityError: if a divided count is too large for a float,
             or an infinite velocity meets an empty compartment.
     """
-    if not (type(duration) is float and 0.0 < duration < math.inf):
-        _DURATION.check("duration", duration)
     v0, v1, v2 = v
     if not (v0 >= 0 and v1 >= 0 and v2 >= 0):
         _check_velocities(v)
     try:
-        y0 = counts[0] * 2.0 ** (v0 * duration)
-        y1 = counts[1] * 2.0 ** (v1 * duration)
-        y2 = counts[2] * 2.0 ** (v2 * duration)
+        y0 = counts[0] * 2.0**v0
+        y1 = counts[1] * 2.0**v1
+        y2 = counts[2] * 2.0**v2
     except OverflowError:
         y0 = y1 = y2 = math.inf
     if not y0 + y1 + y2 < math.inf:  # also NaN, from an infinite factor times a zero count
-        raise NumericInstabilityError(
-            f"cell counts overflow dividing for {duration} days at velocities {(v0, v1, v2)}"
-        )
+        raise NumericInstabilityError(f"cell counts overflow dividing for a day at velocities {v}")
     counts = (y0, y1, y2)
     return snap_counts(counts) if integer_rounding else counts
 
@@ -199,5 +192,5 @@ def growth_day_detail(
     x_end = integrate_growth(rates, x, GROWTH_INTERVAL, GROWTH_INTERVAL)
     x0, x1, x2 = x_end
     counts = fractions_to_counts(x_end, total, params.integer_rounding)
-    divided = apply_division(counts, (v0, v1, v2), GROWTH_INTERVAL, params.integer_rounding)
+    divided = apply_division(counts, (v0, v1, v2), params.integer_rounding)
     return divided, v0 * x0 + v1 * x1 + v2 * x2, abs(x0 + x1 + x2 - 1.0)

@@ -48,13 +48,14 @@ def apply_pulse(op: RadiationOperator, counts: Triple, integer_rounding: bool = 
     integer_rounding on, each component is snapped to whole cells afterwards.
 
     Raises:
-        InvalidStateError: for a count check_counts rejects, given or pulsed.
+        InvalidStateError: for counts check_counts rejects.
     """
     y0, y1, y2 = counts
-    if not (0.0 <= y0 <= COUNT_MAX and 0.0 <= y1 <= COUNT_MAX and 0.0 <= y2 <= COUNT_MAX):
+    if not (
+        0.0 <= y0 <= COUNT_MAX and 0.0 <= y1 <= COUNT_MAX and 0.0 <= y2 <= COUNT_MAX
+        and y0 + y1 + y2 <= COUNT_MAX
+    ):
         check_counts(counts)
     s, q, p = op.s, op.q, op.p
     counts = (y0 * (s - q), y0 * q + y1 * (s - p), y1 * p + y2 * s)
-    if not (counts[1] <= COUNT_MAX and counts[2] <= COUNT_MAX):  # a sum of two may overflow
-        check_counts(counts)
     return snap_counts(counts) if integer_rounding else counts

@@ -89,8 +89,8 @@ def euler_mix(
 ) -> np.ndarray:
     """Independent small-step Euler integration of the mixing field.
 
-    Vectorized over starting points; used as the oracle for the fixed-step
-    fourth-order integrator.
+    Vectorized over starting points; used as the oracle for the exact growth
+    day, the normalized matrix exponential integrate_growth computes.
     """
     x = np.array(points, dtype=float)
     v = np.asarray(v, dtype=float)

@@ -99,39 +99,43 @@ class TestCompareToGolden:
             GoldenRow(day=r.day, phase=r.phase, y0=r.y0, y1=r.y1, y2=r.y2, velocity=r.phi)
             for r in course_zero.records
         )
-        report = compare_to_golden(
-            course_zero, table, tolerance=0.0, days=(1, 49), columns=ALL_COLUMNS
-        )
-        assert report.passed
-        assert report.matched == len(course_zero.records)
-        assert report.worst is not None and report.worst.relative == 0.0
+        matched, worst = compare_to_golden(course_zero, table, days=(1, 49), columns=ALL_COLUMNS)
+        assert matched == len(course_zero.records)
+        assert worst == 0.0
 
     def test_early_course_counts(self, course_zero, golden):
-        report = compare_to_golden(
-            course_zero, golden, tolerance=0.005, days=(1, 5), columns=("y0", "y1", "y2")
+        matched, worst = compare_to_golden(
+            course_zero, golden, days=(1, 5), columns=("y0", "y1", "y2")
         )
-        assert report.passed, report.failures[:3]
-        assert report.matched == 10
+        assert worst <= 0.005
+        assert matched == 10
 
     def test_final_velocity(self, course_zero, golden):
-        report = compare_to_golden(
-            course_zero, golden, tolerance=0.10, days=(48, 48), columns=("velocity",)
+        matched, worst = compare_to_golden(
+            course_zero, golden, days=(48, 48), columns=("velocity",)
         )
-        assert report.passed
-        assert report.matched == 1
+        assert worst <= 0.10
+        assert matched == 1
 
     def test_rows_without_partner_are_skipped(self, course_zero):
         table = (GoldenRow(day=99, phase="post_growth", y0=1, y1=1, y2=1, velocity=0.1),)
-        report = compare_to_golden(
-            course_zero, table, tolerance=0.1, days=(1, 99), columns=ALL_COLUMNS
+        assert compare_to_golden(course_zero, table, days=(1, 99), columns=ALL_COLUMNS) == (0, 0.0)
+
+    def test_worst_is_the_largest_deviation_over_the_named_columns(self):
+        a = tiny_trajectory([(1, "post_growth", 0.1), (2, "post_growth", 0.1)])
+        table = (
+            GoldenRow(day=1, phase="post_growth", y0=1.0, y1=0.5, y2=1.0, velocity=0.1),
+            GoldenRow(day=2, phase="post_growth", y0=1.0, y1=1.0, y2=1.0, velocity=0.2),
+            GoldenRow(day=3, phase="post_growth", y0=0.0, y1=0.0, y2=0.0, velocity=0.0),
         )
-        assert report.matched == 0
-        assert report.skipped == 1
-        assert report.worst is None
+        assert compare_to_golden(a, table, days=(1, 3), columns=("y1",)) == (2, 0.5)
+        assert compare_to_golden(a, table, days=(1, 3), columns=ALL_COLUMNS) == (2, 0.5)
+        assert compare_to_golden(a, table, days=(2, 3), columns=ALL_COLUMNS) == (1, 0.5)
+        assert compare_to_golden(a, table, days=(2, 3), columns=("y0", "y1")) == (1, 0.0)
 
     def test_unknown_column_is_named(self, course_zero, golden):
         with pytest.raises(ConfigError, match="x2"):
-            compare_to_golden(course_zero, golden, tolerance=0.1, days=(1, 48), columns=("x2",))
+            compare_to_golden(course_zero, golden, days=(1, 48), columns=("x2",))
 
     def test_error_metric_is_symmetric(self):
         a = tiny_trajectory([(1, "post_growth", 0.1)])
@@ -140,10 +144,10 @@ class TestCompareToGolden:
             GoldenRow(day=1, phase="post_growth", y0=1, y1=1, y2=1,
                       velocity=t.records[0].phi),
         )
-        forward = compare_to_golden(a, table_from(b), 0.0, days=(1, 1), columns=("velocity",))
-        backward = compare_to_golden(b, table_from(a), 0.0, days=(1, 1), columns=("velocity",))
-        assert forward.worst is not None and backward.worst is not None
-        assert forward.worst.relative == backward.worst.relative
+        forward = compare_to_golden(a, table_from(b), days=(1, 1), columns=("velocity",))
+        backward = compare_to_golden(b, table_from(a), days=(1, 1), columns=("velocity",))
+        assert forward == backward
+        assert forward[0] == 1 and forward[1] == pytest.approx(0.2, rel=1e-15)
 
 
 class TestSweep:
@@ -358,8 +362,5 @@ class TestSweepInProcess:
 
 def test_reference_run_for_comparison_is_a_fixture(course_zero, golden):
     # Every reference row must find a partner in the seven-week run.
-    report = compare_to_golden(
-        course_zero, golden, tolerance=1.0, days=(1, 48), columns=ALL_COLUMNS
-    )
-    assert report.skipped == 0
-    assert report.matched == len(golden) == 83
+    matched, _ = compare_to_golden(course_zero, golden, days=(1, 48), columns=ALL_COLUMNS)
+    assert matched == len(golden) == 83

@@ -8,6 +8,7 @@ import functools
 import importlib.util
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -636,6 +637,31 @@ class TestCheck:
         monkeypatch.setattr(cli, "apply_pulse", scaled)
         assert cli_main(["check", "--config", MIXING_PATH]) == EXIT_VALIDATION
         assert "FAIL operator-column-sums: " in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "early, final, passed",
+        [
+            ((1, cli._REFERENCE_COUNT_TOLERANCE), (1, cli._REFERENCE_VELOCITY_TOLERANCE), True),
+            ((1, math.nextafter(cli._REFERENCE_COUNT_TOLERANCE, 1.0)), (1, 0.0), False),
+            ((1, 0.0), (1, math.nextafter(cli._REFERENCE_VELOCITY_TOLERANCE, 1.0)), False),
+            ((0, 0.0), (1, 0.0), False),
+            ((1, 0.0), (0, 0.0), False),
+        ],
+        ids=["at-both-tolerances", "counts-above", "velocity-above", "no-early-row", "no-final-row"],
+    )
+    def test_reference_table_tolerances_are_inclusive_and_a_row_must_match(
+        self, capsys, monkeypatch, early, final, passed
+    ):
+        # check compares each range's (matched, worst) with that range's own tolerance.
+        def compare(trajectory, golden, days, columns):
+            return final if columns == ("velocity",) else early
+
+        monkeypatch.setattr(cli, "compare_to_golden", compare)
+        code = cli_main(["check", "--config", MIXING_PATH])
+        out = capsys.readouterr().out
+        assert code == (EXIT_OK if passed else EXIT_VALIDATION)
+        assert out.count("PASS") == (4 if passed else 3)
+        assert f"{'PASS' if passed else 'FAIL'} reference-table: early-course counts worst " in out
 
     @pytest.mark.parametrize(
         "corrupt",

@@ -410,24 +410,18 @@ class TestExactDay:
 class TestApplyDivision:
     def test_zero_velocities_is_identity_on_counts(self):
         state = (100.0, 100.0, 100.0)
-        out = PopulationState(*apply_division(state, (0.0, 0.0, 0.0), 1.0))
+        out = PopulationState(*apply_division(state, (0.0, 0.0, 0.0)))
         assert (out.y0, out.y1, out.y2) == (100.0, 100.0, 100.0)
 
     def test_doubling_factors(self):
         state = (100.0, 100.0, 100.0)
         v = (0.01, 0.016, 0.08)
-        out = PopulationState(*apply_division(state, v, 1.0))
+        out = PopulationState(*apply_division(state, v))
         expected = tuple(100.0 * 2.0**rate for rate in (0.01, 0.016, 0.08))
         assert (out.y0, out.y1, out.y2) == pytest.approx(expected, rel=1e-15)
         assert out.y0 == pytest.approx(100.69555500567189, rel=1e-12)
-        snapped = PopulationState(*apply_division(state, v, 1.0, integer_rounding=True))
+        snapped = PopulationState(*apply_division(state, v, integer_rounding=True))
         assert (snapped.y0, snapped.y1, snapped.y2) == (101.0, 101.0, 106.0)
-
-    def test_duration_scales_exponent(self):
-        state = (50.0, 0.0, 0.0)
-        v = (0.5, 0.0, 0.0)
-        out = PopulationState(*apply_division(state, v, 2.0))
-        assert out.y0 == pytest.approx(50.0 * 2.0, rel=1e-15)
 
     @settings(deadline=None)
     @given(
@@ -437,13 +431,9 @@ class TestApplyDivision:
     )
     def test_total_is_sum_of_scaled_components(self, y0, y1, y2):
         v = (0.01, 0.016, 0.08)
-        out = PopulationState(*apply_division((y0, y1, y2), v, 1.0))
+        out = PopulationState(*apply_division((y0, y1, y2), v))
         expected = y0 * 2.0**0.01 + y1 * 2.0**0.016 + y2 * 2.0**0.08
         assert out.total() == pytest.approx(expected, rel=1e-15, abs=1e-15)
-
-    def test_rejects_nonpositive_duration(self):
-        with pytest.raises(InvalidParameterError):
-            apply_division((1.0, 1.0, 1.0), PAPER_V, 0.0)
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan])
     @pytest.mark.parametrize("index", [0, 1, 2])
@@ -451,7 +441,7 @@ class TestApplyDivision:
         v = [0.01, 0.016, 0.08]
         v[index] = bad
         with pytest.raises(InvalidParameterError, match=f"^v{index} must be >= 0, got {bad}$"):
-            apply_division((1.0, 1.0, 1.0), tuple(v), 1.0)
+            apply_division((1.0, 1.0, 1.0), tuple(v))
 
     @pytest.mark.parametrize("integer_rounding", [False, True])
     @pytest.mark.parametrize(
@@ -468,7 +458,7 @@ class TestApplyDivision:
     )
     def test_overflowing_counts_are_numeric_instability(self, state, v, integer_rounding):
         with pytest.raises(NumericInstabilityError, match="cell counts overflow"):
-            apply_division(state, v, 1.0, integer_rounding)
+            apply_division(state, v, integer_rounding)
 
 
 class TestGrowthDay:

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repopsim import (
@@ -21,6 +22,7 @@ from repopsim import (
 from .conftest import pulse_power
 
 counts = st.floats(min_value=0.0, max_value=1e12, allow_nan=False, allow_subnormal=False)
+unit = st.floats(min_value=0.0, max_value=1.0)
 
 
 UNIT_STATES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
@@ -110,10 +112,31 @@ class TestApplyPulse:
 
     @pytest.mark.parametrize("integer_rounding", [False, True])
     def test_a_pulsed_count_too_large_for_a_float_is_rejected(self, integer_rounding):
-        # Each count is finite, but the middle one's inflow plus what stays overflows.
+        # Each count is finite, and the middle one's inflow plus what stays would
+        # overflow; the total of the counts given already does, so they are rejected.
         op = RadiationOperator(s=0.9, q=0.9, p=0.0)
-        with pytest.raises(InvalidStateError, match="^y1 must be finite, got inf$"):
+        message = r"^counts must have a finite total, got \(1\.7e\+308, 1\.7e\+308, 0\.0\)$"
+        with pytest.raises(InvalidStateError, match=message):
             apply_pulse(op, (1.7e308, 1.7e308, 0.0), integer_rounding)
+
+    @settings(deadline=None)
+    @given(
+        weights=st.tuples(unit, unit, unit).filter(lambda w: sum(w) > 0.0),
+        total=st.floats(min_value=1e307, max_value=sys.float_info.max),
+        s=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        qf=unit,
+        pf=unit,
+        integer_rounding=st.booleans(),
+    )
+    def test_a_finite_total_pulses_to_finite_counts(
+        self, weights, total, s, qf, pf, integer_rounding
+    ):
+        # Each pulsed count is a rounded sum of terms no larger than the counts it draws from.
+        norm = sum(weights)
+        counts = tuple(w / norm * total for w in weights)
+        assume(sum(counts) <= sys.float_info.max)
+        out = apply_pulse(RadiationOperator(s, s * qf, s * pf), counts, integer_rounding)
+        assert all(math.isfinite(c) for c in out)
 
     @settings(deadline=None)
     @given(y0=counts, y1=counts, y2=counts, qf=st.floats(0.0, 1.0), pf=st.floats(0.0, 1.0))

@@ -18,7 +18,6 @@ from repopsim import (
     PopulationState,
     RadiationOperator,
     SimulationError,
-    apply_division,
     apply_pulse,
     cli,
     fractions_to_counts,
@@ -92,6 +91,8 @@ RULES = [
         [
             ("counts", lambda c: PopulationState(*c)),
             ("counts", lambda c: growth_day_detail(c, PARAMS, 0.08)),
+            ("counts", lambda c: apply_pulse(OPERATOR, c)),
+            ("counts", lambda c: apply_pulse(OPERATOR, c, integer_rounding=True)),
             ("initial_counts", lambda c: _config(initial_counts=list(c))),
         ],
     ),
@@ -119,8 +120,6 @@ RULES = [
         [math.inf, math.nan, 0.0, 0, -1.0, True],
         [
             ("duration", lambda d: integrate_growth(RATES, (0.6, 0.34, 0.06), d, 0.5)),
-            ("duration", lambda d: apply_division((6.0, 3.0, 1.0), RATES[:3], d, True)),
-            ("duration", lambda d: apply_division((6.0, 3.0, 1.0), RATES[:3], d, False)),
         ],
     ),
     (
