@@ -7,7 +7,8 @@ import math
 from dataclasses import dataclass, replace as dc_replace
 from typing import Callable
 
-from .core import CELL_TOTAL, PARAM_TABLE, PULSE_COUNT, ModelParams, PopulationState, lq_exponent
+from .core import CELL_TOTAL, PARAM_TABLE, PULSE_COUNT, ModelParams, ParamRow, PopulationState
+from .core import lq_exponent
 from .errors import AlignmentError, ConfigError, InvalidParameterError, SimulationError, quote
 from .schedule import Trajectory, simulate_course
 
@@ -154,13 +155,7 @@ def _sweep_value(
             if rec.phi >= threshold:
                 threshold_day = rec.day
                 break
-    return SweepEntry(
-        value=value,
-        final_total=final.total,
-        final_phi=final.phi,
-        threshold_day=threshold_day,
-        trajectory=trajectory,
-    )
+    return SweepEntry(value, None, final.total, final.phi, threshold_day, trajectory)
 
 
 def sweep(
@@ -177,20 +172,21 @@ def sweep(
     invalid key, an out-of-range value or a course the model rejects
     yields an error entry for that value and the sweep continues.
 
-    The values run one after another in the calling process. A course
-    takes about a millisecond, so a forked worker's copy-on-write faults and
-    its wait for a free CPU would eat most of what it saves, and more than
-    all of it while the other CPUs are busy. each, if given, replaces the
-    entry of a value as soon as the value has run: a caller can write the
-    trajectory there and keep the entry without it. Without each, the
-    entries carry their trajectories.
+    The values run one after another in the calling process: a course takes
+    well under a millisecond, less than a forked worker would cost. each, if
+    given, replaces the entry of a value as soon as the value has run: a
+    caller can write the trajectory there and keep the entry without it.
+    Without each, the entries carry their trajectories.
 
     Raises:
-        InvalidParameterError: for a NaN threshold, before any course runs.
+        InvalidParameterError: for a threshold that is not a number, a bool
+            or NaN, before any course runs.
         OSError: raised by each.
     """
-    if threshold is not None and math.isnan(threshold):
-        raise InvalidParameterError("threshold must be a number, got nan")
+    if threshold is not None:
+        ParamRow(float).check("threshold", threshold)
+        if math.isnan(threshold):
+            raise InvalidParameterError("threshold must be a number, got nan")
     if key not in PARAM_TABLE:
         error = f"unknown parameter: {quote(key)}"
         return tuple(SweepEntry(value=value, error=error) for value in values)

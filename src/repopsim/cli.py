@@ -34,9 +34,7 @@ EXIT_NUMERIC = 3
 
 # Reference run behind `check`: the bundled table's parameter set. The course
 # starts from an already-pulsed population, so the pulse counter seeds at one.
-_REFERENCE_INITIAL = PopulationState(
-    y0=371270035, y1=210386353, y2=37127004, pulses_delivered=1
-)
+_REFERENCE_INITIAL = PopulationState(y0=371270035, y1=210386353, y2=37127004, pulses_delivered=1)
 _REFERENCE_WEEKS = 7
 _REFERENCE_COUNT_TOLERANCE = 0.005  # early-course counts, days 1 through 5
 _REFERENCE_VELOCITY_TOLERANCE = 0.10  # final recorded velocity, day 48
@@ -133,6 +131,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     values = _parse_sweep_values(args.param, args.values)
     out_dir = Path(args.out_dir)
+    make_dir = functools.cache(lambda: out_dir.mkdir(parents=True, exist_ok=True))
 
     def destination(value: float) -> Path:
         return out_dir / f"sweep_{args.param}_{value!r}.csv"
@@ -141,14 +140,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # Runs as each course ends, so no finished trajectory waits for the summary.
         if entry.trajectory is None:
             return entry
-        out_dir.mkdir(parents=True, exist_ok=True)
+        make_dir()
         write_trajectory(entry.trajectory, destination(entry.value))
         return dc_replace(entry, trajectory=None)
 
     entries = sweep(
         config.params, args.param, values, config.initial, threshold=args.threshold, each=write
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_dir()
     for entry in entries:
         if entry.error is not None:
             print(f"value {quote(entry.value)}: {entry.error}")

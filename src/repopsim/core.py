@@ -230,7 +230,13 @@ def psi(params: ModelParams, pulses: int, treatment: bool) -> float:
         PULSE_COUNT.check("pulses", pulses)
     if treatment is not True and treatment is not False:  # only a bool may pick a day's loss
         ParamRow(bool).check("treatment", treatment)
-    return math.exp(params.theta - pulses * params.pulse_losses[treatment])
+    return _psis(params, range(pulses, pulses + 1))[0][treatment]
+
+
+def _psis(params: ModelParams, pulses: range) -> list[tuple[float, float]]:
+    """psi on a weekend day and a treatment day at each pulse count: its one formula, unchecked."""
+    theta, (weekend, treatment) = params.theta, params.pulse_losses
+    return [(math.exp(theta - n * weekend), math.exp(theta - n * treatment)) for n in pulses]
 
 
 def v2_of(params: ModelParams, pulses: int, treatment: bool) -> float:
@@ -241,7 +247,11 @@ def v2_of(params: ModelParams, pulses: int, treatment: bool) -> float:
 
 def snap_counts(counts: Triple) -> Triple:
     """Each count snapped to the nearest whole cell, ties away from zero, floored at zero."""
-    y0, y1, y2 = counts
+    return _snap(*counts)
+
+
+def _snap(y0: float, y1: float, y2: float) -> Triple:
+    """snap_counts of (y0, y1, y2), for a per-day caller that has built no tuple."""
     # (y + 0.5) // 1.0 is floor(y + 0.5) as a float, with no round trip through an int.
     return (
         0.0 if y0 <= 0 else (y0 + 0.5) // 1.0,
@@ -266,5 +276,5 @@ def fractions_to_counts(x: Triple, total: float, integer_rounding: bool) -> Trip
         check_simplex("x", x)
     if not (type(total) is float and 0.0 <= total <= COUNT_MAX):
         CELL_TOTAL.check("total", total)
-    counts = (x0 * total, x1 * total, x2 * total)
-    return snap_counts(counts) if integer_rounding else counts
+    y0, y1, y2 = x0 * total, x1 * total, x2 * total
+    return _snap(y0, y1, y2) if integer_rounding else (y0, y1, y2)

@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 
 from .core import COUNT_MAX, GROWTH_INTERVAL, PARAM_TABLE, ModelParams, ParamRow, Triple
-from .core import check_counts, check_total, fractions_to_counts, snap_counts
+from .core import SIMPLEX_TOL, _snap, check_counts, check_simplex
 from .errors import InvalidParameterError, InvalidStateError, NumericInstabilityError
 
-# The kinds of mixing rate that skip the parameter table's kind check; a bool
-# or any other kind meets the check and its message.
+# Mixing-rate kinds that skip the table's kind check; a bool or any other kind meets it.
 _RATE_KINDS = (float, int)
 # A span of growth in days: finite and > 0.
 _DURATION = ParamRow(float, 0, strict=True)
@@ -44,16 +43,18 @@ def integrate_growth(rates: Rates, x: Triple, duration: float, step: float) -> T
     and changes nothing: it stays because the benchmark's tracer reads it.
 
     Raises:
-        InvalidParameterError: for a duration not finite and > 0, a step
-            outside (0, duration], a negative or NaN velocity, or a q_mix or
+        InvalidParameterError: for a duration not finite and > 0, a step not
+            a number or outside (0, duration], a negative or NaN velocity, or a q_mix or
             p_mix outside [0, 1].
         InvalidStateError: for a negative or NaN component of x.
         NumericInstabilityError: if exp(tA) x is not finite or sums to zero.
     """
     if not (type(duration) is float and 0.0 < duration < math.inf):
         _DURATION.check("duration", duration)
-    if not 0 < step <= duration:
-        raise InvalidParameterError(f"step must lie in (0, duration], got {step}")
+    if not (type(step) is float and 0.0 < step <= duration):
+        ParamRow(float).check("step", step)
+        if not 0 < step <= duration:
+            raise InvalidParameterError(f"step must lie in (0, duration], got {step}")
     v0, v1, v2, q, p = rates
     x0, x1, x2 = x
     if not (
@@ -142,26 +143,31 @@ def _check_velocities(v: Triple) -> None:
 
 def apply_division(counts: Triple, v: Triple, integer_rounding: bool = False) -> Triple:
     """Each count multiplied by its division factor 2^v_i over one growth
-    interval, for the velocities v = (v0, v1, v2).
+    interval, for the velocities v = (v0, v1, v2). The counts must pass
+    check_counts, as apply_pulse's must.
 
     Raises:
+        InvalidStateError: for counts check_counts rejects.
         InvalidParameterError: for a negative or NaN velocity.
         NumericInstabilityError: if a divided count is too large for a float,
             or an infinite velocity meets an empty compartment.
     """
+    y0, y1, y2 = counts
+    try:  # three nonnegative counts with a finite total are each finite too
+        if not (0.0 <= y0 and 0.0 <= y1 and 0.0 <= y2 and y0 + y1 + y2 <= COUNT_MAX):
+            check_counts(counts)
+    except (TypeError, OverflowError):  # a count not a number, or an int past the floats
+        check_counts(counts)
     v0, v1, v2 = v
     if not (v0 >= 0 and v1 >= 0 and v2 >= 0):
         _check_velocities(v)
     try:
-        y0 = counts[0] * 2.0**v0
-        y1 = counts[1] * 2.0**v1
-        y2 = counts[2] * 2.0**v2
+        y0, y1, y2 = y0 * 2.0**v0, y1 * 2.0**v1, y2 * 2.0**v2
     except OverflowError:
         y0 = y1 = y2 = math.inf
     if not y0 + y1 + y2 < math.inf:  # also NaN, from an infinite factor times a zero count
         raise NumericInstabilityError(f"cell counts overflow dividing for a day at velocities {v}")
-    counts = (y0, y1, y2)
-    return snap_counts(counts) if integer_rounding else counts
+    return _snap(y0, y1, y2) if integer_rounding else (y0, y1, y2)
 
 
 def growth_day_detail(
@@ -180,17 +186,24 @@ def growth_day_detail(
             population.
     """
     y0, y1, y2 = counts
-    if not (0.0 <= y0 <= COUNT_MAX and 0.0 <= y1 <= COUNT_MAX and 0.0 <= y2 <= COUNT_MAX):
+    try:  # three nonnegative counts with a finite total are each finite too
+        if not (0.0 <= y0 and 0.0 <= y1 and 0.0 <= y2 and y0 + y1 + y2 <= COUNT_MAX):
+            check_counts(counts)
+    except (TypeError, OverflowError):  # a count not a number, or an int past the floats
         check_counts(counts)
     total = y0 + y1 + y2
-    if not 0 < total <= COUNT_MAX:
-        check_total("counts", counts)
+    if not total > 0:
         raise InvalidStateError("cannot grow an empty population")
     v0, v1 = params.v0, params.v1
     x = (y0 / total, y1 / total, y2 / total)
     rates = (v0, v1, v2, params.q_mix, params.p_mix)
     x_end = integrate_growth(rates, x, GROWTH_INTERVAL, GROWTH_INTERVAL)
     x0, x1, x2 = x_end
-    counts = fractions_to_counts(x_end, total, params.integer_rounding)
-    divided = apply_division(counts, (v0, v1, v2), params.integer_rounding)
-    return divided, v0 * x0 + v1 * x1 + v2 * x2, abs(x0 + x1 + x2 - 1.0)
+    drift = abs(x0 + x1 + x2 - 1.0)
+    if not (x0 >= 0.0 and x1 >= 0.0 and x2 >= 0.0 and drift <= SIMPLEX_TOL):
+        check_simplex("x", x_end)
+    # fractions_to_counts' spread, whose checks x_end and total have passed.
+    y0, y1, y2 = x0 * total, x1 * total, x2 * total
+    counts = _snap(y0, y1, y2) if params.integer_rounding else (y0, y1, y2)
+    phi = v0 * x0 + v1 * x1 + v2 * x2
+    return apply_division(counts, (v0, v1, v2), params.integer_rounding), phi, drift

@@ -118,9 +118,7 @@ def read_trajectory(source: str | Path) -> Trajectory:
 
 def write_diff(diff: TrajectoryDiff, destination: str | Path) -> None:
     """Write a velocity-difference curve as a comma-separated table."""
-    lines = [DIFF_HEADER]
-    for point in diff.points:
-        lines.append(f"{point.day},{point.phase},{_format_real(point.delta)}")
+    lines = [DIFF_HEADER] + [f"{p.day},{p.phase},{_format_real(p.delta)}" for p in diff.points]
     Path(destination).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -133,16 +131,9 @@ def write_sweep_summary(entries: tuple[SweepEntry, ...], destination: str | Path
             if entry.error is not None:
                 writer.writerow([quote(entry.value), "", "", "", entry.error])
                 continue
-            threshold_day = "" if entry.threshold_day is None else str(entry.threshold_day)
-            writer.writerow(
-                [
-                    repr(entry.value),
-                    _format_real(entry.final_total),
-                    _format_real(entry.final_phi),
-                    threshold_day,
-                    "",
-                ]
-            )
+            total, phi = _format_real(entry.final_total), _format_real(entry.final_phi)
+            day = "" if entry.threshold_day is None else entry.threshold_day
+            writer.writerow([repr(entry.value), total, phi, day, ""])
 
 
 def load_reference_table() -> tuple[GoldenRow, ...]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import COUNT_MAX, ModelParams, Triple, check_counts, check_transfer, snap_counts
+from .core import COUNT_MAX, ModelParams, Triple, _snap, check_counts, check_transfer
 from .core import survival_fraction
 from .errors import InvalidParameterError
 
@@ -51,11 +51,11 @@ def apply_pulse(op: RadiationOperator, counts: Triple, integer_rounding: bool = 
         InvalidStateError: for counts check_counts rejects.
     """
     y0, y1, y2 = counts
-    if not (
-        0.0 <= y0 <= COUNT_MAX and 0.0 <= y1 <= COUNT_MAX and 0.0 <= y2 <= COUNT_MAX
-        and y0 + y1 + y2 <= COUNT_MAX
-    ):
+    try:  # three nonnegative counts with a finite total are each finite too
+        if not (0.0 <= y0 and 0.0 <= y1 and 0.0 <= y2 and y0 + y1 + y2 <= COUNT_MAX):
+            check_counts(counts)
+    except (TypeError, OverflowError):  # a count not a number, or an int past the floats
         check_counts(counts)
     s, q, p = op.s, op.q, op.p
-    counts = (y0 * (s - q), y0 * q + y1 * (s - p), y1 * p + y2 * s)
-    return snap_counts(counts) if integer_rounding else counts
+    y0, y1, y2 = y0 * (s - q), y0 * q + y1 * (s - p), y1 * p + y2 * s
+    return _snap(y0, y1, y2) if integer_rounding else (y0, y1, y2)

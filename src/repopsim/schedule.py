@@ -5,17 +5,16 @@ weekend_days growth-only days. Each weekday starts with a radiation pulse
 and ends with a growth interval; the single exception is the first day of
 the course, whose pulse is considered already applied to the supplied
 initial state (the initial record mirrors that convention by reporting a
-zero velocity, and day 1's v2). Post-radiation records
-therefore appear under the day whose morning produced them, and each full
-week emits 2 * pulses_per_week + weekend_days records.
+zero velocity, and day 1's v2). Post-radiation records therefore appear under
+the day whose morning produced them, and each full week emits
+2 * pulses_per_week + weekend_days records.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .core import INITIAL, POST_GROWTH, POST_RADIATION, ModelParams, PopulationState, v2_of
+from .core import INITIAL, POST_GROWTH, POST_RADIATION, ModelParams, PopulationState, _psis, v2_of
 from .errors import InvalidStateError, NumericInstabilityError
 from .growth import growth_day_detail
 from .radiation import apply_pulse, build_radiation_operator
@@ -66,36 +65,10 @@ class Trajectory:
 
 
 def _extinct(total: float, rounding: bool, day: int) -> bool:
-    """Whether a total below one cell on `day` ends the course, as it does in
-    integer mode; a real-valued total of zero, with no fractions left to grow,
-    raises NumericInstabilityError."""
+    """Whether a total below one cell ends the course, as in integer mode; real zeros raise."""
     if not rounding and total == 0:
         raise NumericInstabilityError(f"real-valued cell counts underflow to zero on day {day}")
     return rounding
-
-
-def _stages(params: ModelParams, initial: PopulationState) -> Iterator[tuple]:
-    """The course's states in record order, as (day, phase, counts, phi, v2,
-    drift): drift is the growth day's, and 0 for the other phases."""
-    op = build_radiation_operator(params)
-    rounding = params.integer_rounding
-    week = params.pulses_per_week + params.weekend_days
-    counts = (initial.y0, initial.y1, initial.y2)
-    pulses = initial.pulses_delivered
-    phi = 0.0
-    yield 1, INITIAL, counts, phi, v2_of(params, pulses, params.pulses_per_week > 0), 0.0
-    for day in range(1, params.weeks * week + 1):
-        treatment = (day - 1) % week < params.pulses_per_week
-        pulsed = treatment and day > 1
-        if pulsed:
-            counts = apply_pulse(op, counts, rounding)
-            pulses += 1
-        # One v2 a day, shared by its records and its growth.
-        v2 = v2_of(params, pulses, treatment)
-        if pulsed:
-            yield day, POST_RADIATION, counts, phi, v2, 0.0
-        counts, phi, drift = growth_day_detail(counts, params, v2)
-        yield day, POST_GROWTH, counts, phi, v2, drift
 
 
 def simulate_course(params: ModelParams, initial: PopulationState) -> Trajectory:
@@ -112,26 +85,41 @@ def simulate_course(params: ModelParams, initial: PopulationState) -> Trajectory
     """
     if not initial.total() > 0:
         raise InvalidStateError("initial population must have a positive total")
+    op = build_radiation_operator(params)
     rounding = params.integer_rounding
-    records = []
-    max_drift = 0.0
-    extinction_day: int | None = None
-    for day, phase, (y0, y1, y2), phi, v2, drift in _stages(params, initial):
+    per_week = params.pulses_per_week
+    week = per_week + params.weekend_days
+    first = pulses = initial.pulses_delivered
+    # (weekend, treatment) psi by pulses so far; a day's v2 is (a * v1) * psi, as in v2_of.
+    psis = _psis(params, range(first, first + params.weeks * per_week + 1))
+    av1 = params.a * params.v1
+    y0, y1, y2 = counts = (initial.y0, initial.y1, initial.y2)
+    total = y0 + y1 + y2
+    phi = max_drift = 0.0
+    v2 = v2_of(params, first, per_week > 0)
+    x0, x1, x2 = y0 / total, y1 / total, y2 / total
+    records = [TrajectoryRecord(1, INITIAL, y0, y1, y2, x0, x1, x2, phi, v2, total)]
+    for day in range(1, params.weeks * week + 1):
+        treatment = (day - 1) % week < per_week
+        if treatment and day > 1:
+            y0, y1, y2 = counts = apply_pulse(op, counts, rounding)
+            pulses += 1
+            v2 = av1 * psis[pulses - first][True]
+            total = y0 + y1 + y2
+            x0, x1, x2 = (y0 / total, y1 / total, y2 / total) if total else (0.0, 0.0, 0.0)
+            record = TrajectoryRecord(day, POST_RADIATION, y0, y1, y2, x0, x1, x2, phi, v2, total)
+            records.append(record)
+            if total < 1 and _extinct(total, rounding, day):
+                return Trajectory(tuple(records), rounding, max_drift, extinction_day=day)
+        else:
+            v2 = av1 * psis[pulses - first][treatment]
+        counts, phi, drift = growth_day_detail(counts, params, v2)
         if drift > max_drift:
             max_drift = drift
+        y0, y1, y2 = counts
         total = y0 + y1 + y2
-        if total:
-            x0, x1, x2 = y0 / total, y1 / total, y2 / total
-        else:
-            x0 = x1 = x2 = 0.0
-        records.append(TrajectoryRecord(day, phase, y0, y1, y2, x0, x1, x2, phi, v2, total))
-        if total < 1 and phase is not INITIAL and _extinct(total, rounding, day):
-            extinction_day = day
-            break
-
-    return Trajectory(
-        records=tuple(records),
-        integer_rounding=rounding,
-        max_simplex_drift=max_drift,
-        extinction_day=extinction_day,
-    )
+        x0, x1, x2 = (y0 / total, y1 / total, y2 / total) if total else (0.0, 0.0, 0.0)
+        records.append(TrajectoryRecord(day, POST_GROWTH, y0, y1, y2, x0, x1, x2, phi, v2, total))
+        if total < 1 and _extinct(total, rounding, day):
+            return Trajectory(tuple(records), rounding, max_drift, extinction_day=day)
+    return Trajectory(tuple(records), rounding, max_drift)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import subprocess
 import sys
 from dataclasses import replace as dc_replace
@@ -183,6 +184,13 @@ class TestSweep:
         monkeypatch.setattr(analysis, "simulate_course", lambda *args: pytest.fail("a course ran"))
         with pytest.raises(InvalidParameterError, match="threshold must be a number, got nan"):
             sweep(ModelParams(weeks=1), "a", (1.0, 5.0), reference_initial(), threshold=math.nan)
+
+    @pytest.mark.parametrize("threshold", ["x", True, [0.05]], ids=["str", "bool", "list"])
+    def test_non_number_threshold_is_rejected_before_any_course(self, monkeypatch, threshold):
+        monkeypatch.setattr(analysis, "simulate_course", lambda *args: pytest.fail("a course ran"))
+        message = f"threshold must be a number, got {threshold!r}"
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            sweep(ModelParams(weeks=1), "a", (1.0, 5.0), reference_initial(), threshold=threshold)
 
     def test_out_of_range_value_becomes_error_entry(self):
         entries = sweep(

@@ -18,6 +18,7 @@ from repopsim import (
     PopulationState,
     RadiationOperator,
     SimulationError,
+    apply_division,
     apply_pulse,
     cli,
     fractions_to_counts,
@@ -26,12 +27,14 @@ from repopsim import (
     lq_closed_form,
     parse_config,
     psi,
+    sweep,
     v2_of,
 )
 
 PARAMS = ModelParams()
 RATES = (0.01, 0.016, 0.08, 0.1, 0.1)
 OPERATOR = RadiationOperator(0.5, 0.1, 0.1)
+START = PopulationState(6.0, 3.0, 1.0)
 
 
 def _config(**keys):
@@ -70,8 +73,8 @@ RULES = [
     (
         "a cell count",
         InvalidStateError,
-        r"{name} (must be (>= 0|finite)|is too large), got ",
-        [-1.0, math.nan, math.inf, -1, 10**400, -(10**400)],
+        r"{name} (must be (>= 0|finite|a number)|is too large), got ",
+        [-1.0, math.nan, math.inf, -1, 10**400, -(10**400), "1", None],
         [
             ("y0", lambda y: PopulationState(y, 3.0, 1.0)),
             ("y2", lambda y: PopulationState(6.0, 3.0, y)),
@@ -79,6 +82,8 @@ RULES = [
             ("y1", lambda y: apply_pulse(OPERATOR, (6.0, y, 1.0), integer_rounding=True)),
             ("y1", lambda y: growth_day_detail((6.0, y, 1.0), PARAMS, 0.08)),
             ("y2", lambda y: growth_day_detail((6.0, 3.0, y), PARAMS, 0.08)),
+            ("y0", lambda y: apply_division((y, 3.0, 1.0), RATES[:3])),
+            ("y2", lambda y: apply_division((6.0, 3.0, y), RATES[:3], integer_rounding=True)),
         ],
     ),
     (
@@ -93,6 +98,8 @@ RULES = [
             ("counts", lambda c: growth_day_detail(c, PARAMS, 0.08)),
             ("counts", lambda c: apply_pulse(OPERATOR, c)),
             ("counts", lambda c: apply_pulse(OPERATOR, c, integer_rounding=True)),
+            ("counts", lambda c: apply_division(c, RATES[:3])),
+            ("counts", lambda c: apply_division(c, RATES[:3], integer_rounding=True)),
             ("initial_counts", lambda c: _config(initial_counts=list(c))),
         ],
     ),
@@ -120,6 +127,18 @@ RULES = [
         [math.inf, math.nan, 0.0, 0, -1.0, True],
         [
             ("duration", lambda d: integrate_growth(RATES, (0.6, 0.34, 0.06), d, 0.5)),
+        ],
+    ),
+    (
+        # A number that is past every range check: a value of another type
+        # must not reach a comparison or a call to isnan.
+        "a number",
+        InvalidParameterError,
+        r"{name} (must be a number|is too large), got ",
+        ["a", True, [1.0], 10**400],  # a None threshold is no threshold
+        [
+            ("step", lambda s: integrate_growth(RATES, (0.6, 0.34, 0.06), 1.0, s)),
+            ("threshold", lambda t: sweep(PARAMS, "a", (5.0,), START, threshold=t)),
         ],
     ),
     (

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
+import os
+import sys
 from importlib import resources
 
 import pytest
@@ -140,19 +143,55 @@ class TestSimulateCourse:
         assert last_pr.day == 12
         assert record(course_zero, 12, "post_radiation").v2 == v2_of(params, 10, True)
 
-    def test_counter_bookkeeping(self):
+    @pytest.mark.parametrize(
+        "config, shape, delivered",
+        [
+            ("mixing.json", {"weeks": 2}, 2 + 4 + 5),
+            ("mixing.json", {}, 1 + 29),
+            ("baseline.json", {}, 1 + 29),
+            ("mixing.json", {"pulses_per_week": 0}, 1),
+            ("mixing.json", {"weekend_days": 0}, 1 + 29),
+            ("baseline.json", {"weekend_days": 0, "pulses_per_week": 3}, 1 + 17),
+        ],
+    )
+    def test_counter_bookkeeping(self, config, shape, delivered):
         # The course counts on from the initial state's pulses: each
         # post-radiation record adds one, and every record's v2 is v2_of at
-        # the count so far, in the day's damping form.
-        params = ModelParams(weeks=2, **MIXING_OVERRIDES)
-        initial = PopulationState(6e8, 3.4e8, 6e7, pulses_delivered=2)
+        # the count so far, in the day's damping form, bit for bit.
+        loaded = load_config(str(resources.files("repopsim").joinpath("data", config)))
+        params = dataclasses.replace(loaded.params, **shape)
+        initial = loaded.initial
+        if "weeks" in shape:
+            initial = PopulationState(6e8, 3.4e8, 6e7, pulses_delivered=2)
         week = params.pulses_per_week + params.weekend_days
-        pulses = 2
+        pulses = initial.pulses_delivered
         for rec in simulate_course(params, initial).records:
             pulses += rec.phase == "post_radiation"
             treatment = (rec.day - 1) % week < params.pulses_per_week
             assert rec.v2 == v2_of(params, pulses, treatment), (rec.day, rec.phase)
-        assert pulses == 2 + 4 + 5
+        assert pulses == delivered
+
+    def test_call_budget_of_a_course(self):
+        # Python calls into the package during one mixing.json course, counted
+        # under sys.setprofile as the benchmark's call counts are: they repeat
+        # exactly, where wall times on a shared machine do not. The per-day
+        # path is about ten calls a growth day; a check or helper that creeps
+        # back onto it shows here first.
+        config = load_config(str(resources.files("repopsim").joinpath("data", "mixing.json")))
+        package = os.path.dirname(core.__file__) + os.sep
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.startswith(package):
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            trajectory = simulate_course(config.params, config.initial)
+        finally:
+            sys.setprofile(None)
+        assert trajectory.final().day == 42
+        assert len(calls) <= 412, collections.Counter(calls).most_common()
 
     def test_pulse_count_visible_through_damped_velocity(self, course_mixing):
         # In the damped regime v2 pins down the accumulated pulse count
