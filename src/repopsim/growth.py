@@ -75,7 +75,8 @@ def integrate_growth(rates: Rates, x: Triple, duration: float, step: float) -> T
         in2 = x2 > 0.0 or (in1 and c2 > 0.0)
         top = max(d0 if x0 > 0.0 else -math.inf, d1 if in1 else -math.inf, d2 if in2 else -math.inf)
         d0, d1, d2 = d0 if x0 > 0.0 else top, d1 if in1 else top, d2 if in2 else top
-    top = max(d0, d1, d2)
+    top = d1 if d1 > d0 else d0  # max(d0, d1, d2), without a builtin call a day
+    top = d2 if d2 > top else top
     d0, d1, d2 = d0 - top, d1 - top, d2 - top
     e0, e1, e2 = math.exp(d0), math.exp(d1), math.exp(d2)
     y0, y1, y2 = e0 * x0, e1 * x1, e2 * x2
