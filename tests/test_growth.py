@@ -146,13 +146,6 @@ class TestIntegrateGrowth:
                 got = None
             assert got == want
 
-    @pytest.mark.parametrize("integer_rounding", [False, True])
-    def test_negative_count_is_rejected(self, integer_rounding):
-        # The counts obey check_counts' rule, as apply_pulse's do; a negative
-        # count once came back divided, and negative.
-        with pytest.raises(InvalidStateError, match=r"^y0 must be >= 0, got -5\.0$"):
-            apply_division((-5.0, 1, 1), (0.01, 0.016, 0.08), integer_rounding)
-
     @pytest.mark.parametrize("bad", [-1.0, math.nan])
     @pytest.mark.parametrize("index", [0, 1, 2])
     def test_negative_velocity_message_names_the_component(self, index, bad):
@@ -415,6 +408,13 @@ class TestExactDay:
 
 
 class TestApplyDivision:
+    @pytest.mark.parametrize("integer_rounding", [False, True])
+    def test_negative_count_is_rejected(self, integer_rounding):
+        # The counts obey check_counts' rule, as apply_pulse's do; a negative
+        # count once came back divided, and negative.
+        with pytest.raises(InvalidStateError, match=r"^y0 must be >= 0, got -5\.0$"):
+            apply_division((-5.0, 1, 1), (0.01, 0.016, 0.08), integer_rounding)
+
     def test_zero_velocities_is_identity_on_counts(self):
         state = (100.0, 100.0, 100.0)
         out = PopulationState(*apply_division(state, (0.0, 0.0, 0.0)))
