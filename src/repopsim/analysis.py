@@ -4,8 +4,8 @@ reference-table comparison, and parameter sweeps."""
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace as dc_replace
-from typing import Callable
 
 from .core import CELL_TOTAL, PARAM_TABLE, PULSE_COUNT, ModelParams, ParamRow, PopulationState
 from .core import lq_exponent
@@ -164,24 +164,17 @@ def sweep(
     values: tuple[float, ...],
     initial: PopulationState,
     threshold: float | None = None,
-    each: Callable[[SweepEntry], SweepEntry] | None = None,
-) -> tuple[SweepEntry, ...]:
-    """One independent simulation per parameter value, in input order.
+) -> Iterator[SweepEntry]:
+    """One independent simulation per parameter value, in input order; each
+    value's course runs in the calling process when its entry is taken.
 
     Any ModelParams field can be varied, the course shape included. An
     invalid key, an out-of-range value or a course the model rejects
     yields an error entry for that value and the sweep continues.
 
-    The values run one after another in the calling process: a course takes
-    well under a millisecond, less than a forked worker would cost. each, if
-    given, replaces the entry of a value as soon as the value has run: a
-    caller can write the trajectory there and keep the entry without it.
-    Without each, the entries carry their trajectories.
-
     Raises:
         InvalidParameterError: for a threshold that is not a number, a bool
-            or NaN, before any course runs.
-        OSError: raised by each.
+            or NaN, when sweep is called.
     """
     if threshold is not None:
         ParamRow(float).check("threshold", threshold)
@@ -189,6 +182,5 @@ def sweep(
             raise InvalidParameterError("threshold must be a number, got nan")
     if key not in PARAM_TABLE:
         error = f"unknown parameter: {quote(key)}"
-        return tuple(SweepEntry(value=value, error=error) for value in values)
-    entries = (_sweep_value(params, key, initial, threshold, value) for value in values)
-    return tuple(entries if each is None else map(each, entries))
+        return (SweepEntry(value=value, error=error) for value in values)
+    return (_sweep_value(params, key, initial, threshold, value) for value in values)

@@ -131,23 +131,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     values = _parse_sweep_values(args.param, args.values)
     out_dir = Path(args.out_dir)
-    make_dir = functools.cache(lambda: out_dir.mkdir(parents=True, exist_ok=True))
 
     def destination(value: float) -> Path:
         return out_dir / f"sweep_{args.param}_{value!r}.csv"
 
-    def write(entry):
-        # Runs as each course ends, so no finished trajectory waits for the summary.
-        if entry.trajectory is None:
-            return entry
-        make_dir()
-        write_trajectory(entry.trajectory, destination(entry.value))
-        return dc_replace(entry, trajectory=None)
-
-    entries = sweep(
-        config.params, args.param, values, config.initial, threshold=args.threshold, each=write
-    )
-    make_dir()
+    pending = sweep(config.params, args.param, values, config.initial, threshold=args.threshold)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    entries = []
+    for entry in pending:
+        # Written as its course ends, so no finished trajectory waits for the summary.
+        if entry.trajectory is not None:
+            write_trajectory(entry.trajectory, destination(entry.value))
+            entry = dc_replace(entry, trajectory=None)
+        entries.append(entry)
     for entry in entries:
         if entry.error is not None:
             print(f"value {quote(entry.value)}: {entry.error}")

@@ -246,18 +246,19 @@ def v2_of(params: ModelParams, pulses: int, treatment: bool) -> float:
 
 
 def snap_counts(counts: Triple) -> Triple:
-    """Each count snapped to the nearest whole cell, ties away from zero, floored at zero."""
+    """Each count snapped to the nearest whole cell, ties away from zero.
+
+    Raises:
+        InvalidStateError: for counts check_counts rejects.
+    """
+    check_counts(counts)
     return _snap(*counts)
 
 
 def _snap(y0: float, y1: float, y2: float) -> Triple:
-    """snap_counts of (y0, y1, y2), for a per-day caller that has built no tuple."""
+    """snap_counts of (y0, y1, y2) unchecked, for a per-day caller's counts >= 0."""
     # (y + 0.5) // 1.0 is floor(y + 0.5) as a float, with no round trip through an int.
-    return (
-        0.0 if y0 <= 0 else (y0 + 0.5) // 1.0,
-        0.0 if y1 <= 0 else (y1 + 0.5) // 1.0,
-        0.0 if y2 <= 0 else (y2 + 0.5) // 1.0,
-    )
+    return (y0 + 0.5) // 1.0, (y1 + 0.5) // 1.0, (y2 + 0.5) // 1.0
 
 
 def fractions_to_counts(x: Triple, total: float, integer_rounding: bool) -> Triple:

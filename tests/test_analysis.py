@@ -6,7 +6,6 @@ import math
 import re
 import subprocess
 import sys
-from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
@@ -153,11 +152,11 @@ class TestCompareToGolden:
 
 class TestSweep:
     def test_empty_values(self):
-        out = sweep(ModelParams(), "a", (), reference_initial())
+        out = tuple(sweep(ModelParams(), "a", (), reference_initial()))
         assert out == ()
 
     def test_growth_advantage_orders_final_velocity(self):
-        entries = sweep(ModelParams(weeks=1), "a", (1.0, 5.0), reference_initial())
+        entries = tuple(sweep(ModelParams(weeks=1), "a", (1.0, 5.0), reference_initial()))
         assert [e.value for e in entries] == [1.0, 5.0]
         assert all(e.error is None for e in entries)
         assert entries[0].final_phi < entries[1].final_phi
@@ -168,7 +167,7 @@ class TestSweep:
         # exactly by the damping offset factor.
         params = ModelParams(weeks=1, integer_rounding=False)
         initial = PopulationState(0.0, 0.0, 1e6)
-        entries = sweep(params, "theta", (0.0, 0.005), initial)
+        entries = tuple(sweep(params, "theta", (0.0, 0.005), initial))
         ratio = entries[1].final_phi / entries[0].final_phi
         assert ratio == pytest.approx(math.exp(0.005), rel=1e-12)
 
@@ -176,7 +175,7 @@ class TestSweep:
         params = ModelParams(weeks=1, integer_rounding=False)
         initial = PopulationState(0.0, 0.0, 1e6)
         hit = sweep(params, "theta", (0.0, 0.005), initial, threshold=0.05)
-        missed = sweep(params, "theta", (0.0,), initial, threshold=1.0)
+        missed = tuple(sweep(params, "theta", (0.0,), initial, threshold=1.0))
         assert all(e.threshold_day == 1 for e in hit)
         assert missed[0].threshold_day is None
 
@@ -193,11 +192,13 @@ class TestSweep:
             sweep(ModelParams(weeks=1), "a", (1.0, 5.0), reference_initial(), threshold=threshold)
 
     def test_out_of_range_value_becomes_error_entry(self):
-        entries = sweep(
-            ModelParams(weeks=1),
-            "q_rad",
-            (0.0005, 0.7, 0.001),
-            reference_initial(),
+        entries = tuple(
+            sweep(
+                ModelParams(weeks=1),
+                "q_rad",
+                (0.0005, 0.7, 0.001),
+                reference_initial(),
+            )
         )
         assert [e.value for e in entries] == [0.0005, 0.7, 0.001]
         assert entries[0].error is None and entries[2].error is None
@@ -226,7 +227,7 @@ class TestSweep:
         assert [(e.value, e.error, e.trajectory) for e in entries] == [(value, message, None)]
 
     def test_unknown_key_reported_per_value(self):
-        entries = sweep(ModelParams(weeks=1), "banana", (1.0,), reference_initial())
+        entries = tuple(sweep(ModelParams(weeks=1), "banana", (1.0,), reference_initial()))
         assert entries[0].error == "unknown parameter: 'banana'"
 
     def test_order_independence(self):
@@ -256,9 +257,10 @@ PARITY_CASES = {
 class TestSweepInProcess:
     @pytest.mark.parametrize("key, values, threshold", PARITY_CASES.values(), ids=PARITY_CASES)
     def test_entries_equal_one_value_sweeps_and_fork_nothing(self, forks, key, values, threshold):
-        entries = sweep(SHORT_REAL, key, values, FAST_START, threshold=threshold)
+        entries = tuple(sweep(SHORT_REAL, key, values, FAST_START, threshold=threshold))
         alone = tuple(
-            sweep(SHORT_REAL, key, (value,), FAST_START, threshold=threshold)[0] for value in values
+            tuple(sweep(SHORT_REAL, key, (value,), FAST_START, threshold=threshold))[0]
+            for value in values
         )
         assert forks == []
         assert entries == alone
@@ -278,7 +280,7 @@ class TestSweepInProcess:
 
     def test_numpy_values_arrive_with_their_types(self):
         values = (np.float64(1.0), np.float64(5.0))
-        entries = sweep(SHORT_REAL, "a", values, FAST_START)
+        entries = tuple(sweep(SHORT_REAL, "a", values, FAST_START))
         assert [e.value for e in entries] == list(values)
         assert type(entries[1].final_phi) is np.float64
 
@@ -294,7 +296,7 @@ class TestSweepInProcess:
 
         monkeypatch.setattr(analysis, "simulate_course", failing_course)
         with pytest.raises(RuntimeError, match=r"^course 2.0$"):
-            sweep(SHORT_REAL, "a", (1.0, 2.0, 5.0), FAST_START)
+            tuple(sweep(SHORT_REAL, "a", (1.0, 2.0, 5.0), FAST_START))
         assert ran == [1.0, 2.0]
         assert forks == []
 
@@ -324,48 +326,29 @@ class TestSweepInProcess:
 
         sys.setprofile(profiler)
         try:
-            entries = sweep(SHORT_REAL, "a", (1.0, 2.0, 5.0), FAST_START)
+            entries = tuple(sweep(SHORT_REAL, "a", (1.0, 2.0, 5.0), FAST_START))
         finally:
             sys.setprofile(None)
         assert courses == [1.0, 2.0, 5.0]
         assert all(e.error is None for e in entries)
 
-    def test_each_maps_every_entry_as_its_value_ends(self, monkeypatch):
-        def drop(entry):
-            return dc_replace(entry, trajectory=None)
-
-        values = (1.0, 0.0, 5.0)
-        expected = tuple(map(drop, sweep(SHORT_REAL, "a", values, FAST_START, threshold=0.05)))
+    def test_a_course_runs_when_its_entry_is_taken(self, monkeypatch):
         real_course = analysis.simulate_course
-        order = []
+        ran = []
 
         def course(params, initial):
-            order.append(f"course {params.a}")
+            ran.append(params.a)
             return real_course(params, initial)
 
-        def each(entry):
-            order.append(f"each {entry.value}")
-            return drop(entry)
-
         monkeypatch.setattr(analysis, "simulate_course", course)
-        assert sweep(SHORT_REAL, "a", values, FAST_START, threshold=0.05, each=each) == expected
-        # a = 0 is rejected before its course runs.
-        assert order == ["course 1.0", "each 1.0", "each 0.0", "course 5.0", "each 5.0"]
-
-    @pytest.mark.parametrize(
-        "error",
-        [PermissionError(13, "Permission denied", "x.csv"), InvalidParameterError("bad")],
-        ids=["os-error", "simulation-error"],
-    )
-    def test_an_os_or_simulation_error_from_each_is_raised_as_itself(self, error):
-        def each(entry):
-            if entry.value == 5.0:
-                raise error
-            return entry
-
-        with pytest.raises(type(error)) as raised:
-            sweep(SHORT_REAL, "a", (1.0, 5.0), FAST_START, each=each)
-        assert raised.value is error
+        values = (1.0, 2.0, 5.0)
+        entries = sweep(SHORT_REAL, "a", values, FAST_START)
+        assert ran == []
+        for k, value in enumerate(values):
+            assert next(entries).value == value
+            assert ran == list(values[: k + 1])
+        assert next(entries, None) is None
+        assert ran == list(values)
 
 
 def test_reference_run_for_comparison_is_a_fixture(course_zero, golden):

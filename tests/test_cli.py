@@ -603,6 +603,39 @@ class TestSweep:
         written = sorted(p.name for p in out_dir.iterdir())
         assert written == [*(f"sweep_a_{v}.0.csv" for v in range(1, 5)), "sweep_summary.csv"]
 
+    def test_each_file_is_written_before_the_next_course_runs(self, tmp_path, monkeypatch):
+        real_course, real_write = analysis.simulate_course, cli.write_trajectory
+        calls = []
+
+        def course(params, initial):
+            calls.append(f"course {params.a!r}")
+            return real_course(params, initial)
+
+        def write(trajectory, destination):
+            calls.append(f"write {destination.name}")
+            real_write(trajectory, destination)
+
+        monkeypatch.setattr(analysis, "simulate_course", course)
+        monkeypatch.setattr(cli, "write_trajectory", write)
+        out_dir = tmp_path / "sweep"
+        assert cli_main(self.sweep_argv(tmp_path, "1.0,2.0,3.0", out_dir)) == EXIT_OK
+        assert calls == [
+            step for v in ("1.0", "2.0", "3.0") for step in (f"course {v}", f"write sweep_a_{v}.csv")
+        ]
+
+    def test_out_dir_is_made_before_the_first_course(self, tmp_path, monkeypatch):
+        real_course = analysis.simulate_course
+        out_dir = tmp_path / "sweep"
+        made = []
+
+        def course(params, initial):
+            made.append(out_dir.is_dir())
+            return real_course(params, initial)
+
+        monkeypatch.setattr(analysis, "simulate_course", course)
+        assert cli_main(self.sweep_argv(tmp_path, "1.0,2.0", out_dir)) == EXIT_OK
+        assert made == [True, True]
+
     def test_a_repeated_value_writes_one_file(self, tmp_path, capsys):
         out_dir = tmp_path / "sweep"
         assert cli_main(self.sweep_argv(tmp_path, "2.0,2.0", out_dir)) == EXIT_OK

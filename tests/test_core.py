@@ -320,15 +320,18 @@ class TestRounding:
             (2.4, 2.0),
             (2.5, 3.0),
             (3.5, 4.0),
-            (-0.2, 0.0),
-            (-5.0, 0.0),
             (37127003.52, 37127004.0),
         ],
     )
-    def test_snap_count_half_up_floored_at_zero(self, value, expected):
+    def test_snap_count_half_up(self, value, expected):
         # Each component of the triple snaps on its own.
         assert snap_counts((value, 1.0, 2.5)) == (expected, 1.0, 3.0)
         assert snap_counts((0.5, 7.0, value)) == (1.0, 7.0, expected)
+
+    @pytest.mark.parametrize("value", [-0.2, -5.0])
+    def test_snap_count_rejects_a_negative_count(self, value):
+        with pytest.raises(InvalidStateError, match=f"^y0 must be >= 0, got {value}$"):
+            snap_counts((value, 1.0, 2.5))
 
     def test_reference_initial_split(self):
         counts = fractions_to_counts((0.6, 0.34, 0.06), 618783392.0, integer_rounding=True)

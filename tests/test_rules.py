@@ -27,6 +27,7 @@ from repopsim import (
     lq_closed_form,
     parse_config,
     psi,
+    snap_counts,
     sweep,
     v2_of,
 )
@@ -84,6 +85,8 @@ RULES = [
             ("y2", lambda y: growth_day_detail((6.0, 3.0, y), PARAMS, 0.08)),
             ("y0", lambda y: apply_division((y, 3.0, 1.0), RATES[:3])),
             ("y2", lambda y: apply_division((6.0, 3.0, y), RATES[:3], integer_rounding=True)),
+            ("y0", lambda y: snap_counts((y, 3.0, 1.0))),
+            ("y2", lambda y: snap_counts((6.0, 3.0, y))),
         ],
     ),
     (
@@ -100,6 +103,7 @@ RULES = [
             ("counts", lambda c: apply_pulse(OPERATOR, c, integer_rounding=True)),
             ("counts", lambda c: apply_division(c, RATES[:3])),
             ("counts", lambda c: apply_division(c, RATES[:3], integer_rounding=True)),
+            ("counts", snap_counts),
             ("initial_counts", lambda c: _config(initial_counts=list(c))),
         ],
     ),
