@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace as dc_replace
+from typing import NamedTuple
 
 from .core import CELL_TOTAL, PARAM_TABLE, PULSE_COUNT, ModelParams, ParamRow, PopulationState
 from .core import lq_exponent
@@ -13,8 +14,7 @@ from .errors import AlignmentError, ConfigError, InvalidParameterError, Simulati
 from .schedule import Trajectory, simulate_course
 
 
-@dataclass(slots=True)
-class DiffPoint:
+class DiffPoint(NamedTuple):
     """Velocity difference at one aligned (day, phase) grid point."""
 
     day: int
@@ -47,7 +47,7 @@ def diff_velocity(a: Trajectory, b: Trajectory) -> TrajectoryDiff:
     for rec in a.records:
         key = (rec.day, rec.phase)
         if key in b_phi:
-            points.append(DiffPoint(day=rec.day, phase=rec.phase, delta=rec.phi - b_phi[key]))
+            points.append(DiffPoint(rec.day, rec.phase, rec.phi - b_phi[key]))
     if not points:
         raise AlignmentError("the two trajectories share no (day, phase) grid point")
     return TrajectoryDiff(
@@ -68,8 +68,7 @@ def lq_closed_form(n0: float, n: int, params: ModelParams) -> float:
     return n0 * math.exp(-n * lq_exponent(params))
 
 
-@dataclass(slots=True)
-class GoldenRow:
+class GoldenRow(NamedTuple):
     """One row of the bundled reference table."""
 
     day: int

@@ -30,8 +30,6 @@ PHASES = (INITIAL, POST_GROWTH, POST_RADIATION)
 
 # Tolerance for membership on the probability simplex.
 SIMPLEX_TOL = 1e-9
-# The largest float as an integer: PULSE_COUNT rejects a count above it as too large.
-_INT_MAX = int(sys.float_info.max)
 # The largest float. Each per-day entry taking cell counts compares them with 0.0 and
 # COUNT_MAX, float to float, cheaper than int to float, and calls check_counts if one fails.
 COUNT_MAX = sys.float_info.max
@@ -226,8 +224,7 @@ def psi(params: ModelParams, pulses: int, treatment: bool) -> float:
         InvalidParameterError: for pulses not a pulse count, or treatment not
             True or False.
     """
-    if not (type(pulses) is int and 0 <= pulses <= _INT_MAX):
-        PULSE_COUNT.check("pulses", pulses)
+    PULSE_COUNT.check("pulses", pulses)
     if treatment is not True and treatment is not False:  # only a bool may pick a day's loss
         ParamRow(bool).check("treatment", treatment)
     return _psis(params, range(pulses, pulses + 1))[0][treatment]
@@ -272,10 +269,8 @@ def fractions_to_counts(x: Triple, total: float, integer_rounding: bool) -> Trip
         InvalidStateError: if x is off the simplex.
         InvalidParameterError: for a total CELL_TOTAL rejects.
     """
+    check_simplex("x", x)
+    CELL_TOTAL.check("total", total)
     x0, x1, x2 = x
-    if not (x0 >= 0.0 and x1 >= 0.0 and x2 >= 0.0 and abs(x0 + x1 + x2 - 1.0) <= SIMPLEX_TOL):
-        check_simplex("x", x)
-    if not (type(total) is float and 0.0 <= total <= COUNT_MAX):
-        CELL_TOTAL.check("total", total)
     y0, y1, y2 = x0 * total, x1 * total, x2 * total
     return _snap(y0, y1, y2) if integer_rounding else (y0, y1, y2)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 from collections.abc import Iterator
 from importlib import resources
-from operator import attrgetter
 from pathlib import Path
 
 from .analysis import GoldenRow, SweepEntry, TrajectoryDiff
@@ -73,9 +72,9 @@ def _cell_error(where: str, line: str, cells: list[str]) -> SchemaError:
             return SchemaError(f"{where}: {quote(cell)} is not {kind}: {quote(line)}")
 
 
-# One row template per count mode over the header's fields: "%d" writes
-# str(int(count)), and NaN or inf raise as int() does.
-_ROW_FIELDS = attrgetter(*TRAJECTORY_HEADER.split(","))
+# One row template per count mode over a record's fields, which are the
+# header's columns in order: "%d" writes str(int(count)), and NaN or inf
+# raise as int() does.
 _INTEGER_ROW = "%d,%s,%d,%d,%d,%.9f,%.9f,%.9f,%.9f,%.9f,%d\n"
 _REAL_ROW = "%d,%s" + ",%.9f" * 9 + "\n"
 
@@ -83,7 +82,7 @@ _REAL_ROW = "%d,%s" + ",%.9f" * 9 + "\n"
 def write_trajectory(trajectory: Trajectory, destination: str | Path) -> None:
     """Write a trajectory as a comma-separated table, one record per line."""
     row = _INTEGER_ROW if trajectory.integer_rounding else _REAL_ROW
-    rows = [row % _ROW_FIELDS(r) for r in trajectory.records]
+    rows = [row % record for record in trajectory.records]
     Path(destination).write_text(TRAJECTORY_HEADER + "\n" + "".join(rows), encoding="utf-8")
 
 
@@ -106,10 +105,10 @@ def read_trajectory(source: str | Path) -> Trajectory:
             integer_rounding = False
         try:
             records.append(
-                TrajectoryRecord(
+                TrajectoryRecord._make((
                     int(day), phase, float(y0), float(y1), float(y2), float(x0),
                     float(x1), float(x2), float(phi), float(v2), float(total),
-                )
+                ))
             )
         except ValueError:
             raise _cell_error(f"{origin}: line {number}", line, cells) from None
@@ -118,8 +117,8 @@ def read_trajectory(source: str | Path) -> Trajectory:
 
 def write_diff(diff: TrajectoryDiff, destination: str | Path) -> None:
     """Write a velocity-difference curve as a comma-separated table."""
-    lines = [DIFF_HEADER] + [f"{p.day},{p.phase},{_format_real(p.delta)}" for p in diff.points]
-    Path(destination).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = ["%d,%s,%.9f\n" % point for point in diff.points]
+    Path(destination).write_text(DIFF_HEADER + "\n" + "".join(rows), encoding="utf-8")
 
 
 def write_sweep_summary(entries: tuple[SweepEntry, ...], destination: str | Path) -> None:
@@ -154,4 +153,7 @@ def load_reference_table() -> tuple[GoldenRow, ...]:
             f"bundled reference table checksum mismatch: {digest} != {REFERENCE_SHA256}"
         )
     rows = _table_rows(data.decode("utf-8"), _REFERENCE_RESOURCE, REFERENCE_HEADER, "|")
-    return tuple(GoldenRow(int(cells[0]), cells[1], *map(float, cells[2:])) for *_, cells in rows)
+    return tuple(
+        GoldenRow._make((int(day), phase, float(y0), float(y1), float(y2), float(velocity)))
+        for _, _, (day, phase, y0, y1, y2, velocity) in rows
+    )

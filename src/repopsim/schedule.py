@@ -13,6 +13,7 @@ the day whose morning produced them, and each full week emits
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import INITIAL, POST_GROWTH, POST_RADIATION, ModelParams, PopulationState, _psis, v2_of
 from .errors import InvalidStateError, NumericInstabilityError
@@ -20,9 +21,8 @@ from .growth import growth_day_detail
 from .radiation import apply_pulse, build_radiation_operator
 
 
-@dataclass(slots=True)
-class TrajectoryRecord:
-    """One logged row of a course, mirroring the day-by-day table schema.
+class TrajectoryRecord(NamedTuple):
+    """One logged row of a course, its fields in the day-by-day table's column order.
 
     phi is the mean velocity at the end of the most recent mixing stage
     (before the division step reweights the fractions); post-radiation rows
@@ -98,7 +98,8 @@ def simulate_course(params: ModelParams, initial: PopulationState) -> Trajectory
     phi = max_drift = 0.0
     v2 = v2_of(params, first, per_week > 0)
     x0, x1, x2 = y0 / total, y1 / total, y2 / total
-    records = [TrajectoryRecord(1, INITIAL, y0, y1, y2, x0, x1, x2, phi, v2, total)]
+    row = TrajectoryRecord._make  # a record from its tuple of fields, in one step
+    records = [row((1, INITIAL, y0, y1, y2, x0, x1, x2, phi, v2, total))]
     for day in range(1, params.weeks * week + 1):
         treatment = (day - 1) % week < per_week
         if treatment and day > 1:
@@ -107,8 +108,7 @@ def simulate_course(params: ModelParams, initial: PopulationState) -> Trajectory
             v2 = av1 * psis[pulses - first][True]
             total = y0 + y1 + y2
             x0, x1, x2 = (y0 / total, y1 / total, y2 / total) if total else (0.0, 0.0, 0.0)
-            record = TrajectoryRecord(day, POST_RADIATION, y0, y1, y2, x0, x1, x2, phi, v2, total)
-            records.append(record)
+            records.append(row((day, POST_RADIATION, y0, y1, y2, x0, x1, x2, phi, v2, total)))
             if total < 1 and _extinct(total, rounding, day):
                 return Trajectory(tuple(records), rounding, max_drift, extinction_day=day)
         else:
@@ -119,7 +119,7 @@ def simulate_course(params: ModelParams, initial: PopulationState) -> Trajectory
         y0, y1, y2 = counts
         total = y0 + y1 + y2
         x0, x1, x2 = (y0 / total, y1 / total, y2 / total) if total else (0.0, 0.0, 0.0)
-        records.append(TrajectoryRecord(day, POST_GROWTH, y0, y1, y2, x0, x1, x2, phi, v2, total))
+        records.append(row((day, POST_GROWTH, y0, y1, y2, x0, x1, x2, phi, v2, total)))
         if total < 1 and _extinct(total, rounding, day):
             return Trajectory(tuple(records), rounding, max_drift, extinction_day=day)
     return Trajectory(tuple(records), rounding, max_drift)

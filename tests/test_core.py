@@ -382,7 +382,8 @@ class TestConstants:
 
 
 _STATE = PopulationState(6.0, 3.0, 1.0)
-# The validated start of a course, and one instance of each type built per row: slotted.
+# The validated start of a course, and one instance of each type built per row
+# (a named tuple): slotted.
 _SLOTTED = {
     "PopulationState": _STATE,
     "TrajectoryRecord": repopsim.TrajectoryRecord(
@@ -420,9 +421,14 @@ class TestValueLayout:
 
     def test_every_exported_value_type_has_its_layout_tested(self):
         # The README sorts the value types into these two kinds; a type added
-        # to or removed from the package must move the tables with it.
+        # to or removed from the package must move the tables with it. A value
+        # type is a dataclass or a named tuple.
         exported = {
             name for name, value in vars(repopsim).items()
-            if isinstance(value, type) and dataclasses.is_dataclass(value)
+            if isinstance(value, type)
+            and (
+                dataclasses.is_dataclass(value)
+                or issubclass(value, tuple) and hasattr(value, "_fields")
+            )
         }
         assert exported == _SLOTTED.keys() | _FROZEN.keys()

@@ -6,8 +6,8 @@ a faster kernel, a refactor or a new formatter must leave them as they are.
 
 The shipped configs both run in integer mode with the default weekly
 shape, so three more courses are pinned: the mixing config with real-valued
-counts (the nine-decimal count format), a 52-week course at ode_step 0.5
-(where pulses, rounding and records outweigh the growth day), and the mixing
+counts (the nine-decimal count format), a 52-week course (where pulses,
+rounding and records outweigh the growth day), and the mixing
 config reshaped to three weeks of three pulse days and four growth-only
 days. A sweep of `a` on the mixing config pins every file it writes, whether
 its values run in one process or several, and `check` on the mixing config
@@ -47,7 +47,6 @@ SHIPPED_DIGESTS = {
 # stays within a factor of two of its start in both modes.
 COARSE_COURSE = {
     "weeks": 52,
-    "ode_step": 0.5,
     "dose": 0.375,
     "initial_counts": [7200000, 16800000, 216000000],
 }
