@@ -97,6 +97,7 @@ def read_trajectory(source: str | Path) -> Trajectory:
             header or column count, an unknown phase, or a cell that is not a number.
     """
     origin = str(source)
+    row = TrajectoryRecord._make  # a record from its tuple of fields, in one step
     records = []
     integer_rounding = True
     for number, line, cells in _table_rows(_read_text(source), origin, TRAJECTORY_HEADER, ","):
@@ -104,12 +105,10 @@ def read_trajectory(source: str | Path) -> Trajectory:
         if integer_rounding and ("." in y0 or "." in y1 or "." in y2 or "." in total):
             integer_rounding = False
         try:
-            records.append(
-                TrajectoryRecord._make((
-                    int(day), phase, float(y0), float(y1), float(y2), float(x0),
-                    float(x1), float(x2), float(phi), float(v2), float(total),
-                ))
-            )
+            records.append(row((
+                int(day), phase, float(y0), float(y1), float(y2), float(x0),
+                float(x1), float(x2), float(phi), float(v2), float(total),
+            )))
         except ValueError:
             raise _cell_error(f"{origin}: line {number}", line, cells) from None
     return Trajectory(records=tuple(records), integer_rounding=integer_rounding)

@@ -302,8 +302,8 @@ def growth_rates(draw):
     if draw(st.booleans()):
         return (draw(_VELOCITY), draw(_VELOCITY), draw(_VELOCITY), draw(_RATE), draw(_RATE))
     edge = growth._SERIES_SPREAD
-    spread = draw(st.sampled_from([edge * (1 - 1e-12), edge, edge * (1 + 1e-12)])
-                  | st.floats(0.0, 4 * edge))
+    at_edge = st.sampled_from([edge * (1 - 1e-12), edge, edge * (1 + 1e-12)])
+    spread = draw(at_edge | st.floats(0.0, 4 * edge))
     low = draw(st.floats(0.0, 100.0))
     middle = low + draw(st.floats(0.0, 1.0)) * spread
     d0, d1, d2 = draw(st.permutations([low, middle, low + spread]))
