@@ -411,6 +411,19 @@ class TestValueLayout:
         assert "__slots__" in vars(type(value))
         assert not hasattr(value, "__dict__")
 
+    @pytest.mark.parametrize("name", ["TrajectoryRecord", "DiffPoint", "GoldenRow"])
+    def test_rows_are_immutable_hashable_tuples(self, name):
+        # A row is a named tuple: equal to the plain tuple of its fields, in
+        # its file's column order, hashable, and changed only by _replace.
+        row = _SLOTTED[name]
+        plain = tuple(getattr(row, field) for field in row._fields)
+        assert row == plain and hash(row) == hash(plain)
+        with pytest.raises(AttributeError):
+            setattr(row, "day", 2)
+        moved = row._replace(day=2)
+        assert type(moved) is type(row)
+        assert moved == (2, *plain[1:]) and row == plain
+
     @pytest.mark.parametrize("name", _FROZEN)
     def test_per_course_types_stay_frozen(self, name):
         value = _FROZEN[name]
