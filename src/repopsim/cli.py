@@ -10,13 +10,15 @@ import argparse
 import functools
 import re
 import sys
+from collections.abc import Iterator
 from dataclasses import replace as dc_replace
 from pathlib import Path
 
-from .analysis import compare_to_golden, diff_velocity, lq_closed_form, sweep
+from .analysis import SweepEntry, compare_to_golden, diff_velocity, lq_closed_form, sweep
 from .config import check_destination, load_config
-from .core import PARAM_TABLE, ModelParams, PopulationState
+from .core import GROWTH_INTERVAL, PARAM_TABLE, POST_GROWTH, ModelParams, PopulationState
 from .errors import ConfigError, NumericInstabilityError, SimulationError, quote
+from .growth import integrate_growth
 from .io import (
     load_reference_table,
     read_trajectory,
@@ -25,7 +27,7 @@ from .io import (
     write_trajectory,
 )
 from .radiation import apply_pulse, build_radiation_operator
-from .schedule import simulate_course
+from .schedule import Trajectory, simulate_course
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -138,11 +140,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     pending = sweep(config.params, args.param, values, config.initial, threshold=args.threshold)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
+    code = EXIT_OK
     for entry in pending:
         # Written as its course ends, so no finished trajectory waits for the summary.
         if entry.trajectory is not None:
-            write_trajectory(entry.trajectory, destination(entry.value))
-            entry = dc_replace(entry, trajectory=None)
+            try:
+                write_trajectory(entry.trajectory, destination(entry.value))
+            except OSError as exc:  # an error row like a rejected value's, but exit 2
+                entry, code = SweepEntry(value=entry.value, error=str(exc)), EXIT_IO
+            else:
+                entry = dc_replace(entry, trajectory=None)
         entries.append(entry)
     for entry in entries:
         if entry.error is not None:
@@ -151,7 +158,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"value {entry.value!r}: wrote {destination(entry.value)}")
     write_sweep_summary(entries, out_dir / "sweep_summary.csv")
     print(f"wrote {out_dir / 'sweep_summary.csv'}")
-    return EXIT_OK
+    return code
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
@@ -168,6 +175,15 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 def _check_line(name: str, passed: bool, detail: str) -> bool:
     print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
     return passed
+
+
+def _growth_endpoints(course: Trajectory, params: ModelParams) -> Iterator[tuple]:
+    """Each growth day's (record, mixing endpoint), replayed exactly from the record before."""
+    v0, v1, q, p = params.v0, params.v1, params.q_mix, params.p_mix
+    for before, rec in zip(course.records, course.records[1:]):
+        if rec.phase == POST_GROWTH:
+            x = (before.x0, before.x1, before.x2)
+            yield rec, integrate_growth((v0, v1, rec.v2, q, p), x, GROWTH_INTERVAL, GROWTH_INTERVAL)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -189,7 +205,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     detail = f"30-pulse total vs closed form, relative error {lq_error:.3e}"
     results.append(_check_line("pulse-closed-form", lq_error <= 1e-12, detail))
 
-    drift = simulate_course(params, config.initial).max_simplex_drift
+    endpoints = _growth_endpoints(simulate_course(params, config.initial), params)
+    drift = max(abs(x0 + x1 + x2 - 1.0) for _, (x0, x1, x2) in endpoints)
     detail = f"max |sum(x) - 1| at integrator endpoints {drift:.3e}"
     results.append(_check_line("simplex-drift", drift <= 1e-9, detail))
 

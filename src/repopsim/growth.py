@@ -19,6 +19,8 @@ from .errors import InvalidParameterError, InvalidStateError, NumericInstability
 _RATE_KINDS = (float, int)
 # A span of growth in days: finite and > 0.
 _DURATION = ParamRow(float, 0, strict=True)
+# A step, a velocity or a fraction: a number within the floats, its range checked apart.
+_NUMBER = ParamRow(float)
 # The widest spread of three exponents whose second divided difference comes
 # from its series; past it, dividing by the spread loses at most a few units.
 _SERIES_SPREAD = 0.5
@@ -47,42 +49,47 @@ def integrate_growth(rates: Rates, x: Triple, duration: float, step: float) -> T
 
     Raises:
         InvalidParameterError: for a duration not finite and > 0, a step not
-            a number or outside (0, duration], a negative or NaN velocity, or a q_mix or
-            p_mix outside [0, 1].
-        InvalidStateError: for a negative or NaN component of x.
+            a number or outside (0, duration], a velocity not a number, too
+            large for a float, negative or NaN, or a q_mix or p_mix outside [0, 1].
+        InvalidStateError: naming `fractions`, for a component of x not a
+            number, too large for a float, negative or NaN.
         NumericInstabilityError: if exp(tA) x is not finite or sums to zero.
     """
     if not (type(duration) is float and 0.0 < duration < math.inf):
         _DURATION.check("duration", duration)
     if not (type(step) is float and 0.0 < step <= duration):
-        ParamRow(float).check("step", step)
+        _NUMBER.check("step", step)
         if not 0 < step <= duration:
             raise InvalidParameterError(f"step must lie in (0, duration], got {step}")
     v0, v1, v2, q, p = rates
     x0, x1, x2 = x
-    if not (
-        type(q) in _RATE_KINDS and type(p) in _RATE_KINDS
-        and 0.0 <= v0 and 0.0 <= v1 and 0.0 <= v2 and 0.0 <= q <= 1.0 and 0.0 <= p <= 1.0
-    ):
-        _check_velocities((v0, v1, v2))
-        for name, rate in (("q_mix", q), ("p_mix", p)):
-            PARAM_TABLE[name].check(name, rate)
-    c1, c2 = duration * v0 * q, duration * v1 * p
-    d0, d1, d2 = duration * v0 * (1.0 - q), duration * v1 * (1.0 - p), duration * v2
-    if not (x0 > 0.0 and x1 > 0.0 and x2 > 0.0):
-        if not (x0 >= 0.0 and x1 >= 0.0 and x2 >= 0.0):
-            raise InvalidStateError(f"fractions must be >= 0, got {x}")
-        # A compartment that neither holds nor receives cells stays empty, so
-        # its diagonal entry takes the shift's value, whatever its velocity.
-        in1 = x1 > 0.0 or (x0 > 0.0 and c1 > 0.0)
-        in2 = x2 > 0.0 or (in1 and c2 > 0.0)
-        top = max(d0 if x0 > 0.0 else -math.inf, d1 if in1 else -math.inf, d2 if in2 else -math.inf)
-        d0, d1, d2 = d0 if x0 > 0.0 else top, d1 if in1 else top, d2 if in2 else top
-    top = d1 if d1 > d0 else d0  # max(d0, d1, d2), without a builtin call a day
-    top = d2 if d2 > top else top
-    d0, d1, d2 = d0 - top, d1 - top, d2 - top
-    e0, e1, e2 = math.exp(d0), math.exp(d1), math.exp(d2)
-    y0, y1, y2 = e0 * x0, e1 * x1, e2 * x2
+    try:  # a velocity or fraction not a number, or an int past the floats, raises in here
+        if not (
+            type(q) in _RATE_KINDS and type(p) in _RATE_KINDS
+            and 0.0 <= v0 and 0.0 <= v1 and 0.0 <= v2 and 0.0 <= q <= 1.0 and 0.0 <= p <= 1.0
+        ):
+            _check_mixing(rates, x)
+        c1, c2 = duration * v0 * q, duration * v1 * p
+        d0, d1, d2 = duration * v0 * (1.0 - q), duration * v1 * (1.0 - p), duration * v2
+        if not (x0 > 0.0 and x1 > 0.0 and x2 > 0.0):
+            if not (x0 >= 0.0 and x1 >= 0.0 and x2 >= 0.0):
+                _check_mixing(rates, x)
+            # A compartment that neither holds nor receives cells stays empty, so
+            # its diagonal entry takes the shift's value, whatever its velocity.
+            in1 = x1 > 0.0 or (x0 > 0.0 and c1 > 0.0)
+            in2 = x2 > 0.0 or (in1 and c2 > 0.0)
+            top = max(
+                d0 if x0 > 0.0 else -math.inf, d1 if in1 else -math.inf, d2 if in2 else -math.inf
+            )
+            d0, d1, d2 = d0 if x0 > 0.0 else top, d1 if in1 else top, d2 if in2 else top
+        top = d1 if d1 > d0 else d0  # max(d0, d1, d2), without a builtin call a day
+        top = d2 if d2 > top else top
+        d0, d1, d2 = d0 - top, d1 - top, d2 - top
+        e0, e1, e2 = math.exp(d0), math.exp(d1), math.exp(d2)
+        y0, y1, y2 = e0 * x0, e1 * x1, e2 * x2
+    except (TypeError, OverflowError):
+        _check_mixing(rates, x)
+        raise
     if c1 > 0.0:
         y1 += c1 * (_first_difference(d0, e0, d1, e1) * x0)
     if c2 > 0.0:
@@ -140,9 +147,25 @@ def _second_difference(a: float, ea: float, b: float, eb: float, c: float, ec: f
 
 
 def _check_velocities(v: Triple) -> None:
+    """Reject a velocity not a number, an int too large for a float, or one negative or NaN."""
     for name, value in zip(("v0", "v1", "v2"), v):
+        _NUMBER.check(name, value)
         if not value >= 0:
             raise InvalidParameterError(f"{name} must be >= 0, got {value}")
+
+
+def _check_mixing(rates: Rates, x: Triple) -> None:
+    """Reject integrate_growth's rates, then its fractions, as its docstring lists."""
+    _check_velocities(rates[:3])
+    for name, rate in zip(("q_mix", "p_mix"), rates[3:]):
+        PARAM_TABLE[name].check(name, rate)
+    for value in x:
+        try:
+            _NUMBER.check("fractions", value)
+        except InvalidParameterError as exc:
+            raise InvalidStateError(str(exc)) from None
+        if not value >= 0:
+            raise InvalidStateError(f"fractions must be >= 0, got {x}")
 
 
 def apply_division(counts: Triple, v: Triple, integer_rounding: bool = False) -> Triple:
@@ -152,7 +175,8 @@ def apply_division(counts: Triple, v: Triple, integer_rounding: bool = False) ->
 
     Raises:
         InvalidStateError: for counts check_counts rejects.
-        InvalidParameterError: for a negative or NaN velocity.
+        InvalidParameterError: for a velocity not a number, too large for a
+            float, negative or NaN.
         NumericInstabilityError: if a divided count is too large for a float,
             or an infinite velocity meets an empty compartment.
     """
@@ -163,31 +187,36 @@ def apply_division(counts: Triple, v: Triple, integer_rounding: bool = False) ->
     except (TypeError, OverflowError):  # a count not a number, or an int past the floats
         check_counts(counts)
     v0, v1, v2 = v
-    if not (v0 >= 0 and v1 >= 0 and v2 >= 0):
+    try:
+        if not (v0 >= 0 and v1 >= 0 and v2 >= 0):
+            _check_velocities(v)
+    except TypeError:  # a velocity not a number
         _check_velocities(v)
     try:
         y0, y1, y2 = y0 * 2.0**v0, y1 * 2.0**v1, y2 * 2.0**v2
-    except OverflowError:
+    except OverflowError:  # a factor past the floats, or an int velocity past them
+        _check_velocities(v)
         y0 = y1 = y2 = math.inf
     if not y0 + y1 + y2 < math.inf:  # also NaN, from an infinite factor times a zero count
         raise NumericInstabilityError(f"cell counts overflow dividing for a day at velocities {v}")
     return _snap(y0, y1, y2) if integer_rounding else (y0, y1, y2)
 
 
-def growth_day_detail(
-    counts: Triple, params: ModelParams, v2: float
-) -> tuple[Triple, float, float]:
+def growth_day_detail(counts: Triple, params: ModelParams, v2: float) -> tuple[Triple, float]:
     """One growth interval of the (y0, y1, y2) counts, returned as the divided
-    counts, the mean velocity phi at the mixing endpoint and that endpoint's
-    drift |sum(x) - 1| from the simplex.
+    counts and the mean velocity phi at the mixing endpoint.
 
     Stages: evolve the fractions under the velocities (params.v0, params.v1,
     v2), with v2 frozen for the interval, rebuild counts from the endpoint,
     then divide.
 
     Raises:
+        InvalidParameterError: for a v2 not a number, too large for a float,
+            negative or NaN.
         InvalidStateError: for a count check_counts rejects, or an empty
             population.
+        NumericInstabilityError: if the mixing endpoint is not finite or sums
+            to zero, or a divided count is too large for a float.
     """
     y0, y1, y2 = counts
     try:  # three nonnegative counts with a finite total are each finite too
@@ -202,9 +231,8 @@ def growth_day_detail(
     x = (y0 / total, y1 / total, y2 / total)
     rates = (v0, v1, v2, params.q_mix, params.p_mix)
     x0, x1, x2 = integrate_growth(rates, x, GROWTH_INTERVAL, GROWTH_INTERVAL)
-    drift = abs(x0 + x1 + x2 - 1.0)
     # fractions_to_counts' spread, over the endpoint integrate_growth keeps on the simplex.
     y0, y1, y2 = x0 * total, x1 * total, x2 * total
     counts = _snap(y0, y1, y2) if params.integer_rounding else (y0, y1, y2)
     phi = v0 * x0 + v1 * x1 + v2 * x2
-    return apply_division(counts, (v0, v1, v2), params.integer_rounding), phi, drift
+    return apply_division(counts, (v0, v1, v2), params.integer_rounding), phi

@@ -89,8 +89,7 @@ def write_trajectory(trajectory: Trajectory, destination: str | Path) -> None:
 def read_trajectory(source: str | Path) -> Trajectory:
     """Parse a trajectory table written by write_trajectory.
 
-    The returned trajectory carries exactly the file's values; simplex
-    diagnostics are not serialized and come back as zeros.
+    The returned trajectory carries exactly the file's values.
 
     Raises:
         SchemaError: naming the file, for one that is not UTF-8 text, a wrong

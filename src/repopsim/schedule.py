@@ -45,11 +45,10 @@ class TrajectoryRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Ordered record log of one course plus simplex diagnostics."""
+    """Ordered record log of one course, and how it ended."""
 
     records: tuple[TrajectoryRecord, ...]
     integer_rounding: bool = True  # formatting hint: counts are whole cells
-    max_simplex_drift: float = 0.0  # worst |sum(x) - 1| at any mixing endpoint
     extinction_day: int | None = None  # day the total first fell below one cell
 
     @property
@@ -95,7 +94,7 @@ def simulate_course(params: ModelParams, initial: PopulationState) -> Trajectory
     av1 = params.a * params.v1
     y0, y1, y2 = counts = (initial.y0, initial.y1, initial.y2)
     total = y0 + y1 + y2
-    phi = max_drift = 0.0
+    phi = 0.0
     v2 = v2_of(params, first, per_week > 0)
     x0, x1, x2 = y0 / total, y1 / total, y2 / total
     row = TrajectoryRecord._make  # a record from its tuple of fields, in one step
@@ -110,16 +109,14 @@ def simulate_course(params: ModelParams, initial: PopulationState) -> Trajectory
             x0, x1, x2 = (y0 / total, y1 / total, y2 / total) if total else (0.0, 0.0, 0.0)
             records.append(row((day, POST_RADIATION, y0, y1, y2, x0, x1, x2, phi, v2, total)))
             if total < 1 and _extinct(total, rounding, day):
-                return Trajectory(tuple(records), rounding, max_drift, extinction_day=day)
+                return Trajectory(tuple(records), rounding, extinction_day=day)
         else:
             v2 = av1 * psis[pulses - first][treatment]
-        counts, phi, drift = growth_day_detail(counts, params, v2)
-        if drift > max_drift:
-            max_drift = drift
+        counts, phi = growth_day_detail(counts, params, v2)
         y0, y1, y2 = counts
         total = y0 + y1 + y2
         x0, x1, x2 = (y0 / total, y1 / total, y2 / total) if total else (0.0, 0.0, 0.0)
         records.append(row((day, POST_GROWTH, y0, y1, y2, x0, x1, x2, phi, v2, total)))
         if total < 1 and _extinct(total, rounding, day):
-            return Trajectory(tuple(records), rounding, max_drift, extinction_day=day)
-    return Trajectory(tuple(records), rounding, max_drift)
+            return Trajectory(tuple(records), rounding, extinction_day=day)
+    return Trajectory(tuple(records), rounding)

@@ -30,7 +30,7 @@ from repopsim import (
     survival_fraction,
     v2_of,
 )
-from repopsim.cli import cli_main
+from repopsim.cli import _growth_endpoints, cli_main
 from repopsim.io import TRAJECTORY_HEADER
 
 from .conftest import (
@@ -76,7 +76,10 @@ def test_criterion_02_each_pulse_scales_total_by_survival(y0, y1, y2, qf, pf):
 def test_criterion_03_simplex_preserved_over_six_week_course():
     params = ModelParams(weeks=6)
     trajectory = simulate_course(params, reference_initial())
-    assert trajectory.max_simplex_drift <= 1e-12
+    endpoints = list(_growth_endpoints(trajectory, params))
+    assert len(endpoints) == 7 * params.weeks
+    for rec, (x0, x1, x2) in endpoints:
+        assert abs(x0 + x1 + x2 - 1.0) <= 1e-12, rec.day
     for rec in trajectory.records:
         assert abs(rec.x0 + rec.x1 + rec.x2 - 1.0) <= 1e-9, (rec.day, rec.phase)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import functools
 import importlib.util
 import io
@@ -569,7 +570,15 @@ class TestSweep:
         argv = ["sweep", "--config", config, "--param", "a", "--values", values]
         return [*argv, "--out-dir", str(out_dir)]
 
+    def summary_row(self, tmp_path, a: float) -> str:
+        """The summary row of a value of a whose course ran and was written."""
+        config = load_config(write_config_file(tmp_path))
+        final = simulate_course(dataclasses.replace(config.params, a=a), config.initial).final()
+        return f"{a!r},{final.total:.9f},{final.phi:.9f},,"
+
     def test_a_write_failure_is_io_error(self, tmp_path, capsys, monkeypatch, forks):
+        # A value whose file cannot be written becomes an error row naming the
+        # path; the sweep goes on, writes its summary and then exits 2.
         real_write = cli.write_trajectory
 
         def failing_write(trajectory, destination):
@@ -584,8 +593,49 @@ class TestSweep:
         out, err = capsys.readouterr()
         assert forks == []
         assert open_fds() == fds
-        assert out == ""
-        assert err == f"error: [Errno 13] Permission denied: '{out_dir / 'sweep_a_5.0.csv'}'\n"
+        denied = f"[Errno 13] Permission denied: '{out_dir / 'sweep_a_5.0.csv'}'"
+        assert out == (
+            f"value 1.0: wrote {out_dir / 'sweep_a_1.0.csv'}\n"
+            f"value 5.0: {denied}\n"
+            f"wrote {out_dir / 'sweep_summary.csv'}\n"
+        )
+        assert err == ""
+        assert (out_dir / "sweep_summary.csv").read_text(encoding="utf-8").splitlines() == [
+            "value,final_total,final_phi,threshold_day,error",
+            self.summary_row(tmp_path, 1.0),
+            f"5.0,,,,{denied}",
+        ]
+        assert sorted(p.name for p in out_dir.iterdir()) == ["sweep_a_1.0.csv", "sweep_summary.csv"]
+
+    def test_a_value_whose_file_is_a_directory_becomes_an_error_row(self, tmp_path, capsys):
+        out_dir = tmp_path / "sweep"
+        (out_dir / "sweep_a_5.0.csv").mkdir(parents=True)
+        assert cli_main(self.sweep_argv(tmp_path, "4.0,5.0,6.0", out_dir)) == EXIT_IO
+        out, err = capsys.readouterr()
+        assert err == ""
+        error = f"[Errno 21] Is a directory: '{out_dir / 'sweep_a_5.0.csv'}'"
+        assert f"value 5.0: {error}\n" in out
+        assert (out_dir / "sweep_summary.csv").read_text(encoding="utf-8").splitlines() == [
+            "value,final_total,final_phi,threshold_day,error",
+            self.summary_row(tmp_path, 4.0),
+            f"5.0,,,,{error}",
+            self.summary_row(tmp_path, 6.0),
+        ]
+        for a in (4.0, 6.0):
+            assert (out_dir / f"sweep_a_{a!r}.csv").is_file()
+        assert (out_dir / "sweep_a_5.0.csv").is_dir()
+
+    def test_a_summary_that_cannot_be_written_is_io_error(self, tmp_path, capsys, forks):
+        out_dir = tmp_path / "sweep"
+        (out_dir / "sweep_summary.csv").mkdir(parents=True)
+        assert cli_main(self.sweep_argv(tmp_path, "1.0,5.0", out_dir)) == EXIT_IO
+        out, err = capsys.readouterr()
+        assert forks == []
+        assert out == (
+            f"value 1.0: wrote {out_dir / 'sweep_a_1.0.csv'}\n"
+            f"value 5.0: wrote {out_dir / 'sweep_a_5.0.csv'}\n"
+        )
+        assert err == f"error: [Errno 21] Is a directory: '{out_dir / 'sweep_summary.csv'}'\n"
 
     def test_entries_drop_their_trajectories_once_written(self, tmp_path, capsys, monkeypatch):
         # Each trajectory is written as its course ends; the summary sees none.
@@ -940,16 +990,18 @@ def _short_trajectory():
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     flag=st.sampled_from(["run --out", "output", "sweep --out-dir", "diff --out"]),
-    kind=st.sampled_from(["ordinary", "empty", "nul"]),
+    kind=st.sampled_from(["ordinary", "empty", "nul", "directory"]),
     name=st.text(alphabet="ab.-_1 ", min_size=1, max_size=8),
     cut=st.integers(0, 9),
 )
 def test_every_destination_ends_in_an_exit_code_and_a_rejected_one_in_no_work(
     flag, kind, name, cut
 ):
-    # A destination is an ordinary file name, the empty path, or a path with
-    # a NUL in its last part; a rejected one must stop the command before any
-    # course runs, any input is read or any file is written.
+    # A destination is an ordinary file name, the empty path, a path with a
+    # NUL in its last part, or one where a directory stands: the file itself,
+    # or for sweep, value 5.0's file. A rejected one must stop the command
+    # before any course runs, any input is read or any file is written. One
+    # that cannot be written ends in exit 2; a sweep still writes the rest.
     with tempfile.TemporaryDirectory() as tmp:
         inputs, out = Path(tmp) / "inputs", Path(tmp) / "out"
         inputs.mkdir()
@@ -959,7 +1011,11 @@ def test_every_destination_ends_in_an_exit_code_and_a_rejected_one_in_no_work(
             "ordinary": str(out / name),
             "empty": "",
             "nul": str(out / (name[:cut] + "\0" + name[cut:])),
+            "directory": str(out / name),
         }[kind]
+        if kind == "directory":
+            in_the_way = Path(destination, "sweep_a_5.0.csv" if flag.startswith("sweep") else "")
+            in_the_way.mkdir(parents=True)
         config = write_config_file(
             inputs, **({"output": destination} if flag == "output" else {})
         )
@@ -990,6 +1046,12 @@ def test_every_destination_ends_in_an_exit_code_and_a_rejected_one_in_no_work(
         if kind == "ordinary":
             assert code == EXIT_OK
             assert Path(destination).exists()
+        elif kind == "directory":
+            assert code == EXIT_IO
+            assert in_the_way.is_dir() and not any(in_the_way.iterdir())
+            if flag.startswith("sweep"):
+                written = sorted(p.name for p in Path(destination).iterdir() if p.is_file())
+                assert written == ["sweep_a_1.0.csv", "sweep_summary.csv"]
         else:
             assert code == EXIT_VALIDATION
             assert [spy.call_count for spy in calls] == [0, 0, 0]

@@ -10,8 +10,8 @@ counts (the nine-decimal count format), a 52-week course (where pulses,
 rounding and records outweigh the growth day), and the mixing
 config reshaped to three weeks of three pulse days and four growth-only
 days. A sweep of `a` on the mixing config pins every file it writes, whether
-its values run in one process or several, and `check` on the mixing config
-pins what it prints.
+its values run in one process or several, and `check` on each shipped
+config pins what it prints.
 
 When the RK4 loop gave way to the exact growth day, two digests moved and
 were pinned again; every other digest stayed. The mixing-real file changed
@@ -82,8 +82,12 @@ SWEEP_DIGESTS = {
     "sweep_summary.csv": "871c953cf6528f5174b5bc571e2a8c2783e8b677597abe190332feec6ff12622",
 }
 
-# stdout of `check --config mixing.json`: four PASS lines.
-CHECK_STDOUT_DIGEST = "633902b68ec30c326973ac2b79c4502fd269bf7a8259964a3ab32a4541c43c1b"
+# stdout of `check --config <shipped config>`: four PASS lines. The
+# simplex-drift line replays the course's growth days from its records.
+CHECK_STDOUT_DIGESTS = {
+    "baseline.json": "314ae95ae598c301c5f10528770660bd0e13b57e8e168efadff60e994eba5e64",
+    "mixing.json": "633902b68ec30c326973ac2b79c4502fd269bf7a8259964a3ab32a4541c43c1b",
+}
 
 
 def shipped_config(name: str) -> str:
@@ -122,10 +126,11 @@ def test_sweep_digests(tmp_path):
     assert written == SWEEP_DIGESTS
 
 
-def test_check_stdout_digest(capsys):
-    assert cli_main(["check", "--config", shipped_config("mixing.json")]) == EXIT_OK
+@pytest.mark.parametrize("name", sorted(CHECK_STDOUT_DIGESTS))
+def test_check_stdout_digest(name, capsys):
+    assert cli_main(["check", "--config", shipped_config(name)]) == EXIT_OK
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CHECK_STDOUT_DIGEST
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CHECK_STDOUT_DIGESTS[name]
 
 
 @pytest.mark.parametrize("integer_rounding", [True, False])

@@ -508,12 +508,12 @@ class TestApplyDivision:
 class TestGrowthDay:
     def test_degenerate_parameters_are_identity(self):
         params = ModelParams(v0=0.0, v1=0.0, a=1.0, theta=0.0, integer_rounding=False)
-        out, _, _ = growth_day_detail((100.0, 50.0, 25.0), params, v2_of(params, 0, True))
+        out, _ = growth_day_detail((100.0, 50.0, 25.0), params, v2_of(params, 0, True))
         assert out == pytest.approx((100.0, 50.0, 25.0), rel=1e-12)
 
     def test_first_reference_day_total(self, golden):
         params = ModelParams(weeks=7)
-        out, _, _ = growth_day_detail(REFERENCE_COUNTS, params, v2_of(params, 1, True))
+        out, _ = growth_day_detail(REFERENCE_COUNTS, params, v2_of(params, 1, True))
         row = next(r for r in golden if r.day == 1 and r.phase == "post_growth")
         target = row.y0 + row.y1 + row.y2
         assert target == 625950700.0
@@ -523,7 +523,7 @@ class TestGrowthDay:
         # Over one day the total multiplies by roughly 2**phi; the gap is
         # only the spread between per-component doubling and the mean rate.
         params = ModelParams(weeks=7)
-        out, phi, _ = growth_day_detail(REFERENCE_COUNTS, params, v2_of(params, 1, True))
+        out, phi = growth_day_detail(REFERENCE_COUNTS, params, v2_of(params, 1, True))
         ratio = sum(out) / sum(REFERENCE_COUNTS)
         assert ratio == pytest.approx(2.0**phi, rel=1e-3)
         assert ratio == pytest.approx(625950700.0 / 618783392.0, rel=1e-3)
@@ -533,24 +533,23 @@ class TestGrowthDay:
             v0=0.02, v1=0.02, a=1.0, theta=0.0, integer_rounding=False
         )
         assert v2_of(params, 0, True) == pytest.approx(0.02, rel=1e-15)
-        out, _, _ = growth_day_detail((600.0, 340.0, 60.0), params, v2_of(params, 0, True))
+        out, _ = growth_day_detail((600.0, 340.0, 60.0), params, v2_of(params, 0, True))
         before = (600.0 / 1000.0, 340.0 / 1000.0, 60.0 / 1000.0)
         after = tuple(c / sum(out) for c in out)
         assert after == pytest.approx(before, abs=1e-9)
         assert sum(out) == pytest.approx(1000.0 * 2.0**0.02, rel=1e-10)
 
-    def test_detail_reports_phi_and_drift(self):
+    def test_detail_reports_phi(self):
         params = ModelParams(weeks=7, integer_rounding=False)
         v2 = v2_of(params, 1, True)
-        out, phi, drift = growth_day_detail(REFERENCE_COUNTS, params, v2)
-        assert drift <= 1e-12
+        out, phi = growth_day_detail(REFERENCE_COUNTS, params, v2)
         # phi is the mean velocity of the evolved fractions, before division
         # reweights them.
         v = (params.v0, params.v1, v2)
         post = tuple(c / sum(out) for c in out)
         assert phi == pytest.approx(mean_velocity(post, v), rel=0.02)
 
-    def test_drifted_endpoint_is_reported_and_not_reprojected(self, monkeypatch):
+    def test_drifted_endpoint_is_not_reprojected(self, monkeypatch):
         # Zero velocities make division the identity, so the counts are the
         # kernel's fractions times the total, exactly as it returned them.
         raw = (0.6, 0.3, 0.1 + 1e-10)
@@ -558,10 +557,8 @@ class TestGrowthDay:
             "repopsim.growth.integrate_growth", lambda rates, x, duration, step: raw
         )
         params = ModelParams(v0=0.0, v1=0.0, integer_rounding=False)
-        out, _, drift = growth_day_detail((600.0, 300.0, 100.0), params, v2_of(params, 0, True))
+        out, _ = growth_day_detail((600.0, 300.0, 100.0), params, v2_of(params, 0, True))
         norm = raw[0] + raw[1] + raw[2]
-        assert drift == abs(norm - 1.0)
-        assert 1e-12 < drift < 2e-10
         assert out == (raw[0] * 1000.0, raw[1] * 1000.0, raw[2] * 1000.0)
         assert out[2] != raw[2] / norm * 1000.0
 
@@ -573,8 +570,15 @@ class TestGrowthDay:
             lambda rates, x, duration, step: (0.6, 0.3, 0.1 + 5e-10),
         )
         params = ModelParams(v0=1.0, v1=0.0, integer_rounding=True)
-        out, _, _ = growth_day_detail((600.0, 300.0, 100.0), params, v2_of(params, 0, True))
+        out, _ = growth_day_detail((600.0, 300.0, 100.0), params, v2_of(params, 0, True))
         assert out == (1200.0, 300.0, 100.0)
+
+    def test_overflowing_division_is_numeric_instability(self):
+        # A finite mixing endpoint whose division overflows: the day raises as
+        # apply_division does, not with a bare OverflowError or infinite counts.
+        params = ModelParams(v0=2.0)
+        with pytest.raises(NumericInstabilityError, match="cell counts overflow"):
+            growth_day_detail((1.7e308, 0.0, 0.0), params, v2_of(params, 0, True))
 
     def test_rejects_empty_population(self):
         params = ModelParams()

@@ -42,6 +42,11 @@ def _config(**keys):
     return parse_config(json.dumps({"initial_counts": [6, 3, 1], **keys}))
 
 
+def _mix(v0=0.01, v2=0.08, x=(0.6, 0.34, 0.06)):
+    """integrate_growth over one day at RATES, with v0, v2 or the fractions replaced."""
+    return integrate_growth((v0, RATES[1], v2, RATES[3], RATES[4]), x, 1.0, 1.0)
+
+
 def _command(*argv):
     """The handler of a command line, called directly so that its exception
     shows; the config and input files it names do not exist, so any read
@@ -122,6 +127,33 @@ RULES = [
                     json.dumps({"initial_total": t, "initial_fractions": [0.6, 0.34, 0.06]})
                 ),
             ),
+        ],
+    ),
+    (
+        # A bool velocity passes the per-day compares as 0 or 1 and is not drawn.
+        "a velocity",
+        InvalidParameterError,
+        r"{name} (must be (>= 0|a number)|is too large), got ",
+        ["x", None, 10**400, -1.0, math.nan],
+        [
+            ("v0", lambda v: _mix(v0=v)),
+            ("v2", lambda v: _mix(v2=v)),
+            # An empty fast compartment, which takes the zero-fraction branch.
+            ("v2", lambda v: _mix(v2=v, x=(0.6, 0.4, 0.0))),
+            ("v1", lambda v: apply_division((6.0, 3.0, 1.0), (0.01, v, 0.08))),
+            ("v2", lambda v: apply_division((6.0, 3.0, 1.0), (0.01, 0.016, v), True)),
+            ("v2", lambda v: growth_day_detail((6.0, 3.0, 1.0), PARAMS, v)),
+        ],
+    ),
+    (
+        "a fraction",
+        InvalidStateError,
+        r"{name} (must be (>= 0|a number)|is too large), got ",
+        ["x", None, 10**400, -1.0, math.nan],
+        [
+            ("fractions", lambda f: _mix(x=(f, 0.34, 0.06))),
+            ("fractions", lambda f: _mix(x=(0.6, f, 0.06))),
+            ("fractions", lambda f: _mix(x=(0.6, 0.4, f))),
         ],
     ),
     (
