@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace as dc_replace
 from typing import NamedTuple
 
 from .core import CELL_TOTAL, PARAM_TABLE, PULSE_COUNT, ModelParams, ParamRow, PopulationState
@@ -22,8 +21,7 @@ class DiffPoint(NamedTuple):
     delta: float  # phi of the first trajectory minus phi of the second
 
 
-@dataclass(frozen=True)
-class TrajectoryDiff:
+class TrajectoryDiff(NamedTuple):
     """Pairwise velocity differences on the shared (day, phase) grid."""
 
     points: tuple[DiffPoint, ...]
@@ -123,8 +121,7 @@ def compare_to_golden(
     return matched, worst
 
 
-@dataclass(frozen=True)
-class SweepEntry:
+class SweepEntry(NamedTuple):
     """Summary of one sweep simulation (or the reason it could not run)."""
 
     value: float
@@ -144,7 +141,7 @@ def _sweep_value(
 ) -> SweepEntry:
     """The entry of one sweep value; a course the model rejects becomes an error entry."""
     try:
-        trajectory = simulate_course(dc_replace(params, **{key: value}), initial)
+        trajectory = simulate_course(params._replace(**{key: value}), initial)
     except SimulationError as exc:
         return SweepEntry(value=value, error=str(exc))
     final = trajectory.final()

@@ -11,7 +11,6 @@ import functools
 import re
 import sys
 from collections.abc import Iterator
-from dataclasses import replace as dc_replace
 from pathlib import Path
 
 from .analysis import SweepEntry, compare_to_golden, diff_velocity, lq_closed_form, sweep
@@ -149,7 +148,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             except OSError as exc:  # an error row like a rejected value's, but exit 2
                 entry, code = SweepEntry(value=entry.value, error=str(exc)), EXIT_IO
             else:
-                entry = dc_replace(entry, trajectory=None)
+                entry = entry._replace(trajectory=None)
         entries.append(entry)
     for entry in entries:
         if entry.error is not None:

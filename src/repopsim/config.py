@@ -9,7 +9,7 @@ seed, and an optional output path.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import CELL_TOTAL, PARAM_TABLE, PULSE_COUNT, ModelParams, ParamRow, PopulationState
 from .core import check_simplex, check_total, fractions_to_counts, snap_counts
@@ -25,8 +25,7 @@ _KNOWN_KEYS = frozenset(PARAM_TABLE) | {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Everything one simulation run needs."""
 
     params: ModelParams

@@ -3,17 +3,15 @@
 The population is split into three fractions: a slow compartment, a middle
 compartment, and a fast compartment whose velocity is damped by accumulated
 radiation pulses. Every function here is pure. ModelParams, built once per
-course, is a frozen dataclass. PopulationState, a course's validated starting
-point, is a slotted dataclass: mutable and unhashable, but nothing in the
-package mutates one after it is built. Within a course, counts travel as plain
-(y0, y1, y2) float triples.
+course, and PopulationState, a course's validated starting point, are checked
+named tuples: immutable, and checked whether built by call, _make or _replace.
+Within a course, counts travel as plain (y0, y1, y2) float triples.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -75,7 +73,7 @@ PARAM_TABLE = {
     "alpha": ParamRow(float, 0),
     "beta": ParamRow(float, 0),
     "dose": ParamRow(float, 0),
-    "q_rad": ParamRow(float),  # q_rad, p_rad, theta: bounded in ModelParams.__post_init__
+    "q_rad": ParamRow(float),  # q_rad, p_rad, theta: bounded in ModelParams.__new__
     "p_rad": ParamRow(float),
     "q_mix": ParamRow(float, 0, 1),
     "p_mix": ParamRow(float, 0, 1),
@@ -128,10 +126,13 @@ def check_simplex(name: str, x: Triple) -> None:
         )
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """All model constants for one simulation run; PARAM_TABLE gives each one's range."""
+def _checked_make(cls, iterable):
+    """A checked named tuple's _make, which its _replace calls: build through
+    cls, so its __new__ checks every field."""
+    return cls(*iterable)
 
+
+class _ModelParamsFields(NamedTuple):
     alpha: float = 0.2  # linear survival coefficient (1/Gy)
     beta: float = 0.02  # quadratic survival coefficient (1/Gy^2)
     dose: float = 2.0  # dose per pulse (Gy)
@@ -148,9 +149,17 @@ class ModelParams:
     weekend_days: int = 2  # growth-only days closing each week
     pulses_per_week: int = 5  # weekdays opening each week, one pulse each
 
-    def __post_init__(self) -> None:
-        for name, row in PARAM_TABLE.items():
-            row.check(name, getattr(self, name))
+
+class ModelParams(_ModelParamsFields):
+    """All model constants for one simulation run; PARAM_TABLE gives each one's range."""
+
+    # No __slots__: pulse_losses, a cached_property, caches in the instance's __dict__.
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, *args, **kwargs) -> ModelParams:
+        self = super().__new__(cls, *args, **kwargs)
+        for (name, row), value in zip(PARAM_TABLE.items(), self):
+            row.check(name, value)
         s = survival_fraction(self)
         if not s > 0:
             raise InvalidParameterError(
@@ -171,6 +180,7 @@ class ModelParams:
                 f"a * v1 * exp(theta), the largest fast-fraction velocity, must be "
                 f"finite, got a={quote(self.a)}, v1={quote(self.v1)}, theta={quote(self.theta)}"
             )
+        return self
 
     @cached_property
     def pulse_losses(self) -> tuple[float, float]:
@@ -182,18 +192,24 @@ class ModelParams:
         return per_division, math.hypot(self.q_rad, self.p_rad) * d + per_division * d * d
 
 
-@dataclass(slots=True)
-class PopulationState:
-    """A course's validated start: the three fractions' cell counts and the pulses delivered."""
-
+class _PopulationStateFields(NamedTuple):
     y0: float  # slow-fraction cell count
     y1: float  # middle-fraction cell count
     y2: float  # fast-fraction cell count
     pulses_delivered: int = 0  # radiation pulses applied so far
 
-    def __post_init__(self) -> None:
+
+class PopulationState(_PopulationStateFields):
+    """A course's validated start: the three fractions' cell counts and the pulses delivered."""
+
+    __slots__ = ()
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, *args, **kwargs) -> PopulationState:
+        self = super().__new__(cls, *args, **kwargs)
         check_counts((self.y0, self.y1, self.y2))
         PULSE_COUNT.check("pulses_delivered", self.pulses_delivered)
+        return self
 
     def total(self) -> float:
         """Total cell count across the three fractions."""

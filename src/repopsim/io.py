@@ -9,7 +9,6 @@ runs with identical inputs.
 
 from __future__ import annotations
 
-import csv
 from collections.abc import Iterator
 from importlib import resources
 from pathlib import Path
@@ -121,6 +120,8 @@ def write_diff(diff: TrajectoryDiff, destination: str | Path) -> None:
 
 def write_sweep_summary(entries: tuple[SweepEntry, ...], destination: str | Path) -> None:
     """Write one summary line per sweep value (error text is quoted as needed)."""
+    import csv  # only sweep writes a summary, so the other commands skip its import
+
     with open(destination, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(SWEEP_HEADER.split(","))

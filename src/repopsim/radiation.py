@@ -8,27 +8,33 @@ operator sums to S, so each pulse multiplies the total count by exactly S.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .core import COUNT_MAX, ModelParams, Triple, _snap, check_counts, check_transfer
-from .core import survival_fraction
+from .core import COUNT_MAX, ModelParams, Triple, _checked_make, _snap, check_counts
+from .core import check_transfer, survival_fraction
 from .errors import InvalidParameterError
 
 
-@dataclass(frozen=True)
-class RadiationOperator:
-    """Lower-bidiagonal pulse operator [[S-Q,0,0],[Q,S-P,0],[0,P,S]], which
-    apply_pulse writes out as a product."""
-
+class _RadiationOperatorFields(NamedTuple):
     s: float  # survival fraction applied along the diagonal
     q: float  # slow-to-middle transfer probability
     p: float  # middle-to-fast transfer probability
 
-    def __post_init__(self) -> None:
+
+class RadiationOperator(_RadiationOperatorFields):
+    """Lower-bidiagonal pulse operator [[S-Q,0,0],[Q,S-P,0],[0,P,S]], which
+    apply_pulse writes out as a product."""
+
+    __slots__ = ()
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, *args, **kwargs) -> RadiationOperator:
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 < self.s <= 1:
             raise InvalidParameterError(f"s must lie in (0, 1], got {self.s}")
         check_transfer("q", self.q, self.s)
         check_transfer("p", self.p, self.s)
+        return self
 
 
 def build_radiation_operator(params: ModelParams) -> RadiationOperator:
@@ -56,6 +62,6 @@ def apply_pulse(op: RadiationOperator, counts: Triple, integer_rounding: bool = 
             check_counts(counts)
     except (TypeError, OverflowError):  # a count not a number, or an int past the floats
         check_counts(counts)
-    s, q, p = op.s, op.q, op.p
+    s, q, p = op
     y0, y1, y2 = y0 * (s - q), y0 * q + y1 * (s - p), y1 * p + y2 * s
     return _snap(y0, y1, y2) if integer_rounding else (y0, y1, y2)

@@ -12,7 +12,6 @@ the day whose morning produced them, and each full week emits
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import INITIAL, POST_GROWTH, POST_RADIATION, ModelParams, PopulationState, _psis, v2_of
@@ -43,8 +42,7 @@ class TrajectoryRecord(NamedTuple):
     total: float
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """Ordered record log of one course, and how it ended."""
 
     records: tuple[TrajectoryRecord, ...]

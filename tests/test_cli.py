@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import dataclasses
 import functools
 import importlib.util
 import io
@@ -14,7 +13,6 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
@@ -573,7 +571,7 @@ class TestSweep:
     def summary_row(self, tmp_path, a: float) -> str:
         """The summary row of a value of a whose course ran and was written."""
         config = load_config(write_config_file(tmp_path))
-        final = simulate_course(dataclasses.replace(config.params, a=a), config.initial).final()
+        final = simulate_course(config.params._replace(a=a), config.initial).final()
         return f"{a!r},{final.total:.9f},{final.phi:.9f},,"
 
     def test_a_write_failure_is_io_error(self, tmp_path, capsys, monkeypatch, forks):
@@ -860,11 +858,13 @@ def test_check_subprocess_prints_each_line_once():
 
 
 def test_importing_the_cli_loads_no_pickling_forking_pool_or_hashing_module():
-    # No command forks or pickles, and only check hashes, which it imports for
-    # itself, so start-up loads none of these modules.
+    # No command forks or pickles; only check hashes and only sweep writes
+    # csv, and each imports its module for itself; and no value type is a
+    # dataclass, whose module pulls in inspect. So start-up loads none of these.
     script = (
         "import sys, repopsim.cli; print([m for m in ('pickle', '_pickle', 'signal', 'traceback',"
-        " 'multiprocessing', 'concurrent.futures', 'hashlib', '_hashlib') if m in sys.modules])"
+        " 'multiprocessing', 'concurrent.futures', 'hashlib', '_hashlib', 'dataclasses',"
+        " 'inspect', 'csv') if m in sys.modules])"
     )
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
@@ -964,9 +964,7 @@ def _exit_code(argv: list[str]) -> int:
 @given(
     weeks=st.integers(1, 2),
     changes=st.dictionaries(st.sampled_from([*_CONFIG_KEYS, "banana"]), _JSON_VALUES, max_size=2),
-    param=st.sampled_from(
-        [f.name for f in fields(ModelParams)] + ["initial_pulses", "ode_step", "x"]
-    ),
+    param=st.sampled_from([*ModelParams._fields, "initial_pulses", "ode_step", "x"]),
     tokens=st.lists(_SWEEP_TOKENS, max_size=4),
 )
 def test_fuzzed_config_and_sweep_values_end_in_an_exit_code(weeks, changes, param, tokens):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
-from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -128,7 +127,7 @@ class TestModelParams:
         assert str(info.value) == message
 
     def test_table_has_one_row_per_field_in_order(self):
-        assert list(PARAM_TABLE) == [f.name for f in fields(ModelParams)]
+        assert tuple(PARAM_TABLE) == ModelParams._fields
 
     @pytest.mark.parametrize("name, inside, outside", _bound_cases())
     def test_each_finite_bound_is_sharp(self, name, inside, outside):
@@ -428,9 +427,37 @@ class TestValueLayout:
     def test_per_course_types_stay_frozen(self, name):
         value = _FROZEN[name]
         assert type(value).__name__ == name
-        first = fields(value)[0].name
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        first = value._fields[0]
+        with pytest.raises(AttributeError):
             setattr(value, first, getattr(value, first))
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (
+                lambda: ModelParams()._replace(a=0.0),
+                InvalidParameterError,
+                "a must be > 0, got 0.0",
+            ),
+            (
+                lambda: PopulationState(6.0, 3.0, 1.0)._replace(y0=-1.0),
+                InvalidStateError,
+                "y0 must be >= 0, got -1.0",
+            ),
+            (
+                lambda: repopsim.RadiationOperator._make((0.5, 0.6, 0.0)),
+                InvalidParameterError,
+                "q must lie in [0, 0.5], got 0.6",
+            ),
+        ],
+        ids=["ModelParams._replace", "PopulationState._replace", "RadiationOperator._make"],
+    )
+    def test_replace_and_make_check_their_inputs(self, build, error, message):
+        # A checked named tuple builds through its __new__ from _make and
+        # _replace too, so neither can hold a value its constructor rejects.
+        with pytest.raises(error) as info:
+            build()
+        assert str(info.value) == message
 
     def test_every_exported_value_type_has_its_layout_tested(self):
         # The README sorts the value types into these two kinds; a type added

@@ -24,7 +24,6 @@ output changed only in its simplex-drift line, 8.882e-16 to 2.220e-16.
 
 from __future__ import annotations
 
-import dataclasses
 import decimal
 import hashlib
 import json
@@ -183,7 +182,7 @@ def decimal_replay_gaps(trajectory, params):
 def test_real_mode_course_is_within_each_maps_rounding_budget():
     # The course behind the mixing-real digest, replayed map by map.
     config = load_config(shipped_config("mixing.json"))
-    params = dataclasses.replace(config.params, integer_rounding=False)
+    params = config.params._replace(integer_rounding=False)
     trajectory = simulate_course(params, config.initial)
     gaps = decimal_replay_gaps(trajectory, params)
     assert len(gaps) == len(trajectory.records) - 1 == 71

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import collections
-import dataclasses
 import math
 import os
 import sys
@@ -55,13 +54,13 @@ _ALTERNATIVES = {
 }
 
 
-@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ModelParams)])
+@pytest.mark.parametrize("name", ModelParams._fields)
 def test_no_model_parameter_is_a_no_op(tmp_path, name):
     # A field whose value never reaches the course is a knob that only looks
     # like one; a new field must be given an alternative here.
     config = load_config(str(resources.files("repopsim").joinpath("data", "mixing.json")))
     assert _ALTERNATIVES[name] != getattr(config.params, name)
-    changed = dataclasses.replace(config.params, **{name: _ALTERNATIVES[name]})
+    changed = config.params._replace(**{name: _ALTERNATIVES[name]})
     outputs = []
     for label, params in (("mixing", config.params), (name, changed)):
         write_trajectory(simulate_course(params, config.initial), tmp_path / f"{label}.csv")
@@ -159,7 +158,7 @@ class TestSimulateCourse:
         # post-radiation record adds one, and every record's v2 is v2_of at
         # the count so far, in the day's damping form, bit for bit.
         loaded = load_config(str(resources.files("repopsim").joinpath("data", config)))
-        params = dataclasses.replace(loaded.params, **shape)
+        params = loaded.params._replace(**shape)
         initial = loaded.initial
         if "weeks" in shape:
             initial = PopulationState(6e8, 3.4e8, 6e7, pulses_delivered=2)
@@ -286,7 +285,7 @@ class TestSimulateCourse:
             config = load_config(str(resources.files("repopsim").joinpath("data", name)))
             params, initial = config.params, config.initial
             if course == "mixing-real":
-                params = dataclasses.replace(params, integer_rounding=False)
+                params = params._replace(integer_rounding=False)
         traj = simulate_course(params, initial)
         endpoints = list(cli._growth_endpoints(traj, params))
         assert [rec for rec, _ in endpoints] == list(traj.post_growth_records())
