@@ -35,7 +35,7 @@ EXIT_NUMERIC = 3
 
 # Reference run behind `check`: the bundled table's parameter set. The course
 # starts from an already-pulsed population, so the pulse counter seeds at one.
-_REFERENCE_INITIAL = PopulationState(y0=371270035, y1=210386353, y2=37127004, pulses_delivered=1)
+_REFERENCE_INITIAL = PopulationState(371270035.0, 210386353.0, 37127004.0, pulses_delivered=1)
 _REFERENCE_WEEKS = 7
 _REFERENCE_COUNT_TOLERANCE = 0.005  # early-course counts, days 1 through 5
 _REFERENCE_VELOCITY_TOLERANCE = 0.10  # final recorded velocity, day 48

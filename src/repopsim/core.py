@@ -28,8 +28,8 @@ PHASES = (INITIAL, POST_GROWTH, POST_RADIATION)
 
 # Tolerance for membership on the probability simplex.
 SIMPLEX_TOL = 1e-9
-# The largest float. Each per-day entry taking cell counts compares them with 0.0 and
-# COUNT_MAX, float to float, cheaper than int to float, and calls check_counts if one fails.
+# The largest float. Each per-day entry taking cell counts requires each to be exactly a
+# float >= 0.0 and their total <= COUNT_MAX, else calls check_counts: so a bool meets its rule.
 COUNT_MAX = sys.float_info.max
 
 # Length of the growth interval closing each course day (days).
@@ -126,10 +126,12 @@ def check_simplex(name: str, x: Triple) -> None:
         )
 
 
-def _checked_make(cls, iterable):
-    """A checked named tuple's _make, which its _replace calls: build through
-    cls, so its __new__ checks every field."""
-    return cls(*iterable)
+def _checked(cls: type) -> type:
+    """Finish a checked named tuple: its _make, which _replace calls, builds through cls, so
+    cls.__new__ checks every field, and an argument error names cls, not its fields class."""
+    cls._make = classmethod(lambda kind, iterable: kind(*iterable))
+    cls.__bases__[0].__new__.__qualname__ = f"{cls.__name__}.__new__"
+    return cls
 
 
 class _ModelParamsFields(NamedTuple):
@@ -150,11 +152,11 @@ class _ModelParamsFields(NamedTuple):
     pulses_per_week: int = 5  # weekdays opening each week, one pulse each
 
 
+@_checked
 class ModelParams(_ModelParamsFields):
     """All model constants for one simulation run; PARAM_TABLE gives each one's range."""
 
     # No __slots__: pulse_losses, a cached_property, caches in the instance's __dict__.
-    _make = classmethod(_checked_make)
 
     def __new__(cls, *args, **kwargs) -> ModelParams:
         self = super().__new__(cls, *args, **kwargs)
@@ -199,11 +201,11 @@ class _PopulationStateFields(NamedTuple):
     pulses_delivered: int = 0  # radiation pulses applied so far
 
 
+@_checked
 class PopulationState(_PopulationStateFields):
     """A course's validated start: the three fractions' cell counts and the pulses delivered."""
 
     __slots__ = ()
-    _make = classmethod(_checked_make)
 
     def __new__(cls, *args, **kwargs) -> PopulationState:
         self = super().__new__(cls, *args, **kwargs)

@@ -15,8 +15,6 @@ from .core import COUNT_MAX, GROWTH_INTERVAL, PARAM_TABLE, ModelParams, ParamRow
 from .core import _snap, check_counts
 from .errors import InvalidParameterError, InvalidStateError, NumericInstabilityError
 
-# Mixing-rate kinds that skip the table's kind check; a bool or any other kind meets it.
-_RATE_KINDS = (float, int)
 # A span of growth in days: finite and > 0.
 _DURATION = ParamRow(float, 0, strict=True)
 # A step, a velocity or a fraction: a number within the floats, its range checked apart.
@@ -49,47 +47,45 @@ def integrate_growth(rates: Rates, x: Triple, duration: float, step: float) -> T
 
     Raises:
         InvalidParameterError: for a duration not finite and > 0, a step not
-            a number or outside (0, duration], a velocity not a number, too
-            large for a float, negative or NaN, or a q_mix or p_mix outside [0, 1].
+            a number or outside (0, duration], a velocity not a number (a
+            bool included), too large for a float, negative or NaN, or a q_mix
+            or p_mix not a number (a bool included) or outside [0, 1].
         InvalidStateError: naming `fractions`, for a component of x not a
-            number, too large for a float, negative or NaN.
+            number (a bool included), too large for a float, negative or NaN.
         NumericInstabilityError: if exp(tA) x is not finite or sums to zero.
     """
     if not (type(duration) is float and 0.0 < duration < math.inf):
         _DURATION.check("duration", duration)
+        duration = float(duration)  # a valid int, so no product below is int by int
     if not (type(step) is float and 0.0 < step <= duration):
         _NUMBER.check("step", step)
         if not 0 < step <= duration:
             raise InvalidParameterError(f"step must lie in (0, duration], got {step}")
     v0, v1, v2, q, p = rates
     x0, x1, x2 = x
-    try:  # a velocity or fraction not a number, or an int past the floats, raises in here
-        if not (
-            type(q) in _RATE_KINDS and type(p) in _RATE_KINDS
-            and 0.0 <= v0 and 0.0 <= v1 and 0.0 <= v2 and 0.0 <= q <= 1.0 and 0.0 <= p <= 1.0
-        ):
-            _check_mixing(rates, x)
-        c1, c2 = duration * v0 * q, duration * v1 * p
-        d0, d1, d2 = duration * v0 * (1.0 - q), duration * v1 * (1.0 - p), duration * v2
-        if not (x0 > 0.0 and x1 > 0.0 and x2 > 0.0):
-            if not (x0 >= 0.0 and x1 >= 0.0 and x2 >= 0.0):
-                _check_mixing(rates, x)
-            # A compartment that neither holds nor receives cells stays empty, so
-            # its diagonal entry takes the shift's value, whatever its velocity.
-            in1 = x1 > 0.0 or (x0 > 0.0 and c1 > 0.0)
-            in2 = x2 > 0.0 or (in1 and c2 > 0.0)
-            top = max(
-                d0 if x0 > 0.0 else -math.inf, d1 if in1 else -math.inf, d2 if in2 else -math.inf
-            )
-            d0, d1, d2 = d0 if x0 > 0.0 else top, d1 if in1 else top, d2 if in2 else top
-        top = d1 if d1 > d0 else d0  # max(d0, d1, d2), without a builtin call a day
-        top = d2 if d2 > top else top
-        d0, d1, d2 = d0 - top, d1 - top, d2 - top
-        e0, e1, e2 = math.exp(d0), math.exp(d1), math.exp(d2)
-        y0, y1, y2 = e0 * x0, e1 * x1, e2 * x2
-    except (TypeError, OverflowError):
+    if not (
+        type(v0) is float and type(v1) is float and type(v2) is float and type(q) is float
+        and type(p) is float and type(x0) is float and type(x1) is float and type(x2) is float
+        and 0.0 <= v0 and 0.0 <= v1 and 0.0 <= v2 and 0.0 <= q <= 1.0 and 0.0 <= p <= 1.0
+        and 0.0 <= x0 and 0.0 <= x1 and 0.0 <= x2
+    ):
         _check_mixing(rates, x)
-        raise
+    c1, c2 = duration * v0 * q, duration * v1 * p
+    d0, d1, d2 = duration * v0 * (1.0 - q), duration * v1 * (1.0 - p), duration * v2
+    if not (x0 > 0.0 and x1 > 0.0 and x2 > 0.0):
+        # A compartment that neither holds nor receives cells stays empty, so
+        # its diagonal entry takes the shift's value, whatever its velocity.
+        in1 = x1 > 0.0 or (x0 > 0.0 and c1 > 0.0)
+        in2 = x2 > 0.0 or (in1 and c2 > 0.0)
+        top = max(
+            d0 if x0 > 0.0 else -math.inf, d1 if in1 else -math.inf, d2 if in2 else -math.inf
+        )
+        d0, d1, d2 = d0 if x0 > 0.0 else top, d1 if in1 else top, d2 if in2 else top
+    top = d1 if d1 > d0 else d0  # max(d0, d1, d2), without a builtin call a day
+    top = d2 if d2 > top else top
+    d0, d1, d2 = d0 - top, d1 - top, d2 - top
+    e0, e1, e2 = math.exp(d0), math.exp(d1), math.exp(d2)
+    y0, y1, y2 = e0 * x0, e1 * x1, e2 * x2
     if c1 > 0.0:
         y1 += c1 * (_first_difference(d0, e0, d1, e1) * x0)
     if c2 > 0.0:
@@ -174,28 +170,27 @@ def apply_division(counts: Triple, v: Triple, integer_rounding: bool = False) ->
     check_counts, as apply_pulse's must.
 
     Raises:
-        InvalidStateError: for counts check_counts rejects.
-        InvalidParameterError: for a velocity not a number, too large for a
-            float, negative or NaN.
+        InvalidStateError: for counts check_counts rejects, a bool among them.
+        InvalidParameterError: for a velocity not a number (a bool included),
+            too large for a float, negative or NaN.
         NumericInstabilityError: if a divided count is too large for a float,
             or an infinite velocity meets an empty compartment.
     """
     y0, y1, y2 = counts
-    try:  # three nonnegative counts with a finite total are each finite too
-        if not (0.0 <= y0 and 0.0 <= y1 and 0.0 <= y2 and y0 + y1 + y2 <= COUNT_MAX):
-            check_counts(counts)
-    except (TypeError, OverflowError):  # a count not a number, or an int past the floats
+    if not (
+        type(y0) is float and type(y1) is float and type(y2) is float
+        and 0.0 <= y0 and 0.0 <= y1 and 0.0 <= y2 and y0 + y1 + y2 <= COUNT_MAX
+    ):  # three nonnegative floats with a finite total are each finite too
         check_counts(counts)
     v0, v1, v2 = v
-    try:
-        if not (v0 >= 0 and v1 >= 0 and v2 >= 0):
-            _check_velocities(v)
-    except TypeError:  # a velocity not a number
+    if not (
+        type(v0) is float and type(v1) is float and type(v2) is float
+        and 0.0 <= v0 and 0.0 <= v1 and 0.0 <= v2
+    ):
         _check_velocities(v)
     try:
         y0, y1, y2 = y0 * 2.0**v0, y1 * 2.0**v1, y2 * 2.0**v2
-    except OverflowError:  # a factor past the floats, or an int velocity past them
-        _check_velocities(v)
+    except OverflowError:  # a factor past the floats
         y0 = y1 = y2 = math.inf
     if not y0 + y1 + y2 < math.inf:  # also NaN, from an infinite factor times a zero count
         raise NumericInstabilityError(f"cell counts overflow dividing for a day at velocities {v}")
@@ -211,19 +206,20 @@ def growth_day_detail(counts: Triple, params: ModelParams, v2: float) -> tuple[T
     then divide.
 
     Raises:
-        InvalidParameterError: for a v2 not a number, too large for a float,
-            negative or NaN.
-        InvalidStateError: for a count check_counts rejects, or an empty
-            population.
+        InvalidParameterError: for a v2 not a number (a bool included), too
+            large for a float, negative or NaN.
+        InvalidStateError: for a count check_counts rejects, a bool among
+            them, or an empty population.
         NumericInstabilityError: if the mixing endpoint is not finite or sums
             to zero, or a divided count is too large for a float.
     """
     y0, y1, y2 = counts
-    try:  # three nonnegative counts with a finite total are each finite too
-        if not (0.0 <= y0 and 0.0 <= y1 and 0.0 <= y2 and y0 + y1 + y2 <= COUNT_MAX):
-            check_counts(counts)
-    except (TypeError, OverflowError):  # a count not a number, or an int past the floats
+    if not (
+        type(y0) is float and type(y1) is float and type(y2) is float
+        and 0.0 <= y0 and 0.0 <= y1 and 0.0 <= y2 and y0 + y1 + y2 <= COUNT_MAX
+    ):  # three nonnegative floats with a finite total are each finite too
         check_counts(counts)
+        y0, y1, y2 = float(y0), float(y1), float(y2)  # valid ints, computed as their floats
     total = y0 + y1 + y2
     if not total > 0:
         raise InvalidStateError("cannot grow an empty population")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import COUNT_MAX, ModelParams, Triple, _checked_make, _snap, check_counts
+from .core import COUNT_MAX, ModelParams, Triple, _checked, _snap, check_counts
 from .core import check_transfer, survival_fraction
 from .errors import InvalidParameterError
 
@@ -21,12 +21,12 @@ class _RadiationOperatorFields(NamedTuple):
     p: float  # middle-to-fast transfer probability
 
 
+@_checked
 class RadiationOperator(_RadiationOperatorFields):
     """Lower-bidiagonal pulse operator [[S-Q,0,0],[Q,S-P,0],[0,P,S]], which
     apply_pulse writes out as a product."""
 
     __slots__ = ()
-    _make = classmethod(_checked_make)
 
     def __new__(cls, *args, **kwargs) -> RadiationOperator:
         self = super().__new__(cls, *args, **kwargs)
@@ -54,14 +54,15 @@ def apply_pulse(op: RadiationOperator, counts: Triple, integer_rounding: bool = 
     integer_rounding on, each component is snapped to whole cells afterwards.
 
     Raises:
-        InvalidStateError: for counts check_counts rejects.
+        InvalidStateError: for counts check_counts rejects, a bool among them.
     """
     y0, y1, y2 = counts
-    try:  # three nonnegative counts with a finite total are each finite too
-        if not (0.0 <= y0 and 0.0 <= y1 and 0.0 <= y2 and y0 + y1 + y2 <= COUNT_MAX):
-            check_counts(counts)
-    except (TypeError, OverflowError):  # a count not a number, or an int past the floats
+    if not (
+        type(y0) is float and type(y1) is float and type(y2) is float
+        and 0.0 <= y0 and 0.0 <= y1 and 0.0 <= y2 and y0 + y1 + y2 <= COUNT_MAX
+    ):  # three nonnegative floats with a finite total are each finite too
         check_counts(counts)
+        y0, y1, y2 = float(y0), float(y1), float(y2)  # valid ints, computed as their floats
     s, q, p = op
     y0, y1, y2 = y0 * (s - q), y0 * q + y1 * (s - p), y1 * p + y2 * s
     return _snap(y0, y1, y2) if integer_rounding else (y0, y1, y2)

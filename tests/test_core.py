@@ -459,6 +459,31 @@ class TestValueLayout:
             build()
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (
+                lambda: ModelParams(foo=1),
+                "ModelParams.__new__() got an unexpected keyword argument 'foo'",
+            ),
+            (
+                lambda: PopulationState(1.0),
+                "PopulationState.__new__() missing 2 required positional arguments: 'y1' and 'y2'",
+            ),
+            (
+                lambda: repopsim.RadiationOperator(0.5),
+                "RadiationOperator.__new__() missing 2 required positional arguments: 'q' and 'p'",
+            ),
+        ],
+        ids=["ModelParams", "PopulationState", "RadiationOperator"],
+    )
+    def test_an_argument_error_names_the_public_type(self, build, message):
+        # A checked named tuple is its private fields class plus a subclass;
+        # a wrong or missing argument is reported under the type called.
+        with pytest.raises(TypeError) as info:
+            build()
+        assert str(info.value) == message
+
     def test_every_exported_value_type_has_its_layout_tested(self):
         # The README sorts the value types into these two kinds; a type added
         # to or removed from the package must move the tables with it. A value

@@ -9,12 +9,15 @@ import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repopsim import (
     ConfigError,
     InvalidParameterError,
     InvalidStateError,
     ModelParams,
+    NumericInstabilityError,
     PopulationState,
     RadiationOperator,
     SimulationError,
@@ -31,6 +34,8 @@ from repopsim import (
     sweep,
     v2_of,
 )
+from repopsim.core import check_counts
+from repopsim.growth import _DURATION, _NUMBER, _check_mixing, _check_velocities
 
 PARAMS = ModelParams()
 RATES = (0.01, 0.016, 0.08, 0.1, 0.1)
@@ -80,7 +85,7 @@ RULES = [
         "a cell count",
         InvalidStateError,
         r"{name} (must be (>= 0|finite|a number)|is too large), got ",
-        [-1.0, math.nan, math.inf, -1, 10**400, -(10**400), "1", None],
+        [-1.0, math.nan, math.inf, -1, 10**400, -(10**400), "1", None, True, False],
         [
             ("y0", lambda y: PopulationState(y, 3.0, 1.0)),
             ("y2", lambda y: PopulationState(6.0, 3.0, y)),
@@ -130,11 +135,10 @@ RULES = [
         ],
     ),
     (
-        # A bool velocity passes the per-day compares as 0 or 1 and is not drawn.
         "a velocity",
         InvalidParameterError,
         r"{name} (must be (>= 0|a number)|is too large), got ",
-        ["x", None, 10**400, -1.0, math.nan],
+        ["x", None, 10**400, -1.0, math.nan, True, False],
         [
             ("v0", lambda v: _mix(v0=v)),
             ("v2", lambda v: _mix(v2=v)),
@@ -149,7 +153,7 @@ RULES = [
         "a fraction",
         InvalidStateError,
         r"{name} (must be (>= 0|a number)|is too large), got ",
-        ["x", None, 10**400, -1.0, math.nan],
+        ["x", None, 10**400, -1.0, math.nan, True, False],
         [
             ("fractions", lambda f: _mix(x=(f, 0.34, 0.06))),
             ("fractions", lambda f: _mix(x=(0.6, f, 0.06))),
@@ -234,3 +238,107 @@ def test_every_entry_of_a_rule_rejects_its_bad_values_alike(rule, error, pattern
             else:
                 misses.append(f"{name}={value!r}: accepted")
     assert not misses, "\n".join(misses)
+
+
+# The per-day entries, each with arguments whose every input is valid and its
+# named rules: a function of the same arguments that applies them in the
+# entry's order and returns None when every input passes.
+COUNTS = (6.0, 3.0, 1.0)
+MIXING = ModelParams(q_mix=0.1, p_mix=0.1)
+
+
+def _growth_rules(rates, x, duration, step):
+    _DURATION.check("duration", duration)
+    _NUMBER.check("step", step)
+    if not 0 < step <= duration:
+        raise InvalidParameterError(f"step must lie in (0, duration], got {step}")
+    _check_mixing(rates, x)
+
+
+def _division_rules(counts, v, integer_rounding):
+    check_counts(counts)
+    _check_velocities(v)
+
+
+def _day_rules(counts, params, v2):
+    check_counts(counts)
+    _check_velocities((params.v0, params.v1, v2))
+
+
+PER_DAY = {
+    "apply_pulse": (apply_pulse, (OPERATOR, COUNTS, True), lambda op, c, r: check_counts(c)),
+    "apply_division": (apply_division, (COUNTS, RATES[:3], True), _division_rules),
+    "growth_day_detail": (growth_day_detail, (COUNTS, MIXING, 0.08), _day_rules),
+    "integrate_growth": (integrate_growth, (RATES, (0.6, 0.34, 0.06), 1.0, 0.5), _growth_rules),
+}
+# Each input as (entry, argument index, component index or None for a scalar argument).
+INPUTS = [
+    *(("apply_pulse", 1, i) for i in range(3)),
+    *(("apply_division", arg, i) for arg in (0, 1) for i in range(3)),
+    *(("growth_day_detail", 0, i) for i in range(3)),
+    ("growth_day_detail", 2, None),
+    *(("integrate_growth", arg, i) for arg, n in ((0, 5), (1, 3)) for i in range(n)),
+    ("integrate_growth", 2, None),
+    ("integrate_growth", 3, None),
+]
+VALUES = st.one_of(
+    st.floats(),  # NaN, both infinities, negatives and subnormals among them
+    st.integers(-3, 10**6),
+    st.integers(-(2**1030), 2**1030),  # past the floats at both ends
+    st.just(10**400),
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+)
+
+
+def _with(args, arg, index, value):
+    """args with the input at (arg, index) replaced by value."""
+    if index is not None:
+        value = (*args[arg][:index], value, *args[arg][index + 1 :])
+    return (*args[:arg], value, *args[arg + 1 :])
+
+
+def _outcome(call, args):
+    """("returned", what call(*args) returns), or the SimulationError it raises
+    as (type, message); any other exception propagates."""
+    try:
+        return "returned", call(*args)
+    except SimulationError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "entry, arg, index",
+    INPUTS,
+    ids=[f"{e}-{a}" if i is None else f"{e}-{a}.{i}" for e, a, i in INPUTS],
+)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(value=VALUES)
+def test_a_per_day_entry_accepts_exactly_what_its_rules_accept(entry, arg, index, value):
+    call, valid, rules = PER_DAY[entry]
+    args = _with(valid, arg, index, value)
+    ruled, got = _outcome(rules, args), _outcome(call, args)
+    if ruled[0] != "returned":  # rejected, with the rule's own error and message
+        assert got == ruled
+        return
+    # Accepted: the entry returns, or reports an overflow as its Raises section says.
+    assert got[0] in ("returned", NumericInstabilityError), got
+    if type(value) is int:  # a valid int computes as the float equal to it
+        as_float = _outcome(call, _with(valid, arg, index, float(value)))
+        assert got[0] == as_float[0]
+        assert got[0] != "returned" or got[1] == as_float[1]
+
+
+def test_valid_int_inputs_compute_as_their_floats():
+    # Each entry computes a valid int input as float(n), so two int inputs
+    # never meet in int arithmetic: an int sum is exact where the floats'
+    # rounds, and an int product can outgrow the floats.
+    counts = (145514431571737540, 271902015394427964, 1088923384270674083)
+    floats = tuple(float(y) for y in counts)
+    assert growth_day_detail(counts, MIXING, 0.08) == growth_day_detail(floats, MIXING, 0.08)
+    op = RadiationOperator(1, 1, 1)
+    assert apply_pulse(op, (2**60, 2**60, 1)) == apply_pulse(op, (2.0**60, 2.0**60, 1.0))
+    for duration, v2 in ((10**10, 10**300), (1e10, 1e300)):
+        with pytest.raises(NumericInstabilityError):
+            integrate_growth((0.01, 0.016, v2, 0.1, 0.1), (0.6, 0.34, 0.06), duration, 1)

@@ -47,3 +47,23 @@ def test_every_definition_has_a_package_caller():
             if references[node.name] - referenced_names(node)[node.name] <= 0:
                 uncalled.append(f"{file}:{node.lineno} {node.name}")
     assert uncalled == []
+
+
+# Handlers that would catch a TypeError: by name, or through a base class of it.
+TYPE_ERROR_CATCHERS = {"TypeError", "Exception", "BaseException"}
+
+
+def test_no_module_catches_a_type_error():
+    # An input guard tests each value's type and range itself and calls its
+    # named rule; none may lean on a comparison raising TypeError instead.
+    catching = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            # A bare except catches everything; a name is read as a Name or an Attribute.
+            names = {getattr(c, "id", getattr(c, "attr", None)) for c in caught if c}
+            if node.type is None or names & TYPE_ERROR_CATCHERS:
+                catching.append(f"{path.name}:{node.lineno}")
+    assert catching == []
