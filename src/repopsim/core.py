@@ -57,8 +57,8 @@ class ParamRow(NamedTuple):
                 raise InvalidParameterError(f"{name} is too large, got an integer of {digits}")
         if low is None:
             return
-        if high is not None and not low <= value <= high:
-            wanted = f"lie in [{low:g}, {high:g}]"
+        if high is not None and not (value <= high and (value > low if strict else value >= low)):
+            wanted = f"lie in {'(' if strict else '['}{low:g}, {high:g}]"
         elif not (value > low if strict else value >= low):
             wanted = f"be {'>' if strict else '>='} {low:g}"
         elif high is None and kind is float and not math.isfinite(value):  # [low, high] is finite
@@ -86,6 +86,7 @@ PARAM_TABLE = {
     "weekend_days": ParamRow(int, 0, 7),
     "pulses_per_week": ParamRow(int, 0, 7),
 }
+_KIND = tuple(row.kind for row in PARAM_TABLE.values())  # each field's kind, in field order
 # A count of delivered pulses, in a state, a damping factor, a closed form or a config.
 PULSE_COUNT = ParamRow(int, 0)
 # A number of cells: one count of a state, or a total to spread over fractions
@@ -162,6 +163,8 @@ class ModelParams(_ModelParamsFields):
         self = super().__new__(cls, *args, **kwargs)
         for (name, row), value in zip(PARAM_TABLE.items(), self):
             row.check(name, value)
+        if not all(map(isinstance, self, _KIND)):  # a valid int in a float field: store its float
+            self = tuple.__new__(cls, (k(v) if type(v) is int else v for v, k in zip(self, _KIND)))
         s = survival_fraction(self)
         if not s > 0:
             raise InvalidParameterError(

@@ -9,6 +9,7 @@ runs with identical inputs.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterator
 from importlib import resources
 from pathlib import Path
@@ -143,10 +144,17 @@ def load_reference_table() -> tuple[GoldenRow, ...]:
     Raises:
         SchemaError: if the bundled bytes do not match REFERENCE_SHA256.
     """
-    import hashlib  # only check hashes, so the other commands skip its import
-
+    # The interpreter's own SHA-256, since hashlib would map OpenSSL's libcrypto, picked by
+    # version: a failed import would search sys.path again on every call.
+    try:  # only check hashes, so the other commands skip these imports
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:  # neither is built
+        from hashlib import sha256
     data = (resources.files(__package__) / "data" / _REFERENCE_RESOURCE).read_bytes()
-    digest = hashlib.sha256(data).hexdigest()
+    digest = sha256(data).hexdigest()
     if digest != REFERENCE_SHA256:
         raise SchemaError(
             f"bundled reference table checksum mismatch: {digest} != {REFERENCE_SHA256}"

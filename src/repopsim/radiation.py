@@ -11,8 +11,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .core import COUNT_MAX, ModelParams, Triple, _checked, _snap, check_counts
-from .core import check_transfer, survival_fraction
-from .errors import InvalidParameterError
+from .core import ParamRow, check_transfer, survival_fraction
 
 
 class _RadiationOperatorFields(NamedTuple):
@@ -30,8 +29,8 @@ class RadiationOperator(_RadiationOperatorFields):
 
     def __new__(cls, *args, **kwargs) -> RadiationOperator:
         self = super().__new__(cls, *args, **kwargs)
-        if not 0 < self.s <= 1:
-            raise InvalidParameterError(f"s must lie in (0, 1], got {self.s}")
+        if not (type(self.s) is float and 0.0 < self.s <= 1.0):  # anything else meets the rule
+            ParamRow(float, 0, 1, strict=True).check("s", self.s)
         check_transfer("q", self.q, self.s)
         check_transfer("p", self.p, self.s)
         return self

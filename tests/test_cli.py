@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import csv
 import functools
+import hashlib
 import importlib.util
 import io
 import json
@@ -36,7 +38,7 @@ from repopsim import (
 )
 from repopsim import io as repopsim_io
 from repopsim.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, cli_main
-from repopsim.io import TRAJECTORY_HEADER
+from repopsim.io import REFERENCE_SHA256, TRAJECTORY_HEADER
 
 from .conftest import open_fds
 
@@ -871,6 +873,84 @@ def test_importing_the_cli_loads_no_pickling_forking_pool_or_hashing_module():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+# A fresh interpreter runs one command line after a prelude, then prints which
+# of these modules it loaded on its last line and exits with the command's code.
+_COMMAND_SCRIPT = (
+    "import sys\n"
+    "{prelude}"
+    "from repopsim.cli import cli_main\n"
+    "code = cli_main(sys.argv[1:])\n"
+    "print([m for m in ('hashlib', '_hashlib', 'ssl', 'csv') if m in sys.modules])\n"
+    "sys.exit(code)\n"
+)
+# Neither built-in SHA-256 module can be imported, as on an interpreter built without them.
+_NO_BUILTIN_SHA256 = "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+
+
+def _command_in_fresh_interpreter(argv, prelude=""):
+    """(exit code, printed lines, modules loaded, standard error) of one command line."""
+    script = _COMMAND_SCRIPT.format(prelude=prelude)
+    result = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120
+    )
+    *printed, loaded = result.stdout.splitlines()
+    return result.returncode, printed, ast.literal_eval(loaded), result.stderr
+
+
+def test_no_command_loads_hashlib_or_ssl_and_only_sweep_loads_csv(tmp_path):
+    # check hashes the bundled table with the interpreter's own SHA-256, so no
+    # command maps OpenSSL's libcrypto; only sweep writes a csv summary.
+    baseline, mixing = tmp_path / "baseline.csv", tmp_path / "mixing.csv"
+    sweep_dir = tmp_path / "sweep"
+    commands = {
+        "run baseline": ["run", "--config", BASELINE_PATH, "--out", str(baseline)],
+        "run mixing": ["run", "--config", MIXING_PATH, "--out", str(mixing)],
+        "diff": ["diff", str(mixing), str(baseline), "--out", str(tmp_path / "diff.csv")],
+        "sweep": ["sweep", "--config", MIXING_PATH, "--param", "a", "--values", "1.0,5.0",
+                  "--out-dir", str(sweep_dir)],
+        "check": ["check", "--config", MIXING_PATH],
+    }
+    for name, argv in commands.items():
+        code, printed, loaded, err = _command_in_fresh_interpreter(argv)
+        assert code == EXIT_OK, (name, err)
+        assert loaded == (["csv"] if name == "sweep" else []), name
+    assert [line[:5] for line in printed] == ["PASS "] * 4  # check, the last command
+
+
+def test_check_falls_back_to_hashlib_where_no_builtin_sha256_is_built(tmp_path):
+    code, printed, loaded, err = _command_in_fresh_interpreter(
+        ["check", "--config", MIXING_PATH], _NO_BUILTIN_SHA256
+    )
+    assert code == EXIT_OK, err
+    assert [line.split(":")[0] for line in printed] == [
+        "PASS operator-column-sums",
+        "PASS pulse-closed-form",
+        "PASS simplex-drift",
+        "PASS reference-table",
+    ]
+    assert "hashlib" in loaded
+    # A corrupt table meets the same digest and message through either module.
+    data = resources.files("repopsim").joinpath("data/reference_course.psv").read_bytes()
+    changed = data.replace(b"371270035", b"371270036", 1)
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "reference_course.psv").write_bytes(changed)
+    corrupt = (
+        "import pathlib, types, repopsim.io\n"
+        f"bundled = types.SimpleNamespace(files=lambda package: pathlib.Path({str(tmp_path)!r}))\n"
+        "repopsim.io.resources = bundled\n"
+    )
+    expected = (
+        f"error: bundled reference table checksum mismatch: "
+        f"{hashlib.sha256(changed).hexdigest()} != {REFERENCE_SHA256}\n"
+    )
+    for fallback, prelude in ((False, corrupt), (True, _NO_BUILTIN_SHA256 + corrupt)):
+        code, printed, loaded, err = _command_in_fresh_interpreter(
+            ["check", "--config", MIXING_PATH], prelude
+        )
+        assert (code, err) == (EXIT_VALIDATION, expected)
+        assert ("hashlib" in loaded) == fallback
 
 
 def test_parser_is_built_once():

@@ -484,6 +484,17 @@ class TestValueLayout:
             build()
         assert str(info.value) == message
 
+    def test_a_valid_int_in_a_float_field_is_stored_as_its_float(self):
+        # As parse_config gives: each float field holds exactly a float, by
+        # call or by _replace, while an integer field keeps its int.
+        floats = [name for name, row in PARAM_TABLE.items() if row.kind is float]
+        ints = {name: 0 if name in ("q_rad", "p_rad") else 1 for name in floats}
+        for params in (ModelParams(**ints), ModelParams()._replace(**ints)):
+            assert all(type(getattr(params, name)) is float for name in floats)
+            assert params == ModelParams(**{name: float(n) for name, n in ints.items()})
+            assert type(params.weeks) is int and type(params.integer_rounding) is bool
+        assert type(ModelParams(v0=0).v0) is float
+
     def test_every_exported_value_type_has_its_layout_tested(self):
         # The README sorts the value types into these two kinds; a type added
         # to or removed from the package must move the tables with it. A value

@@ -34,7 +34,7 @@ from repopsim import (
     sweep,
     v2_of,
 )
-from repopsim.core import check_counts
+from repopsim.core import PARAM_TABLE, check_counts
 from repopsim.growth import _DURATION, _NUMBER, _check_mixing, _check_velocities
 
 PARAMS = ModelParams()
@@ -179,6 +179,16 @@ RULES = [
         [
             ("step", lambda s: integrate_growth(RATES, (0.6, 0.34, 0.06), 1.0, s)),
             ("threshold", lambda t: sweep(PARAMS, "a", (5.0,), START, threshold=t)),
+            ("s", lambda s: RadiationOperator(s, 0.0, 0.0)),
+        ],
+    ),
+    (
+        "a survival fraction",
+        InvalidParameterError,
+        r"{name} must lie in \(0, 1\], got ",
+        [0.0, 0, -0.5, 1.5, 2, math.nan, math.inf, -math.inf],
+        [
+            ("s", lambda s: RadiationOperator(s, 0.0, 0.0)),
         ],
     ),
     (
@@ -342,3 +352,30 @@ def test_valid_int_inputs_compute_as_their_floats():
     for duration, v2 in ((10**10, 10**300), (1e10, 1e300)):
         with pytest.raises(NumericInstabilityError):
             integrate_growth((0.01, 0.016, v2, 0.1, 0.1), (0.6, 0.34, 0.06), duration, 1)
+
+
+# The checked constructors, each with valid arguments to vary one field of.
+# The transfers q and p are 0.0, so any valid survival fraction s keeps them in range.
+CONSTRUCTORS = {
+    "ModelParams": (ModelParams, {}),
+    "PopulationState": (PopulationState, {"y0": 6.0, "y1": 3.0, "y2": 1.0}),
+    "RadiationOperator": (RadiationOperator, {"s": 0.5, "q": 0.0, "p": 0.0}),
+}
+FIELDS = [(kind, field) for kind, (make, _) in CONSTRUCTORS.items() for field in make._fields]
+
+
+@pytest.mark.parametrize("kind, field", FIELDS, ids=[f"{k}-{f}" for k, f in FIELDS])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(value=VALUES)
+def test_a_checked_constructor_returns_or_names_the_bad_field(kind, field, value):
+    # Any other exception, a bare TypeError or OverflowError say, propagates and fails.
+    make, valid = CONSTRUCTORS[kind]
+    try:
+        made = make(**{**valid, field: value})
+    except SimulationError as exc:
+        # The message opens with the field's name, or states its value as name=value.
+        assert re.match(rf"({field} |.*\b{field}=)", str(exc)), str(exc)
+        return
+    assert getattr(made, field) == value
+    if make is ModelParams and PARAM_TABLE[field].kind is float:
+        assert type(getattr(made, field)) is float  # a valid int is stored as its float

@@ -34,6 +34,24 @@ from .conftest import (
 )
 
 
+def _course_and_package_calls(params, initial):
+    """The course of params from initial, and the names of the Python calls
+    into the package while it ran."""
+    package = os.path.dirname(core.__file__) + os.sep
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        trajectory = simulate_course(params, initial)
+    finally:
+        sys.setprofile(None)
+    return trajectory, calls
+
+
 # One in-range alternative to each mixing.json parameter value.
 _ALTERNATIVES = {
     "alpha": 0.3,
@@ -177,20 +195,25 @@ class TestSimulateCourse:
         # path is about ten calls a growth day; a check or helper that creeps
         # back onto it shows here first.
         config = load_config(str(resources.files("repopsim").joinpath("data", "mixing.json")))
-        package = os.path.dirname(core.__file__) + os.sep
-        calls = []
-
-        def profile(frame, event, arg):
-            if event == "call" and frame.f_code.co_filename.startswith(package):
-                calls.append(frame.f_code.co_name)
-
-        sys.setprofile(profile)
-        try:
-            trajectory = simulate_course(config.params, config.initial)
-        finally:
-            sys.setprofile(None)
+        trajectory, calls = _course_and_package_calls(config.params, config.initial)
         assert trajectory.final().day == 42
         assert len(calls) <= 412, collections.Counter(calls).most_common()
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"v0": 0, "v1": 0, "q_mix": 0, "p_mix": 0}, {"dose": 2, "a": 5, "theta": 0, "q_mix": 1}],
+        ids=["growth-off", "mixing"],
+    )
+    def test_int_params_cost_what_their_floats_cost(self, fields):
+        # ModelParams stores a valid int given for a float field as its float,
+        # as parse_config does, so every per-day guard sees exact floats and
+        # no growth day takes a rule's slower path.
+        config = load_config(str(resources.files("repopsim").joinpath("data", "mixing.json")))
+        as_ints = _course_and_package_calls(ModelParams(**fields), config.initial)
+        floats = {name: float(value) for name, value in fields.items()}
+        as_floats = _course_and_package_calls(ModelParams(**floats), config.initial)
+        assert as_ints[0] == as_floats[0]
+        assert len(as_ints[1]) == len(as_floats[1]), collections.Counter(as_ints[1]).most_common()
 
     def test_pulse_count_visible_through_damped_velocity(self, course_mixing):
         # In the damped regime v2 pins down the accumulated pulse count
