@@ -35,24 +35,33 @@ def diff_velocity(a: Trajectory, b: Trajectory) -> TrajectoryDiff:
     Unmatched records on either side are skipped and counted.
 
     Raises:
-        AlignmentError: if either trajectory is empty or the grids share no
-            common point.
+        AlignmentError: if either trajectory is empty or repeats a (day, phase)
+            point, or the grids share no common point.
     """
     if not a.records or not b.records:
         raise AlignmentError("both trajectories must be nonempty")
-    b_phi = {(rec.day, rec.phase): rec.phi for rec in b.records}
-    points = []
-    for rec in a.records:
-        key = (rec.day, rec.phase)
-        if key in b_phi:
-            points.append(DiffPoint(rec.day, rec.phase, rec.phi - b_phi[key]))
+    a_phi, b_phi = _phi_by_point("first", a), _phi_by_point("second", b)
+    points = [DiffPoint(*key, phi - b_phi[key]) for key, phi in a_phi.items() if key in b_phi]
     if not points:
         raise AlignmentError("the two trajectories share no (day, phase) grid point")
-    return TrajectoryDiff(
-        points=tuple(points),
-        unmatched_a=len(a.records) - len(points),
-        unmatched_b=len(b.records) - len(points),
-    )
+    return TrajectoryDiff(tuple(points), len(a.records) - len(points), len(b.records) - len(points))
+
+
+def _phi_by_point(which: str, trajectory: Trajectory) -> dict[tuple[int, str], float]:
+    """Each record's phi keyed by its (day, phase) point, in record order.
+
+    Raises:
+        AlignmentError: naming `which` trajectory and the first point it repeats.
+    """
+    phis = {}
+    for rec in trajectory.records:
+        key = (rec.day, rec.phase)
+        if key in phis:
+            raise AlignmentError(
+                f"the {which} trajectory repeats the point day {rec.day}, phase {quote(rec.phase)}"
+            )
+        phis[key] = rec.phi
+    return phis
 
 
 def lq_closed_form(n0: float, n: int, params: ModelParams) -> float:

@@ -133,9 +133,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     values = _parse_sweep_values(args.param, args.values)
     out_dir = Path(args.out_dir)
 
-    def destination(value: float) -> Path:
-        return out_dir / f"sweep_{args.param}_{value!r}.csv"
-
     pending = sweep(config.params, args.param, values, config.initial, threshold=args.threshold)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -143,18 +140,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for entry in pending:
         # Written as its course ends, so no finished trajectory waits for the summary.
         if entry.trajectory is not None:
+            destination = out_dir / f"sweep_{args.param}_{entry.value!r}.csv"
             try:
-                write_trajectory(entry.trajectory, destination(entry.value))
+                write_trajectory(entry.trajectory, destination)
             except OSError as exc:  # an error row like a rejected value's, but exit 2
                 entry, code = SweepEntry(value=entry.value, error=str(exc)), EXIT_IO
             else:
                 entry = entry._replace(trajectory=None)
-        entries.append(entry)
-    for entry in entries:
+                print(f"value {entry.value!r}: wrote {destination}")
         if entry.error is not None:
             print(f"value {quote(entry.value)}: {entry.error}")
-            continue
-        print(f"value {entry.value!r}: wrote {destination(entry.value)}")
+        entries.append(entry)
     write_sweep_summary(entries, out_dir / "sweep_summary.csv")
     print(f"wrote {out_dir / 'sweep_summary.csv'}")
     return code
@@ -205,7 +201,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     results.append(_check_line("pulse-closed-form", lq_error <= 1e-12, detail))
 
     endpoints = _growth_endpoints(simulate_course(params, config.initial), params)
-    drift = max(abs(x0 + x1 + x2 - 1.0) for _, (x0, x1, x2) in endpoints)
+    drift = max((abs(x0 + x1 + x2 - 1.0) for _, (x0, x1, x2) in endpoints), default=0.0)
     detail = f"max |sum(x) - 1| at integrator endpoints {drift:.3e}"
     results.append(_check_line("simplex-drift", drift <= 1e-9, detail))
 

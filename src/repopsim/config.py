@@ -73,13 +73,7 @@ def parse_config(text: str) -> RunConfig:
         if key not in _KNOWN_KEYS:
             raise ConfigError(f"unknown key: {quote(key)}")
     try:
-        # Float keys become floats here; ModelParams checks every key against its row.
-        param_values = {
-            key: _require_number(key, raw[key]) if row.kind is float else raw[key]
-            for key, row in PARAM_TABLE.items()
-            if key in raw
-        }
-        params = ModelParams(**param_values)
+        params = ModelParams(**{key: raw[key] for key in PARAM_TABLE if key in raw})
 
         has_counts = "initial_counts" in raw
         has_split = "initial_total" in raw or "initial_fractions" in raw

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import cached_property
 from typing import NamedTuple
 
 from .errors import InvalidParameterError, InvalidStateError, digit_count, quote
@@ -157,7 +156,7 @@ class _ModelParamsFields(NamedTuple):
 class ModelParams(_ModelParamsFields):
     """All model constants for one simulation run; PARAM_TABLE gives each one's range."""
 
-    # No __slots__: pulse_losses, a cached_property, caches in the instance's __dict__.
+    __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> ModelParams:
         self = super().__new__(cls, *args, **kwargs)
@@ -186,15 +185,6 @@ class ModelParams(_ModelParamsFields):
                 f"finite, got a={quote(self.a)}, v1={quote(self.v1)}, theta={quote(self.theta)}"
             )
         return self
-
-    @cached_property
-    def pulse_losses(self) -> tuple[float, float]:
-        """psi's exponent loss per delivered pulse, indexed by `treatment`:
-        sqrt(Q'^2 + P'^2) on a weekend day, sqrt(Q^2 + P^2)*d + sqrt(Q'^2 + P'^2)*d^2
-        on a treatment day. Computed on first use, so once per course, not per day."""
-        d = self.dose
-        per_division = math.hypot(self.q_mix, self.p_mix)
-        return per_division, math.hypot(self.q_rad, self.p_rad) * d + per_division * d * d
 
 
 class _PopulationStateFields(NamedTuple):
@@ -234,8 +224,9 @@ def survival_fraction(params: ModelParams) -> float:
 def psi(params: ModelParams, pulses: int, treatment: bool) -> float:
     """Damping factor for the fast-fraction velocity after `pulses` pulses.
 
-    The exponent is theta - pulses * params.pulse_losses[treatment]. Strictly
-    positive, nonincreasing in the pulse count.
+    The exponent is theta minus pulses times a per-pulse loss:
+    sqrt(Q'^2 + P'^2) on a weekend day, sqrt(Q^2 + P^2)*d + sqrt(Q'^2 + P'^2)*d^2
+    on a treatment day. Strictly positive, nonincreasing in the pulse count.
 
     Args:
         pulses: radiation pulses delivered so far.
@@ -253,7 +244,9 @@ def psi(params: ModelParams, pulses: int, treatment: bool) -> float:
 
 def _psis(params: ModelParams, pulses: range) -> list[tuple[float, float]]:
     """psi on a weekend day and a treatment day at each pulse count: its one formula, unchecked."""
-    theta, (weekend, treatment) = params.theta, params.pulse_losses
+    d, theta = params.dose, params.theta
+    weekend = math.hypot(params.q_mix, params.p_mix)
+    treatment = math.hypot(params.q_rad, params.p_rad) * d + weekend * d * d
     return [(math.exp(theta - n * weekend), math.exp(theta - n * treatment)) for n in pulses]
 
 

@@ -133,9 +133,9 @@ def _second_difference(a: float, ea: float, b: float, eb: float, c: float, ec: f
     u = b - a
     # term is h_k(u, w) / (k + 2)! and power is w**k / (k + 2)!, from k = 0.
     term = power = total = 0.5
-    n = 2
+    n = 2.0  # a float, so no division below converts an int
     while term > total * 2.0**-56:
-        n += 1
+        n += 1.0
         power = power * w / n
         term = u * term / n + power
         total += term

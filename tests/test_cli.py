@@ -279,6 +279,21 @@ class TestDiff:
         assert all(line.split(",")[2] == "0.000000000" for line in lines[1:])
         assert "(0 unmatched)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_a_repeated_point_is_validation_error(self, tmp_path, capsys, side):
+        # A repeated (day, phase) once miscounted the unmatched records or
+        # dropped a row of the second file.
+        course = run_course(tmp_path)
+        lines = course.read_text(encoding="utf-8").splitlines()
+        repeated = tmp_path / "repeated.csv"
+        repeated.write_text("\n".join([*lines[:2], *lines[1:]]) + "\n", encoding="utf-8")
+        files = [str(repeated), str(course)] if side == "first" else [str(course), str(repeated)]
+        out = tmp_path / "diff.csv"
+        assert cli_main(["diff", *files, "--out", str(out)]) == EXIT_VALIDATION
+        message = f"error: the {side} trajectory repeats the point day 1, phase 'initial'\n"
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
     def test_empty_out_is_rejected_before_the_inputs_are_read(self, tmp_path, capsys, monkeypatch):
         # "" once read and aligned both files, then failed to open '.'.
         def read(path):
@@ -704,6 +719,14 @@ class TestCheck:
         assert "FAIL" not in out
         for name in ("operator-column-sums", "pulse-closed-form", "simplex-drift", "reference-table"):
             assert name in out
+
+    def test_a_course_with_no_growth_day_has_zero_drift(self, tmp_path, capsys):
+        # A one-record course replays no growth day, so its drift is over no endpoint.
+        config = write_config_file(tmp_path, pulses_per_week=0, weekend_days=0)
+        assert cli_main(["check", "--config", config]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.count("PASS") == 4
+        assert "PASS simplex-drift: max |sum(x) - 1| at integrator endpoints 0.000e+00\n" in out
 
     def test_invalid_config_is_validation_error(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -107,6 +107,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=fragment):
             parse_config(text)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"alpha": -1}, {"dose": "x", "alpha": -1}],
+        ids=["int", "dose-first-in-the-document"],
+    )
+    def test_a_value_is_quoted_as_written_and_table_order_picks_the_key(self, overrides):
+        # ModelParams checks the keys in PARAM_TABLE order, alpha before dose,
+        # and quotes each value as the document wrote it: -1, not -1.0.
+        with pytest.raises(ConfigError) as info:
+            parse_config(minimal_config(**overrides))
+        assert str(info.value) == "alpha must be >= 0, got -1"
+
     def test_rejects_both_population_forms(self):
         text = minimal_config(initial_total=100, initial_fractions=[0.5, 0.3, 0.2])
         with pytest.raises(ConfigError, match="exactly one"):

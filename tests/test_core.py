@@ -381,9 +381,10 @@ class TestConstants:
 
 
 _STATE = PopulationState(6.0, 3.0, 1.0)
-# The validated start of a course, and one instance of each type built per row
-# (a named tuple): slotted.
+# The model's constants, the validated start of a course, and one instance of
+# each type built per row (a named tuple): slotted.
 _SLOTTED = {
+    "ModelParams": ModelParams(),
     "PopulationState": _STATE,
     "TrajectoryRecord": repopsim.TrajectoryRecord(
         1, "initial", 6.0, 3.0, 1.0, 0.6, 0.3, 0.1, 0.0, 0.08, 10.0
