@@ -10,7 +10,7 @@ from typing import NamedTuple
 from .core import CELL_TOTAL, PARAM_TABLE, PULSE_COUNT, ModelParams, ParamRow, PopulationState
 from .core import lq_exponent
 from .errors import AlignmentError, ConfigError, InvalidParameterError, SimulationError, quote
-from .schedule import Trajectory, simulate_course
+from .schedule import Trajectory, TrajectoryRecord, simulate_course
 
 
 class DiffPoint(NamedTuple):
@@ -40,28 +40,28 @@ def diff_velocity(a: Trajectory, b: Trajectory) -> TrajectoryDiff:
     """
     if not a.records or not b.records:
         raise AlignmentError("both trajectories must be nonempty")
-    a_phi, b_phi = _phi_by_point("first", a), _phi_by_point("second", b)
-    points = [DiffPoint(*key, phi - b_phi[key]) for key, phi in a_phi.items() if key in b_phi]
+    a_at, b_at = _by_point("first", a), _by_point("second", b)
+    points = [DiffPoint(*key, rec.phi - b_at[key].phi) for key, rec in a_at.items() if key in b_at]
     if not points:
         raise AlignmentError("the two trajectories share no (day, phase) grid point")
     return TrajectoryDiff(tuple(points), len(a.records) - len(points), len(b.records) - len(points))
 
 
-def _phi_by_point(which: str, trajectory: Trajectory) -> dict[tuple[int, str], float]:
-    """Each record's phi keyed by its (day, phase) point, in record order.
+def _by_point(which: str, trajectory: Trajectory) -> dict[tuple[int, str], TrajectoryRecord]:
+    """Each record keyed by its (day, phase) point, in record order.
 
     Raises:
         AlignmentError: naming `which` trajectory and the first point it repeats.
     """
-    phis = {}
+    records = {}
     for rec in trajectory.records:
         key = (rec.day, rec.phase)
-        if key in phis:
+        if key in records:
             raise AlignmentError(
                 f"the {which} trajectory repeats the point day {rec.day}, phase {quote(rec.phase)}"
             )
-        phis[key] = rec.phi
-    return phis
+        records[key] = rec
+    return records
 
 
 def lq_closed_form(n0: float, n: int, params: ModelParams) -> float:
@@ -93,7 +93,7 @@ def _relative(expected: float, actual: float) -> float:
     return abs(actual - expected) / scale
 
 
-_GOLDEN_COLUMNS = ("y0", "y1", "y2", "velocity")
+_GOLDEN_COLUMNS = GoldenRow._fields[2:]
 
 
 def compare_to_golden(
@@ -112,15 +112,16 @@ def compare_to_golden(
 
     Raises:
         ConfigError: if a requested column is not part of the table schema.
+        AlignmentError: if the trajectory repeats a (day, phase) point.
     """
     for column in columns:
         if column not in _GOLDEN_COLUMNS:
             raise ConfigError(f"unknown comparison column: {column}")
-    by_key = {(rec.day, rec.phase): rec for rec in trajectory.records}
+    at = _by_point("compared", trajectory)
     matched = 0
     worst = 0.0
     for row in golden:
-        rec = by_key.get((row.day, row.phase))
+        rec = at.get((row.day, row.phase))
         if rec is None or not days[0] <= row.day <= days[1]:
             continue
         matched += 1

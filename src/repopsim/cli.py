@@ -15,7 +15,8 @@ from pathlib import Path
 
 from .analysis import SweepEntry, compare_to_golden, diff_velocity, lq_closed_form, sweep
 from .config import check_destination, load_config
-from .core import GROWTH_INTERVAL, PARAM_TABLE, POST_GROWTH, ModelParams, PopulationState
+from .core import GROWTH_INTERVAL, PARAM_TABLE, POST_GROWTH, SIMPLEX_TOL, ModelParams
+from .core import PopulationState
 from .errors import ConfigError, NumericInstabilityError, SimulationError, quote
 from .growth import integrate_growth
 from .io import (
@@ -99,13 +100,9 @@ def _parse_integer(token: str) -> int:
     except ValueError:
         if not _INTEGER.fullmatch(token):
             raise
-    # Read 640 digits at a time: the lowest limit the interpreter accepts.
-    digits = token.lstrip("+-").replace("_", "")
-    value = 0
-    for start in range(0, len(digits), 640):
-        chunk = digits[start : start + 640]
-        value = value * 10 ** len(chunk) + int(chunk)
-    return -value if token.startswith("-") else value
+    import decimal  # Decimal has no digit limit; only such a token loads it
+
+    return int(decimal.Decimal(token))
 
 
 def _parse_sweep_values(param: str, text: str) -> tuple[float, ...]:
@@ -203,7 +200,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     endpoints = _growth_endpoints(simulate_course(params, config.initial), params)
     drift = max((abs(x0 + x1 + x2 - 1.0) for _, (x0, x1, x2) in endpoints), default=0.0)
     detail = f"max |sum(x) - 1| at integrator endpoints {drift:.3e}"
-    results.append(_check_line("simplex-drift", drift <= 1e-9, detail))
+    results.append(_check_line("simplex-drift", drift <= SIMPLEX_TOL, detail))
 
     reference_run = simulate_course(ModelParams(weeks=_REFERENCE_WEEKS), _REFERENCE_INITIAL)
     reference = load_reference_table()

@@ -19,10 +19,11 @@ from .core import PHASES
 from .errors import SchemaError, quote
 from .schedule import Trajectory, TrajectoryRecord
 
-TRAJECTORY_HEADER = "day,phase,y0,y1,y2,x0,x1,x2,phi,v2,total"
+# A table's columns are its row type's fields; a diff or sweep row's fields are not its columns.
+TRAJECTORY_HEADER = ",".join(TrajectoryRecord._fields)
 DIFF_HEADER = "day,phase,delta_phi"
 SWEEP_HEADER = "value,final_total,final_phi,threshold_day,error"
-REFERENCE_HEADER = "day|phase|y0|y1|y2|velocity"
+REFERENCE_HEADER = "|".join(GoldenRow._fields)
 
 # Checksum of the bundled reference table, verified on every load so the
 # fixture cannot drift silently.

@@ -149,6 +149,16 @@ class TestCompareToGolden:
         assert forward == backward
         assert forward[0] == 1 and forward[1] == pytest.approx(0.2, rel=1e-15)
 
+    # Keyed by a plain dict, the comparison would read the point through its last record:
+    # (10, 1.97e-4) with the copy prepended and (10, 0.99999) with it appended.
+    @pytest.mark.parametrize("prepended", [True, False], ids=["prepended", "appended"])
+    def test_a_repeated_point_is_rejected(self, golden, prepended):
+        course = schedule.simulate_course(ModelParams(weeks=1), reference_initial())
+        copy = (course.records[0]._replace(y0=1.0),)
+        records = copy + course.records if prepended else course.records + copy
+        with pytest.raises(AlignmentError, match="day 1, phase 'initial'"):
+            compare_to_golden(course._replace(records=records), golden, (1, 5), ("y0",))
+
 
 class TestSweep:
     def test_empty_values(self):

@@ -883,13 +883,14 @@ def test_check_subprocess_prints_each_line_once():
 
 
 def test_importing_the_cli_loads_no_pickling_forking_pool_or_hashing_module():
-    # No command forks or pickles; only check hashes and only sweep writes
-    # csv, and each imports its module for itself; and no value type is a
-    # dataclass, whose module pulls in inspect. So start-up loads none of these.
+    # No command forks or pickles; only check hashes, only sweep writes csv and
+    # only a sweep value past int()'s digit limit reads through decimal, and each
+    # imports its module for itself; and no value type is a dataclass, whose
+    # module pulls in inspect. So start-up loads none of these.
     script = (
         "import sys, repopsim.cli; print([m for m in ('pickle', '_pickle', 'signal', 'traceback',"
         " 'multiprocessing', 'concurrent.futures', 'hashlib', '_hashlib', 'dataclasses',"
-        " 'inspect', 'csv') if m in sys.modules])"
+        " 'inspect', 'csv', 'decimal') if m in sys.modules])"
     )
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=120

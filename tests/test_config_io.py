@@ -27,6 +27,7 @@ from repopsim import (
 )
 from repopsim.io import (
     DIFF_HEADER,
+    REFERENCE_HEADER,
     REFERENCE_SHA256,
     SWEEP_HEADER,
     TRAJECTORY_HEADER,
@@ -139,6 +140,7 @@ class TestParseConfig:
 class TestTrajectoryFiles:
     def test_header_is_fixed(self):
         assert TRAJECTORY_HEADER == "day,phase,y0,y1,y2,x0,x1,x2,phi,v2,total"
+        assert REFERENCE_HEADER == "day|phase|y0|y1|y2|velocity"
 
     def test_empty_trajectory_writes_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
