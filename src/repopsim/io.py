@@ -10,7 +10,6 @@ runs with identical inputs.
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterator
 from importlib import resources
 from pathlib import Path
 
@@ -34,32 +33,6 @@ _REFERENCE_RESOURCE = "reference_course.psv"
 
 def _format_real(value: float) -> str:
     return f"{value:.9f}"
-
-
-def _read_text(source: str | Path) -> str:
-    try:
-        return Path(source).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{source}: not UTF-8 text: {exc}") from None
-
-
-def _table_rows(text: str, origin: str, header: str, separator: str) -> Iterator[tuple]:
-    """(line number, line, cells) per row below a header whose second column
-    is the phase; SchemaError on a bad header, width or phase."""
-    lines = text.splitlines()
-    if not lines or lines[0] != header:
-        got = lines[0] if lines else "<empty file>"
-        raise SchemaError(f"{origin}: expected header {header!r}, got {quote(got)}")
-    width = header.count(separator) + 1
-    for number, line in enumerate(lines[1:], 2):
-        cells = line.split(separator)
-        if len(cells) != width:
-            raise SchemaError(
-                f"{origin}: expected {width} columns, got {len(cells)}: {quote(line)}"
-            )
-        if cells[1] not in PHASES:
-            raise SchemaError(f"{origin}: line {number}: unknown phase {quote(cells[1])}")
-        yield number, line, cells
 
 
 def _cell_error(where: str, line: str, cells: list[str]) -> SchemaError:
@@ -97,11 +70,27 @@ def read_trajectory(source: str | Path) -> Trajectory:
             header or column count, an unknown phase, or a cell that is not a number.
     """
     origin = str(source)
+    try:
+        lines = Path(source).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{origin}: not UTF-8 text: {exc}") from None
+    if not lines or lines[0] != TRAJECTORY_HEADER:
+        got = lines[0] if lines else "<empty file>"
+        raise SchemaError(f"{origin}: expected header {TRAJECTORY_HEADER!r}, got {quote(got)}")
+    width = len(TrajectoryRecord._fields)
     row = TrajectoryRecord._make  # a record from its tuple of fields, in one step
     records = []
     integer_rounding = True
-    for number, line, cells in _table_rows(_read_text(source), origin, TRAJECTORY_HEADER, ","):
+    for number, line in enumerate(lines[1:], 2):
+        cells = line.split(",")
+        if len(cells) != width:
+            raise SchemaError(
+                f"{origin}: line {number}: expected {width} columns, "
+                f"got {len(cells)}: {quote(line)}"
+            )
         day, phase, y0, y1, y2, x0, x1, x2, phi, v2, total = cells
+        if phase not in PHASES:
+            raise SchemaError(f"{origin}: line {number}: unknown phase {quote(phase)}")
         if integer_rounding and ("." in y0 or "." in y1 or "." in y2 or "." in total):
             integer_rounding = False
         try:
@@ -160,8 +149,8 @@ def load_reference_table() -> tuple[GoldenRow, ...]:
         raise SchemaError(
             f"bundled reference table checksum mismatch: {digest} != {REFERENCE_SHA256}"
         )
-    rows = _table_rows(data.decode("utf-8"), _REFERENCE_RESOURCE, REFERENCE_HEADER, "|")
-    return tuple(
-        GoldenRow._make((int(day), phase, float(y0), float(y1), float(y2), float(velocity)))
-        for _, _, (day, phase, y0, y1, y2, velocity) in rows
-    )
+    rows = []
+    for line in data.decode("utf-8").splitlines()[1:]:
+        day, phase, y0, y1, y2, velocity = line.split("|")
+        rows.append(GoldenRow(int(day), phase, float(y0), float(y1), float(y2), float(velocity)))
+    return tuple(rows)

@@ -10,6 +10,7 @@ from importlib import resources
 import pytest
 
 from repopsim import (
+    PHASES,
     ConfigError,
     ModelParams,
     SchemaError,
@@ -34,6 +35,7 @@ from repopsim.io import (
 )
 
 BASELINE = resources.files("repopsim").joinpath("data/baseline.json")
+_BAD_CELL_ROW = "1,initial,abc,2,3,0,0,0,0,0,6"
 
 
 def minimal_config(**overrides) -> str:
@@ -194,8 +196,27 @@ class TestTrajectoryFiles:
     def test_wrong_column_count_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(TRAJECTORY_HEADER + "\n1,initial,1,2\n", encoding="utf-8")
-        with pytest.raises(SchemaError, match="columns"):
+        with pytest.raises(SchemaError) as info:
             read_trajectory(path)
+        assert str(info.value) == f"{path}: line 2: expected 11 columns, got 4: '1,initial,1,2'"
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([_BAD_CELL_ROW, "1,initial,1,2"], f"line 2: 'abc' is not a number: {_BAD_CELL_ROW!r}"),
+            (["1,bogus,1,2"], "line 2: expected 11 columns, got 4: '1,bogus,1,2'"),
+            ([_BAD_CELL_ROW.replace("initial", "bogus")], "line 2: unknown phase 'bogus'"),
+        ],
+        ids=["earlier-line-first", "width-before-phase", "phase-before-cell"],
+    )
+    def test_first_fault_of_the_first_faulty_line_is_named(self, tmp_path, rows, message):
+        # Two faults a file: the error names the first faulty line, and on one
+        # line the column count comes before the phase, and the phase before a cell.
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([TRAJECTORY_HEADER, *rows]) + "\n", encoding="utf-8")
+        with pytest.raises(SchemaError) as info:
+            read_trajectory(path)
+        assert str(info.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("column", [0, 2, 5, 10])
     def test_malformed_number_names_the_line(self, column, tmp_path):
@@ -283,6 +304,21 @@ class TestReferenceTable:
     def test_bundled_table_checksum(self):
         data = resources.files("repopsim").joinpath("data/reference_course.psv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == REFERENCE_SHA256
+
+    def test_bundled_table_schema(self):
+        # load_reference_table parses the checksummed bytes as trusted, so the
+        # table's schema is checked here, where an edit of the table together
+        # with its checksum still shows.
+        text = resources.files("repopsim").joinpath("data/reference_course.psv").read_text("utf-8")
+        header, *lines = text.splitlines()
+        assert header == REFERENCE_HEADER
+        rows = []
+        for line in lines:
+            cells = line.split("|")
+            assert len(cells) == 6, line
+            assert cells[1] in PHASES, line
+            rows.append((int(cells[0]), cells[1], *map(float, cells[2:])))
+        assert load_reference_table() == tuple(rows)
 
 
 # A single line or cell of 200,000 characters, as in a file that is not a table at all.

@@ -19,6 +19,7 @@ from repopsim import (
     cli,
     core,
     load_config,
+    read_trajectory,
     simulate_course,
     survival_fraction,
     v2_of,
@@ -34,9 +35,8 @@ from .conftest import (
 )
 
 
-def _course_and_package_calls(params, initial):
-    """The course of params from initial, and the names of the Python calls
-    into the package while it ran."""
+def _package_calls(function, *args):
+    """function(*args), and the names of the Python calls into the package while it ran."""
     package = os.path.dirname(core.__file__) + os.sep
     calls = []
 
@@ -46,10 +46,16 @@ def _course_and_package_calls(params, initial):
 
     sys.setprofile(profile)
     try:
-        trajectory = simulate_course(params, initial)
+        result = function(*args)
     finally:
         sys.setprofile(None)
-    return trajectory, calls
+    return result, calls
+
+
+def _course_and_package_calls(params, initial):
+    """The course of params from initial, and the names of the Python calls
+    into the package while it ran."""
+    return _package_calls(simulate_course, params, initial)
 
 
 # One in-range alternative to each mixing.json parameter value.
@@ -198,6 +204,20 @@ class TestSimulateCourse:
         trajectory, calls = _course_and_package_calls(config.params, config.initial)
         assert trajectory.final().day == 42
         assert len(calls) <= 412, collections.Counter(calls).most_common()
+
+    def test_call_budget_of_a_read_does_not_grow_with_its_rows(self, tmp_path):
+        # read_trajectory checks and parses each row in its own loop, so a
+        # 52-week file costs the package no more Python calls than a 1-week one.
+        config = load_config(str(resources.files("repopsim").joinpath("data", "mixing.json")))
+        reads = []
+        for weeks in (1, 52):
+            path = tmp_path / f"{weeks}.csv"
+            course = simulate_course(config.params._replace(weeks=weeks), config.initial)
+            write_trajectory(course, path)
+            trajectory, calls = _package_calls(read_trajectory, path)
+            assert trajectory.final().day == 7 * weeks
+            reads.append(calls)
+        assert len(reads[0]) == len(reads[1]), [collections.Counter(c) for c in reads]
 
     @pytest.mark.parametrize(
         "fields",
