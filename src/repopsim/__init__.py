@@ -20,11 +20,7 @@ from .core import (
     POST_RADIATION,
     ModelParams,
     PopulationState,
-    fractions_to_counts,
-    psi,
-    snap_counts,
     survival_fraction,
-    v2_of,
 )
 from .errors import (
     AlignmentError,

@@ -12,7 +12,7 @@ import json
 from typing import NamedTuple
 
 from .core import CELL_TOTAL, PARAM_TABLE, PULSE_COUNT, ModelParams, ParamRow, PopulationState
-from .core import check_simplex, check_total, fractions_to_counts, snap_counts
+from .core import _snap, check_simplex, check_total
 from .errors import ConfigError, InvalidParameterError, InvalidStateError, quote
 
 _KNOWN_KEYS = frozenset(PARAM_TABLE) | {
@@ -86,20 +86,21 @@ def parse_config(text: str) -> RunConfig:
             if min(counts) < 0:
                 raise ConfigError(f"initial_counts must be nonnegative, got {counts}")
             check_total("initial_counts", counts)
-            if params.integer_rounding:
-                counts = snap_counts(counts)
         elif has_split:
             if "initial_total" not in raw or "initial_fractions" not in raw:
                 raise ConfigError("initial_total and initial_fractions must be given together")
             total = _require_number("initial_total", raw["initial_total"], CELL_TOTAL)
-            x = _require_triple("initial_fractions", raw["initial_fractions"])
+            x0, x1, x2 = x = _require_triple("initial_fractions", raw["initial_fractions"])
             check_simplex("initial_fractions", x)
-            counts = fractions_to_counts(x, total, params.integer_rounding)
+            counts = (x0 * total, x1 * total, x2 * total)
+            check_total("initial_total * initial_fractions", counts)
         else:
             raise ConfigError(
                 "missing initial population: provide initial_counts or "
                 "initial_total with initial_fractions"
             )
+        if params.integer_rounding:
+            counts = _snap(*counts)
 
         initial_pulses = raw.get("initial_pulses", 0)
         PULSE_COUNT.check("initial_pulses", initial_pulses)

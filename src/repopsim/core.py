@@ -86,10 +86,9 @@ PARAM_TABLE = {
     "pulses_per_week": ParamRow(int, 0, 7),
 }
 _KIND = tuple(row.kind for row in PARAM_TABLE.values())  # each field's kind, in field order
-# A count of delivered pulses, in a state, a damping factor, a closed form or a config.
+# A count of delivered pulses, in a state, a closed form or a config.
 PULSE_COUNT = ParamRow(int, 0)
-# A number of cells: one count of a state, or a total to spread over fractions
-# in fractions_to_counts, a closed form or a config.
+# A number of cells: one count of a state, or a total of a closed form or a config.
 CELL_TOTAL = ParamRow(float, 0)
 
 
@@ -221,70 +220,21 @@ def survival_fraction(params: ModelParams) -> float:
     return math.exp(-lq_exponent(params))
 
 
-def psi(params: ModelParams, pulses: int, treatment: bool) -> float:
-    """Damping factor for the fast-fraction velocity after `pulses` pulses.
-
-    The exponent is theta minus pulses times a per-pulse loss:
-    sqrt(Q'^2 + P'^2) on a weekend day, sqrt(Q^2 + P^2)*d + sqrt(Q'^2 + P'^2)*d^2
-    on a treatment day. Strictly positive, nonincreasing in the pulse count.
-
-    Args:
-        pulses: radiation pulses delivered so far.
-        treatment: True on a treatment day, False on a weekend day.
-
-    Raises:
-        InvalidParameterError: for pulses not a pulse count, or treatment not
-            True or False.
-    """
-    PULSE_COUNT.check("pulses", pulses)
-    if treatment is not True and treatment is not False:  # only a bool may pick a day's loss
-        ParamRow(bool).check("treatment", treatment)
-    return _psis(params, range(pulses, pulses + 1))[0][treatment]
-
-
 def _psis(params: ModelParams, pulses: range) -> list[tuple[float, float]]:
-    """psi on a weekend day and a treatment day at each pulse count: its one formula, unchecked."""
+    """psi on a weekend day and a treatment day at each pulse count: its one formula, unchecked.
+
+    psi, the damping factor of the fast-fraction velocity a * v1 * psi, is exp of theta minus
+    the pulse count times a per-pulse loss: hypot(q_mix, p_mix) on a weekend day, and
+    hypot(q_rad, p_rad)*d + hypot(q_mix, p_mix)*d^2 on a treatment day, with d the dose.
+    Strictly positive, nonincreasing in the pulse count.
+    """
     d, theta = params.dose, params.theta
     weekend = math.hypot(params.q_mix, params.p_mix)
     treatment = math.hypot(params.q_rad, params.p_rad) * d + weekend * d * d
     return [(math.exp(theta - n * weekend), math.exp(theta - n * treatment)) for n in pulses]
 
 
-def v2_of(params: ModelParams, pulses: int, treatment: bool) -> float:
-    """Fast-fraction velocity a * v1 * psi at the given pulse count, on a
-    treatment day or a weekend day."""
-    return params.a * params.v1 * psi(params, pulses, treatment)
-
-
-def snap_counts(counts: Triple) -> Triple:
-    """Each count snapped to the nearest whole cell, ties away from zero.
-
-    Raises:
-        InvalidStateError: for counts check_counts rejects.
-    """
-    check_counts(counts)
-    return _snap(*counts)
-
-
 def _snap(y0: float, y1: float, y2: float) -> Triple:
-    """snap_counts of (y0, y1, y2) unchecked, for a per-day caller's counts >= 0."""
+    """Counts >= 0, each snapped to the nearest whole cell, ties away from zero; unchecked."""
     # (y + 0.5) // 1.0 is floor(y + 0.5) as a float, with no round trip through an int.
     return (y0 + 0.5) // 1.0, (y1 + 0.5) // 1.0, (y2 + 0.5) // 1.0
-
-
-def fractions_to_counts(x: Triple, total: float, integer_rounding: bool) -> Triple:
-    """Counts obtained by spreading `total` cells over the fraction triple.
-
-    Each component is rounded independently to the nearest whole cell (ties
-    away from zero) when integer_rounding is on; the summed total may then
-    differ from the requested one by at most 1.5 cells.
-
-    Raises:
-        InvalidStateError: if x is off the simplex.
-        InvalidParameterError: for a total CELL_TOTAL rejects.
-    """
-    check_simplex("x", x)
-    CELL_TOTAL.check("total", total)
-    x0, x1, x2 = x
-    y0, y1, y2 = x0 * total, x1 * total, x2 * total
-    return _snap(y0, y1, y2) if integer_rounding else (y0, y1, y2)

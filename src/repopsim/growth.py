@@ -203,7 +203,8 @@ def growth_day_detail(counts: Triple, params: ModelParams, v2: float) -> tuple[T
 
     Stages: evolve the fractions under the velocities (params.v0, params.v1,
     v2), with v2 frozen for the interval, rebuild counts from the endpoint,
-    then divide.
+    then divide. v2 is the fast-fraction velocity a * v1 * psi at the pulses
+    delivered so far (see core._psis): the value a course's records carry.
 
     Raises:
         InvalidParameterError: for a v2 not a number (a bool included), too
@@ -227,7 +228,7 @@ def growth_day_detail(counts: Triple, params: ModelParams, v2: float) -> tuple[T
     x = (y0 / total, y1 / total, y2 / total)
     rates = (v0, v1, v2, params.q_mix, params.p_mix)
     x0, x1, x2 = integrate_growth(rates, x, GROWTH_INTERVAL, GROWTH_INTERVAL)
-    # fractions_to_counts' spread, over the endpoint integrate_growth keeps on the simplex.
+    # Counts spread over the endpoint, which integrate_growth keeps on the simplex.
     y0, y1, y2 = x0 * total, x1 * total, x2 * total
     counts = _snap(y0, y1, y2) if params.integer_rounding else (y0, y1, y2)
     phi = v0 * x0 + v1 * x1 + v2 * x2

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import INITIAL, POST_GROWTH, POST_RADIATION, ModelParams, PopulationState, _psis, v2_of
+from .core import INITIAL, POST_GROWTH, POST_RADIATION, ModelParams, PopulationState, _psis
 from .errors import InvalidStateError, NumericInstabilityError
 from .growth import growth_day_detail
 from .radiation import apply_pulse, build_radiation_operator
@@ -87,13 +87,13 @@ def simulate_course(params: ModelParams, initial: PopulationState) -> Trajectory
     per_week = params.pulses_per_week
     week = per_week + params.weekend_days
     first = pulses = initial.pulses_delivered
-    # (weekend, treatment) psi by pulses so far; a day's v2 is (a * v1) * psi, as in v2_of.
+    # (weekend, treatment) psi by pulses so far; a day's v2 is (a * v1) * psi.
     psis = _psis(params, range(first, first + params.weeks * per_week + 1))
     av1 = params.a * params.v1
     y0, y1, y2 = counts = (initial.y0, initial.y1, initial.y2)
     total = y0 + y1 + y2
     phi = 0.0
-    v2 = v2_of(params, first, per_week > 0)
+    v2 = av1 * psis[0][per_week > 0]
     x0, x1, x2 = y0 / total, y1 / total, y2 / total
     row = TrajectoryRecord._make  # a record from its tuple of fields, in one step
     records = [row((1, INITIAL, y0, y1, y2, x0, x1, x2, phi, v2, total))]

@@ -4,6 +4,7 @@ helpers over the package's types, and fork and file-descriptor probes."""
 from __future__ import annotations
 
 import decimal
+import math
 import os
 
 import numpy as np
@@ -70,6 +71,19 @@ def mean_velocity(x: tuple[float, float, float], v: tuple[float, float, float]) 
     """
     check_simplex("x", x)
     return v[0] * x[0] + v[1] * x[1] + v[2] * x[2]
+
+
+def fast_velocity(params: ModelParams, pulses: int, treatment: bool) -> float:
+    """README's fast-fraction velocity a * v1 * psi after `pulses` pulses, with
+    psi = exp(theta - n*(hypot(q_rad, p_rad)*d + hypot(q_mix, p_mix)*d^2)) on a
+    treatment day and exp(theta - n*hypot(q_mix, p_mix)) on a weekend day."""
+    mix = math.hypot(params.q_mix, params.p_mix)
+    if treatment:
+        d = params.dose
+        loss = math.hypot(params.q_rad, params.p_rad) * d + mix * d * d
+    else:
+        loss = mix
+    return params.a * params.v1 * math.exp(params.theta - pulses * loss)
 
 
 def pulse_power(op, n: int, counts, integer_rounding: bool = False):

@@ -26,6 +26,7 @@ from repopsim import (
     write_sweep_summary,
     write_trajectory,
 )
+from repopsim.cli import EXIT_VALIDATION, cli_main
 from repopsim.io import (
     DIFF_HEADER,
     REFERENCE_HEADER,
@@ -121,6 +122,31 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as info:
             parse_config(minimal_config(**overrides))
         assert str(info.value) == "alpha must be >= 0, got -1"
+
+    @pytest.mark.parametrize("rounding", [True, False], ids=["integer", "real"])
+    def test_a_split_whose_counts_overflow_names_its_keys(self, rounding, tmp_path, capsys):
+        # Fractions on the simplex within 1e-9 and a finite total whose spread
+        # sums past the floats: the error names the keys the counts came from.
+        document = json.dumps(
+            {
+                "initial_total": 1.7976931348623157e308,
+                "initial_fractions": [0.5000000005, 0.5, 0.0],
+                "integer_rounding": rounding,
+            }
+        )
+        message = (
+            "initial_total * initial_fractions must have a finite total, "
+            "got (8.988465683300044e+307, 8.988465674311579e+307, 0.0)"
+        )
+        with pytest.raises(ConfigError) as info:
+            parse_config(document)
+        assert str(info.value) == message
+        config = tmp_path / "split.json"
+        config.write_text(document, encoding="utf-8")
+        out = tmp_path / "never.csv"
+        assert cli_main(["run", "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_rejects_both_population_forms(self):
         text = minimal_config(initial_total=100, initial_fractions=[0.5, 0.3, 0.2])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import sys
 
@@ -12,19 +13,17 @@ from hypothesis import strategies as st
 
 import repopsim
 from repopsim import (
+    ConfigError,
     InvalidParameterError,
     InvalidStateError,
     ModelParams,
     PopulationState,
-    fractions_to_counts,
-    psi,
-    snap_counts,
+    parse_config,
     survival_fraction,
-    v2_of,
 )
-from repopsim.core import PARAM_TABLE, PHASES
+from repopsim.core import PARAM_TABLE, PHASES, _psis
 
-from .conftest import MIXING_OVERRIDES
+from .conftest import MIXING_OVERRIDES, fast_velocity
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -188,7 +187,7 @@ class TestModelParams:
 
     def test_zero_velocities_are_legal(self):
         p = ModelParams(v0=0.0, v1=0.0)
-        assert (p.v0, p.v1, v2_of(p, 0, True)) == (0.0, 0.0, 0.0)
+        assert (p.v0, p.v1, fast_velocity(p, 0, True)) == (0.0, 0.0, 0.0)
 
 
 class TestPopulationState:
@@ -238,6 +237,11 @@ class TestPopulationState:
             PopulationState(1.0, 1.0, 1.0, pulses_delivered=-1)
 
 
+def psi(params, pulses, treatment):
+    """The damping factor after `pulses` pulses, from the course's table of psi."""
+    return _psis(params, range(pulses, pulses + 1))[0][treatment]
+
+
 class TestVelocities:
     def test_damping_zero_coefficients(self):
         # With no transfer and no mixing the damping factor is exp(theta)
@@ -246,10 +250,10 @@ class TestVelocities:
         for n in (0, 1, 5, 30):
             assert psi(p, n, True) == pytest.approx(math.exp(0.005), rel=1e-15)
             assert psi(p, n, False) == pytest.approx(math.exp(0.005), rel=1e-15)
-        assert v2_of(p, 1, True) == pytest.approx(
+        assert fast_velocity(p, 1, True) == pytest.approx(
             0.08040100166875208, rel=1e-15
         )
-        assert v2_of(p, 1, True) == pytest.approx(
+        assert fast_velocity(p, 1, True) == pytest.approx(
             p.a * p.v1 * math.exp(p.theta), rel=1e-15
         )
 
@@ -259,24 +263,24 @@ class TestVelocities:
         p = ModelParams(theta=0.0, q_mix=0.3, p_mix=0.2)
         for treatment in (True, False):
             assert psi(p, 0, treatment) == 1.0
-            assert v2_of(p, 0, treatment) == 0.08
+            assert fast_velocity(p, 0, treatment) == 0.08
 
     def test_fast_rate_scales_with_amplification(self):
         damped = ModelParams(theta=0.0, **MIXING_OVERRIDES)
         unit_a = ModelParams(a=1.0, theta=0.0, **MIXING_OVERRIDES)
         for n in (0, 1, 5):
             factor = psi(damped, n, True)
-            assert v2_of(unit_a, n, True) == pytest.approx(
+            assert fast_velocity(unit_a, n, True) == pytest.approx(
                 1.0 * 0.016 * factor, rel=1e-15
             )
-            assert v2_of(unit_a, n, True) == pytest.approx(
-                v2_of(damped, n, True) / 5.0, rel=1e-15
+            assert fast_velocity(unit_a, n, True) == pytest.approx(
+                fast_velocity(damped, n, True) / 5.0, rel=1e-15
             )
         # Halving the amplification halves the rate, exactly: 0.016 vs 0.008
         # for a=1 against a damping factor of one half.
         half = ModelParams(a=1.0, theta=0.0)
-        assert v2_of(half, 0, False) == 0.016
-        assert 0.5 * v2_of(half, 0, False) == 0.008
+        assert fast_velocity(half, 0, False) == 0.016
+        assert 0.5 * fast_velocity(half, 0, False) == 0.008
 
     def test_damping_with_transfer_and_mixing(self):
         p = ModelParams(**MIXING_OVERRIDES)
@@ -295,18 +299,18 @@ class TestVelocities:
             math.exp(p.theta - 1 * mix_norm), rel=1e-12
         )
 
-    @pytest.mark.parametrize("treatment", ["weekend", 1, None])
-    def test_damping_form_must_be_true_or_false(self, treatment):
-        message = f"^treatment must be true or false, got {treatment!r}$"
-        with pytest.raises(InvalidParameterError, match=message):
-            v2_of(ModelParams(), 1, treatment)
-
     @settings(deadline=None)
     @given(q=unit, p=unit, n=st.integers(min_value=0, max_value=40))
     def test_damping_never_increases_with_pulses(self, q, p, n):
         params = ModelParams(q_mix=q, p_mix=p)
+        before, after = _psis(params, range(n, n + 2))
         for treatment in (True, False):
-            assert psi(params, n + 1, treatment) <= psi(params, n, treatment)
+            assert after[treatment] <= before[treatment]
+
+
+def initial_counts(**keys):
+    """The initial counts parse_config builds from a config of the given keys."""
+    return tuple(parse_config(json.dumps(keys)).initial[:3])
 
 
 class TestRounding:
@@ -324,16 +328,17 @@ class TestRounding:
     )
     def test_snap_count_half_up(self, value, expected):
         # Each component of the triple snaps on its own.
-        assert snap_counts((value, 1.0, 2.5)) == (expected, 1.0, 3.0)
-        assert snap_counts((0.5, 7.0, value)) == (1.0, 7.0, expected)
+        assert initial_counts(initial_counts=[value, 1.0, 2.5]) == (expected, 1.0, 3.0)
+        assert initial_counts(initial_counts=[0.5, 7.0, value]) == (1.0, 7.0, expected)
 
     @pytest.mark.parametrize("value", [-0.2, -5.0])
     def test_snap_count_rejects_a_negative_count(self, value):
-        with pytest.raises(InvalidStateError, match=f"^y0 must be >= 0, got {value}$"):
-            snap_counts((value, 1.0, 2.5))
+        message = rf"^initial_counts must be nonnegative, got \({value}, 1.0, 2.5\)$"
+        with pytest.raises(ConfigError, match=message):
+            initial_counts(initial_counts=[value, 1.0, 2.5])
 
     def test_reference_initial_split(self):
-        counts = fractions_to_counts((0.6, 0.34, 0.06), 618783392.0, integer_rounding=True)
+        counts = initial_counts(initial_total=618783392.0, initial_fractions=[0.6, 0.34, 0.06])
         assert counts == (371270035.0, 210386353.0, 37127004.0)
 
     def test_reference_counts_normalize_back(self):
@@ -343,14 +348,16 @@ class TestRounding:
 
     def test_vertex_split_is_exact(self):
         for rounding in (True, False):
-            counts = fractions_to_counts((0.0, 0.0, 1.0), 100.0, integer_rounding=rounding)
+            counts = initial_counts(
+                initial_total=100.0, initial_fractions=[0.0, 0.0, 1.0], integer_rounding=rounding
+            )
             assert counts == (0.0, 0.0, 100.0)
 
     def test_equal_thirds_round_independently(self):
         # Each component snaps on its own; the summed total may drift from
         # the requested one by the accumulated rounding (here 10 -> 9).
         third = 1.0 / 3.0
-        counts = fractions_to_counts((third, third, third), 10.0, integer_rounding=True)
+        counts = initial_counts(initial_total=10.0, initial_fractions=[third, third, third])
         assert counts == (3.0, 3.0, 3.0)
         assert sum(counts) == 9.0
 
@@ -364,7 +371,7 @@ class TestRounding:
     def test_continuous_roundtrip(self, a, b, c, total):
         norm = a + b + c
         x = (a / norm, b / norm, c / norm)
-        counts = fractions_to_counts(x, total, integer_rounding=False)
+        counts = initial_counts(initial_total=total, initial_fractions=x, integer_rounding=False)
         back = tuple(c / sum(counts) for c in counts)
         for got, want in zip(back, x):
             assert got == pytest.approx(want, abs=1e-12)

@@ -22,7 +22,6 @@ from repopsim import (
     integrate_growth,
     load_config,
     simulate_course,
-    v2_of,
 )
 from repopsim import growth
 from repopsim.core import PARAM_TABLE, check_simplex
@@ -31,6 +30,7 @@ from .conftest import (
     REFERENCE_COUNTS,
     decimal_growth_day,
     euler_mix,
+    fast_velocity,
     mean_velocity,
     random_simplex_points,
     reference_initial,
@@ -508,12 +508,12 @@ class TestApplyDivision:
 class TestGrowthDay:
     def test_degenerate_parameters_are_identity(self):
         params = ModelParams(v0=0.0, v1=0.0, a=1.0, theta=0.0, integer_rounding=False)
-        out, _ = growth_day_detail((100.0, 50.0, 25.0), params, v2_of(params, 0, True))
+        out, _ = growth_day_detail((100.0, 50.0, 25.0), params, fast_velocity(params, 0, True))
         assert out == pytest.approx((100.0, 50.0, 25.0), rel=1e-12)
 
     def test_first_reference_day_total(self, golden):
         params = ModelParams(weeks=7)
-        out, _ = growth_day_detail(REFERENCE_COUNTS, params, v2_of(params, 1, True))
+        out, _ = growth_day_detail(REFERENCE_COUNTS, params, fast_velocity(params, 1, True))
         row = next(r for r in golden if r.day == 1 and r.phase == "post_growth")
         target = row.y0 + row.y1 + row.y2
         assert target == 625950700.0
@@ -523,7 +523,7 @@ class TestGrowthDay:
         # Over one day the total multiplies by roughly 2**phi; the gap is
         # only the spread between per-component doubling and the mean rate.
         params = ModelParams(weeks=7)
-        out, phi = growth_day_detail(REFERENCE_COUNTS, params, v2_of(params, 1, True))
+        out, phi = growth_day_detail(REFERENCE_COUNTS, params, fast_velocity(params, 1, True))
         ratio = sum(out) / sum(REFERENCE_COUNTS)
         assert ratio == pytest.approx(2.0**phi, rel=1e-3)
         assert ratio == pytest.approx(625950700.0 / 618783392.0, rel=1e-3)
@@ -532,8 +532,8 @@ class TestGrowthDay:
         params = ModelParams(
             v0=0.02, v1=0.02, a=1.0, theta=0.0, integer_rounding=False
         )
-        assert v2_of(params, 0, True) == pytest.approx(0.02, rel=1e-15)
-        out, _ = growth_day_detail((600.0, 340.0, 60.0), params, v2_of(params, 0, True))
+        assert fast_velocity(params, 0, True) == pytest.approx(0.02, rel=1e-15)
+        out, _ = growth_day_detail((600.0, 340.0, 60.0), params, fast_velocity(params, 0, True))
         before = (600.0 / 1000.0, 340.0 / 1000.0, 60.0 / 1000.0)
         after = tuple(c / sum(out) for c in out)
         assert after == pytest.approx(before, abs=1e-9)
@@ -541,7 +541,7 @@ class TestGrowthDay:
 
     def test_detail_reports_phi(self):
         params = ModelParams(weeks=7, integer_rounding=False)
-        v2 = v2_of(params, 1, True)
+        v2 = fast_velocity(params, 1, True)
         out, phi = growth_day_detail(REFERENCE_COUNTS, params, v2)
         # phi is the mean velocity of the evolved fractions, before division
         # reweights them.
@@ -557,7 +557,7 @@ class TestGrowthDay:
             "repopsim.growth.integrate_growth", lambda rates, x, duration, step: raw
         )
         params = ModelParams(v0=0.0, v1=0.0, integer_rounding=False)
-        out, _ = growth_day_detail((600.0, 300.0, 100.0), params, v2_of(params, 0, True))
+        out, _ = growth_day_detail((600.0, 300.0, 100.0), params, fast_velocity(params, 0, True))
         norm = raw[0] + raw[1] + raw[2]
         assert out == (raw[0] * 1000.0, raw[1] * 1000.0, raw[2] * 1000.0)
         assert out[2] != raw[2] / norm * 1000.0
@@ -570,7 +570,7 @@ class TestGrowthDay:
             lambda rates, x, duration, step: (0.6, 0.3, 0.1 + 5e-10),
         )
         params = ModelParams(v0=1.0, v1=0.0, integer_rounding=True)
-        out, _ = growth_day_detail((600.0, 300.0, 100.0), params, v2_of(params, 0, True))
+        out, _ = growth_day_detail((600.0, 300.0, 100.0), params, fast_velocity(params, 0, True))
         assert out == (1200.0, 300.0, 100.0)
 
     def test_overflowing_division_is_numeric_instability(self):
@@ -578,9 +578,9 @@ class TestGrowthDay:
         # apply_division does, not with a bare OverflowError or infinite counts.
         params = ModelParams(v0=2.0)
         with pytest.raises(NumericInstabilityError, match="cell counts overflow"):
-            growth_day_detail((1.7e308, 0.0, 0.0), params, v2_of(params, 0, True))
+            growth_day_detail((1.7e308, 0.0, 0.0), params, fast_velocity(params, 0, True))
 
     def test_rejects_empty_population(self):
         params = ModelParams()
         with pytest.raises(InvalidStateError):
-            growth_day_detail((0.0, 0.0, 0.0), params, v2_of(params, 0, True))
+            growth_day_detail((0.0, 0.0, 0.0), params, fast_velocity(params, 0, True))

@@ -24,15 +24,11 @@ from repopsim import (
     apply_division,
     apply_pulse,
     cli,
-    fractions_to_counts,
     growth_day_detail,
     integrate_growth,
     lq_closed_form,
     parse_config,
-    psi,
-    snap_counts,
     sweep,
-    v2_of,
 )
 from repopsim.core import PARAM_TABLE, check_counts
 from repopsim.growth import _DURATION, _NUMBER, _check_mixing, _check_velocities
@@ -73,8 +69,6 @@ RULES = [
         r"{name} must be nonnegative and sum to 1 within 1e-09, got ",
         [(math.nan, 0.5, 0.5), (-0.1, 0.6, 0.5), (-1e-10, 0.5, 0.5 + 1e-10), (0.5, 0.5, 0.5)],
         [
-            ("x", lambda x: fractions_to_counts(x, 100.0, True)),
-            ("x", lambda x: fractions_to_counts(x, 100.0, False)),
             (
                 "initial_fractions",
                 lambda x: parse_config(json.dumps({"initial_total": 100, "initial_fractions": x})),
@@ -95,8 +89,6 @@ RULES = [
             ("y2", lambda y: growth_day_detail((6.0, 3.0, y), PARAMS, 0.08)),
             ("y0", lambda y: apply_division((y, 3.0, 1.0), RATES[:3])),
             ("y2", lambda y: apply_division((6.0, 3.0, y), RATES[:3], integer_rounding=True)),
-            ("y0", lambda y: snap_counts((y, 3.0, 1.0))),
-            ("y2", lambda y: snap_counts((6.0, 3.0, y))),
         ],
     ),
     (
@@ -113,7 +105,6 @@ RULES = [
             ("counts", lambda c: apply_pulse(OPERATOR, c, integer_rounding=True)),
             ("counts", lambda c: apply_division(c, RATES[:3])),
             ("counts", lambda c: apply_division(c, RATES[:3], integer_rounding=True)),
-            ("counts", snap_counts),
             ("initial_counts", lambda c: _config(initial_counts=list(c))),
         ],
     ),
@@ -123,8 +114,6 @@ RULES = [
         r"{name} (must be (>= 0|finite|a number)|is too large), got ",
         [math.inf, math.nan, -1.0, -1, 10**400, True, "100"],
         [
-            ("total", lambda t: fractions_to_counts((0.6, 0.34, 0.06), t, True)),
-            ("total", lambda t: fractions_to_counts((0.6, 0.34, 0.06), t, False)),
             ("n0", lambda t: lq_closed_form(t, 3, PARAMS)),
             (
                 "initial_total",
@@ -198,9 +187,6 @@ RULES = [
         [1.5, True, -1, 10**400, "3"],
         [
             ("pulses_delivered", lambda n: PopulationState(6.0, 3.0, 1.0, pulses_delivered=n)),
-            ("pulses", lambda n: psi(PARAMS, n, True)),
-            ("pulses", lambda n: psi(PARAMS, n, False)),
-            ("pulses", lambda n: v2_of(PARAMS, n, True)),
             ("n", lambda n: lq_closed_form(1e9, n, PARAMS)),
             ("initial_pulses", lambda n: _config(initial_pulses=n)),
         ],

@@ -21,14 +21,15 @@ from repopsim import (
     load_config,
     read_trajectory,
     simulate_course,
+    schedule,
     survival_fraction,
-    v2_of,
     write_trajectory,
 )
 
 from .conftest import (
     MIXING_OVERRIDES,
     REFERENCE_WEEKS,
+    fast_velocity,
     mean_velocity,
     record,
     reference_initial,
@@ -164,7 +165,7 @@ class TestSimulateCourse:
         assert traj.records[-1].day == 14
         last_pr = [r for r in traj.records if r.phase == "post_radiation"][-1]
         assert last_pr.day == 12
-        assert record(course_zero, 12, "post_radiation").v2 == v2_of(params, 10, True)
+        assert record(course_zero, 12, "post_radiation").v2 == fast_velocity(params, 10, True)
 
     @pytest.mark.parametrize(
         "config, shape, delivered",
@@ -179,8 +180,8 @@ class TestSimulateCourse:
     )
     def test_counter_bookkeeping(self, config, shape, delivered):
         # The course counts on from the initial state's pulses: each
-        # post-radiation record adds one, and every record's v2 is v2_of at
-        # the count so far, in the day's damping form, bit for bit.
+        # post-radiation record adds one, and every record's v2 is README's
+        # a * v1 * psi at the count so far, in the day's damping form, bit for bit.
         loaded = load_config(str(resources.files("repopsim").joinpath("data", config)))
         params = loaded.params._replace(**shape)
         initial = loaded.initial
@@ -191,7 +192,7 @@ class TestSimulateCourse:
         for rec in simulate_course(params, initial).records:
             pulses += rec.phase == "post_radiation"
             treatment = (rec.day - 1) % week < params.pulses_per_week
-            assert rec.v2 == v2_of(params, pulses, treatment), (rec.day, rec.phase)
+            assert rec.v2 == fast_velocity(params, pulses, treatment), (rec.day, rec.phase)
         assert pulses == delivered
 
     def test_call_budget_of_a_course(self):
@@ -203,7 +204,7 @@ class TestSimulateCourse:
         config = load_config(str(resources.files("repopsim").joinpath("data", "mixing.json")))
         trajectory, calls = _course_and_package_calls(config.params, config.initial)
         assert trajectory.final().day == 42
-        assert len(calls) <= 412, collections.Counter(calls).most_common()
+        assert len(calls) <= 406, collections.Counter(calls).most_common()
 
     def test_call_budget_of_a_read_does_not_grow_with_its_rows(self, tmp_path):
         # read_trajectory checks and parses each row in its own loop, so a
@@ -241,7 +242,7 @@ class TestSimulateCourse:
         damped = ModelParams(weeks=7, q_rad=0.0005, p_rad=0.0005, q_mix=0.1, p_mix=0.1)
         for week, day in ((1, 7), (2, 14), (3, 21)):
             rec = record(course_mixing, day, "post_growth")
-            assert rec.v2 == v2_of(damped, 5 * week, False)
+            assert rec.v2 == fast_velocity(damped, 5 * week, False)
 
     def test_post_radiation_rows_inherit_previous_velocity(self, course_zero):
         for day in (2, 3, 4, 5, 9, 16):
@@ -250,20 +251,21 @@ class TestSimulateCourse:
             assert after.phi == before.phi, day
 
     def test_psi_is_computed_once_per_course_day(self, monkeypatch):
-        # A day's v2 serves both its post-radiation record and its growth,
-        # with at most one more call for the initial record.
+        # One table of psi per course serves every record's v2, the initial
+        # record's included: the course builds it once and calls nothing else for psi.
         config = load_config(str(resources.files("repopsim").joinpath("data", "mixing.json")))
         calls = []
-        real_psi = core.psi
+        real_psis = core._psis
 
-        def counting_psi(*args):
+        def counting_psis(*args):
             calls.append(args)
-            return real_psi(*args)
+            return real_psis(*args)
 
-        monkeypatch.setattr(core, "psi", counting_psi)
+        monkeypatch.setattr(core, "_psis", counting_psis)
+        monkeypatch.setattr(schedule, "_psis", counting_psis)
         trajectory = simulate_course(config.params, config.initial)
         assert trajectory.final().day == 42
-        assert 0 < len(calls) <= 42 + 1
+        assert len(calls) == 1, calls
 
     def test_record_totals_and_fractions_are_consistent(self, course_zero):
         for rec in course_zero.records:
@@ -366,8 +368,8 @@ class TestSimulateCourse:
         assert len(traj.records) == 7
         assert [r.day for r in traj.records[1:]] == [1, 2, 3, 4, 5, 6]
         assert all(r.phase != "post_radiation" for r in traj.records)
-        weekend = v2_of(params, 2, False)
-        assert weekend != v2_of(params, 2, True)
+        weekend = fast_velocity(params, 2, False)
+        assert weekend != fast_velocity(params, 2, True)
         assert all(r.v2 == weekend for r in traj.records)
         assert not traj.extinct
 
@@ -378,22 +380,22 @@ class TestPhaseVelocity:
     def test_fast_corner_returns_frozen_velocity(self):
         params = ModelParams(q_mix=0.1, p_mix=0.1)
         x = (0.0, 0.0, 1.0)
-        radiation = (params.v0, params.v1, v2_of(params, 3, True))
-        weekend = (params.v0, params.v1, v2_of(params, 3, False))
-        assert mean_velocity(x, radiation) == v2_of(params, 3, True)
-        assert mean_velocity(x, weekend) == v2_of(params, 3, False)
+        radiation = (params.v0, params.v1, fast_velocity(params, 3, True))
+        weekend = (params.v0, params.v1, fast_velocity(params, 3, False))
+        assert mean_velocity(x, radiation) == fast_velocity(params, 3, True)
+        assert mean_velocity(x, weekend) == fast_velocity(params, 3, False)
 
     def test_reference_day_one_velocity(self, course_zero):
         params = ModelParams(weeks=REFERENCE_WEEKS)
         rec = record(course_zero, 1, "post_growth")
         x = (rec.y0 / rec.total, rec.y1 / rec.total, rec.y2 / rec.total)
-        phi = mean_velocity(x, (params.v0, params.v1, v2_of(params, 1, True)))
+        phi = mean_velocity(x, (params.v0, params.v1, fast_velocity(params, 1, True)))
         assert abs(phi - 0.016515136) / 0.016515136 <= 0.10
 
     def test_uniform_velocities_collapse_to_common_value(self):
         params = ModelParams(v0=0.02, v1=0.02, a=1.0, theta=0.0)
         x = (10.0 / 60.0, 20.0 / 60.0, 30.0 / 60.0)
-        phi = mean_velocity(x, (params.v0, params.v1, v2_of(params, 0, True)))
+        phi = mean_velocity(x, (params.v0, params.v1, fast_velocity(params, 0, True)))
         assert phi == pytest.approx(0.02, rel=1e-12)
 
     def test_rejects_empty_population(self):
@@ -401,4 +403,4 @@ class TestPhaseVelocity:
         # off the simplex, so no mean velocity can be formed for it.
         params = ModelParams()
         with pytest.raises(InvalidStateError):
-            mean_velocity((0.0, 0.0, 0.0), (params.v0, params.v1, v2_of(params, 0, True)))
+            mean_velocity((0.0, 0.0, 0.0), (params.v0, params.v1, fast_velocity(params, 0, True)))
