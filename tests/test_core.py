@@ -337,6 +337,23 @@ class TestRounding:
         with pytest.raises(ConfigError, match=message):
             initial_counts(initial_counts=[value, 1.0, 2.5])
 
+    @pytest.mark.parametrize(
+        "keys, real, snapped",
+        [
+            ({"initial_counts": [2.5, 0.49, 1.0]}, (2.5, 0.49, 1.0), (3.0, 0.0, 1.0)),
+            (
+                {"initial_total": 4.0, "initial_fractions": [0.625, 0.125, 0.25]},
+                (2.5, 0.5, 1.0),
+                (3.0, 1.0, 1.0),
+            ),
+        ],
+        ids=["counts", "split"],
+    )
+    def test_real_mode_keeps_fractional_counts(self, keys, real, snapped):
+        # Only integer mode snaps, whichever form gave the counts.
+        assert initial_counts(**keys, integer_rounding=False) == real
+        assert initial_counts(**keys) == snapped
+
     def test_reference_initial_split(self):
         counts = initial_counts(initial_total=618783392.0, initial_fractions=[0.6, 0.34, 0.06])
         assert counts == (371270035.0, 210386353.0, 37127004.0)
