@@ -9,6 +9,7 @@ seed, and an optional output path.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 from typing import NamedTuple
 
 from .core import CELL_TOTAL, PARAM_TABLE, PULSE_COUNT, ModelParams, ParamRow, PopulationState
@@ -121,8 +122,7 @@ def load_config(path: str) -> RunConfig:
         OSError: for a file that cannot be read.
     """
     try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: configuration is not UTF-8 text: {exc}") from None
     return parse_config(text)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from typing import NamedTuple
 
 from .errors import InvalidParameterError, InvalidStateError, digit_count, quote
@@ -36,16 +37,17 @@ GROWTH_INTERVAL = 1.0
 
 
 class ParamRow(NamedTuple):
-    """The kind and range of one ModelParams field; a None bound leaves that side open."""
+    """The kind, range and default of one ModelParams field; a None bound leaves that side open."""
 
     kind: type  # int, float or bool
     low: float | None = None
     high: float | None = None
     strict: bool = False  # low itself lies outside the range
+    default: object = None  # a ModelParams field's default: only PARAM_TABLE's rows set one
 
     def check(self, name: str, value: object) -> None:
         """Reject a value of the wrong kind, too large for a float, out of range or not finite."""
-        kind, low, high, strict = self
+        kind, low, high, strict, _ = self
         if type(value) is not float or kind is not float:  # a float in a float row needs neither
             # isinstance counts a bool as an int, so only a bool row may hold one.
             if isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, kind)):
@@ -67,23 +69,25 @@ class ParamRow(NamedTuple):
         raise InvalidParameterError(f"{name} must {wanted}, got {quote(value)}")
 
 
-# Each ModelParams field's kind and range, in field order: the one place they live.
+# Each ModelParams field's kind, range and default, in field order: the one place they live.
 PARAM_TABLE = {
-    "alpha": ParamRow(float, 0),
-    "beta": ParamRow(float, 0),
-    "dose": ParamRow(float, 0),
-    "q_rad": ParamRow(float),  # q_rad, p_rad, theta: bounded in ModelParams.__new__
-    "p_rad": ParamRow(float),
-    "q_mix": ParamRow(float, 0, 1),
-    "p_mix": ParamRow(float, 0, 1),
-    "v0": ParamRow(float, 0),  # v0 = v1 = 0 is legal: radiation with growth off
-    "v1": ParamRow(float, 0),
-    "a": ParamRow(float, 0, strict=True),
-    "theta": ParamRow(float),
-    "weeks": ParamRow(int, 1, 520),  # one week to ten years
-    "integer_rounding": ParamRow(bool),
-    "weekend_days": ParamRow(int, 0, 7),
-    "pulses_per_week": ParamRow(int, 0, 7),
+    "alpha": ParamRow(float, 0, default=0.2),  # linear survival coefficient (1/Gy)
+    "beta": ParamRow(float, 0, default=0.02),  # quadratic survival coefficient (1/Gy^2)
+    "dose": ParamRow(float, 0, default=2.0),  # dose per pulse (Gy)
+    # q_rad, p_rad and theta have no range here: ModelParams.__new__ bounds them.
+    "q_rad": ParamRow(float, default=0.0),  # per-pulse transfer probability, slow to middle
+    "p_rad": ParamRow(float, default=0.0),  # per-pulse transfer probability, middle to fast
+    "q_mix": ParamRow(float, 0, 1, default=0.0),  # per-division mutation rate, slow to middle
+    "p_mix": ParamRow(float, 0, 1, default=0.0),  # per-division mutation rate, middle to fast
+    # v0 = v1 = 0 is legal: radiation with growth off.
+    "v0": ParamRow(float, 0, default=0.01),  # slow-fraction growth velocity (1/day)
+    "v1": ParamRow(float, 0, default=0.016),  # middle-fraction growth velocity (1/day)
+    "a": ParamRow(float, 0, strict=True, default=5.0),  # fast-to-middle velocity multiplier
+    "theta": ParamRow(float, default=0.005),  # threshold offset in the damping exponent
+    "weeks": ParamRow(int, 1, 520, default=6),  # course length in weeks: one week to ten years
+    "integer_rounding": ParamRow(bool, default=True),  # snap counts to whole cells after each stage
+    "weekend_days": ParamRow(int, 0, 7, default=2),  # growth-only days closing each week
+    "pulses_per_week": ParamRow(int, 0, 7, default=5),  # weekdays opening each week, one pulse each
 }
 _KIND = tuple(row.kind for row in PARAM_TABLE.values())  # each field's kind, in field order
 # A count of delivered pulses, in a state, a closed form or a config.
@@ -133,27 +137,14 @@ def _checked(cls: type) -> type:
     return cls
 
 
-class _ModelParamsFields(NamedTuple):
-    alpha: float = 0.2  # linear survival coefficient (1/Gy)
-    beta: float = 0.02  # quadratic survival coefficient (1/Gy^2)
-    dose: float = 2.0  # dose per pulse (Gy)
-    q_rad: float = 0.0  # per-pulse transfer probability, slow to middle
-    p_rad: float = 0.0  # per-pulse transfer probability, middle to fast
-    q_mix: float = 0.0  # per-division mutation rate, slow to middle
-    p_mix: float = 0.0  # per-division mutation rate, middle to fast
-    v0: float = 0.01  # slow-fraction growth velocity (1/day)
-    v1: float = 0.016  # middle-fraction growth velocity (1/day)
-    a: float = 5.0  # fast-to-middle velocity multiplier
-    theta: float = 0.005  # threshold offset in the damping exponent
-    weeks: int = 6  # course length in weeks
-    integer_rounding: bool = True  # snap counts to whole cells after each stage
-    weekend_days: int = 2  # growth-only days closing each week
-    pulses_per_week: int = 5  # weekdays opening each week, one pulse each
+_ModelParamsFields = namedtuple(
+    "_ModelParamsFields", PARAM_TABLE, defaults=[row.default for row in PARAM_TABLE.values()]
+)
 
 
 @_checked
 class ModelParams(_ModelParamsFields):
-    """All model constants for one simulation run; PARAM_TABLE gives each one's range."""
+    """All model constants for one run; PARAM_TABLE gives each one's kind, range and default."""
 
     __slots__ = ()
 

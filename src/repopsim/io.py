@@ -113,7 +113,7 @@ def write_sweep_summary(entries: tuple[SweepEntry, ...], destination: str | Path
     """Write one summary line per sweep value (error text is quoted as needed)."""
     import csv  # only sweep writes a summary, so the other commands skip its import
 
-    with open(destination, "w", encoding="utf-8", newline="") as handle:
+    with Path(destination).open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(SWEEP_HEADER.split(","))
         for entry in entries:

@@ -25,6 +25,7 @@ from repopsim import (
     apply_pulse,
     build_radiation_operator,
     integrate_growth,
+    load_config,
     simulate_course,
     survival_fraction,
 )
@@ -126,6 +127,34 @@ def test_criterion_07_velocity_monotone_in_both_regimes(course_zero, course_mixi
         f"{sorted(violations)}; first violations: "
         f"{ {k: v[:3] for k, v in violations.items()} }"
     )
+
+
+def test_velocity_rises_by_composition_in_both_regimes():
+    # The abstract's claim: growth accelerates "due to the decrease of the
+    # fraction of slowly growing cells and increase of the cells that are fast
+    # growing". Price (1970) splits each step of phi = sum v_i x_i between two
+    # post-growth records, at the replayed mixing endpoints, into a composition
+    # term sum v_i dx_i and a damping term sum x_i' dv_i. The composition term
+    # must be positive on most steps ("most" is more than half); criterion 7's
+    # stronger rule, that phi never falls, is tested apart.
+    for name in ("baseline.json", "mixing.json"):
+        config = load_config(str(resources.files("repopsim") / "data" / name))
+        params = config.params
+        course = simulate_course(params, config.initial)
+        points = [
+            ((params.v0, params.v1, rec.v2), x, rec.phi)
+            for rec, x in _growth_endpoints(course, params)
+        ]
+        steps = list(zip(points, points[1:]))
+        assert len(steps) == 7 * params.weeks - 1, name
+        rising = 0
+        for (v, x, phi), (v_next, x_next, phi_next) in steps:
+            composition = sum(vi * (b - a) for vi, a, b in zip(v, x, x_next))
+            damping = sum(b * (w - u) for b, u, w in zip(x_next, v, v_next))
+            rounding = 4 * math.ulp(max(phi, phi_next))
+            assert abs(composition + damping - (phi_next - phi)) <= rounding, name
+            rising += composition > 0
+        assert 2 * rising > len(steps), (name, rising, len(steps))
 
 
 def test_criterion_08_one_week_equals_hand_composed_operators(course_zero):

@@ -744,6 +744,12 @@ class TestCheck:
         assert cli_main(["check", "--config", MIXING_PATH]) == EXIT_VALIDATION
         assert "FAIL operator-column-sums: " in capsys.readouterr().out
 
+    def test_reference_start_is_the_tables_initial_row(self, golden):
+        # The start is written here and in the checksummed table: a one-cell
+        # drift would stay inside the 0.005 count tolerance of check.
+        (initial,) = [row for row in golden if (row.day, row.phase) == (1, "initial")]
+        assert (initial.y0, initial.y1, initial.y2) == cli._REFERENCE_INITIAL[:3]
+
     @pytest.mark.parametrize(
         "early, final, passed",
         [
@@ -1011,6 +1017,28 @@ def test_benchmark_tracer_sees_the_wrapped_layers(tmp_path):
     config = load_config(BASELINE_PATH)
     growth_days = len(simulate_course(config.params, config.initial).post_growth_records())
     assert totals["growth.integrate_growth"]["value"] == growth_days
+
+
+@pytest.mark.parametrize("workload", ["shipped", "long-coarse", "sweep"])
+def test_benchmark_traces_one_operation_of_each_workload(workload, tmp_path, monkeypatch):
+    # bench/run.py --trace 1 formats every common per-layer metric as a
+    # number, and layers.layer_metrics gives None for one whose wrapped layer
+    # no command of the workload calls through its module attribute.
+    monkeypatch.syspath_prepend(str(BENCH_LAYERS.parent))  # run.py imports checks and layers
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH_LAYERS.parent / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_run", run)  # its dataclasses look their module up
+    spec.loader.exec_module(run)
+    operation = run.WORKLOADS[workload](1, tmp_path)
+    tracer = run.layers.Tracer()
+    tracer.install()
+    try:
+        _, _, error = run.run_operation(operation)
+    finally:
+        tracer.uninstall()
+    assert error is None
+    common, _ = run.layers.layer_metrics(tracer.totals(), 1)
+    assert [name for name, value in common.items() if not isinstance(value, (int, float))] == []
 
 
 # Fuzzing the CLI: every drawn config and sweep must end in a documented exit

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 from importlib import resources
 
 import pytest
@@ -163,6 +164,35 @@ class TestParseConfig:
         path.write_text(minimal_config(weeks=1), encoding="utf-8")
         config = load_config(str(path))
         assert config.params.weeks == 1
+
+
+def test_no_file_entry_takes_a_file_descriptor(course_zero):
+    # open() takes an int, a bool included, as a file descriptor and closes
+    # it after: an entry that passed its argument on would read or write a
+    # pipe end, or standard input or output for False or True, and close it.
+    read_end, write_end = os.pipe()
+    saved = os.dup(0), os.dup(1)
+    diff = diff_velocity(course_zero, course_zero)
+    calls = (
+        load_config,
+        read_trajectory,
+        lambda fd: write_trajectory(course_zero, fd),
+        lambda fd: write_diff(diff, fd),
+        lambda fd: write_sweep_summary((), fd),
+    )
+    try:
+        os.set_blocking(read_end, False)  # a read of the empty pipe raises, not waits
+        for call in calls:
+            for fd in (read_end, write_end, False, True):
+                with pytest.raises(TypeError):
+                    call(fd)
+        for fd in (read_end, write_end):
+            os.fstat(fd)
+    finally:
+        for fd, target in zip(saved, (0, 1)):
+            os.dup2(fd, target)
+        for fd in (read_end, write_end, *saved):
+            os.close(fd)
 
 
 class TestTrajectoryFiles:

@@ -5,7 +5,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from repopsim.core import PARAM_TABLE, PHASES, _psis
 
 from .conftest import MIXING_OVERRIDES, fast_velocity
 
+README = Path(__file__).resolve().parent.parent / "README.md"
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
@@ -127,6 +130,20 @@ class TestModelParams:
 
     def test_table_has_one_row_per_field_in_order(self):
         assert tuple(PARAM_TABLE) == ModelParams._fields
+
+    def test_readme_states_each_default_of_the_table(self):
+        # README's Configuration keys table repeats every key's default: one
+        # default for the row's keys, or one per key in order.
+        text = README.read_text(encoding="utf-8")
+        table = text[text.index("## Configuration keys") :].split("\n\n")[1]
+        stated = {}
+        for line in table.splitlines()[2:]:
+            keys, defaults = (re.findall(r"`([^`]*)`", cell) for cell in line.split(" | ")[:2])
+            stated.update(zip(keys, defaults * len(keys) if len(defaults) == 1 else defaults))
+        params = ModelParams()
+        for name in PARAM_TABLE:
+            value, default = json.loads(stated[name]), getattr(params, name)
+            assert (type(value), value) == (type(default), default), name
 
     @pytest.mark.parametrize("name, inside, outside", _bound_cases())
     def test_each_finite_bound_is_sharp(self, name, inside, outside):
