@@ -18,18 +18,16 @@ from .core import (
     PHASES,
     POST_GROWTH,
     POST_RADIATION,
-    ModelParams,
-    PopulationState,
-    survival_fraction,
-)
-from .errors import (
     AlignmentError,
     ConfigError,
     InvalidParameterError,
     InvalidStateError,
+    ModelParams,
     NumericInstabilityError,
+    PopulationState,
     SchemaError,
     SimulationError,
+    survival_fraction,
 )
 from .growth import apply_division, growth_day_detail, integrate_growth
 from .io import (

@@ -7,9 +7,9 @@ import math
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from .core import CELL_TOTAL, PARAM_TABLE, PULSE_COUNT, ModelParams, ParamRow, PopulationState
-from .core import lq_exponent
-from .errors import AlignmentError, ConfigError, InvalidParameterError, SimulationError, quote
+from .core import CELL_TOTAL, NUMBER, PARAM_TABLE, PULSE_COUNT, AlignmentError, ConfigError
+from .core import InvalidParameterError, ModelParams, PopulationState, SimulationError
+from .core import lq_exponent, quote
 from .schedule import Trajectory, TrajectoryRecord, simulate_course
 
 
@@ -88,9 +88,7 @@ class GoldenRow(NamedTuple):
 
 def _relative(expected: float, actual: float) -> float:
     scale = max(abs(expected), abs(actual))
-    if scale == 0:
-        return 0.0
-    return abs(actual - expected) / scale
+    return abs(actual - expected) / scale if scale else 0.0
 
 
 _GOLDEN_COLUMNS = GoldenRow._fields[2:]
@@ -183,7 +181,7 @@ def sweep(
             or NaN, when sweep is called.
     """
     if threshold is not None:
-        ParamRow(float).check("threshold", threshold)
+        NUMBER.check("threshold", threshold)
         if math.isnan(threshold):
             raise InvalidParameterError("threshold must be a number, got nan")
     if key not in PARAM_TABLE:

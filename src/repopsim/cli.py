@@ -15,9 +15,8 @@ from pathlib import Path
 
 from .analysis import SweepEntry, compare_to_golden, diff_velocity, lq_closed_form, sweep
 from .config import check_destination, load_config
-from .core import GROWTH_INTERVAL, PARAM_TABLE, POST_GROWTH, SIMPLEX_TOL, ModelParams
-from .core import PopulationState
-from .errors import ConfigError, NumericInstabilityError, SimulationError, quote
+from .core import GROWTH_INTERVAL, PARAM_TABLE, POST_GROWTH, SIMPLEX_TOL, ConfigError
+from .core import ModelParams, NumericInstabilityError, PopulationState, SimulationError, quote
 from .growth import integrate_growth
 from .io import (
     load_reference_table,
@@ -80,8 +79,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     destination = args.out or config.output
     if destination is None:
-        print("error: no output destination; pass --out or set output", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ConfigError("no output destination; pass --out or set output")
     trajectory = simulate_course(config.params, config.initial)
     write_trajectory(trajectory, destination)
     note = " (extinct)" if trajectory.extinct else ""

@@ -12,9 +12,9 @@ import json
 from pathlib import Path
 from typing import NamedTuple
 
-from .core import CELL_TOTAL, PARAM_TABLE, PULSE_COUNT, ModelParams, ParamRow, PopulationState
-from .core import _snap, check_simplex, check_total
-from .errors import ConfigError, InvalidParameterError, InvalidStateError, quote
+from .core import CELL_TOTAL, NUMBER, PARAM_TABLE, PULSE_COUNT, ConfigError, InvalidParameterError
+from .core import InvalidStateError, ModelParams, ParamRow, PopulationState, _snap, check_simplex
+from .core import check_total, quote
 
 _KNOWN_KEYS = frozenset(PARAM_TABLE) | {
     "initial_counts",
@@ -34,7 +34,16 @@ class RunConfig(NamedTuple):
     output: str | None = None
 
 
-def _require_number(key: str, value: object, row: ParamRow = ParamRow(float)) -> float:
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    raw = {}
+    for key, value in pairs:
+        if key in raw:  # json.loads would keep its last value
+            raise ConfigError(f"repeated key: {quote(key)}")
+        raw[key] = value
+    return raw
+
+
+def _require_number(key: str, value: object, row: ParamRow = NUMBER) -> float:
     row.check(key, value)
     return float(value)
 
@@ -56,14 +65,16 @@ def check_destination(name: str, path: object) -> None:
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a configuration document.
 
-    Unknown keys are rejected by name; every parameter invariant is checked
-    at parse time.
+    Unknown and repeated keys are rejected by name; every parameter
+    invariant is checked at parse time.
 
     Raises:
         ConfigError: naming the offending key and its expected range.
     """
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
+    except ConfigError:  # a repeated key, which the next handler would call invalid JSON
+        raise
     except (ValueError, RecursionError) as exc:
         # ValueError covers JSONDecodeError and an integer literal too long to
         # convert; RecursionError, arrays or objects nested too deeply.

@@ -1,4 +1,4 @@
-"""Model constants, population state, and the scalar model functions.
+"""Exceptions and input rules, model constants, population state, and the scalar model functions.
 
 The population is split into three fractions: a slow compartment, a middle
 compartment, and a fast compartment whose velocity is damped by accumulated
@@ -15,7 +15,64 @@ import sys
 from collections import namedtuple
 from typing import NamedTuple
 
-from .errors import InvalidParameterError, InvalidStateError, digit_count, quote
+
+class SimulationError(Exception):
+    """Base class for all simulator-specific failures."""
+
+
+class InvalidParameterError(SimulationError, ValueError):
+    """A model parameter violates its documented range."""
+
+
+class InvalidStateError(SimulationError, ValueError):
+    """A population state violates a structural invariant."""
+
+
+class NumericInstabilityError(SimulationError, ArithmeticError):
+    """A growth day or a division has no finite result, or real-valued
+    counts underflow to zero."""
+
+
+class AlignmentError(SimulationError, ValueError):
+    """Two trajectories share no common (day, phase) grid point."""
+
+
+class ConfigError(SimulationError, ValueError):
+    """A run configuration is malformed or inconsistent."""
+
+
+class SchemaError(SimulationError, ValueError):
+    """A data file does not match its expected column layout."""
+
+
+def digit_count(n: int) -> int:
+    """Decimal digits of abs(n), counted without str(), which refuses past 4,300 digits."""
+    n = abs(n)
+    # log10(2**(bits - 1)) with log10(2) rounded down: never more than the digits.
+    count = 1 + max(n.bit_length() - 1, 0) * 30102999566 // 10**11
+    while n >= 10**count:
+        count += 1
+    return count
+
+
+def quote(value: object) -> str:
+    """repr(value) for an error message, cut past 60 characters with its full length stated.
+
+    A string is measured and cut before it is quoted; an integer, by its digits;
+    any other value, as its repr.
+    """
+    if isinstance(value, int):  # a bool has one digit, so it takes the repr branch
+        length = digit_count(value) + (value < 0)
+        if length <= 60:
+            return repr(value)
+        shown = ("-" if value < 0 else "") + str(abs(value) // 10 ** (length - 60))
+        return f"{shown}... ({length} characters)"
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= 60:
+        return repr(value)
+    shown = repr(text[:60]) if isinstance(value, str) else text[:60]
+    return f"{shown}... ({len(text)} characters)"
+
 
 # The (y0, y1, y2) cell counts, or the (x0, x1, x2) fractions, of the three compartments.
 Triple = tuple[float, float, float]
@@ -37,25 +94,26 @@ GROWTH_INTERVAL = 1.0
 
 
 class ParamRow(NamedTuple):
-    """The kind, range and default of one ModelParams field; a None bound leaves that side open."""
+    """One input's kind, range, default and exception; a None bound leaves that side open."""
 
     kind: type  # int, float or bool
     low: float | None = None
     high: float | None = None
     strict: bool = False  # low itself lies outside the range
     default: object = None  # a ModelParams field's default: only PARAM_TABLE's rows set one
+    error: type = InvalidParameterError  # raised for a value the row rejects
 
     def check(self, name: str, value: object) -> None:
         """Reject a value of the wrong kind, too large for a float, out of range or not finite."""
-        kind, low, high, strict, _ = self
+        kind, low, high, strict, _, error = self
         if type(value) is not float or kind is not float:  # a float in a float row needs neither
             # isinstance counts a bool as an int, so only a bool row may hold one.
             if isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, kind)):
                 wanted = {bool: "true or false", int: "an integer", float: "a number"}[kind]
-                raise InvalidParameterError(f"{name} must be {wanted}, got {quote(value)}")
+                raise error(f"{name} must be {wanted}, got {quote(value)}")
             if isinstance(value, int) and abs(value) > sys.float_info.max:
                 digits = f"{digit_count(value)} digits"
-                raise InvalidParameterError(f"{name} is too large, got an integer of {digits}")
+                raise error(f"{name} is too large, got an integer of {digits}")
         if low is None:
             return
         if high is not None and not (value <= high and (value > low if strict else value >= low)):
@@ -66,7 +124,7 @@ class ParamRow(NamedTuple):
             wanted = "be finite"
         else:
             return
-        raise InvalidParameterError(f"{name} must {wanted}, got {quote(value)}")
+        raise error(f"{name} must {wanted}, got {quote(value)}")
 
 
 # Each ModelParams field's kind, range and default, in field order: the one place they live.
@@ -90,10 +148,13 @@ PARAM_TABLE = {
     "pulses_per_week": ParamRow(int, 0, 7, default=5),  # weekdays opening each week, one pulse each
 }
 _KIND = tuple(row.kind for row in PARAM_TABLE.values())  # each field's kind, in field order
+# A number within the floats, its range checked apart.
+NUMBER = ParamRow(float)
 # A count of delivered pulses, in a state, a closed form or a config.
 PULSE_COUNT = ParamRow(int, 0)
-# A number of cells: one count of a state, or a total of a closed form or a config.
+# A number of cells: a total of a closed form or a config; as CELL_COUNT, one count of a state.
 CELL_TOTAL = ParamRow(float, 0)
+CELL_COUNT = CELL_TOTAL._replace(error=InvalidStateError)
 
 
 def check_transfer(name: str, value: object, s: float) -> None:
@@ -103,13 +164,9 @@ def check_transfer(name: str, value: object, s: float) -> None:
 
 
 def check_counts(counts: Triple) -> None:
-    """Reject a cell count that CELL_TOTAL rejects, naming its component y0, y1
-    or y2, as an InvalidStateError; then a total check_total rejects."""
+    """Reject a count CELL_COUNT rejects, naming y0, y1 or y2; then a total check_total rejects."""
     for name, value in zip(("y0", "y1", "y2"), counts):
-        try:
-            CELL_TOTAL.check(name, value)
-        except InvalidParameterError as exc:
-            raise InvalidStateError(str(exc)) from None
+        CELL_COUNT.check(name, value)
     check_total("counts", counts)
 
 
@@ -217,7 +274,7 @@ def _psis(params: ModelParams, pulses: range) -> list[tuple[float, float]]:
     psi, the damping factor of the fast-fraction velocity a * v1 * psi, is exp of theta minus
     the pulse count times a per-pulse loss: hypot(q_mix, p_mix) on a weekend day, and
     hypot(q_rad, p_rad)*d + hypot(q_mix, p_mix)*d^2 on a treatment day, with d the dose.
-    Strictly positive, nonincreasing in the pulse count.
+    Nonnegative (exp underflows to 0.0 after enough pulses), nonincreasing in the pulse count.
     """
     d, theta = params.dose, params.theta
     weekend = math.hypot(params.q_mix, params.p_mix)

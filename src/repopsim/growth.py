@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 
-from .core import COUNT_MAX, GROWTH_INTERVAL, PARAM_TABLE, ModelParams, ParamRow, Triple
+from .core import COUNT_MAX, GROWTH_INTERVAL, NUMBER, PARAM_TABLE, InvalidParameterError
+from .core import InvalidStateError, ModelParams, NumericInstabilityError, ParamRow, Triple
 from .core import _snap, check_counts
-from .errors import InvalidParameterError, InvalidStateError, NumericInstabilityError
 
 # A span of growth in days: finite and > 0.
 _DURATION = ParamRow(float, 0, strict=True)
-# A step, a velocity or a fraction: a number within the floats, its range checked apart.
-_NUMBER = ParamRow(float)
+_FRACTION = NUMBER._replace(error=InvalidStateError)  # a fraction, its sign checked apart
 # The widest spread of three exponents whose second divided difference comes
 # from its series; past it, dividing by the spread loses at most a few units.
 _SERIES_SPREAD = 0.5
@@ -58,7 +57,7 @@ def integrate_growth(rates: Rates, x: Triple, duration: float, step: float) -> T
         _DURATION.check("duration", duration)
         duration = float(duration)  # a valid int, so no product below is int by int
     if not (type(step) is float and 0.0 < step <= duration):
-        _NUMBER.check("step", step)
+        NUMBER.check("step", step)
         if not 0 < step <= duration:
             raise InvalidParameterError(f"step must lie in (0, duration], got {step}")
     v0, v1, v2, q, p = rates
@@ -145,7 +144,7 @@ def _second_difference(a: float, ea: float, b: float, eb: float, c: float, ec: f
 def _check_velocities(v: Triple) -> None:
     """Reject a velocity not a number, an int too large for a float, or one negative or NaN."""
     for name, value in zip(("v0", "v1", "v2"), v):
-        _NUMBER.check(name, value)
+        NUMBER.check(name, value)
         if not value >= 0:
             raise InvalidParameterError(f"{name} must be >= 0, got {value}")
 
@@ -156,10 +155,7 @@ def _check_mixing(rates: Rates, x: Triple) -> None:
     for name, rate in zip(("q_mix", "p_mix"), rates[3:]):
         PARAM_TABLE[name].check(name, rate)
     for value in x:
-        try:
-            _NUMBER.check("fractions", value)
-        except InvalidParameterError as exc:
-            raise InvalidStateError(str(exc)) from None
+        _FRACTION.check("fractions", value)
         if not value >= 0:
             raise InvalidStateError(f"fractions must be >= 0, got {x}")
 

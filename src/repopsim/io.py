@@ -14,8 +14,7 @@ from importlib import resources
 from pathlib import Path
 
 from .analysis import GoldenRow, SweepEntry, TrajectoryDiff
-from .core import PHASES
-from .errors import SchemaError, quote
+from .core import PHASES, SchemaError, quote
 from .schedule import Trajectory, TrajectoryRecord
 
 # A table's columns are its row type's fields; a diff or sweep row's fields are not its columns.
@@ -29,10 +28,6 @@ REFERENCE_HEADER = "|".join(GoldenRow._fields)
 REFERENCE_SHA256 = "9ac0f8196bf70775f7ac70651e22e4bbd7226ff92b2b8018fba62e75ed92c8ac"
 
 _REFERENCE_RESOURCE = "reference_course.psv"
-
-
-def _format_real(value: float) -> str:
-    return f"{value:.9f}"
 
 
 def _cell_error(where: str, line: str, cells: list[str]) -> SchemaError:
@@ -120,7 +115,7 @@ def write_sweep_summary(entries: tuple[SweepEntry, ...], destination: str | Path
             if entry.error is not None:
                 writer.writerow([quote(entry.value), "", "", "", entry.error])
                 continue
-            total, phi = _format_real(entry.final_total), _format_real(entry.final_phi)
+            total, phi = "%.9f" % entry.final_total, "%.9f" % entry.final_phi
             day = "" if entry.threshold_day is None else entry.threshold_day
             writer.writerow([repr(entry.value), total, phi, day, ""])
 

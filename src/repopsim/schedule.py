@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import INITIAL, POST_GROWTH, POST_RADIATION, ModelParams, PopulationState, _psis
-from .errors import InvalidStateError, NumericInstabilityError
+from .core import INITIAL, POST_GROWTH, POST_RADIATION, InvalidStateError, ModelParams
+from .core import NumericInstabilityError, PopulationState, _psis
 from .growth import growth_day_detail
 from .radiation import apply_pulse, build_radiation_operator
 
@@ -46,7 +46,7 @@ class Trajectory(NamedTuple):
     """Ordered record log of one course, and how it ended."""
 
     records: tuple[TrajectoryRecord, ...]
-    integer_rounding: bool = True  # formatting hint: counts are whole cells
+    integer_rounding: bool  # counts are whole cells, so a file writes them as integers
     extinction_day: int | None = None  # day the total first fell below one cell
 
     @property

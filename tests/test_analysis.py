@@ -42,7 +42,7 @@ def tiny_trajectory(points):
         )
         for day, phase, phi in points
     )
-    return Trajectory(records=records)
+    return Trajectory(records=records, integer_rounding=True)
 
 
 class TestDiffVelocity:
@@ -62,7 +62,7 @@ class TestDiffVelocity:
 
     def test_empty_trajectory_rejected(self, course_zero):
         with pytest.raises(AlignmentError):
-            diff_velocity(Trajectory(records=()), course_zero)
+            diff_velocity(Trajectory(records=(), integer_rounding=True), course_zero)
 
     def test_disjoint_grids_rejected(self):
         a = tiny_trajectory([(1, "post_growth", 0.1)])

@@ -137,6 +137,16 @@ class TestRun:
         assert cli_main(["run", "--config", config]) == EXIT_VALIDATION
         assert "--out" in capsys.readouterr().err
 
+    def test_no_destination_leaves_through_the_one_error_handler(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        config = write_config_file(tmp_path)
+        assert cli_main(["run", "--config", config]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == "error: no output destination; pass --out or set output\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["run.json"]
+
     def test_invalid_weeks_names_key(self, tmp_path, capsys):
         config = write_config_file(tmp_path, weeks=0)
         out = tmp_path / "never.csv"

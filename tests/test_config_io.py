@@ -14,6 +14,7 @@ from repopsim import (
     PHASES,
     ConfigError,
     ModelParams,
+    PopulationState,
     SchemaError,
     SweepEntry,
     Trajectory,
@@ -23,6 +24,7 @@ from repopsim import (
     load_reference_table,
     parse_config,
     read_trajectory,
+    simulate_course,
     write_diff,
     write_sweep_summary,
     write_trajectory,
@@ -149,6 +151,27 @@ class TestParseConfig:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "document, key",
+        [
+            ('{"dose": 2.0, "dose": 20.0, "initial_counts": [6, 3, 1]}', "dose"),
+            ('{"initial_counts": [6, 3, 1], "initial_counts": [60, 30, 10]}', "initial_counts"),
+        ],
+        ids=["parameter", "initial_counts"],
+    )
+    def test_a_repeated_key_is_rejected(self, document, key, tmp_path, capsys):
+        # json.loads keeps a repeated key's last value: the course ran at dose 20.0.
+        message = f"repeated key: {key!r}"
+        with pytest.raises(ConfigError) as info:
+            parse_config(document)
+        assert str(info.value) == message
+        config = tmp_path / "repeated.json"
+        config.write_text(document, encoding="utf-8")
+        out = tmp_path / "never.csv"
+        assert cli_main(["run", "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_rejects_both_population_forms(self):
         text = minimal_config(initial_total=100, initial_fractions=[0.5, 0.3, 0.2])
         with pytest.raises(ConfigError, match="exactly one"):
@@ -202,8 +225,30 @@ class TestTrajectoryFiles:
 
     def test_empty_trajectory_writes_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        write_trajectory(Trajectory(records=()), path)
+        write_trajectory(Trajectory(records=(), integer_rounding=True), path)
         assert path.read_text(encoding="utf-8") == TRAJECTORY_HEADER + "\n"
+
+    def test_a_trajectory_states_its_count_format(self):
+        # With integer counts by default, a real-mode course rebuilt without the
+        # format wrote 6.5 cells as 6.
+        with pytest.raises(TypeError):
+            Trajectory(records=())
+
+    def test_real_mode_course_comes_back_at_nine_decimals(self, tmp_path):
+        course = simulate_course(
+            ModelParams(integer_rounding=False), PopulationState(6.5, 3.25, 1.0)
+        )
+        path = tmp_path / "real.csv"
+        write_trajectory(Trajectory(records=course.records, integer_rounding=False), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[1].startswith("1,initial,6.500000000,3.250000000,1.000000000,")
+        assert lines[1].endswith(",10.750000000")
+        # Each real cell is written with nine decimals, so it reads back as that text's float.
+        nine = [
+            TrajectoryRecord(rec.day, rec.phase, *(float("%.9f" % v) for v in rec[2:]))
+            for rec in course.records
+        ]
+        assert read_trajectory(path) == Trajectory(tuple(nine), integer_rounding=False)
 
     def test_reference_initial_line(self, course_zero, tmp_path):
         path = tmp_path / "course.csv"

@@ -438,7 +438,7 @@ _FROZEN = {
     "ModelParams": ModelParams(),
     "RunConfig": repopsim.RunConfig(ModelParams(), _STATE),
     "RadiationOperator": repopsim.RadiationOperator(0.5, 0.0, 0.0),
-    "Trajectory": repopsim.Trajectory(records=()),
+    "Trajectory": repopsim.Trajectory(records=(), integer_rounding=True),
     "TrajectoryDiff": repopsim.TrajectoryDiff((), 0, 0),
     "SweepEntry": repopsim.SweepEntry(value=1.0),
 }

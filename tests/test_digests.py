@@ -27,10 +27,16 @@ from __future__ import annotations
 import decimal
 import hashlib
 import json
+import os
+import shutil
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import repopsim
 from repopsim import load_config, simulate_course, survival_fraction
 from repopsim.cli import EXIT_OK, cli_main
 from repopsim.io import read_trajectory, write_trajectory
@@ -130,6 +136,50 @@ def test_check_stdout_digest(name, capsys):
     assert cli_main(["check", "--config", shipped_config(name)]) == EXIT_OK
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CHECK_STDOUT_DIGESTS[name]
+
+
+# A fresh interpreter runs `check` in process, then prints which of these modules it loaded.
+_CHECK_MODULES_PROBE = (
+    "import contextlib, io, sys\n"
+    "from repopsim.cli import cli_main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = cli_main(['check', '--config', sys.argv[1]])\n"
+    "print(code, [m for m in ('hashlib', '_hashlib', 'ssl', '_ssl') if m in sys.modules])\n"
+)
+
+
+@pytest.mark.parametrize("minor", range(10, 15), ids=lambda minor: f"python3.{minor}")
+def test_pinned_outputs_under_each_other_interpreter_on_path(minor, tmp_path):
+    # pyproject.toml allows CPython 3.10 and later, and load_reference_table picks
+    # its SHA-256 module by version: each other interpreter found must write the
+    # same files and print the same check, loading no hashing or TLS module.
+    if sys.version_info[:2] == (3, minor):
+        pytest.skip("the running interpreter")
+    executable = shutil.which(f"python3.{minor}")
+    env = {**os.environ, "PYTHONPATH": str(Path(repopsim.__file__).parent.parent)}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"  # leave no other version's bytecode in the package
+
+    def run(*argv):
+        return subprocess.run([executable, *argv], capture_output=True, env=env, timeout=120)
+
+    reported = None
+    if executable:
+        try:
+            reported = run("-c", "import sys; print(*sys.version_info[:2])").stdout.split()
+        except (OSError, subprocess.TimeoutExpired):
+            pass
+    if reported != [b"3", b"%d" % minor]:
+        pytest.skip(f"no python3.{minor} that starts and reports its version")
+    for name, digest in SHIPPED_DIGESTS.items():
+        out = tmp_path / name.replace(".json", ".csv")
+        result = run("-m", "repopsim", "run", "--config", shipped_config(name), "--out", str(out))
+        assert result.returncode == EXIT_OK, result.stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name
+    result = run("-m", "repopsim", "check", "--config", shipped_config("mixing.json"))
+    assert result.returncode == EXIT_OK, result.stderr
+    assert hashlib.sha256(result.stdout).hexdigest() == CHECK_STDOUT_DIGESTS["mixing.json"]
+    result = run("-c", _CHECK_MODULES_PROBE, shipped_config("mixing.json"))
+    assert result.stdout == b"0 []\n", result.stderr
 
 
 @pytest.mark.parametrize("integer_rounding", [True, False])

@@ -31,7 +31,7 @@ from repopsim import (
     sweep,
 )
 from repopsim.core import PARAM_TABLE, check_counts
-from repopsim.growth import _DURATION, _NUMBER, _check_mixing, _check_velocities
+from repopsim.growth import _DURATION, NUMBER as _NUMBER, _check_mixing, _check_velocities
 
 PARAMS = ModelParams()
 RATES = (0.01, 0.016, 0.08, 0.1, 0.1)
