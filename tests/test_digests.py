@@ -9,7 +9,11 @@ shape, so three more courses are pinned: the mixing config with real-valued
 counts (the nine-decimal count format), a 52-week course (where pulses,
 rounding and records outweigh the growth day), and the mixing
 config reshaped to three weeks of three pulse days and four growth-only
-days. A sweep of `a` on the mixing config pins every file it writes, whether
+days. Eight mixing-config courses, four in each count mode, pin the value
+branches no other course reaches: the growth day with an empty compartment,
+a spread of exponents past the series, and an extinction after a pulse; a
+library start pins the extinction after a growth day.
+A sweep of `a` on the mixing config pins every file it writes, whether
 its values run in one process or several, and `check` on each shipped
 config pins what it prints.
 
@@ -37,7 +41,7 @@ from pathlib import Path
 import pytest
 
 import repopsim
-from repopsim import load_config, simulate_course, survival_fraction
+from repopsim import ModelParams, PopulationState, load_config, simulate_course, survival_fraction
 from repopsim.cli import EXIT_OK, cli_main
 from repopsim.io import read_trajectory, write_trajectory
 
@@ -74,6 +78,42 @@ DERIVED_DIGESTS = {
         "1de0a201a5984c6a2093ee321df5dfffde2029546576d728c76adb15ee5693ce",
     ),
 }
+# Courses through the value branches that no course above reaches, each in
+# both count modes: (overrides of mixing.json, integer sha256, real sha256).
+BRANCH_COURSES = {
+    # An empty compartment at the start: the growth day's zero-compartment shift.
+    "empty-compartments": (
+        {"initial_counts": [1000000, 0, 0]},
+        "ef97aa7d0d3e83116fd913b2e6d972be3d16114e12de7bd8e546c7eebd0b15af",
+        "aae63c89482278f00a6d7f6a0eb70a4b75cc4c4bed35e91e264a5c7f572ea94f",
+    ),
+    # Exponents spread wider than _SERIES_SPREAD: the divided second difference.
+    "wide-spread": (
+        {"v1": 0.6},
+        "e6a17ef81ff072947c98b708176453737d0920fb7331e2fef0c16c3e5e78f48b",
+        "c887826a97e6db524133d297881eea3ccddf837897f6093fdb534bf4705938ad",
+    ),
+    # No pulses (13 records): the shift and the wide spread in one course.
+    "wide-spread-no-pulses": (
+        {"v1": 0.6, "pulses_per_week": 0},
+        "ffd4cb341676fe18e78c7a1507f250876df2fc73d24c19e7726d333975b4c8ff",
+        "20d36b38e9147443bc0bbc76cc8be02569af2d5ba5f0e2d18b41637adbbcdaa5",
+    ),
+    # Extinct on day 11's post-radiation row in integer mode (19 records); a
+    # real-mode course runs on to its 36 records.
+    "extinct-after-a-pulse": (
+        {"dose": 8.0, "weeks": 3},
+        "e077077e807ba15043cf7984eac7d9743b2e0e30387416993ebfcea50c10799f",
+        "0ee73684e26ddfadfc9da4dc94580a36055ce8ce502962d6972f359c89c9533e",
+    ),
+}
+for _name, (_overrides, _integer, _real) in BRANCH_COURSES.items():
+    DERIVED_DIGESTS[_name] = ("mixing.json", {**_overrides, "integer_rounding": True}, _integer)
+    DERIVED_DIGESTS[f"{_name}-real"] = (
+        "mixing.json",
+        {**_overrides, "integer_rounding": False},
+        _real,
+    )
 
 # `sweep --param a --values 1.0,2.5,0,5.0,7.25 --threshold 0.03` on mixing.json:
 # the a > 0 row turns 0 into an error row, which writes no trajectory. At
@@ -120,6 +160,17 @@ def test_shipped_config_trajectory_digest(name, tmp_path):
 def test_derived_config_trajectory_digest(name, tmp_path):
     base, overrides, digest = DERIVED_DIGESTS[name]
     out = run_derived(tmp_path, base, overrides)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_extinct_on_a_growth_row_digest(tmp_path):
+    # The growth-row extinction exit, from a library start below one cell in
+    # each compartment: the day's counts snap to zero before any pulse.
+    trajectory = simulate_course(ModelParams(weeks=1), PopulationState(0.4, 0.4, 0.0))
+    assert (trajectory.extinction_day, len(trajectory.records)) == (1, 2)
+    out = tmp_path / "trajectory.csv"
+    write_trajectory(trajectory, out)
+    digest = "f86bd1cbebc7a3954ab71c70f6d2a63dde366405d88a0082bf4606d42b3761b1"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
