@@ -28,6 +28,7 @@ from repopsim import (
     integrate_growth,
     lq_closed_form,
     parse_config,
+    simulate_course,
     sweep,
 )
 from repopsim.core import PARAM_TABLE, check_counts
@@ -365,3 +366,72 @@ def test_a_checked_constructor_returns_or_names_the_bad_field(kind, field, value
     assert getattr(made, field) == value
     if make is ModelParams and PARAM_TABLE[field].kind is float:
         assert type(getattr(made, field)) is float  # a valid int is stored as its float
+
+
+def _names(name, message):
+    """Whether an error message opens with the argument's name or states its
+    value as name=value, as a cross-field rule's does."""
+    return re.match(rf"({re.escape(name)} |.*\b{re.escape(name)}=)", message) is not None
+
+
+# Each exported function taking a number, with one argument drawn and the rest
+# valid: (argument name, call taking the drawn value).
+LQ_ARGUMENTS = [
+    ("n0", lambda n0: lq_closed_form(n0, 3, PARAMS)),
+    ("n", lambda n: lq_closed_form(1e9, n, PARAMS)),
+]
+CONFIG_KEYS = [*PARAM_TABLE, "initial_pulses", "initial_total"]
+# Ordinary values, often within a rule's range, besides VALUES's extremes.
+ARGUMENTS = st.one_of(st.floats(0.0, 10.0), st.integers(0, 10), VALUES)
+
+
+@pytest.mark.parametrize("name, call", LQ_ARGUMENTS, ids=[name for name, _ in LQ_ARGUMENTS])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(value=ARGUMENTS)
+def test_lq_closed_form_returns_a_finite_total_or_names_the_argument(name, call, value):
+    try:
+        total = call(value)
+    except SimulationError as exc:
+        assert type(exc) is InvalidParameterError and _names(name, str(exc)), str(exc)
+        return
+    assert type(total) is float and math.isfinite(total)
+
+
+@pytest.mark.parametrize("key", PARAM_TABLE)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(value=ARGUMENTS)
+def test_a_one_value_sweep_gives_a_finite_entry_or_an_error_row(key, value):
+    # A value the parameters reject names its key, or the cross-field rule
+    # it breaks; a valid one runs its course, which may overflow a division
+    # (theta = 8 does) and report that as its own NumericInstabilityError.
+    (entry,) = sweep(MIXING, key, (value,), START)
+    if entry.error is None:
+        assert math.isfinite(entry.final_total) and math.isfinite(entry.final_phi)
+        return
+    try:
+        changed = MIXING._replace(**{key: value})
+    except SimulationError as exc:
+        assert entry.error == str(exc) and _names(key, str(exc)), entry.error
+        return
+    with pytest.raises(NumericInstabilityError) as raised:
+        simulate_course(changed, START)
+    assert entry.error == str(raised.value)
+
+
+def _document(key, value):
+    """A config whose one key holds value, the rest valid."""
+    if key == "initial_total":
+        return {"initial_total": value, "initial_fractions": [0.6, 0.34, 0.06]}
+    return {"initial_counts": [6, 3, 1], key: value}
+
+
+@pytest.mark.parametrize("key", CONFIG_KEYS)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(value=ARGUMENTS)
+def test_parse_config_returns_finite_values_or_names_the_key(key, value):
+    try:
+        config = parse_config(json.dumps(_document(key, value)))
+    except ConfigError as exc:
+        assert _names(key, str(exc)), str(exc)
+        return
+    assert all(math.isfinite(number) for number in (*config.params, *config.initial))

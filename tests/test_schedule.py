@@ -9,6 +9,8 @@ import sys
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repopsim import (
     InvalidParameterError,
@@ -16,8 +18,12 @@ from repopsim import (
     ModelParams,
     NumericInstabilityError,
     PopulationState,
+    SimulationError,
+    apply_pulse,
+    build_radiation_operator,
     cli,
     core,
+    integrate_growth,
     load_config,
     read_trajectory,
     simulate_course,
@@ -404,3 +410,126 @@ class TestPhaseVelocity:
         params = ModelParams()
         with pytest.raises(InvalidStateError):
             mean_velocity((0.0, 0.0, 0.0), (params.v0, params.v1, fast_velocity(params, 0, True)))
+
+
+def _grow(counts, params, v2):
+    """One growth day composed from integrate_growth, the count rebuild by
+    core._snap and a division by 2**v written here: the counts and phi."""
+    total = counts[0] + counts[1] + counts[2]
+    v = (params.v0, params.v1, v2)
+    x = tuple(c / total for c in counts)
+    x = integrate_growth((*v, params.q_mix, params.p_mix), x, 1.0, 1.0)
+    phi = v[0] * x[0] + v[1] * x[1] + v[2] * x[2]
+    mixed = tuple(c * total for c in x)
+    if params.integer_rounding:
+        mixed = core._snap(*mixed)
+    try:
+        divided = tuple(c * 2.0**rate for c, rate in zip(mixed, v))
+    except OverflowError:
+        divided = (math.inf,) * 3
+    if not math.isfinite(divided[0] + divided[1] + divided[2]):
+        raise NumericInstabilityError(f"cell counts overflow dividing for a day at velocities {v}")
+    return (core._snap(*divided) if params.integer_rounding else divided), phi
+
+
+def _composed_course(params, initial):
+    """The course of params from initial as README states it, week by week:
+    apply_pulse on each treatment day but the first, then _grow, with v2 from
+    fast_velocity and the extinction rule after every record but the first."""
+    if not initial.total() > 0:
+        raise InvalidStateError("initial population must have a positive total")
+    op = build_radiation_operator(params)
+    rounding = params.integer_rounding
+    pulses = initial.pulses_delivered
+    records = []
+
+    def log(day, phase, counts, phi, v2):
+        """Append a record; whether its total ends the course."""
+        total = counts[0] + counts[1] + counts[2]
+        x = tuple(c / total for c in counts) if total else (0.0, 0.0, 0.0)
+        records.append(schedule.TrajectoryRecord(day, phase, *counts, *x, phi, v2, total))
+        if phase == "initial" or not total < 1:
+            return False
+        if not rounding and total == 0:
+            raise NumericInstabilityError(f"real-valued cell counts underflow to zero on day {day}")
+        return rounding
+
+    counts = (initial.y0, initial.y1, initial.y2)
+    log(1, "initial", counts, 0.0, fast_velocity(params, pulses, params.pulses_per_week > 0))
+    counts, phi, day = tuple(float(c) for c in counts), 0.0, 0
+    for _ in range(params.weeks):
+        for weekday in range(params.pulses_per_week + params.weekend_days):
+            day += 1
+            treatment = weekday < params.pulses_per_week
+            if treatment and day > 1:
+                counts = apply_pulse(op, counts, rounding)
+                pulses += 1
+                if log(day, "post_radiation", counts, phi, fast_velocity(params, pulses, True)):
+                    return schedule.Trajectory(tuple(records), rounding, extinction_day=day)
+            v2 = fast_velocity(params, pulses, treatment)
+            counts, phi = _grow(counts, params, v2)
+            if log(day, "post_growth", counts, phi, v2):
+                return schedule.Trajectory(tuple(records), rounding, extinction_day=day)
+    return schedule.Trajectory(tuple(records), rounding)
+
+
+def _outcome(course, params, initial):
+    """("returned", the trajectory), or the SimulationError raised as (type, message)."""
+    try:
+        return "returned", course(params, initial)
+    except SimulationError as exc:
+        return type(exc), str(exc)
+
+
+# A count: none, a few cells (a course that dies on a growth row), a tumour,
+# or near the floats' end (a division that overflows).
+_COUNT = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 3.0),
+    st.floats(1e3, 1e10),
+    st.integers(0, 10**9),
+    st.floats(1e305, 1e306),
+)
+# A velocity of the paper's size, or one past 2**1024 in a day.
+_VELOCITY = st.one_of(st.floats(0.0, 0.1), st.floats(0.0, 1100.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(0, 7), st.integers(0, 3)),
+    counts=st.tuples(_COUNT, _COUNT, _COUNT),
+    pulses=st.integers(0, 40),
+    # A dose past 30 Gy leaves so few cells that a few pulses end an integer
+    # course, and underflow a real one to zero.
+    dose=st.one_of(st.floats(0.0, 5.0), st.floats(30.0, 150.0)),
+    transfers=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    mixing=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    velocities=st.tuples(_VELOCITY, _VELOCITY, st.floats(0.1, 10.0), st.floats(-5.0, 5.0)),
+    integer_rounding=st.booleans(),
+)
+def test_course_equals_its_steps_composed(
+    shape, counts, pulses, dose, transfers, mixing, velocities, integer_rounding
+):
+    # Every record equal (==) to the course composed from the public pulse,
+    # the public mixing day and a test-side division, or the same error.
+    weeks, pulses_per_week, weekend_days = shape
+    v0, v1, a, theta = velocities
+    s = survival_fraction(ModelParams(dose=dose))
+    params = ModelParams(
+        weeks=weeks,
+        pulses_per_week=pulses_per_week,
+        weekend_days=weekend_days,
+        dose=dose,
+        q_rad=transfers[0] * s / 2,
+        p_rad=transfers[1] * s / 2,
+        q_mix=mixing[0],
+        p_mix=mixing[1],
+        v0=v0,
+        v1=v1,
+        a=a,
+        theta=theta,
+        integer_rounding=integer_rounding,
+    )
+    initial = PopulationState(*counts, pulses_delivered=pulses)
+    got = _outcome(simulate_course, params, initial)
+    assert got == _outcome(_composed_course, params, initial)
