@@ -29,7 +29,7 @@ from .core import (
     SimulationError,
     survival_fraction,
 )
-from .growth import apply_division, growth_day_detail, integrate_growth
+from .growth import integrate_growth
 from .io import (
     load_reference_table,
     read_trajectory,

@@ -85,8 +85,8 @@ PHASES = (INITIAL, POST_GROWTH, POST_RADIATION)
 
 # Tolerance for membership on the probability simplex.
 SIMPLEX_TOL = 1e-9
-# The largest float. Each per-day entry taking cell counts requires each to be exactly a
-# float >= 0.0 and their total <= COUNT_MAX, else calls check_counts: so a bool meets its rule.
+# The largest float. apply_pulse requires its cell counts to be exactly floats >= 0.0
+# with a total <= COUNT_MAX, else calls check_counts: so a bool meets its rule.
 COUNT_MAX = sys.float_info.max
 
 # Length of the growth interval closing each course day (days).

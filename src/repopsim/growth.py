@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 
-from .core import COUNT_MAX, GROWTH_INTERVAL, NUMBER, PARAM_TABLE, InvalidParameterError
-from .core import InvalidStateError, ModelParams, NumericInstabilityError, ParamRow, Triple
-from .core import _snap, check_counts
+from .core import GROWTH_INTERVAL, NUMBER, PARAM_TABLE, InvalidParameterError, InvalidStateError
+from .core import ModelParams, NumericInstabilityError, ParamRow, Triple, _snap
 
 # A span of growth in days: finite and > 0.
 _DURATION = ParamRow(float, 0, strict=True)
@@ -141,17 +140,12 @@ def _second_difference(a: float, ea: float, b: float, eb: float, c: float, ec: f
     return ea * total
 
 
-def _check_velocities(v: Triple) -> None:
-    """Reject a velocity not a number, an int too large for a float, or one negative or NaN."""
-    for name, value in zip(("v0", "v1", "v2"), v):
+def _check_mixing(rates: Rates, x: Triple) -> None:
+    """Reject integrate_growth's rates, then its fractions, as its docstring lists."""
+    for name, value in zip(("v0", "v1", "v2"), rates):
         NUMBER.check(name, value)
         if not value >= 0:
             raise InvalidParameterError(f"{name} must be >= 0, got {value}")
-
-
-def _check_mixing(rates: Rates, x: Triple) -> None:
-    """Reject integrate_growth's rates, then its fractions, as its docstring lists."""
-    _check_velocities(rates[:3])
     for name, rate in zip(("q_mix", "p_mix"), rates[3:]):
         PARAM_TABLE[name].check(name, rate)
     for value in x:
@@ -162,28 +156,15 @@ def _check_mixing(rates: Rates, x: Triple) -> None:
 
 def apply_division(counts: Triple, v: Triple, integer_rounding: bool = False) -> Triple:
     """Each count multiplied by its division factor 2^v_i over one growth
-    interval, for the velocities v = (v0, v1, v2). The counts must pass
-    check_counts, as apply_pulse's must.
+    interval, for the velocities v = (v0, v1, v2): growth_day_detail's last
+    step, taking its floats unchecked.
 
     Raises:
-        InvalidStateError: for counts check_counts rejects, a bool among them.
-        InvalidParameterError: for a velocity not a number (a bool included),
-            too large for a float, negative or NaN.
         NumericInstabilityError: if a divided count is too large for a float,
             or an infinite velocity meets an empty compartment.
     """
     y0, y1, y2 = counts
-    if not (
-        type(y0) is float and type(y1) is float and type(y2) is float
-        and 0.0 <= y0 and 0.0 <= y1 and 0.0 <= y2 and y0 + y1 + y2 <= COUNT_MAX
-    ):  # three nonnegative floats with a finite total are each finite too
-        check_counts(counts)
     v0, v1, v2 = v
-    if not (
-        type(v0) is float and type(v1) is float and type(v2) is float
-        and 0.0 <= v0 and 0.0 <= v1 and 0.0 <= v2
-    ):
-        _check_velocities(v)
     try:
         y0, y1, y2 = y0 * 2.0**v0, y1 * 2.0**v1, y2 * 2.0**v2
     except OverflowError:  # a factor past the floats
@@ -201,25 +182,15 @@ def growth_day_detail(counts: Triple, params: ModelParams, v2: float) -> tuple[T
     v2), with v2 frozen for the interval, rebuild counts from the endpoint,
     then divide. v2 is the fast-fraction velocity a * v1 * psi at the pulses
     delivered so far (see core._psis): the value a course's records carry.
+    simulate_course's step, taking its floats unchecked: counts >= 0 with a
+    finite total > 0 and v2 >= 0. integrate_growth checks the day's rates.
 
     Raises:
-        InvalidParameterError: for a v2 not a number (a bool included), too
-            large for a float, negative or NaN.
-        InvalidStateError: for a count check_counts rejects, a bool among
-            them, or an empty population.
         NumericInstabilityError: if the mixing endpoint is not finite or sums
             to zero, or a divided count is too large for a float.
     """
     y0, y1, y2 = counts
-    if not (
-        type(y0) is float and type(y1) is float and type(y2) is float
-        and 0.0 <= y0 and 0.0 <= y1 and 0.0 <= y2 and y0 + y1 + y2 <= COUNT_MAX
-    ):  # three nonnegative floats with a finite total are each finite too
-        check_counts(counts)
-        y0, y1, y2 = float(y0), float(y1), float(y2)  # valid ints, computed as their floats
     total = y0 + y1 + y2
-    if not total > 0:
-        raise InvalidStateError("cannot grow an empty population")
     v0, v1 = params.v0, params.v1
     x = (y0 / total, y1 / total, y2 / total)
     rates = (v0, v1, v2, params.q_mix, params.p_mix)

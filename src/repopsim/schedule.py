@@ -90,13 +90,14 @@ def simulate_course(params: ModelParams, initial: PopulationState) -> Trajectory
     # (weekend, treatment) psi by pulses so far; a day's v2 is (a * v1) * psi.
     psis = _psis(params, range(first, first + params.weeks * per_week + 1))
     av1 = params.a * params.v1
-    y0, y1, y2 = counts = (initial.y0, initial.y1, initial.y2)
+    y0, y1, y2 = initial.y0, initial.y1, initial.y2
     total = y0 + y1 + y2
     phi = 0.0
     v2 = av1 * psis[0][per_week > 0]
     x0, x1, x2 = y0 / total, y1 / total, y2 / total
     row = TrajectoryRecord._make  # a record from its tuple of fields, in one step
     records = [row((1, INITIAL, y0, y1, y2, x0, x1, x2, phi, v2, total))]
+    counts = (float(y0), float(y1), float(y2))  # the growth step takes floats, unchecked
     for day in range(1, params.weeks * week + 1):
         treatment = (day - 1) % week < per_week
         if treatment and day > 1:

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from repopsim import (
     ModelParams,
     RadiationOperator,
-    apply_division,
     apply_pulse,
     build_radiation_operator,
     integrate_growth,
@@ -30,6 +29,7 @@ from repopsim import (
     survival_fraction,
 )
 from repopsim.cli import _growth_endpoints, cli_main
+from repopsim.growth import apply_division
 from repopsim.io import TRAJECTORY_HEADER
 
 from .conftest import (

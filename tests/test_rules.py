@@ -21,10 +21,8 @@ from repopsim import (
     PopulationState,
     RadiationOperator,
     SimulationError,
-    apply_division,
     apply_pulse,
     cli,
-    growth_day_detail,
     integrate_growth,
     lq_closed_form,
     parse_config,
@@ -32,9 +30,10 @@ from repopsim import (
     sweep,
 )
 from repopsim.core import PARAM_TABLE, check_counts
-from repopsim.growth import _DURATION, NUMBER as _NUMBER, _check_mixing, _check_velocities
+from repopsim.growth import _DURATION, NUMBER as _NUMBER, _check_mixing
 
 PARAMS = ModelParams()
+MIXING = ModelParams(q_mix=0.1, p_mix=0.1)
 RATES = (0.01, 0.016, 0.08, 0.1, 0.1)
 OPERATOR = RadiationOperator(0.5, 0.1, 0.1)
 START = PopulationState(6.0, 3.0, 1.0)
@@ -86,10 +85,6 @@ RULES = [
             ("y2", lambda y: PopulationState(6.0, 3.0, y)),
             ("y0", lambda y: apply_pulse(OPERATOR, (y, 3.0, 1.0))),
             ("y1", lambda y: apply_pulse(OPERATOR, (6.0, y, 1.0), integer_rounding=True)),
-            ("y1", lambda y: growth_day_detail((6.0, y, 1.0), PARAMS, 0.08)),
-            ("y2", lambda y: growth_day_detail((6.0, 3.0, y), PARAMS, 0.08)),
-            ("y0", lambda y: apply_division((y, 3.0, 1.0), RATES[:3])),
-            ("y2", lambda y: apply_division((6.0, 3.0, y), RATES[:3], integer_rounding=True)),
         ],
     ),
     (
@@ -101,11 +96,8 @@ RULES = [
         [(1e308, 1e308, 0.0), (0.0, 1e308, 1e308), (1e308, 0, 1e308), (10**308, 10**308, 0)],
         [
             ("counts", lambda c: PopulationState(*c)),
-            ("counts", lambda c: growth_day_detail(c, PARAMS, 0.08)),
             ("counts", lambda c: apply_pulse(OPERATOR, c)),
             ("counts", lambda c: apply_pulse(OPERATOR, c, integer_rounding=True)),
-            ("counts", lambda c: apply_division(c, RATES[:3])),
-            ("counts", lambda c: apply_division(c, RATES[:3], integer_rounding=True)),
             ("initial_counts", lambda c: _config(initial_counts=list(c))),
         ],
     ),
@@ -134,9 +126,6 @@ RULES = [
             ("v2", lambda v: _mix(v2=v)),
             # An empty fast compartment, which takes the zero-fraction branch.
             ("v2", lambda v: _mix(v2=v, x=(0.6, 0.4, 0.0))),
-            ("v1", lambda v: apply_division((6.0, 3.0, 1.0), (0.01, v, 0.08))),
-            ("v2", lambda v: apply_division((6.0, 3.0, 1.0), (0.01, 0.016, v), True)),
-            ("v2", lambda v: growth_day_detail((6.0, 3.0, 1.0), PARAMS, v)),
         ],
     ),
     (
@@ -241,7 +230,6 @@ def test_every_entry_of_a_rule_rejects_its_bad_values_alike(rule, error, pattern
 # named rules: a function of the same arguments that applies them in the
 # entry's order and returns None when every input passes.
 COUNTS = (6.0, 3.0, 1.0)
-MIXING = ModelParams(q_mix=0.1, p_mix=0.1)
 
 
 def _growth_rules(rates, x, duration, step):
@@ -252,28 +240,13 @@ def _growth_rules(rates, x, duration, step):
     _check_mixing(rates, x)
 
 
-def _division_rules(counts, v, integer_rounding):
-    check_counts(counts)
-    _check_velocities(v)
-
-
-def _day_rules(counts, params, v2):
-    check_counts(counts)
-    _check_velocities((params.v0, params.v1, v2))
-
-
 PER_DAY = {
     "apply_pulse": (apply_pulse, (OPERATOR, COUNTS, True), lambda op, c, r: check_counts(c)),
-    "apply_division": (apply_division, (COUNTS, RATES[:3], True), _division_rules),
-    "growth_day_detail": (growth_day_detail, (COUNTS, MIXING, 0.08), _day_rules),
     "integrate_growth": (integrate_growth, (RATES, (0.6, 0.34, 0.06), 1.0, 0.5), _growth_rules),
 }
 # Each input as (entry, argument index, component index or None for a scalar argument).
 INPUTS = [
     *(("apply_pulse", 1, i) for i in range(3)),
-    *(("apply_division", arg, i) for arg in (0, 1) for i in range(3)),
-    *(("growth_day_detail", 0, i) for i in range(3)),
-    ("growth_day_detail", 2, None),
     *(("integrate_growth", arg, i) for arg, n in ((0, 5), (1, 3)) for i in range(n)),
     ("integrate_growth", 2, None),
     ("integrate_growth", 3, None),
@@ -328,12 +301,16 @@ def test_a_per_day_entry_accepts_exactly_what_its_rules_accept(entry, arg, index
 
 
 def test_valid_int_inputs_compute_as_their_floats():
-    # Each entry computes a valid int input as float(n), so two int inputs
-    # never meet in int arithmetic: an int sum is exact where the floats'
-    # rounds, and an int product can outgrow the floats.
+    # The course and each checked entry compute a valid int input as float(n),
+    # so two int inputs never meet in int arithmetic: an int sum is exact
+    # where the floats' rounds, and an int product can outgrow the floats.
     counts = (145514431571737540, 271902015394427964, 1088923384270674083)
     floats = tuple(float(y) for y in counts)
-    assert growth_day_detail(counts, MIXING, 0.08) == growth_day_detail(floats, MIXING, 0.08)
+    assert counts != floats  # not every count is exactly a float
+    for params in (MIXING, MIXING._replace(integer_rounding=False)):
+        course = simulate_course(params, PopulationState(*counts))
+        assert course.records[0][2:5] == counts  # the initial record keeps the ints
+        assert course.records[1:] == simulate_course(params, PopulationState(*floats)).records[1:]
     op = RadiationOperator(1, 1, 1)
     assert apply_pulse(op, (2**60, 2**60, 1)) == apply_pulse(op, (2.0**60, 2.0**60, 1.0))
     for duration, v2 in ((10**10, 10**300), (1e10, 1e300)):

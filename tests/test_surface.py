@@ -67,3 +67,44 @@ def test_no_module_catches_a_type_error():
             if node.type is None or names & TYPE_ERROR_CATCHERS:
                 catching.append(f"{path.name}:{node.lineno}")
     assert catching == []
+
+
+# The steps of a course that check none of their inputs, each with the one
+# place outside its own definition that may name it: (file, enclosing
+# function, or None for anywhere in that file).
+UNCHECKED_STEPS = {
+    "growth_day_detail": ("schedule.py", None),
+    "apply_division": ("growth.py", "growth_day_detail"),
+}
+
+
+def mentions(node: ast.AST, name: str) -> int:
+    """How often node, or a node under it, reads name or imports it."""
+    imports = sum(
+        alias.name == name
+        for child in ast.walk(node)
+        if isinstance(child, (ast.Import, ast.ImportFrom))
+        for alias in child.names
+    )
+    return referenced_names(node)[name] + imports
+
+
+def test_each_unchecked_step_has_one_caller():
+    # simulate_course hands growth_day_detail checked floats, and
+    # growth_day_detail hands apply_division its own: no other package path,
+    # the top-level exports included, may pass them an outside input.
+    stray = [f"repopsim.{name}" for name in UNCHECKED_STEPS if hasattr(repopsim, name)]
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        for name, (home, caller) in UNCHECKED_STEPS.items():
+            if path.name == home and caller is None:
+                continue
+            count = mentions(tree, name)
+            if name in functions:  # its own definition
+                count -= mentions(functions[name], name)
+            if path.name == home:
+                count -= mentions(functions[caller], name)
+            if count:
+                stray.append(f"{path.name}: {name} named {count} times")
+    assert stray == []
