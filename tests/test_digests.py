@@ -107,13 +107,11 @@ BRANCH_COURSES = {
         "0ee73684e26ddfadfc9da4dc94580a36055ce8ce502962d6972f359c89c9533e",
     ),
 }
-for _name, (_overrides, _integer, _real) in BRANCH_COURSES.items():
-    DERIVED_DIGESTS[_name] = ("mixing.json", {**_overrides, "integer_rounding": True}, _integer)
-    DERIVED_DIGESTS[f"{_name}-real"] = (
-        "mixing.json",
-        {**_overrides, "integer_rounding": False},
-        _real,
-    )
+DERIVED_DIGESTS.update(
+    (name + suffix, ("mixing.json", {**overrides, "integer_rounding": mode}, digest))
+    for name, (overrides, *digests) in BRANCH_COURSES.items()
+    for suffix, mode, digest in zip(("", "-real"), (True, False), digests)
+)
 
 # `sweep --param a --values 1.0,2.5,0,5.0,7.25 --threshold 0.03` on mixing.json:
 # the a > 0 row turns 0 into an error row, which writes no trajectory. At
