@@ -8,7 +8,7 @@ from collections.abc import Iterator
 from typing import NamedTuple
 
 from .core import CELL_TOTAL, NUMBER, PARAM_TABLE, PULSE_COUNT, AlignmentError, ConfigError
-from .core import InvalidParameterError, ModelParams, PopulationState, SimulationError
+from .core import InvalidParameterError, ModelParams, ParamRow, PopulationState, SimulationError
 from .core import lq_exponent, quote
 from .schedule import Trajectory, TrajectoryRecord, simulate_course
 
@@ -92,6 +92,7 @@ def _relative(expected: float, actual: float) -> float:
 
 
 _GOLDEN_COLUMNS = GoldenRow._fields[2:]
+_DAY = ParamRow(int, 1)  # each end of compare_to_golden's inclusive day range
 
 
 def compare_to_golden(
@@ -110,11 +111,16 @@ def compare_to_golden(
 
     Raises:
         ConfigError: if a requested column is not part of the table schema.
+        InvalidParameterError: naming `days`, if it is not a pair of integers >= 1.
         AlignmentError: if the trajectory repeats a (day, phase) point.
     """
     for column in columns:
         if column not in _GOLDEN_COLUMNS:
             raise ConfigError(f"unknown comparison column: {column}")
+    if not isinstance(days, (tuple, list)) or len(days) != 2:
+        raise InvalidParameterError(f"days must be a pair of integers, got {quote(days)}")
+    for day in days:
+        _DAY.check("days", day)
     at = _by_point("compared", trajectory)
     matched = 0
     worst = 0.0

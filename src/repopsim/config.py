@@ -43,15 +43,15 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
     return raw
 
 
-def _require_number(key: str, value: object, row: ParamRow = NUMBER) -> float:
+def _require_number(key: str, value: object, row: ParamRow) -> float:
     row.check(key, value)
     return float(value)
 
 
-def _require_triple(key: str, value: object) -> tuple[float, float, float]:
+def _require_triple(key: str, value: object, row: ParamRow) -> tuple[float, float, float]:
     if not isinstance(value, list) or len(value) != 3:
         raise ConfigError(f"{key} must be a list of three numbers, got {quote(value)}")
-    return tuple(_require_number(key, item) for item in value)
+    return tuple(_require_number(key, item, row) for item in value)
 
 
 def check_destination(name: str, path: object) -> None:
@@ -94,15 +94,13 @@ def parse_config(text: str) -> RunConfig:
                 "provide exactly one of initial_counts or initial_total with initial_fractions"
             )
         if has_counts:
-            counts = _require_triple("initial_counts", raw["initial_counts"])
-            if min(counts) < 0:
-                raise ConfigError(f"initial_counts must be nonnegative, got {counts}")
+            counts = _require_triple("initial_counts", raw["initial_counts"], CELL_TOTAL)
             check_total("initial_counts", counts)
         elif has_split:
             if "initial_total" not in raw or "initial_fractions" not in raw:
                 raise ConfigError("initial_total and initial_fractions must be given together")
             total = _require_number("initial_total", raw["initial_total"], CELL_TOTAL)
-            x0, x1, x2 = x = _require_triple("initial_fractions", raw["initial_fractions"])
+            x0, x1, x2 = x = _require_triple("initial_fractions", raw["initial_fractions"], NUMBER)
             check_simplex("initial_fractions", x)
             counts = (x0 * total, x1 * total, x2 * total)
             check_total("initial_total * initial_fractions", counts)

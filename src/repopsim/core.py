@@ -94,7 +94,8 @@ GROWTH_INTERVAL = 1.0
 
 
 class ParamRow(NamedTuple):
-    """One input's kind, range, default and exception; a None bound leaves that side open."""
+    """One input's kind, range, default and exception; a None bound leaves that side open,
+    and a math.inf high bound admits infinity."""
 
     kind: type  # int, float or bool
     low: float | None = None
@@ -116,11 +117,12 @@ class ParamRow(NamedTuple):
                 raise error(f"{name} is too large, got an integer of {digits}")
         if low is None:
             return
-        if high is not None and not (value <= high and (value > low if strict else value >= low)):
+        above = value > low if strict else value >= low
+        if high is not None and high < math.inf and not (above and value <= high):
             wanted = f"lie in {'(' if strict else '['}{low:g}, {high:g}]"
-        elif not (value > low if strict else value >= low):
+        elif not above:
             wanted = f"be {'>' if strict else '>='} {low:g}"
-        elif high is None and kind is float and not math.isfinite(value):  # [low, high] is finite
+        elif high is None and kind is float and not math.isfinite(value):  # a high bound has ruled
             wanted = "be finite"
         else:
             return
@@ -132,7 +134,7 @@ PARAM_TABLE = {
     "alpha": ParamRow(float, 0, default=0.2),  # linear survival coefficient (1/Gy)
     "beta": ParamRow(float, 0, default=0.02),  # quadratic survival coefficient (1/Gy^2)
     "dose": ParamRow(float, 0, default=2.0),  # dose per pulse (Gy)
-    # q_rad, p_rad and theta have no range here: ModelParams.__new__ bounds them.
+    # q_rad and p_rad have no range here: ModelParams.__new__ bounds them by the survival fraction.
     "q_rad": ParamRow(float, default=0.0),  # per-pulse transfer probability, slow to middle
     "p_rad": ParamRow(float, default=0.0),  # per-pulse transfer probability, middle to fast
     "q_mix": ParamRow(float, 0, 1, default=0.0),  # per-division mutation rate, slow to middle
@@ -141,7 +143,8 @@ PARAM_TABLE = {
     "v0": ParamRow(float, 0, default=0.01),  # slow-fraction growth velocity (1/day)
     "v1": ParamRow(float, 0, default=0.016),  # middle-fraction growth velocity (1/day)
     "a": ParamRow(float, 0, strict=True, default=5.0),  # fast-to-middle velocity multiplier
-    "theta": ParamRow(float, default=0.005),  # threshold offset in the damping exponent
+    # theta: threshold offset in the damping exponent, bounded so that exp(theta) is finite
+    "theta": ParamRow(float, -math.inf, math.log(sys.float_info.max), strict=True, default=0.005),
     "weeks": ParamRow(int, 1, 520, default=6),  # course length in weeks: one week to ten years
     "integer_rounding": ParamRow(bool, default=True),  # snap counts to whole cells after each stage
     "weekend_days": ParamRow(int, 0, 7, default=2),  # growth-only days closing each week
@@ -220,12 +223,8 @@ class ModelParams(_ModelParamsFields):
             )
         check_transfer("q_rad", self.q_rad, s)
         check_transfer("p_rad", self.p_rad, s)
-        # psi <= exp(theta), since the subtracted pulse term is never negative.
-        if not -math.inf < self.theta <= math.log(sys.float_info.max):
-            raise InvalidParameterError(
-                f"theta must be finite and small enough for exp(theta) to be "
-                f"finite, got {quote(self.theta)}"
-            )
+        # psi <= exp(theta), since the subtracted pulse term is never negative; theta's
+        # row, checked in the loop above, keeps exp(theta) itself finite.
         if not math.isfinite(self.a * self.v1 * math.exp(self.theta)):
             raise InvalidParameterError(
                 f"a * v1 * exp(theta), the largest fast-fraction velocity, must be "

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 
-from .core import GROWTH_INTERVAL, NUMBER, PARAM_TABLE, InvalidParameterError, InvalidStateError
-from .core import ModelParams, NumericInstabilityError, ParamRow, Triple, _snap
+from .core import GROWTH_INTERVAL, PARAM_TABLE, InvalidStateError, ModelParams
+from .core import NumericInstabilityError, ParamRow, Triple, _snap
 
 # A span of growth in days: finite and > 0.
 _DURATION = ParamRow(float, 0, strict=True)
-_FRACTION = NUMBER._replace(error=InvalidStateError)  # a fraction, its sign checked apart
+_VELOCITY = ParamRow(float, 0, math.inf)  # a velocity: >= 0, infinity included
+_FRACTION = _VELOCITY._replace(error=InvalidStateError)  # a fraction: >= 0
 # The widest spread of three exponents whose second divided difference comes
 # from its series; past it, dividing by the spread loses at most a few units.
 _SERIES_SPREAD = 0.5
@@ -56,9 +57,7 @@ def integrate_growth(rates: Rates, x: Triple, duration: float, step: float) -> T
         _DURATION.check("duration", duration)
         duration = float(duration)  # a valid int, so no product below is int by int
     if not (type(step) is float and 0.0 < step <= duration):
-        NUMBER.check("step", step)
-        if not 0 < step <= duration:
-            raise InvalidParameterError(f"step must lie in (0, duration], got {step}")
+        ParamRow(float, 0, duration, strict=True).check("step", step)
     v0, v1, v2, q, p = rates
     x0, x1, x2 = x
     if not (
@@ -143,18 +142,14 @@ def _second_difference(a: float, ea: float, b: float, eb: float, c: float, ec: f
 def _check_mixing(rates: Rates, x: Triple) -> None:
     """Reject integrate_growth's rates, then its fractions, as its docstring lists."""
     for name, value in zip(("v0", "v1", "v2"), rates):
-        NUMBER.check(name, value)
-        if not value >= 0:
-            raise InvalidParameterError(f"{name} must be >= 0, got {value}")
+        _VELOCITY.check(name, value)
     for name, rate in zip(("q_mix", "p_mix"), rates[3:]):
         PARAM_TABLE[name].check(name, rate)
     for value in x:
         _FRACTION.check("fractions", value)
-        if not value >= 0:
-            raise InvalidStateError(f"fractions must be >= 0, got {x}")
 
 
-def apply_division(counts: Triple, v: Triple, integer_rounding: bool = False) -> Triple:
+def apply_division(counts: Triple, v: Triple, integer_rounding: bool) -> Triple:
     """Each count multiplied by its division factor 2^v_i over one growth
     interval, for the velocities v = (v0, v1, v2): growth_day_detail's last
     step, taking its floats unchecked.

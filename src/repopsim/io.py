@@ -21,7 +21,6 @@ from .schedule import Trajectory, TrajectoryRecord
 TRAJECTORY_HEADER = ",".join(TrajectoryRecord._fields)
 DIFF_HEADER = "day,phase,delta_phi"
 SWEEP_HEADER = "value,final_total,final_phi,threshold_day,error"
-REFERENCE_HEADER = "|".join(GoldenRow._fields)
 
 # Checksum of the bundled reference table, verified on every load so the
 # fixture cannot drift silently.

@@ -160,6 +160,15 @@ class TestCompareToGolden:
             compare_to_golden(course._replace(records=records), golden, (1, 5), ("y0",))
 
 
+    # Unchecked, 5 would raise a bare TypeError and (1,) an IndexError. Each
+    # end of a pair meets the "a compared day" rule in tests/test_rules.py.
+    @pytest.mark.parametrize("days", [5, (1,), (1, 2, 3)], ids=["int", "one", "three"])
+    def test_a_range_that_is_not_a_pair_is_named(self, course_zero, golden, days):
+        message = f"days must be a pair of integers, got {days!r}"
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            compare_to_golden(course_zero, golden, days, ("y0",))
+
+
 class TestSweep:
     def test_empty_values(self):
         out = tuple(sweep(ModelParams(), "a", (), reference_initial()))

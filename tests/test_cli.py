@@ -160,7 +160,7 @@ class TestRun:
         out = tmp_path / "never.csv"
         assert cli_main(["run", "--config", config, "--out", str(out)]) == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert err.startswith("error: theta must be finite")
+        assert err == f"error: theta must lie in (-inf, 709.783], got {theta!r}\n"
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -13,6 +13,7 @@ import pytest
 from repopsim import (
     PHASES,
     ConfigError,
+    GoldenRow,
     ModelParams,
     PopulationState,
     SchemaError,
@@ -32,7 +33,6 @@ from repopsim import (
 from repopsim.cli import EXIT_VALIDATION, cli_main
 from repopsim.io import (
     DIFF_HEADER,
-    REFERENCE_HEADER,
     REFERENCE_SHA256,
     SWEEP_HEADER,
     TRAJECTORY_HEADER,
@@ -94,7 +94,7 @@ class TestParseConfig:
             (minimal_config(initial_counts=[1, 2]), "initial_counts"),
             (minimal_config(initial_counts=[-1, 2, 3]), "initial_counts"),
             (minimal_config(initial_counts=[1e308, 1e308, 0]), "initial_counts must have a finite"),
-            ('{"initial_counts": [NaN, 2, 3]}', "initial_counts must have a finite"),
+            ('{"initial_counts": [NaN, 2, 3]}', "^initial_counts must be >= 0, got nan$"),
             (
                 '{"initial_total": 1e309, "initial_fractions": [1, 0, 0]}',
                 "initial_total must be finite",
@@ -221,7 +221,7 @@ def test_no_file_entry_takes_a_file_descriptor(course_zero):
 class TestTrajectoryFiles:
     def test_header_is_fixed(self):
         assert TRAJECTORY_HEADER == "day,phase,y0,y1,y2,x0,x1,x2,phi,v2,total"
-        assert REFERENCE_HEADER == "day|phase|y0|y1|y2|velocity"
+        assert "|".join(GoldenRow._fields) == "day|phase|y0|y1|y2|velocity"
 
     def test_empty_trajectory_writes_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -412,7 +412,7 @@ class TestReferenceTable:
         # with its checksum still shows.
         text = resources.files("repopsim").joinpath("data/reference_course.psv").read_text("utf-8")
         header, *lines = text.splitlines()
-        assert header == REFERENCE_HEADER
+        assert header == "|".join(GoldenRow._fields)
         rows = []
         for line in lines:
             cells = line.split("|")

@@ -350,7 +350,7 @@ class TestRounding:
 
     @pytest.mark.parametrize("value", [-0.2, -5.0])
     def test_snap_count_rejects_a_negative_count(self, value):
-        message = rf"^initial_counts must be nonnegative, got \({value}, 1.0, 2.5\)$"
+        message = rf"^initial_counts must be >= 0, got {value}$"
         with pytest.raises(ConfigError, match=message):
             initial_counts(initial_counts=[value, 1.0, 2.5])
 

@@ -446,17 +446,17 @@ class TestExactDay:
 class TestApplyDivision:
     def test_zero_velocities_is_identity_on_counts(self):
         state = (100.0, 100.0, 100.0)
-        out = PopulationState(*apply_division(state, (0.0, 0.0, 0.0)))
+        out = PopulationState(*apply_division(state, (0.0, 0.0, 0.0), False))
         assert (out.y0, out.y1, out.y2) == (100.0, 100.0, 100.0)
 
     def test_doubling_factors(self):
         state = (100.0, 100.0, 100.0)
         v = (0.01, 0.016, 0.08)
-        out = PopulationState(*apply_division(state, v))
+        out = PopulationState(*apply_division(state, v, False))
         expected = tuple(100.0 * 2.0**rate for rate in (0.01, 0.016, 0.08))
         assert (out.y0, out.y1, out.y2) == pytest.approx(expected, rel=1e-15)
         assert out.y0 == pytest.approx(100.69555500567189, rel=1e-12)
-        snapped = PopulationState(*apply_division(state, v, integer_rounding=True))
+        snapped = PopulationState(*apply_division(state, v, True))
         assert (snapped.y0, snapped.y1, snapped.y2) == (101.0, 101.0, 106.0)
 
     @settings(deadline=None)
@@ -467,7 +467,7 @@ class TestApplyDivision:
     )
     def test_total_is_sum_of_scaled_components(self, y0, y1, y2):
         v = (0.01, 0.016, 0.08)
-        out = PopulationState(*apply_division((y0, y1, y2), v))
+        out = PopulationState(*apply_division((y0, y1, y2), v, False))
         expected = y0 * 2.0**0.01 + y1 * 2.0**0.016 + y2 * 2.0**0.08
         assert out.total() == pytest.approx(expected, rel=1e-15, abs=1e-15)
 

@@ -23,20 +23,22 @@ from repopsim import (
     SimulationError,
     apply_pulse,
     cli,
+    compare_to_golden,
     integrate_growth,
     lq_closed_form,
     parse_config,
     simulate_course,
     sweep,
 )
-from repopsim.core import PARAM_TABLE, check_counts
-from repopsim.growth import _DURATION, NUMBER as _NUMBER, _check_mixing
+from repopsim.core import PARAM_TABLE, ParamRow, check_counts
+from repopsim.growth import _DURATION, _check_mixing
 
 PARAMS = ModelParams()
 MIXING = ModelParams(q_mix=0.1, p_mix=0.1)
 RATES = (0.01, 0.016, 0.08, 0.1, 0.1)
 OPERATOR = RadiationOperator(0.5, 0.1, 0.1)
 START = PopulationState(6.0, 3.0, 1.0)
+COMPARED = simulate_course(PARAMS._replace(weeks=1), START)
 
 
 def _config(**keys):
@@ -114,6 +116,18 @@ RULES = [
                     json.dumps({"initial_total": t, "initial_fractions": [0.6, 0.34, 0.06]})
                 ),
             ),
+            ("initial_counts", lambda y: _config(initial_counts=[y, 3, 1])),
+        ],
+    ),
+    (
+        # psi <= exp(theta), which must be a finite float.
+        "a damping offset",
+        InvalidParameterError,
+        r"{name} must lie in \(-inf, 709\.783\], got ",
+        [710.0, math.nan, math.inf, -math.inf],
+        [
+            ("theta", lambda t: ModelParams(theta=t)),
+            ("theta", lambda t: _config(theta=t)),
         ],
     ),
     (
@@ -149,6 +163,15 @@ RULES = [
         ],
     ),
     (
+        "a growth step",
+        InvalidParameterError,
+        r"{name} must lie in \(0, 1\], got ",
+        [0.0, -1.0, 2.0, math.nan, math.inf],
+        [
+            ("step", lambda s: integrate_growth(RATES, (0.6, 0.34, 0.06), 1.0, s)),
+        ],
+    ),
+    (
         # A number that is past every range check: a value of another type
         # must not reach a comparison or a call to isnan.
         "a number",
@@ -159,6 +182,18 @@ RULES = [
             ("step", lambda s: integrate_growth(RATES, (0.6, 0.34, 0.06), 1.0, s)),
             ("threshold", lambda t: sweep(PARAMS, "a", (5.0,), START, threshold=t)),
             ("s", lambda s: RadiationOperator(s, 0.0, 0.0)),
+        ],
+    ),
+    (
+        # An end of compare_to_golden's inclusive day range; the reference
+        # table is empty, since the range is checked before any row is read.
+        "a compared day",
+        InvalidParameterError,
+        r"{name} (must be (>= 1|an integer)|is too large), got ",
+        ["a", None, 1.5, 0, -1, True, 10**400],
+        [
+            ("days", lambda d: compare_to_golden(COMPARED, (), (d, 5), ("y0",))),
+            ("days", lambda d: compare_to_golden(COMPARED, (), (1, d), ("y0",))),
         ],
     ),
     (
@@ -234,9 +269,7 @@ COUNTS = (6.0, 3.0, 1.0)
 
 def _growth_rules(rates, x, duration, step):
     _DURATION.check("duration", duration)
-    _NUMBER.check("step", step)
-    if not 0 < step <= duration:
-        raise InvalidParameterError(f"step must lie in (0, duration], got {step}")
+    ParamRow(float, 0, duration, strict=True).check("step", step)
     _check_mixing(rates, x)
 
 

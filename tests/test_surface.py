@@ -18,11 +18,11 @@ DUNDER = re.compile(r"__\w+__")
 
 def referenced_names(tree: ast.AST) -> Counter:
     """Names read as a bare name or as an attribute anywhere in tree. Strings,
-    docstrings and import lists are not Name or Attribute nodes, so they do not
-    count."""
+    docstrings, import lists and assignment targets are not read, so they do
+    not count."""
     names = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names[node.id] += 1
         elif isinstance(node, ast.Attribute):
             names[node.attr] += 1
@@ -47,6 +47,41 @@ def test_every_definition_has_a_package_caller():
             if references[node.name] - referenced_names(node)[node.name] <= 0:
                 uncalled.append(f"{file}:{node.lineno} {node.name}")
     assert uncalled == []
+
+
+def module_level_names(tree: ast.Module) -> tuple[list[str], list[str]]:
+    """The names that a module's top-level statements import, and those they
+    assign; a __future__ import is a compiler directive, not a name."""
+    imported, assigned = [], []
+    for node in tree.body:
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            imported += [(alias.asname or alias.name).partition(".")[0] for alias in node.names]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            assigned += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return imported, assigned
+
+
+def test_every_module_level_name_is_read_in_the_package():
+    # A name that nothing reads is a leftover: an import whose last use in
+    # its module went, or a constant or rule that no module reads any more.
+    # An import is read where it is made; an assigned name, in any module,
+    # by name or as an attribute. __init__ only re-exports, so it is exempt.
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")
+    }
+    package_reads = sum((referenced_names(tree) for tree in trees.values()), Counter())
+    unread = []
+    for file, tree in sorted(trees.items()):
+        if file == "__init__.py":
+            continue
+        imported, assigned = module_level_names(tree)
+        module_reads = referenced_names(tree)
+        for names, reads in ((imported, module_reads), (assigned, package_reads)):
+            unread += [f"{file} {n}" for n in names if not DUNDER.fullmatch(n) and not reads[n]]
+    assert unread == []
 
 
 # Handlers that would catch a TypeError: by name, or through a base class of it.
