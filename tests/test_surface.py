@@ -1,6 +1,8 @@
 """Every function, class and method the package defines has a caller in the
-package. A definition that only tests or the __init__ re-export name is a path
-no package caller takes; it should go, or be called."""
+package, and every name a module imports or assigns at top level is read in
+it. A definition that only tests or the __init__ re-export name is a path no
+package caller takes, and a name nothing reads is a leftover; either should
+go, or be used."""
 
 from __future__ import annotations
 
@@ -29,10 +31,13 @@ def referenced_names(tree: ast.AST) -> Counter:
     return names
 
 
+def package_trees() -> dict[str, ast.Module]:
+    """Each module of the package, parsed, by file name."""
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+
+
 def test_every_definition_has_a_package_caller():
-    trees = {
-        path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")
-    }
+    trees = package_trees()
     # A re-export in __init__ makes a name public; it does not call it.
     references = sum(
         (referenced_names(tree) for name, tree in trees.items() if name != "__init__.py"),
@@ -69,9 +74,7 @@ def test_every_module_level_name_is_read_in_the_package():
     # its module went, or a constant or rule that no module reads any more.
     # An import is read where it is made; an assigned name, in any module,
     # by name or as an attribute. __init__ only re-exports, so it is exempt.
-    trees = {
-        path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")
-    }
+    trees = package_trees()
     package_reads = sum((referenced_names(tree) for tree in trees.values()), Counter())
     unread = []
     for file, tree in sorted(trees.items()):
